@@ -1,15 +1,31 @@
 """Run every packaged verification suite and print a one-line summary each.
 
 Equivalent to `heisvisc check --suite all` but with a per-suite progress
-line and timing, which is friendlier for interactive use.  Exit code 0
-iff every suite passes.
+line and timing, which is friendlier for interactive use.  The suites run
+once: the combined report written by --report is the one that run builds,
+byte-identical to `heisvisc check --suite all`.  Exit code 0 iff every
+suite passes.
 """
 
 import argparse
 import sys
 import time
 
-from heisvisc.suites import SUITE_NAMES, report_json, run_suite
+from heisvisc.suites import report_json, run_suite
+
+
+class ProgressPool:
+    """Serial executor for run_suite("all") that prints each member's line."""
+
+    def map(self, fn, names):
+        for name in names:
+            t0 = time.time()
+            rep = fn(name)
+            elapsed = time.time() - t0
+            bad = [c.name for c in rep.checks if not c.passed]
+            status = "ok" if rep.passed else f"FAILED {bad}"
+            print(f"{name:11s} {len(rep.checks):2d} checks  {elapsed:5.1f}s  {status}")
+            yield rep
 
 
 def main(argv=None):
@@ -20,26 +36,12 @@ def main(argv=None):
     ap.add_argument("--report", default=None, help="write the combined JSON report here")
     args = ap.parse_args(argv)
 
-    combined = []
-    all_ok = True
-    for name in SUITE_NAMES:
-        if name == "all":
-            continue
-        t0 = time.time()
-        rep = run_suite(name, args.seed, count=args.count)
-        elapsed = time.time() - t0
-        all_ok = all_ok and rep.passed
-        bad = [c.name for c in rep.checks if not c.passed]
-        status = "ok" if rep.passed else f"FAILED {bad}"
-        print(f"{name:11s} {len(rep.checks):2d} checks  {elapsed:5.1f}s  {status}")
-        combined.append(rep)
-
+    full = run_suite("all", args.seed, count=args.count, pool=ProgressPool())
     if args.report:
-        full = run_suite("all", args.seed, count=args.count)
         with open(args.report, "w", newline="\n") as fh:
             fh.write(report_json(full))
         print(f"wrote {args.report}")
-    return 0 if all_ok else 1
+    return 0 if full.passed else 1
 
 
 if __name__ == "__main__":

@@ -43,19 +43,10 @@ def gauge_quartic(a, b, n):
     axis holds flat coordinates (x_1..x_n, y_1..y_n, t).  Written directly on
     the group-difference coordinates so no fourth root is ever taken.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    dz = a[..., : 2 * n] - b[..., : 2 * n]
-    zs = np.square(dz).sum(axis=-1)
-    shear = 2.0 * (
-        (a[..., n : 2 * n] * b[..., :n]).sum(axis=-1)
-        - (a[..., :n] * b[..., n : 2 * n]).sum(axis=-1)
-    )
-    dt = a[..., 2 * n] - b[..., 2 * n]
-    return zs * zs + np.square(dt + shear)
+    return _gauge_parts(a, b, n)[1]
 
 
-def _pair_parts(a, b, n):
+def _gauge_parts(a, b, n):
     """(squared z-displacement, quartic gauge distance) for broadcast pairs."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -296,7 +287,7 @@ def check_semiconvexity(r, block=192):
     best = 0.0
     for start in range(0, N, block):
         stop = min(start + block, N)
-        zs, d4 = _pair_parts(coords[start:stop, None, :], coords[None, :, :], n)
+        zs, d4 = _gauge_parts(coords[start:stop, None, :], coords[None, :, :], n)
         val = 12.0 * zs + 2.0 * (1.0 + 4.0 * z_eta_sq[None, :])
         val[d4 > window] = -np.inf
         best = max(best, float(val.max()))

@@ -293,6 +293,119 @@ def test_axiom_report_lookup_and_unknown_condition():
         check_axioms(ConeSpec("trace"), AxiomPlan(seed=44, count=10), conditions=("bogus",))
 
 
+# the one-sample-at-a-time sampler that check_axioms replaced, kept as the
+# reference for its draw order and outputs
+
+
+_CONDITIONS = (
+    "stable_under_definite_shift",
+    "scale_invariant",
+    "scale_invariant_shrink",
+    "scale_invariant_expand",
+)
+
+
+def _scalar_interior(spec, gen, dim, scale, margin, tries=80):
+    W = gen.normal(size=(dim, dim))
+    A = 0.5 * (W + W.T) * scale
+    step = max(1.0, scale)
+    eye = np.eye(dim)
+    for _ in range(tries):
+        frob = np.sqrt(np.sum(A * A))
+        if defining_value(spec, A) > margin * (1.0 + frob):
+            return A
+        A = A + step * eye
+        step *= 1.5
+    return None
+
+
+def _scalar_record(cond, spec, M, context):
+    cond["checked"] += 1
+    region = classify(spec, M)
+    if region is Region.INTERIOR:
+        return
+    cond["violations"] += 1
+    if cond["witness"] is None:
+        witness = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in context.items()}
+        witness["tested"] = M.tolist()
+        witness["classification"] = region.value
+        cond["witness"] = witness
+
+
+def _scalar_check_axioms(spec, plan, conditions=_CONDITIONS):
+    gen = stream(plan.seed)
+    checks = {name: {"name": name, "checked": 0, "violations": 0, "witness": None}
+              for name in conditions}
+    skipped = 0
+    for _ in range(plan.count):
+        A = _scalar_interior(spec, gen, plan.dim, plan.scale, plan.interior_margin)
+        if A is None:
+            skipped += 1
+            continue
+        if "stable_under_definite_shift" in checks:
+            W = gen.normal(size=(plan.dim, plan.dim))
+            B = W @ W.T + gen.uniform(0.05, 0.5) * plan.scale * np.eye(plan.dim)
+            _scalar_record(checks["stable_under_definite_shift"], spec, A + B, {"A": A, "B": B})
+        if "scale_invariant" in checks:
+            c = float(np.exp(gen.uniform(np.log(1e-3), np.log(1e3))))
+            _scalar_record(checks["scale_invariant"], spec, c * A, {"A": A, "c": c})
+        if "scale_invariant_shrink" in checks:
+            c = float(gen.uniform(0.001, 0.999))
+            _scalar_record(checks["scale_invariant_shrink"], spec, c * A, {"A": A, "c": c})
+        if "scale_invariant_expand" in checks:
+            c = 1.0 / float(gen.uniform(0.001, 0.999))
+            _scalar_record(checks["scale_invariant_expand"], spec, c * A, {"A": A, "c": c})
+    ordered = [checks[name] for name in conditions]
+    for c in ordered:
+        c["passed"] = c["violations"] == 0
+    passed = all(c["passed"] for c in ordered) and skipped < plan.count
+    return {"passed": passed, "skipped": skipped, "conditions": ordered}
+
+
+@pytest.mark.parametrize(
+    "spec, plan",
+    [
+        (ConeSpec("trace"), AxiomPlan(seed=51, count=200, dim=2)),
+        (ConeSpec("posdef"), AxiomPlan(seed=52, count=200, dim=2)),
+        (ConeSpec("sigma_k", k=1), AxiomPlan(seed=53, count=200, dim=2)),
+        (ConeSpec("sigma_k", k=2), AxiomPlan(seed=54, count=200, dim=2)),
+        (ConeSpec("sigma_k", k=2), AxiomPlan(seed=55, count=120, dim=3)),
+        (shifted_trace_spec(2), AxiomPlan(seed=56, count=200, dim=2)),
+    ],
+    ids=["trace", "posdef", "sigma1", "sigma2", "sigma2_dim3", "shifted_trace"],
+)
+def test_check_axioms_matches_scalar_sampler(spec, plan):
+    assert check_axioms(spec, plan).to_dict() == _scalar_check_axioms(spec, plan)
+
+
+def test_check_axioms_matches_scalar_sampler_when_samples_skip_midstream():
+    # l1 - l2 + 1 is invariant under the +I march, so a start either is
+    # interior at once or never gets there: skips fall all through the stream
+    spec = ConeSpec("spectral", g="l1 - l2 + 1")
+    plan = AxiomPlan(seed=57, count=150, dim=2)
+    report = check_axioms(spec, plan)
+    assert 0 < report.skipped < plan.count
+    assert report.to_dict() == _scalar_check_axioms(spec, plan)
+
+
+def test_check_axioms_matches_scalar_sampler_when_every_sample_skips():
+    spec = ConeSpec("spectral", g="0.0 - 1.0")
+    # more samples than one speculative run
+    plan = AxiomPlan(seed=58, count=80, dim=2)
+    report = check_axioms(spec, plan)
+    assert report.skipped == plan.count and not report.passed
+    assert report.to_dict() == _scalar_check_axioms(spec, plan)
+
+
+def test_check_axioms_matches_scalar_sampler_on_condition_subset():
+    spec = shifted_trace_spec(2)
+    plan = AxiomPlan(seed=59, count=200, dim=2)
+    subset = ("scale_invariant_expand", "scale_invariant_shrink")
+    report = check_axioms(spec, plan, conditions=subset)
+    assert [c.name for c in report.conditions] == list(subset)
+    assert report.to_dict() == _scalar_check_axioms(spec, plan, conditions=subset)
+
+
 # -- spec validation and JSON --------------------------------------------------------
 
 

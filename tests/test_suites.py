@@ -1,9 +1,13 @@
 """Direct checks of the packaged verification suites (the CLI tests cover
 the same code through the `check` command)."""
 
+from pathlib import Path
+
 import pytest
 
 from heisvisc.suites import SUITE_NAMES, report_json, run_suite
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_unknown_suite_raises():
@@ -55,3 +59,16 @@ def test_tampered_cones_suite_fails():
     assert not rep.passed
     assert not rep.check("axioms_trace").passed
     assert rep.check("non_cone_detected").passed
+
+
+@pytest.mark.parametrize(
+    "tamper, golden",
+    [(False, "check_cones_seed42.json"), (True, "check_cones_seed42_tamper.json")],
+    ids=["plain", "tamper"],
+)
+def test_cones_report_matches_golden(tamper, golden):
+    # pins the axiom sampler's draw order: every count and witness of the
+    # cones suite at seed 42, byte for byte
+    expected = (GOLDEN / golden).read_bytes()
+    text = report_json(run_suite("cones", 42, tamper=tamper))
+    assert text.encode() == expected
