@@ -13,8 +13,11 @@ outside, zero on the boundary.  Four families are supported:
 
 Classification into Interior / Exterior / Boundary uses a symmetric band
 around rho = 0 of width ``tol * (1 + ||M||_F)``: values inside the band are
-Boundary.  Eigenvalues come from a cyclic Jacobi iteration (scalar and batch
-forms) so the classification pipeline has no dependence on LAPACK ordering.
+Boundary.  Every eigenvalue comes from :func:`spectrum`: the closed form for
+2 x 2 matrices and LAPACK's ``eigvalsh`` otherwise.  It takes matrices entry
+by entry, which is how the grid operator holds them; the stack functions
+(``*_batch``) check symmetry and pass an entry view, and the single-matrix
+functions are the stack functions on a stack of one.
 
 :func:`check_axioms` samples the structural axioms a constraint set must
 satisfy for the comparison machinery (stability under positive-definite
@@ -30,17 +33,13 @@ and redrawing up to them.
 from __future__ import annotations
 
 import enum
-import json
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import Node, parse_expr
 from .rng import stream
-
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 64
-
 
 class Region(enum.Enum):
     INTERIOR = "Interior"
@@ -49,76 +48,69 @@ class Region(enum.Enum):
 
 
 def _check_symmetric(M):
+    """Validate square matrices and return them exactly symmetrised.
+
+    Each matrix's skew is measured against 1 + its own largest entry, so a
+    large matrix in the same stack cannot hide the skew of a small one.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {M.shape}")
-    scale = 1.0 + np.abs(M).max(initial=0.0)
-    skew = np.abs(M - np.swapaxes(M, -1, -2)).max(initial=0.0)
-    if skew > 1e-9 * scale:
-        raise ValueError(f"matrix is not symmetric (skew magnitude {skew:.3e})")
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    MT = np.swapaxes(M, -1, -2)
+    scale = 1.0 + np.abs(M).max(axis=(-2, -1), initial=0.0)
+    skew = np.abs(M - MT).max(axis=(-2, -1), initial=0.0)
+    bad = skew > 1e-9 * scale
+    if bad.any():
+        raise ValueError(
+            f"matrix is not symmetric (skew magnitude {np.max(skew[bad]):.3e})"
+        )
+    return 0.5 * (M + MT)
 
 
-def eigenvalues(M, tol=_JACOBI_TOL, max_sweeps=_JACOBI_MAX_SWEEPS):
-    """Eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi.
+def _stack(Ms):
+    """Checked (N, d, d) stack as its entry view: ``[i][j]`` is Ms[:, i, j]."""
+    Ms = _check_symmetric(Ms)
+    if Ms.ndim != 3:
+        raise ValueError(f"expected shape (N, d, d), got {Ms.shape}")
+    return Ms.transpose(1, 2, 0)
 
-    Sweeps Givens rotations over all (p, q) pairs until the off-diagonal
-    Frobenius norm drops below ``tol`` times the matrix scale.  Raises
-    ArithmeticError if that never happens (it does for any symmetric input
-    well before the sweep cap; the cap guards against NaN poisoning).
+
+def _single(M):
+    """One d x d matrix as a stack of one, so it takes the batch path."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"expected a single d x d matrix, got shape {M.shape}")
+    return M[None]
+
+
+def spectrum(F):
+    """Ascending eigenvalues of symmetric matrices held entry by entry.
+
+    ``F[i][j]`` is entry (i, j) of every matrix at once: a nested list of
+    equally shaped arrays, or an array of shape (d, d, ...).  Returns shape
+    (..., d).  At d = 2 the eigenvalues come from the closed form
+    m -+ sqrt(((a - c) / 2)^2 + b^2), which reads only the upper triangle;
+    otherwise from LAPACK's ``eigvalsh``.  Symmetry is the caller's
+    contract (the stack functions below check it).
     """
-    A = _check_symmetric(M)
-    if A.ndim != 2:
-        raise ValueError("eigenvalues() takes a single matrix; see eigenvalues_batch")
-    return eigenvalues_batch(A[None], tol=tol, max_sweeps=max_sweeps)[0]
+    d = len(F)
+    if d == 2:
+        half_gap = 0.5 * (F[0][0] - F[1][1])
+        r = np.sqrt(half_gap * half_gap + F[0][1] * F[0][1])
+        m = 0.5 * (F[0][0] + F[1][1])
+        return np.stack([m - r, m + r], axis=-1)
+    F = np.asarray(F, dtype=float)
+    return np.linalg.eigvalsh(np.moveaxis(F, (0, 1), (-2, -1)))
 
 
-def eigenvalues_batch(Ms, tol=_JACOBI_TOL, max_sweeps=_JACOBI_MAX_SWEEPS):
+def eigenvalues_batch(Ms):
     """Eigenvalues of a stack of symmetric matrices, shape (N, d) ascending."""
-    A = _check_symmetric(Ms)
-    if A.ndim != 3:
-        raise ValueError(f"expected shape (N, d, d), got {A.shape}")
-    A = A.copy()
-    n, d, _ = A.shape
-    if d == 1:
-        return A[:, :, 0].copy()
-    scale = np.sqrt(np.einsum("nij,nij->n", A, A))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    off_idx = ~np.eye(d, dtype=bool)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.einsum("nk,nk->n", A[:, off_idx], A[:, off_idx]))
-        if np.all(off <= tol * scale):
-            lams = np.einsum("nii->ni", A).copy()
-            lams.sort(axis=1)
-            return lams
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[:, p, q]
-                active = np.abs(apq) > 1e-300
-                if not active.any():
-                    continue
-                apq_safe = np.where(active, apq, 1.0)
-                tau = (A[:, q, q] - A[:, p, p]) / (2.0 * apq_safe)
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                t = np.where(tau == 0.0, 1.0, t)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                c = np.where(active, c, 1.0)[:, None]
-                s = np.where(active, s, 0.0)[:, None]
-                colp = A[:, :, p].copy()
-                colq = A[:, :, q].copy()
-                A[:, :, p] = c * colp - s * colq
-                A[:, :, q] = s * colp + c * colq
-                rowp = A[:, p, :].copy()
-                rowq = A[:, q, :].copy()
-                A[:, p, :] = c * rowp - s * rowq
-                A[:, q, :] = s * rowp + c * rowq
-    off = np.sqrt(np.einsum("nk,nk->n", A[:, off_idx], A[:, off_idx]))
-    bad = int(np.sum(off > tol * scale))
-    raise ArithmeticError(
-        f"Jacobi eigenvalue iteration failed to converge for {bad} matrices "
-        f"after {max_sweeps} sweeps"
-    )
+    return spectrum(_stack(Ms))
+
+
+def eigenvalues(M):
+    """Eigenvalues of one symmetric matrix, ascending (batch path)."""
+    return eigenvalues_batch(_single(M))[0]
 
 
 def elementary_symmetric(lams, k):
@@ -222,47 +214,52 @@ def values_from_eigenvalues(spec, lams):
     return np.broadcast_to(np.asarray(out, dtype=float), lams.shape[:-1]).copy()
 
 
-def defining_value(spec, M):
-    """Scalar rho(M): positive inside the set, negative outside."""
-    M = _check_symmetric(M)
-    if M.ndim != 2:
-        raise ValueError("defining_value() takes a single matrix")
+def values_from_entries(spec, F):
+    """Defining values of symmetric matrices held entry by entry.
+
+    ``F`` is laid out as for :func:`spectrum`.  The trace family sums the
+    diagonal; the other families go through the spectrum.
+    """
     if spec.family == "trace":
-        return float(np.trace(M))
-    return float(values_from_eigenvalues(spec, eigenvalues(M)))
+        return functools.reduce(np.add, [F[i][i] for i in range(len(F))])
+    return values_from_eigenvalues(spec, spectrum(F))
+
+
+def band_from_entries(spec, F):
+    """Boundary band width tol * (1 + ||M||_F) from matrix entries."""
+    d = len(F)
+    sq = functools.reduce(np.add, [F[i][i] * F[i][i] for i in range(d)])
+    off = [F[i][j] * F[i][j] for i in range(d) for j in range(i + 1, d)]
+    if off:
+        sq = sq + 2.0 * functools.reduce(np.add, off)
+    return spec.tol * (1.0 + np.sqrt(sq))
+
+
+_REGIONS = {1: Region.INTERIOR, -1: Region.EXTERIOR, 0: Region.BOUNDARY}
+
+
+def defining_value(spec, M):
+    """Scalar rho(M): positive inside the set, negative outside.
+
+    The batch path on a stack of one, so the two always agree bit for bit.
+    """
+    return float(defining_value_batch(spec, _single(M))[0])
 
 
 def defining_value_batch(spec, Ms):
-    Ms = _check_symmetric(Ms)
-    if Ms.ndim != 3:
-        raise ValueError(f"expected shape (N, d, d), got {Ms.shape}")
-    if spec.family == "trace":
-        return np.einsum("nii->n", Ms)
-    return values_from_eigenvalues(spec, eigenvalues_batch(Ms))
-
-
-def _band(spec, Ms):
-    frob = np.sqrt(np.einsum("...ij,...ij->...", Ms, Ms))
-    return spec.tol * (1.0 + frob)
+    """Defining values rho of a stack of symmetric matrices, shape (N,)."""
+    return values_from_entries(spec, _stack(Ms))
 
 
 def classify(spec, M):
-    """Classify one matrix into Interior / Exterior / Boundary."""
-    M = _check_symmetric(M)
-    rho = defining_value(spec, M)
-    band = float(_band(spec, M))
-    if rho > band:
-        return Region.INTERIOR
-    if rho < -band:
-        return Region.EXTERIOR
-    return Region.BOUNDARY
+    """Classify one matrix into Interior / Exterior / Boundary (batch path)."""
+    return _REGIONS[int(classify_batch(spec, _single(M))[0])]
 
 
 def codes_from_values(rho, band):
     """Classification codes from defining values and band widths.
 
-    +1 = Interior, -1 = Exterior, 0 = Boundary.  Use :func:`region_of_code`
-    to map codes back to Region values.
+    +1 = Interior, -1 = Exterior, 0 = Boundary.
     """
     rho = np.asarray(rho, dtype=float)
     out = np.zeros(rho.shape, dtype=np.int8)
@@ -279,13 +276,8 @@ def band_from_eigenvalues(spec, lams):
 
 def classify_batch(spec, Ms):
     """Vector classification; returns int8 codes (see codes_from_values)."""
-    Ms = _check_symmetric(Ms)
-    rho = defining_value_batch(spec, Ms)
-    return codes_from_values(rho, _band(spec, Ms))
-
-
-def region_of_code(code):
-    return {1: Region.INTERIOR, -1: Region.EXTERIOR, 0: Region.BOUNDARY}[int(code)]
+    F = _stack(Ms)
+    return codes_from_values(values_from_entries(spec, F), band_from_entries(spec, F))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +483,7 @@ def check_axioms(spec, plan, conditions=_AXIOM_NAMES):
             param = params[i].tolist() if name == _SHIFT else params[i]
             cond.witness = {
                 "A": A[i].tolist(), key: param, "tested": M[i].tolist(),
-                "classification": region_of_code(codes[i]).value,
+                "classification": _REGIONS[int(codes[i])].value,
             }
     ordered = [checks[name] for name in conditions]
     passed = all(c.passed for c in ordered) and skipped < plan.count
@@ -502,30 +494,3 @@ def shifted_trace_spec(dim, offset=1.0):
     """A deliberately non-conical set {tr M >= offset} for negative testing."""
     expr = " + ".join(f"l{i + 1}" for i in range(dim)) + f" - {offset!r}"
     return ConeSpec(family="spectral", g=expr)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def cone_to_json(spec):
-    data = {"family": spec.family, "tol": spec.tol}
-    if spec.family == "sigma_k":
-        data["k"] = spec.k
-    if spec.family == "spectral":
-        if isinstance(spec.g, Node):
-            data["g"] = spec.g.to_source()
-        else:
-            data["g"] = spec.g
-    return json.dumps(data, sort_keys=True)
-
-
-def cone_from_json(text):
-    data = json.loads(text)
-    family = data["family"]
-    return ConeSpec(
-        family=family,
-        k=data.get("k"),
-        g=data.get("g"),
-        tol=float(data.get("tol", 1e-9)),
-    )

@@ -39,7 +39,7 @@ __all__ = [
     "gauge",
     "dist",
     "dilate",
-    "gauge_ball_contains",
+    "frame_t_coefficients",
     "frame_matrix",
     "j_matrix",
     "horizontal_gradient",
@@ -189,13 +189,6 @@ def dilate(lam, p):
     return Point(lam * p.x, lam * p.y, lam * lam * p.t)
 
 
-def gauge_ball_contains(center, radius, p):
-    """True when p lies in the closed gauge ball of the given center and radius."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return dist(p, center) <= radius
-
-
 # -- horizontal calculus from Euclidean second-order jets
 
 
@@ -244,6 +237,17 @@ def j_matrix(n):
     return J
 
 
+def frame_t_coefficients(coords, n):
+    """The d/dt coefficients c = (2 y_1..2 y_n, -2 x_1..-2 x_n) of the frame.
+
+    ``coords`` holds flat coordinates on its last axis (leading axes
+    broadcast); the result has 2n entries on its last axis.  This is the
+    last column of :func:`frame_matrix`.
+    """
+    coords = np.asarray(coords, dtype=float)
+    return np.concatenate([2.0 * coords[..., n : 2 * n], -2.0 * coords[..., :n]], axis=-1)
+
+
 def frame_matrix(at):
     """Coefficients of the horizontal frame in Euclidean coordinates at a point.
 
@@ -252,10 +256,8 @@ def frame_matrix(at):
     """
     n = at.n
     B = np.zeros((2 * n, 2 * n + 1))
-    B[:n, :n] = np.eye(n)
-    B[:n, 2 * n] = 2.0 * at.y
-    B[n:, n : 2 * n] = np.eye(n)
-    B[n:, 2 * n] = -2.0 * at.x
+    B[:, : 2 * n] = np.eye(2 * n)
+    B[:, 2 * n] = frame_t_coefficients(at.coords(), n)
     return B
 
 

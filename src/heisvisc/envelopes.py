@@ -13,26 +13,25 @@ so masking preserves exactness).  Ties break to the smallest flat node index.
 The check_* functions verify the properties the regularization argument
 rests on: monotonicity and pointwise squeezing in eps, one-sided curvature
 bounds (semiconvexity for upper envelopes, semiconcavity for lower) with a
-constant sampled from the kernel's own Hessian, optimality and reach of the
-argmax witness, and stability of envelope values along convergent sequences.
+constant sampled from the kernel's own Hessian, and optimality and reach of
+the argmax witness.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridField
+from .cones import spectrum
+from .fields import GridField, central_differences
 
 __all__ = [
     "EnvelopeResult",
     "upper_envelope",
     "lower_envelope",
-    "envelope_at",
     "gauge_quartic",
     "check_monotone_convergence",
     "check_semiconvexity",
     "check_witness_bound",
-    "check_stability",
 ]
 
 
@@ -126,26 +125,6 @@ def _envelope(v, eps, mode, block):
     )
 
 
-def envelope_at(v, eps, xi, mode="upper"):
-    """Envelope value and witness index at one (not necessarily grid) point."""
-    eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    xi = np.asarray(xi, dtype=float)
-    coords = v.coords_full().reshape(-1, 2 * v.n + 1)
-    vals = v.values.reshape(-1)
-    d4 = gauge_quartic(xi[None, :], coords, v.n)
-    if mode == "upper":
-        scores = vals - d4 / eps
-        idx = int(np.argmax(scores))
-    elif mode == "lower":
-        scores = vals + d4 / eps
-        idx = int(np.argmin(scores))
-    else:
-        raise ValueError(f"mode must be 'upper' or 'lower', got {mode!r}")
-    return float(scores[idx]), idx
-
-
 # ---------------------------------------------------------------------------
 # property checks
 
@@ -219,40 +198,6 @@ def check_monotone_convergence(v, eps_list, mode="upper"):
     )
 
 
-def _interior_fd_hessians(g):
-    """Euclidean FD Hessians at all full-stencil interior nodes, (K, d, d)."""
-    v = g.values
-    h = g.spacing
-    d = v.ndim
-    if any(r < 3 for r in v.shape):
-        empty_shape = tuple(max(r - 2, 0) for r in v.shape)
-        return np.empty((0, d, d)), empty_shape
-    inner = tuple(slice(1, -1) for _ in range(d))
-
-    def shifted(offsets):
-        sl = []
-        for a in range(d):
-            o = offsets.get(a, 0)
-            sl.append(slice(1 + o, v.shape[a] - 1 + o or None))
-        return v[tuple(sl)]
-
-    mid = v[inner]
-    K = mid.size
-    H = np.empty(mid.shape + (d, d))
-    for a in range(d):
-        H[..., a, a] = (shifted({a: 1}) - 2.0 * mid + shifted({a: -1})) / h[a] ** 2
-        for b in range(a + 1, d):
-            cross = (
-                shifted({a: 1, b: 1})
-                - shifted({a: 1, b: -1})
-                - shifted({a: -1, b: 1})
-                + shifted({a: -1, b: -1})
-            ) / (4.0 * h[a] * h[b])
-            H[..., a, b] = cross
-            H[..., b, a] = cross
-    return H.reshape(K, d, d), mid.shape
-
-
 @dataclass
 class SemiconvexReport:
     passed: bool
@@ -296,13 +241,14 @@ def check_semiconvexity(r, block=192):
     scale = max(abs(r.source_min), abs(r.source_max))
     tol = 1e-8 * (1.0 + scale)
 
-    H, inner_shape = _interior_fd_hessians(g)
-    if H.shape[0] == 0:
+    H, _ = central_differences(g.values, g.spacing)
+    inner_shape = H[0][0].shape
+    if H[0][0].size == 0:
         return SemiconvexReport(
             passed=True, mode=r.mode, eps=r.eps, kernel_constant=kernel_constant,
             bound=bound, tol=tol, checked=0, violations=0, worst=0.0,
         )
-    lams = np.linalg.eigvalsh(H)
+    lams = spectrum(H).reshape(-1, 2 * n + 1)
     if r.mode == "upper":
         extreme = lams[:, 0]
         bad = extreme < -bound - tol
@@ -383,63 +329,4 @@ def check_witness_bound(r, v):
         reach_violations=int(reach_bad.sum()),
         max_reach_slack=float(reach_slack.max()),
         witness=witness,
-    )
-
-
-@dataclass
-class StabilityReport:
-    passed: bool
-    mode: str
-    values: tuple              # envelope values along the sequence
-    limit_value: float
-    limit_node: tuple
-    tail_start: int
-    tol: float
-
-
-def check_stability(v_sequence, xi_sequence, eps_sequence, mode="upper",
-                    tol=None, tail_fraction=0.25):
-    """Upper-limit bound of envelope values along a convergent sequence.
-
-    Evaluates the j-th envelope at the j-th point and checks that the tail
-    stays at or below (above, for lower mode) the field value at the grid
-    node nearest the final point.  ``v_sequence`` may be a single grid field
-    or one field per step.
-    """
-    eps_sequence = [float(e) for e in eps_sequence]
-    xi_sequence = [np.asarray(x, dtype=float) for x in xi_sequence]
-    if isinstance(v_sequence, GridField):
-        fields = [v_sequence] * len(eps_sequence)
-    else:
-        fields = list(v_sequence)
-    if not (len(fields) == len(xi_sequence) == len(eps_sequence)):
-        raise ValueError("sequences must have equal length")
-    if len(fields) < 2:
-        raise ValueError("need at least two steps")
-    values = tuple(
-        envelope_at(f, e, x, mode)[0]
-        for f, e, x in zip(fields, eps_sequence, xi_sequence)
-    )
-    limit_field = fields[-1]
-    axes = limit_field.axes()
-    node = tuple(
-        int(np.argmin(np.abs(ax - c))) for ax, c in zip(axes, xi_sequence[-1])
-    )
-    limit_value = float(limit_field.values[node])
-    if tol is None:
-        tol = 1e-9 * (1.0 + np.abs(limit_field.values).max())
-    tail_start = max(0, int(np.ceil(len(values) * (1.0 - tail_fraction))))
-    tail = values[tail_start:]
-    if mode == "upper":
-        passed = max(tail) <= limit_value + tol
-    else:
-        passed = min(tail) >= limit_value - tol
-    return StabilityReport(
-        passed=bool(passed),
-        mode=mode,
-        values=values,
-        limit_value=limit_value,
-        limit_node=node,
-        tail_start=tail_start,
-        tol=float(tol),
     )

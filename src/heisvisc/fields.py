@@ -25,13 +25,12 @@ polluted by a kink.  Discrete jets are plain second-order central differences
 at the native grid spacing.
 """
 
-import logging
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Jet2, Point, dist_coords
+from .core import Jet2, Point
 
 __all__ = [
     "ParseError",
@@ -42,8 +41,7 @@ __all__ = [
     "Domain",
     "parse_field",
     "sample",
-    "jet2_fd",
-    "gamma_interior",
+    "central_differences",
     "const",
     "coord_var",
     "exp_of",
@@ -52,8 +50,6 @@ __all__ = [
     "max_of",
     "z_norm_sq",
 ]
-
-log = logging.getLogger(__name__)
 
 KINK_TOL = 1e-12
 
@@ -765,7 +761,9 @@ def sample(f, domain, res, detect_kinks=True, **extra):
     if len(res) != d or any(r < 2 for r in res):
         raise ValueError(f"res must give at least 2 nodes on each of {d} axes")
     axes = [np.linspace(domain.box[a, 0], domain.box[a, 1], r) for a, r in enumerate(res)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    # sparse axes broadcast to the full lattice only where the expression
+    # combines them, so no full-size coordinate copies are made
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     env = {name: mesh[a] for a, name in enumerate(f.names[:d])}
     for name in f.extra_vars:
         if name not in extra:
@@ -776,77 +774,39 @@ def sample(f, domain, res, detect_kinks=True, **extra):
     return GridField(f.n, domain.box.copy(), values, mask)
 
 
-def jet2_fd(g, index, check_kinks=True):
-    """Second-order central-difference jet at a grid node.
+def central_differences(values, spacing, gradient=False):
+    """Second-order central differences on the interior block of a lattice.
 
-    Uses the native grid spacing.  The node must have the full 3^d stencil
-    inside the lattice; nodes whose stencil touches a kink-flagged node raise
-    :class:`NonSmoothError`.
+    ``values`` has one axis per coordinate and ``spacing`` the step of each.
+    Returns ``(H, g)``: ``H[a][b]`` is the second derivative in axes a and b
+    (the same array object as ``H[b][a]``) and ``g[a]`` the first
+    derivative, or ``g`` is None unless ``gradient`` is set.  Every array
+    covers the nodes with index 1..r-2 on each axis, so a lattice with only
+    two nodes on some axis gives empty arrays.
     """
-    d = len(g.res)
-    index = tuple(int(i) for i in index)
-    if len(index) != d:
-        raise ValueError(f"index must have {d} entries")
-    for a, i in enumerate(index):
-        if not (1 <= i <= g.res[a] - 2):
-            raise ValueError(f"stencil out of range on axis {a} at index {index}")
-    if check_kinks and g.jet_invalid is not None:
-        cube = tuple(slice(i - 1, i + 2) for i in index)
-        if g.jet_invalid[cube].any():
-            raise NonSmoothError(f"discrete jet at {index} straddles a kink")
-    u = g.values
-    h = g.spacing
-    value = u[index]
-    grad = np.zeros(d)
-    hess = np.zeros((d, d))
+    d = values.ndim
+    # the windows of each axis shifted by -1, 0 and +1 against the interior
+    win = [(slice(0, r - 2), slice(1, r - 1), slice(2, r)) for r in values.shape]
+    centre = [w[1] for w in win]
 
-    def at(offset):
-        return u[tuple(i + o for i, o in zip(index, offset))]
+    def shifted(*moves):
+        idx = centre.copy()
+        for a, o in moves:
+            idx[a] = win[a][1 + o]
+        return values[tuple(idx)]
 
+    two_mid = 2.0 * shifted()
+    H = [[None] * d for _ in range(d)]
     for a in range(d):
-        e = [0] * d
-        e[a] = 1
-        up, dn = at(e), at([-o for o in e])
-        grad[a] = (up - dn) / (2.0 * h[a])
-        hess[a, a] = (up - 2.0 * value + dn) / (h[a] * h[a])
-    for a in range(d):
+        H[a][a] = (shifted((a, 1)) - two_mid + shifted((a, -1))) / spacing[a] ** 2
         for b in range(a + 1, d):
-            e = [0] * d
-            e[a], e[b] = 1, 1
-            pp = at(e)
-            e[b] = -1
-            pm = at(e)
-            e[a], e[b] = -1, 1
-            mp = at(e)
-            e[b] = -1
-            mm = at(e)
-            hess[a, b] = hess[b, a] = (pp - pm - mp + mm) / (4.0 * h[a] * h[b])
-    return Jet2(value, grad, hess)
-
-
-def gamma_interior(g, gamma, block=4096):
-    """Interior nodes at gauge distance >= gamma from every boundary-shell node.
-
-    Returns a boolean mask over the full lattice (False on the shell).  An
-    empty result is legitimate for large gamma and is logged.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    coords = g.coords_full().reshape(-1, 2 * g.n + 1)
-    shell = g.boundary_mask().ravel()
-    interior_idx = np.nonzero(~shell)[0]
-    shell_coords = coords[shell]
-    keep = np.ones(interior_idx.shape[0], dtype=bool)
-    for start in range(0, interior_idx.shape[0], block):
-        chunk = interior_idx[start : start + block]
-        dmin = np.min(
-            dist_coords(coords[chunk][:, None, :], shell_coords[None, :, :], g.n),
-            axis=1,
-        )
-        keep[start : start + chunk.shape[0]] = dmin >= gamma
-    mask = np.zeros(coords.shape[0], dtype=bool)
-    mask[interior_idx[keep]] = True
-    mask = mask.reshape(g.res)
-    if not mask.any():
-        log.warning("gamma_interior: no interior node at distance >= %g", gamma)
-    return mask
+            H[a][b] = H[b][a] = (
+                shifted((a, 1), (b, 1))
+                - shifted((a, 1), (b, -1))
+                - shifted((a, -1), (b, 1))
+                + shifted((a, -1), (b, -1))
+            ) / (4.0 * spacing[a] * spacing[b])
+    if not gradient:
+        return H, None
+    g = [(shifted((a, 1)) - shifted((a, -1))) / (2.0 * spacing[a]) for a in range(d)]
+    return H, g

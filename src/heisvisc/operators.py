@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cones import eigenvalues_batch
 from .core import Point, heis_hessian_sym, horizontal_gradient, j_matrix
 from .fields import AnalyticField, parse_field
 from .rng import stream
@@ -42,7 +43,6 @@ __all__ = [
     "eval_A_u",
     "conformal_operator_spec",
     "check_structural",
-    "spec_to_json",
     "spec_from_json",
 ]
 
@@ -340,7 +340,7 @@ def grad_xi_L_batch(spec, coords, s, p):
 
 
 def _min_eig_batch(mats):
-    return np.linalg.eigvalsh(mats)[..., 0]
+    return eigenvalues_batch(mats)[:, 0]
 
 
 def _witness(idx, coords, s1, s2, p, theta, margin):
@@ -486,23 +486,6 @@ def check_structural(spec, bounds, box, plan, tol_factor=1e-8):
 
 
 # -- JSON interchange ---------------------------------------------------------
-
-
-def _coeff_to_json(c):
-    if isinstance(c, float):
-        return c
-    if isinstance(c, AnalyticField):
-        return c.source()
-    raise ValueError("only constant or analytic coefficients serialize to JSON")
-
-
-def spec_to_json(spec):
-    return {
-        "alpha": _coeff_to_json(spec.alpha),
-        "beta": _coeff_to_json(spec.beta),
-        "gamma": _coeff_to_json(spec.gamma),
-        "m": spec.m,
-    }
 
 
 def spec_from_json(data, n):

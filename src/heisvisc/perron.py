@@ -4,8 +4,9 @@ Given grid fields v <= w that agree on the boundary, the solver relaxes
 toward a field whose operator matrix sits on the admissible-set boundary
 at every interior node, clamping each sweep to [v, w].  Iterating from v
 ascends, from w descends; running both directions and comparing is the
-numerical uniqueness check.  The semicontinuous envelopes are identities
-on a finite lattice and exist to keep the pipeline total.
+numerical uniqueness check.  Each sweep evaluates F through
+:class:`heisvisc.viscosity.GridOperator`, the grid operator path the
+classifier uses, for every n.
 """
 
 from __future__ import annotations
@@ -14,26 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import ConeSpec, defining_value_batch, values_from_eigenvalues
+from .cones import ConeSpec, band_from_entries, values_from_entries
 from .fields import AnalyticField, Const, Domain, GridField, parse_field, sample
-from .operators import (
-    OperatorSpec,
-    L_batch,
-    SamplePlan,
-    StructuralBounds,
-    check_structural,
-)
-from .viscosity import _fd_arrays, _shifted
+from .operators import OperatorSpec, SamplePlan, StructuralBounds, check_structural
+from .viscosity import GridOperator
 
 __all__ = [
     "DEFAULT_BOUNDS",
     "Problem",
     "SolveResult",
     "UniquenessReport",
-    "usc_envelope",
-    "lsc_envelope",
-    "max_fields",
-    "min_fields",
     "boundary_bump",
     "bracket_from_boundary",
     "solve",
@@ -50,42 +41,9 @@ _GATE_PLAN = SamplePlan(seed=2357, count=400)
 _BOUNDARY_AGREE_TOL = 1e-10
 
 
-def usc_envelope(g):
-    """Upper semicontinuous envelope; the identity on a finite lattice."""
-    return g.copy()
-
-
-def lsc_envelope(g):
-    """Lower semicontinuous envelope; the identity on a finite lattice."""
-    return g.copy()
-
-
 def _require_same_lattice(a, b):
     if a.n != b.n or a.res != b.res or not np.array_equal(a.box, b.box):
         raise ValueError("fields live on different lattices")
-
-
-def _merged_mask(a, b):
-    if a.jet_invalid is None and b.jet_invalid is None:
-        return None
-    out = np.zeros(a.res, dtype=bool)
-    if a.jet_invalid is not None:
-        out |= a.jet_invalid
-    if b.jet_invalid is not None:
-        out |= b.jet_invalid
-    return out
-
-
-def max_fields(a, b):
-    """Nodewise maximum of two grid fields on a shared lattice."""
-    _require_same_lattice(a, b)
-    return GridField(a.n, a.box.copy(), np.maximum(a.values, b.values), _merged_mask(a, b))
-
-
-def min_fields(a, b):
-    """Nodewise minimum of two grid fields on a shared lattice."""
-    _require_same_lattice(a, b)
-    return GridField(a.n, a.box.copy(), np.minimum(a.values, b.values), _merged_mask(a, b))
 
 
 def boundary_bump(domain):
@@ -173,118 +131,6 @@ class SolveResult:
     start: str
 
 
-class _SweepKernel:
-    """Cached interior geometry for repeated operator evaluations.
-
-    The n = 1 case is unrolled into flat array arithmetic on the interior
-    block; the general case goes through the batched frame contraction.
-    Sweep cost dominates the solver, so the unrolled path matters.
-    """
-
-    def __init__(self, template, spec, cone):
-        self.spec = spec
-        self.cone = cone
-        self.h = template.spacing
-        d = template.values.ndim
-        n = template.n
-        self.n = n
-        self.inner = tuple(slice(1, -1) for _ in range(d))
-        coords = template.coords_full()[self.inner]
-        self.int_shape = coords.shape[:-1]
-        K = int(np.prod(self.int_shape))
-        self.coords = coords.reshape(K, d)
-        self.fast = n == 1 and spec.is_constant
-        if self.fast:
-            x = coords[..., 0]
-            y = coords[..., 1]
-            self.two_y = 2.0 * y
-            self.two_x = 2.0 * x
-            self.yy4 = 4.0 * y * y
-            self.xx4 = 4.0 * x * x
-            self.xy4 = 4.0 * x * y
-        B = np.zeros((K, 2 * n, d))
-        for i in range(n):
-            B[:, i, i] = 1.0
-            B[:, i, 2 * n] = 2.0 * self.coords[:, n + i]
-            B[:, n + i, n + i] = 1.0
-            B[:, n + i, 2 * n] = -2.0 * self.coords[:, i]
-        self.B = B
-
-    def _rho_band_n1(self, v):
-        hx, hy, ht = self.h
-        inner = self.inner
-        mid = v[inner]
-        Hxx = (_shifted(v, {0: 1}) - 2.0 * mid + _shifted(v, {0: -1})) / hx**2
-        Hyy = (_shifted(v, {1: 1}) - 2.0 * mid + _shifted(v, {1: -1})) / hy**2
-        Htt = (_shifted(v, {2: 1}) - 2.0 * mid + _shifted(v, {2: -1})) / ht**2
-        Hxy = (
-            _shifted(v, {0: 1, 1: 1})
-            - _shifted(v, {0: 1, 1: -1})
-            - _shifted(v, {0: -1, 1: 1})
-            + _shifted(v, {0: -1, 1: -1})
-        ) / (4.0 * hx * hy)
-        Hxt = (
-            _shifted(v, {0: 1, 2: 1})
-            - _shifted(v, {0: 1, 2: -1})
-            - _shifted(v, {0: -1, 2: 1})
-            + _shifted(v, {0: -1, 2: -1})
-        ) / (4.0 * hx * ht)
-        Hyt = (
-            _shifted(v, {1: 1, 2: 1})
-            - _shifted(v, {1: 1, 2: -1})
-            - _shifted(v, {1: -1, 2: 1})
-            + _shifted(v, {1: -1, 2: -1})
-        ) / (4.0 * hy * ht)
-
-        F11 = Hxx + 2.0 * self.two_y * Hxt + self.yy4 * Htt
-        F22 = Hyy - 2.0 * self.two_x * Hyt + self.xx4 * Htt
-        F12 = Hxy + self.two_y * Hyt - self.two_x * Hxt - self.xy4 * Htt
-
-        a, b, g = self.spec.constants()
-        if a != 0.0 or b != 0.0 or g != 0.0:
-            ux = (_shifted(v, {0: 1}) - _shifted(v, {0: -1})) / (2.0 * hx)
-            uy = (_shifted(v, {1: 1}) - _shifted(v, {1: -1})) / (2.0 * hy)
-            ut = (_shifted(v, {2: 1}) - _shifted(v, {2: -1})) / (2.0 * ht)
-            px = ux + self.two_y * ut
-            py = uy - self.two_x * ut
-            px2 = px * px
-            py2 = py * py
-            norm = b * (px2 + py2)
-            F11 = F11 + a * px2 - g * py2 - norm
-            F22 = F22 + a * py2 - g * px2 - norm
-            F12 = F12 + (a + g) * px * py
-
-        if self.cone.family == "trace":
-            rho = F11 + F22
-        else:
-            half_gap = 0.5 * (F11 - F22)
-            r = np.sqrt(half_gap * half_gap + F12 * F12)
-            m = 0.5 * (F11 + F22)
-            lams = np.stack([m - r, m + r], axis=-1)
-            rho = values_from_eigenvalues(self.cone, lams.reshape(-1, 2)).reshape(
-                self.int_shape
-            )
-        frob = np.sqrt(F11 * F11 + F22 * F22 + 2.0 * F12 * F12)
-        band = self.cone.tol * (1.0 + frob)
-        return rho, band
-
-    def rho_band(self, values):
-        """Defining value of F and its boundary band on the interior block."""
-        if self.fast:
-            return self._rho_band_n1(values)
-        mid, grad, hess = _fd_arrays(values, self.h)
-        K, d = self.coords.shape
-        grad = grad.reshape(K, d)
-        hess = hess.reshape(K, d, d)
-        hgrad = np.einsum("kid,kd->ki", self.B, grad)
-        hhess = np.einsum("kid,kde,kje->kij", self.B, hess, self.B)
-        F = hhess + L_batch(self.spec, self.coords, mid.reshape(K), hgrad)
-        rho = defining_value_batch(self.cone, F).reshape(self.int_shape)
-        frob = np.sqrt(np.einsum("kij,kij->k", F, F))
-        band = (self.cone.tol * (1.0 + frob)).reshape(self.int_shape)
-        return rho, band
-
-
 def _auto_dt(problem):
     h_min = float(problem.sub.spacing.min())
     a, b, g = problem.spec.constants()
@@ -327,8 +173,9 @@ def solve(problem, dt="auto", tol=1e-10, max_iter=60000, start="sub"):
     floor = step * 2.0**-20
     ascending = start == "sub"
 
-    kernel = _SweepKernel(problem.sub, problem.spec, problem.cone)
-    inner = kernel.inner
+    op = GridOperator(problem.sub, problem.spec)
+    cone = problem.cone
+    inner = op.inner
     v_int = v[inner]
     w_int = w[inner]
     bmask = problem.sub.boundary_mask()
@@ -347,7 +194,9 @@ def solve(problem, dt="auto", tol=1e-10, max_iter=60000, start="sub"):
         resid = np.inf
         sweeps = 0
         for sweeps in range(1, max_iter + 1):
-            rho, band = kernel.rho_band(cur)
+            F, _ = op(cur)
+            rho = values_from_entries(cone, F)
+            band = band_from_entries(cone, F)
             cur_int = cur[inner]
             slack = 1e-13 * (1.0 + float(np.abs(cur_int).max()))
             clamped = np.clip(cur_int + step * rho, v_int, w_int)

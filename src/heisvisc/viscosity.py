@@ -3,8 +3,9 @@
 A grid field is tested node by node: at every interior node with a full
 finite-difference stencil (and no kink flag in a 3^d neighborhood) the
 discrete second-order jet stands in for the touching test function, the
-operator matrix F is assembled, and its position relative to the admissible
-set decides the verdict.  Subsolutions need F in the closed set (Interior or
+operator matrix F is assembled (by :class:`GridOperator`, the grid operator
+path the solver shares), and its position relative to the admissible set
+decides the verdict.  Subsolutions need F in the closed set (Interior or
 Boundary), supersolutions need the closed complement (Exterior or Boundary).
 
 ``key_lemma_certificate`` checks the quantitative version for envelope
@@ -29,15 +30,20 @@ from scipy import ndimage
 
 from .cones import (
     band_from_eigenvalues,
+    band_from_entries,
     codes_from_values,
-    eigenvalues_batch,
+    spectrum,
     values_from_eigenvalues,
+    values_from_entries,
 )
+from .core import frame_t_coefficients
 from .envelopes import gauge_quartic, lower_envelope, upper_envelope
-from .operators import L_batch
+from .fields import central_differences
+from .operators import coeff_values_batch
 
 __all__ = [
     "TAG_NAMES",
+    "GridOperator",
     "Classification",
     "classify_grid",
     "KeyLemmaReport",
@@ -55,80 +61,67 @@ TAG_NAMES = (
 _TAG_CODE = {name: i for i, name in enumerate(TAG_NAMES)}
 
 
-def _shifted(v, offsets):
-    sl = []
-    for a in range(v.ndim):
-        o = offsets.get(a, 0)
-        sl.append(slice(1 + o, v.shape[a] - 1 + o or None))
-    return v[tuple(sl)]
+class GridOperator:
+    """The operator matrix F on the interior block of one lattice, for any n.
 
+    F = (symmetrized horizontal Hessian) + L(xi, u, p).  Central differences
+    give the Euclidean second derivatives H, and the first derivatives only
+    when L is not identically zero or ``gradient`` is set.  With c the
+    t-coefficients of the frame rows (:func:`heisvisc.core.frame_t_coefficients`),
 
-def _fd_arrays(v, h):
-    """Central-difference value/gradient/Hessian blocks on the interior.
+        F_ij = H_ij + c_i H_jt + c_j H_it + c_i c_j H_tt,    p_i = d_i u + c_i d_t u,
 
-    Operates on a raw value tensor with per-axis spacing ``h``; returns
-    arrays shaped like the interior block (index 1..r-2 per axis).
+    and L is added entry by entry.  The lattice geometry is cached, so one
+    instance serves every sweep of a solve.
     """
-    d = v.ndim
-    inner = tuple(slice(1, -1) for _ in range(d))
-    mid = v[inner]
-    grad = np.empty(mid.shape + (d,))
-    hess = np.empty(mid.shape + (d, d))
-    for a in range(d):
-        grad[..., a] = (_shifted(v, {a: 1}) - _shifted(v, {a: -1})) / (2.0 * h[a])
-        hess[..., a, a] = (
-            _shifted(v, {a: 1}) - 2.0 * mid + _shifted(v, {a: -1})
-        ) / h[a] ** 2
-        for b in range(a + 1, d):
-            cross = (
-                _shifted(v, {a: 1, b: 1})
-                - _shifted(v, {a: 1, b: -1})
-                - _shifted(v, {a: -1, b: 1})
-                + _shifted(v, {a: -1, b: -1})
-            ) / (4.0 * h[a] * h[b])
-            hess[..., a, b] = cross
-            hess[..., b, a] = cross
-    return mid, grad, hess
 
+    def __init__(self, template, spec, gradient=False):
+        self.spec = spec
+        self.n = n = template.n
+        self.spacing = template.spacing
+        self.inner = (slice(1, -1),) * (2 * n + 1)
+        coords = template.coords_full()[self.inner]
+        self.shape = coords.shape[:-1]
+        self.coords = coords.reshape(-1, 2 * n + 1)
+        c = frame_t_coefficients(coords, n)
+        self.c = [c[..., i].copy() for i in range(2 * n)]
+        self.c2 = [2.0 * ci for ci in self.c]
+        self.cc = [[ci * cj for cj in self.c] for ci in self.c]
+        self.zero_L = spec.is_constant and not any(spec.constants())
+        self.gradient = gradient or not self.zero_L
 
-def _fd_jets_interior(g):
-    """Values, gradients, and Hessians at full-stencil nodes, plus coords.
+    def __call__(self, values):
+        """Entry arrays ``F[i][j]`` over the interior block, and ``p``.
 
-    Central differences at the native spacing on the interior block
-    (index 1..r-2 per axis); shapes (K,), (K, d), (K, d, d), (K, d).
-    """
-    v = g.values
-    d = v.ndim
-    if any(r < 3 for r in v.shape):
-        return (np.empty(0), np.empty((0, d)), np.empty((0, d, d)), np.empty((0, d)))
-    inner = tuple(slice(1, -1) for _ in range(d))
-    mid, grad, hess = _fd_arrays(v, g.spacing)
-    K = mid.size
-    coords = g.coords_full()[inner].reshape(K, d)
-    return mid.reshape(K), grad.reshape(K, d), hess.reshape(K, d, d), coords
-
-
-def _horizontal_parts(coords, grad, hess, n):
-    """Horizontal gradient and symmetrized horizontal Hessian, batched."""
-    K, d = coords.shape
-    B = np.zeros((K, 2 * n, d))
-    for i in range(n):
-        B[:, i, i] = 1.0
-        B[:, i, 2 * n] = 2.0 * coords[:, n + i]
-        B[:, n + i, n + i] = 1.0
-        B[:, n + i, 2 * n] = -2.0 * coords[:, i]
-    hgrad = np.einsum("kid,kd->ki", B, grad)
-    hhess = np.einsum("kid,kde,kje->kij", B, hess, B)
-    return hgrad, hhess
-
-
-def _operator_matrices(g, spec):
-    """F at every full-stencil interior node of the grid field."""
-    vals, grad, hess, coords = _fd_jets_interior(g)
-    n = g.n
-    hgrad, hhess = _horizontal_parts(coords, grad, hess, n)
-    F = hhess + L_batch(spec, coords, vals, hgrad)
-    return F, hgrad, coords, vals
+        ``p`` lists the horizontal gradient components, or is None when the
+        gradient is not computed (see the class docstring).
+        """
+        m = 2 * self.n
+        H, grad = central_differences(values, self.spacing, self.gradient)
+        c, cc, Ht = self.c, self.cc, H[m]
+        F = [[None] * m for _ in range(m)]
+        for i in range(m):
+            F[i][i] = H[i][i] + self.c2[i] * Ht[i] + cc[i][i] * Ht[m]
+            for j in range(i + 1, m):
+                F[i][j] = F[j][i] = H[i][j] + c[i] * Ht[j] + c[j] * Ht[i] + cc[i][j] * Ht[m]
+        if grad is None:
+            return F, None
+        p = [grad[i] + c[i] * grad[m] for i in range(m)]
+        if self.zero_L:
+            return F, p
+        if self.spec.is_constant:
+            a, b, g = self.spec.constants()
+        else:
+            s = values[self.inner].reshape(-1)
+            a, b, g = (k.reshape(self.shape)
+                       for k in coeff_values_batch(self.spec, self.coords, s))
+        Jp = p[self.n:] + [-q for q in p[: self.n]]
+        bsq = b * sum(q * q for q in p)
+        for i in range(m):
+            for j in range(i, m):
+                L = a * p[i] * p[j] - g * Jp[i] * Jp[j]
+                F[i][j] = F[j][i] = F[i][j] + (L - bsq if i == j else L)
+        return F, p
 
 
 def _untestable_mask(g):
@@ -176,30 +169,24 @@ def classify_grid(g, spec, cone, side="both"):
     if side not in ("sub", "super", "both"):
         raise ValueError(f"side must be 'sub', 'super', or 'both', got {side!r}")
     res = g.res
-    d = len(res)
     tags = np.full(res, _TAG_CODE["Untestable"], dtype=np.int8)
     rho_full = np.full(res, np.nan)
     untestable = _untestable_mask(g)
 
-    F, _, _, _ = _operator_matrices(g, spec)
-    if F.shape[0]:
-        lams = eigenvalues_batch(F)
-        rho = values_from_eigenvalues(cone, lams)
-        band = band_from_eigenvalues(cone, lams)
-        codes = codes_from_values(rho, band)
-        inner_shape = tuple(r - 2 for r in res)
-        inner = tuple(slice(1, -1) for _ in range(d))
-        tag_inner = np.empty(inner_shape, dtype=np.int8)
-        c = codes.reshape(inner_shape)
-        tag_inner[c == 0] = _TAG_CODE["OnBoundary"]
-        tag_inner[c == 1] = _TAG_CODE[
-            "SubOK" if side != "super" else "SuperViolated"
-        ]
-        tag_inner[c == -1] = _TAG_CODE[
-            "SuperOK" if side != "sub" else "SubViolated"
-        ]
-        tags[inner] = tag_inner
-        rho_full[inner] = rho.reshape(inner_shape)
+    op = GridOperator(g, spec)
+    F, _ = op(g.values)
+    rho = values_from_entries(cone, F)
+    c = codes_from_values(rho, band_from_entries(cone, F))
+    tag_inner = np.empty(op.shape, dtype=np.int8)
+    tag_inner[c == 0] = _TAG_CODE["OnBoundary"]
+    tag_inner[c == 1] = _TAG_CODE[
+        "SubOK" if side != "super" else "SuperViolated"
+    ]
+    tag_inner[c == -1] = _TAG_CODE[
+        "SuperOK" if side != "sub" else "SubViolated"
+    ]
+    tags[op.inner] = tag_inner
+    rho_full[op.inner] = rho
     tags[untestable] = _TAG_CODE["Untestable"]
     rho_full[untestable] = np.nan
 
@@ -283,29 +270,33 @@ def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super",
     g = env.out
     n = g.n
 
-    F, hgrad, coords, vals = _operator_matrices(g, spec)
-    if F.shape[0] == 0:
+    op = GridOperator(g, spec, gradient=True)
+    coords = op.coords
+    K = coords.shape[0]
+    if K == 0:
         raise ValueError("grid has no full-stencil interior nodes")
+    F, p = op(g.values)
+    vals = g.values[op.inner].reshape(K)
     res = g.res
-    inner = tuple(slice(1, -1) for _ in range(len(res)))
 
     src_coords = w.coords_full().reshape(-1, 2 * n + 1)
     src_vals = w.values.reshape(-1)
-    wit = env.witness[inner].reshape(-1)
+    wit = env.witness[op.inner].reshape(-1)
     wit_coords = src_coords[wit]
     d4 = gauge_quartic(coords, wit_coords, n)
     if distance_metric == "euclidean":
         dist = np.sqrt(np.square(coords - wit_coords).sum(axis=1))
     else:
         dist = d4**0.25
-    shift0 = (dist + d4 / eps) * np.square(hgrad).sum(axis=1) ** (spec.m / 2.0)
+    grad_sq = sum(q * q for q in p).reshape(K)
+    shift0 = (dist + d4 / eps) * grad_sq ** (spec.m / 2.0)
 
     keep = (np.abs(vals) + np.abs(src_vals[wit])) <= M
     excluded = int((~keep).sum())
     if not keep.any():
         raise ValueError("the magnitude bound M excludes every testable node")
 
-    lams = eigenvalues_batch(F)
+    lams = spectrum(F).reshape(K, 2 * n)
     sign = -1.0 if mode == "super" else 1.0
 
     def codes_at(trial):
@@ -355,8 +346,7 @@ def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super",
         rho = values_from_eigenvalues(cone, shifted)
         depth = np.where(fails, rho if mode == "super" else -rho, -np.inf)
         i = int(np.argmax(depth))
-        inner_shape = tuple(r - 2 for r in res)
-        node = tuple(int(k) + 1 for k in np.unravel_index(i, inner_shape))
+        node = tuple(int(k) + 1 for k in np.unravel_index(i, op.shape))
         worst = {
             "node": node,
             "rho": float(rho[i]),

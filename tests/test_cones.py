@@ -1,5 +1,9 @@
-"""Tests for admissible-set classification: the Jacobi eigensolver, the
-defining values of each family, band classification, and the axiom sampler."""
+"""Tests for admissible-set classification: the eigenvalue path (closed form
+at d = 2, LAPACK otherwise), the defining values of each family, band
+classification with the single-matrix functions as the batch path on a
+stack of one, and the axiom sampler."""
+
+import json
 
 import numpy as np
 import pytest
@@ -11,18 +15,18 @@ from heisvisc.cones import (
     check_axioms,
     classify,
     classify_batch,
-    cone_from_json,
-    cone_to_json,
     defining_value,
     defining_value_batch,
     eigenvalues,
     eigenvalues_batch,
     elementary_symmetric,
-    region_of_code,
     shifted_trace_spec,
     values_from_eigenvalues,
 )
+from heisvisc.gridio import problem_from_json
 from heisvisc.rng import stream
+
+CODES = {1: Region.INTERIOR, -1: Region.EXTERIOR, 0: Region.BOUNDARY}
 
 
 def random_symmetric(gen, d, scale=1.0):
@@ -61,6 +65,18 @@ def test_eigenvalues_rejects_nonsymmetric_and_nonsquare():
         eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         eigenvalues(np.zeros((2, 3)))
+
+
+def test_symmetry_is_checked_per_matrix_in_a_stack():
+    # a large matrix in the same stack must not hide a small one's skew
+    skewed = np.array([[0.0, 1e-6], [0.0, 0.0]])
+    Ms = np.stack([skewed, np.diag([1e4, 1e4])])
+    with pytest.raises(ValueError, match="not symmetric"):
+        classify(ConeSpec("trace"), skewed)
+    with pytest.raises(ValueError, match="not symmetric"):
+        classify_batch(ConeSpec("trace"), Ms)
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigenvalues_batch(Ms)
 
 
 def test_eigenvalue_sum_and_product_invariants():
@@ -224,7 +240,33 @@ def test_classify_batch_matches_scalar():
     Ms = np.stack([random_symmetric(gen, 3) for _ in range(60)])
     codes = classify_batch(spec, Ms)
     for i in range(60):
-        assert region_of_code(codes[i]) is classify(spec, Ms[i])
+        assert CODES[int(codes[i])] is classify(spec, Ms[i])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ConeSpec("trace"),
+        ConeSpec("posdef"),
+        ConeSpec("sigma_k", k=1),
+        ConeSpec("sigma_k", k=2),
+        ConeSpec("spectral", g="min(l1, l2) + 0.1*l2"),
+    ],
+    ids=["trace", "posdef", "sigma1", "sigma2", "spectral"],
+)
+def test_single_matrix_functions_agree_bit_for_bit_with_the_batch(spec):
+    # 1000 matrices each of sizes 2, 3 and 4; sigma_2 scalar and batch values
+    # used to differ by an ulp on the exterior branch
+    gen = stream(39)
+    for d in (2, 3, 4):
+        Ms = np.stack([random_symmetric(gen, d, scale=2.0) for _ in range(1000)])
+        rho = defining_value_batch(spec, Ms)
+        codes = classify_batch(spec, Ms)
+        lams = eigenvalues_batch(Ms)
+        for i in range(Ms.shape[0]):
+            assert defining_value(spec, Ms[i]) == rho[i]
+            assert classify(spec, Ms[i]) is CODES[int(codes[i])]
+            np.testing.assert_array_equal(eigenvalues(Ms[i]), lams[i])
 
 
 def test_defining_value_continuity_away_from_boundary():
@@ -423,15 +465,20 @@ def test_cone_spec_validation():
 
 
 def test_cone_json_round_trip():
+    # a spec written as a problem file's cone object reads back the same
+    problem = {
+        "domain": {"n": 1, "box": [[-1, 1], [-1, 1], [-1, 1]]},
+        "resolution": [3, 3, 3],
+        "operator": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0},
+        "boundary": "x1",
+        "bracket": {"scale": 0.1},
+    }
     for spec in (
         ConeSpec("trace"),
         ConeSpec("posdef", tol=1e-8),
         ConeSpec("sigma_k", k=2),
         ConeSpec("spectral", g="l1 + l2 - 1.0"),
     ):
-        back = cone_from_json(cone_to_json(spec))
-        assert back.family == spec.family
-        assert back.tol == spec.tol
-        assert back.k == spec.k
-        M = np.diag([2.0, 3.0])
-        assert defining_value(back, M) == pytest.approx(defining_value(spec, M))
+        cone = {"family": spec.family, "tol": spec.tol, "k": spec.k, "g": spec.g}
+        back = problem_from_json(json.loads(json.dumps(dict(problem, cone=cone)))).cone
+        assert back == spec

@@ -19,7 +19,6 @@ from heisvisc.core import (
     dist,
     frame_matrix,
     gauge,
-    gauge_ball_contains,
     group_inv,
     group_mul,
     heis_hessian,
@@ -137,14 +136,6 @@ def test_left_difference_matches_group_ops():
             direct = left_difference(b.coords(), a.coords(), n)
             via_mul = group_mul(group_inv(b), a).coords()
             np.testing.assert_allclose(direct, via_mul, atol=1e-13)
-
-
-def test_gauge_ball_contains():
-    center = Point([0.0], [0.0], 0.0)
-    assert gauge_ball_contains(center, 2.0, Point([0.0], [0.0], 4.0))
-    assert not gauge_ball_contains(center, 1.9, Point([0.0], [0.0], 4.0))
-    with pytest.raises(ValueError):
-        gauge_ball_contains(center, -1.0, center)
 
 
 def test_point_validation():

@@ -1,5 +1,5 @@
 """Tests for sup/inf convolutions: exact brute-force optimality, the
-monotonicity/semiconvexity/witness/stability property checks, and the
+monotonicity/semiconvexity/witness property checks, and the
 group-translation structure of the kernel."""
 
 import numpy as np
@@ -9,9 +9,7 @@ from heisvisc.core import dist_coords
 from heisvisc.envelopes import (
     check_monotone_convergence,
     check_semiconvexity,
-    check_stability,
     check_witness_bound,
-    envelope_at,
     gauge_quartic,
     lower_envelope,
     upper_envelope,
@@ -100,26 +98,12 @@ def test_duality_between_upper_and_lower():
     np.testing.assert_array_equal(lo.witness, up.witness)
 
 
-def test_envelope_at_matches_grid_nodes():
-    v = smooth_field(res=7)
-    r = upper_envelope(v, 0.3)
-    coords = v.coords_full().reshape(-1, 3)
-    out = r.out.values.reshape(-1)
-    wit = r.witness.reshape(-1)
-    for i in (0, 100, 342, 200):
-        val, w = envelope_at(v, 0.3, coords[i], "upper")
-        assert val == out[i]
-        assert w == wit[i]
-
-
 def test_envelope_validation():
     v = constant_field()
     with pytest.raises(ValueError):
         upper_envelope(v, 0.0)
     with pytest.raises(ValueError):
         upper_envelope(v, -1.0)
-    with pytest.raises(ValueError):
-        envelope_at(v, 0.5, np.zeros(3), mode="sideways")
     bad = constant_field()
     bad.values[0, 0, 0] = np.inf
     with pytest.raises(ValueError):
@@ -210,30 +194,3 @@ def test_witness_bound_rejects_foreign_field():
     other = constant_field(res=5)
     with pytest.raises(ValueError):
         check_witness_bound(r, other)
-
-
-def test_stability_fixed_point_sequence():
-    v = smooth_field()
-    xi = v.coords_full()[4, 4, 4]
-    eps_seq = [0.5, 0.2, 0.1, 0.05, 0.02, 0.01]
-    rep = check_stability(v, [xi] * len(eps_seq), eps_seq, mode="upper")
-    assert rep.passed
-    assert rep.limit_node == (4, 4, 4)
-    # envelope values decrease onto the field value
-    assert rep.values[-1] <= rep.values[0] + rep.tol
-    lo = check_stability(v, [xi] * len(eps_seq), eps_seq, mode="lower")
-    assert lo.passed
-
-
-def test_stability_converging_points():
-    v = smooth_field()
-    target = v.coords_full()[4, 4, 4]
-    gen = stream(52)
-    steps = 6
-    xis = [target + gen.normal(size=3) * 0.3 * 2.0 ** (-j) for j in range(steps)]
-    xis[-1] = target
-    eps_seq = [0.4 * 2.0 ** (-j) for j in range(steps)]
-    rep = check_stability(v, xis, eps_seq, mode="upper", tol=1e-6)
-    assert rep.passed
-    with pytest.raises(ValueError):
-        check_stability(v, xis, eps_seq[:-1])

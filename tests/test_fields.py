@@ -13,11 +13,10 @@ from heisvisc.fields import (
     GridField,
     NonSmoothError,
     ParseError,
+    central_differences,
     const,
     coord_var,
     exp_of,
-    gamma_interior,
-    jet2_fd,
     max_of,
     parse_field,
     sample,
@@ -206,28 +205,36 @@ def test_sample_matches_direct_evaluation():
     np.testing.assert_allclose(g.spacing, [2 / 4, 2 / 6, 4 / 8], atol=0)
 
 
+def fd_jet(g, index):
+    """Value, gradient and Hessian of the shared stencil at one interior node."""
+    H, grad = central_differences(g.values, g.spacing, gradient=True)
+    at = tuple(i - 1 for i in index)
+    d = len(index)
+    hess = np.array([[H[a][b][at] for b in range(d)] for a in range(d)])
+    return g.values[index], np.array([grad[a][at] for a in range(d)]), hess
+
+
 def test_sample_flags_kinks():
     f = parse_field("max(x1, y1)", 1)
     g = sample(f, box1(), 9)
     assert g.jet_invalid is not None
     # flagged on and next to the diagonal, clean far away
     assert g.jet_invalid[4, 4, 0]
+    assert g.jet_invalid[4, 4, 4]
     assert not g.jet_invalid[7, 1, 4]
-    with pytest.raises(NonSmoothError):
-        jet2_fd(g, (4, 4, 4))
-    jet = jet2_fd(g, (7, 1, 4))  # smooth branch: linear, exact
-    np.testing.assert_allclose(jet.egrad, [1.0, 0.0, 0.0], atol=1e-13)
-    np.testing.assert_allclose(jet.ehess, np.zeros((3, 3)), atol=1e-13)
+    _, grad, hess = fd_jet(g, (7, 1, 4))  # smooth branch: linear, exact
+    np.testing.assert_allclose(grad, [1.0, 0.0, 0.0], atol=1e-13)
+    np.testing.assert_allclose(hess, np.zeros((3, 3)), atol=1e-13)
 
 
 def test_fd_jets_exact_on_quadratics():
     f = parse_field("x1^2 + 3.0*x1*y1 - t^2 + 2.0*y1*t - x1 + 4.0", 1)
     g = sample(f, box1(), 9)
-    jet = jet2_fd(g, (3, 5, 4))
+    value, grad, hess = fd_jet(g, (3, 5, 4))
     exact = f.jet2(g.coords_at((3, 5, 4)))
-    np.testing.assert_allclose(jet.value, exact.value, atol=1e-13)
-    np.testing.assert_allclose(jet.egrad, exact.egrad, atol=1e-12)
-    np.testing.assert_allclose(jet.ehess, exact.ehess, atol=1e-12)
+    np.testing.assert_allclose(value, exact.value, atol=1e-13)
+    np.testing.assert_allclose(grad, exact.egrad, atol=1e-12)
+    np.testing.assert_allclose(hess, exact.ehess, atol=1e-12)
 
 
 def test_fd_jets_second_order_on_smooth_fields():
@@ -236,21 +243,27 @@ def test_fd_jets_second_order_on_smooth_fields():
     # the same physical node (-0.4, 0.4, 0.0) exists at every resolution
     for res, idx in ((11, (3, 7, 5)), (21, (6, 14, 10)), (41, (12, 28, 20))):
         g = sample(f, box1(), res)
-        jet = jet2_fd(g, idx)
+        _, _, hess = fd_jet(g, idx)
         exact = f.jet2(g.coords_at(idx))
-        errs.append(np.abs(jet.ehess - exact.ehess).max())
+        errs.append(np.abs(hess - exact.ehess).max())
     # each halving of h divides the error by about 4
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] <= errs[0] / 8
 
 
 def test_fd_stencil_bounds():
-    f = parse_field("x1", 1)
-    g = sample(f, box1(), 5)
-    with pytest.raises(ValueError):
-        jet2_fd(g, (0, 2, 2))
-    with pytest.raises(ValueError):
-        jet2_fd(g, (2, 2, 4))
+    g = sample(parse_field("x1*t", 1), box1(), (5, 6, 7))
+    H, grad = central_differences(g.values, g.spacing)
+    assert grad is None
+    for a in range(3):
+        assert H[a][a].shape == (3, 4, 5)
+        for b in range(3):
+            assert H[a][b] is H[b][a]
+    # two nodes on an axis leave no interior node
+    thin = sample(parse_field("x1*t", 1), box1(), (2, 6, 7))
+    H, grad = central_differences(thin.values, thin.spacing, gradient=True)
+    assert all(H[a][b].size == 0 for a in range(3) for b in range(3))
+    assert all(g_a.size == 0 for g_a in grad)
 
 
 def test_grid_masks_and_copy():
@@ -261,18 +274,6 @@ def test_grid_masks_and_copy():
     c = g.copy()
     c.values[0, 0, 0] = 99.0
     assert g.values[0, 0, 0] != 99.0
-
-
-def test_gamma_interior_monotone_and_empty():
-    g = sample(parse_field("t", 1), box1(), 7)
-    all_interior = gamma_interior(g, 0.0)
-    assert np.array_equal(all_interior, g.interior_mask())
-    small = gamma_interior(g, 0.4)
-    tiny = gamma_interior(g, 0.8)
-    assert np.all(~small | all_interior)
-    assert np.all(~tiny | small)  # larger margin keeps fewer nodes
-    none = gamma_interior(g, 100.0)
-    assert not none.any()
 
 
 def test_gridfield_validation():

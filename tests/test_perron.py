@@ -1,21 +1,17 @@
-"""Tests for the bracketed relaxation solver and its lattice combinators."""
+"""Tests for the bracketed relaxation solver."""
 
 import numpy as np
 import pytest
 
 from heisvisc.cones import ConeSpec
-from heisvisc.fields import AnalyticField, Domain, parse_field, sample
+from heisvisc.fields import AnalyticField, Domain, GridField, parse_field, sample
 from heisvisc.operators import OperatorSpec
 from heisvisc.perron import (
     Problem,
     boundary_bump,
     bracket_from_boundary,
-    lsc_envelope,
-    max_fields,
-    min_fields,
     solve,
     uniqueness_gap,
-    usc_envelope,
 )
 from heisvisc.viscosity import classify_grid
 
@@ -25,49 +21,14 @@ TRACE = ConeSpec("trace")
 X1 = parse_field("x1", 1)
 
 
-def linear_problem(r=11, scale=0.3, shift=0.0):
-    dom = Domain(BOX1)
-    g = parse_field(f"x1 + {shift!r}", 1) if shift else X1
-    v, w = bracket_from_boundary(g, dom, (r, r, r), scale)
+def linear_problem(r=11, scale=0.3, shift=0.0, n=1):
+    dom = Domain(np.array([[-1.0, 1.0]] * (2 * n + 1)))
+    g = parse_field(f"x1 + {shift!r}", n) if shift else parse_field("x1", n)
+    v, w = bracket_from_boundary(g, dom, (r,) * (2 * n + 1), scale)
     return Problem(spec=ZERO, cone=TRACE, boundary=g, sub=v, sup=w)
 
 
-# -- envelopes and combinators ------------------------------------------------
-
-
-def test_envelopes_are_identities_on_a_lattice():
-    g = sample(parse_field("x1*y1 - t", 1), Domain(BOX1), (7, 7, 7))
-    up = usc_envelope(g)
-    lo = lsc_envelope(g)
-    np.testing.assert_array_equal(up.values, g.values)
-    np.testing.assert_array_equal(lo.values, g.values)
-    # idempotent and correctly ordered
-    np.testing.assert_array_equal(usc_envelope(up).values, up.values)
-    assert (up.values >= g.values).all() and (g.values >= lo.values).all()
-
-
-def test_max_min_fields_nodewise():
-    dom = Domain(BOX1)
-    a = sample(parse_field("x1", 1), dom, (7, 7, 7))
-    b = sample(parse_field("y1", 1), dom, (7, 7, 7))
-    hi = max_fields(a, b)
-    lo = min_fields(a, b)
-    np.testing.assert_array_equal(hi.values, np.maximum(a.values, b.values))
-    np.testing.assert_array_equal(lo.values, np.minimum(a.values, b.values))
-    np.testing.assert_array_equal(max_fields(a, a).values, a.values)
-    c = a.copy()
-    c.values[:] = a.values.min() - 1.0
-    np.testing.assert_array_equal(max_fields(a, c).values, a.values)
-
-
-def test_max_min_fields_reject_mismatched_lattices():
-    dom = Domain(BOX1)
-    a = sample(X1, dom, (7, 7, 7))
-    b = sample(X1, dom, (9, 9, 9))
-    with pytest.raises(ValueError, match="lattice"):
-        max_fields(a, b)
-    with pytest.raises(ValueError, match="lattice"):
-        min_fields(a, b)
+# -- sub/supersolution structure ------------------------------------------------
 
 
 def test_max_of_subsolutions_stays_subsolution():
@@ -76,7 +37,7 @@ def test_max_of_subsolutions_stays_subsolution():
     # both fields have strictly positive horizontal trace everywhere
     a = sample(parse_field("x1*x1 + y1*y1", 1), dom, res)
     b = sample(parse_field("0.5*(x1*x1 + y1*y1) + x1", 1), dom, res)
-    merged = max_fields(a, b)
+    merged = GridField(1, BOX1, np.maximum(a.values, b.values))
     cls = classify_grid(merged, ZERO, TRACE, side="sub")
     assert cls.all_testable_are("SubOK")
 
@@ -143,11 +104,12 @@ def test_problem_rejects_structurally_bad_operator():
 # -- solving -------------------------------------------------------------------
 
 
-def test_solve_recovers_exact_linear_solution():
-    p = linear_problem(11)
+@pytest.mark.parametrize("n, r", [(1, 11), (2, 5)], ids=["n1", "n2"])
+def test_solve_recovers_exact_linear_solution(n, r):
+    p = linear_problem(r, n=n)
     res = solve(p)
     assert res.converged
-    exact = sample(X1, p.domain, p.res).values
+    exact = sample(parse_field("x1", n), p.domain, p.res).values
     assert np.abs(res.u.values - exact).max() <= 1e-9
     assert res.final_residual < 1e-10
     assert res.iterations > 0

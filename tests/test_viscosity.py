@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from heisvisc.cones import ConeSpec, defining_value
+from heisvisc.core import heis_hessian_sym, horizontal_gradient
 from heisvisc.fields import Domain, GridField, parse_field, sample
-from heisvisc.operators import OperatorSpec, conformal_operator_spec, eval_F
+from heisvisc.operators import OperatorSpec, conformal_operator_spec, eval_F, eval_L
 from heisvisc.rng import stream
 from heisvisc.viscosity import (
     TAG_NAMES,
+    GridOperator,
     classify_grid,
     key_lemma_certificate,
 )
@@ -84,6 +86,45 @@ def test_grid_verdict_matches_exact_jets_on_quadratics():
         pt = g.coords_at(node)
         rho_exact = defining_value(cone, eval_F(spec, f.jet2(pt.coords()), pt))
         assert cls.rho[node] == pytest.approx(rho_exact, abs=1e-9)
+
+
+def random_quadratic(gen, n):
+    names = [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)] + ["t"]
+    terms = ["%.4f" % gen.uniform(-1, 1)]
+    for i, a in enumerate(names):
+        terms.append("%.4f*%s" % (gen.uniform(-1, 1), a))
+        for b in names[i:]:
+            terms.append("%.4f*%s*%s" % (gen.uniform(-1, 1), a, b))
+    return parse_field(" + ".join(terms), n)
+
+
+@pytest.mark.parametrize("n, res", [(1, 7), (2, 5)], ids=["n1", "n2"])
+@pytest.mark.parametrize("coefficients", ["zero", "conformal", "field"])
+def test_grid_operator_matches_exact_frame_calculus(n, res, coefficients):
+    # FD jets are exact on quadratics, so the shared path's F and p must equal
+    # the pointwise frame calculus at every interior node
+    spec = {
+        "zero": ZERO_SPEC,
+        "conformal": conformal_operator_spec(),
+        "field": OperatorSpec(
+            alpha=parse_field("0.5 + 0.1*x1*s", n, extra_vars=("s",)), beta=0.25, gamma=0.5
+        ),
+    }[coefficients]
+    f = random_quadratic(stream(62, n), n)
+    g = sample(f, Domain(np.array([[-1.0, 1.0]] * (2 * n + 1))), res)
+    op = GridOperator(g, spec, gradient=True)
+    F, p = op(g.values)
+    m = 2 * n
+    for k in range(len(op.coords)):
+        at = np.unravel_index(k, op.shape)
+        node = tuple(int(i) + 1 for i in at)
+        pt = g.coords_at(node)
+        jet = f.jet2(pt.coords())
+        grad_h = horizontal_gradient(jet, pt)
+        exact = heis_hessian_sym(jet, pt) + eval_L(spec, pt, g.values[node], grad_h)
+        got = np.array([[F[i][j][at] for j in range(m)] for i in range(m)])
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-10 * (1 + np.abs(exact).max()))
+        np.testing.assert_allclose([q[at] for q in p], grad_h, rtol=0, atol=1e-12)
 
 
 def test_kink_nodes_are_untestable():
