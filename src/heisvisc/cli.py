@@ -8,15 +8,12 @@ rerun with the same inputs and seed is byte-identical.
 Exit codes follow one contract everywhere: 0 success, 1 property or
 convergence failure, 2 usage, I/O, or schema error.  A JSON config file
 passed with --config supplies flag defaults; flags given on the command
-line win.  HEISVISC_THREADS caps the worker pool used by `check --suite
-all`.
+line win.  Config values pass the same type and choice checks as flags.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -154,13 +151,7 @@ def cmd_classify(args):
 
 
 def cmd_check(args):
-    cap = max(1, int(os.environ.get("HEISVISC_THREADS", "1")))
-    if args.suite == "all" and cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            report = run_suite(args.suite, args.seed, count=args.count,
-                               tamper=args.tamper, pool=pool)
-    else:
-        report = run_suite(args.suite, args.seed, count=args.count, tamper=args.tamper)
+    report = run_suite(args.suite, args.seed, count=args.count, tamper=args.tamper)
     text = report_json(report)
     if args.report is not None:
         Path(args.report).write_text(text, newline="\n")
@@ -218,7 +209,7 @@ def build_parser():
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         p.add_argument("--config", default=None,
                        help="JSON file with default flag values (flags win)")
         return p
@@ -266,20 +257,41 @@ def build_parser():
     return parser
 
 
+def _config_value(key, action, value):
+    """A config value converted and checked as the flag's own value would be."""
+    if action.nargs == 0:   # an on/off switch
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key!r} must be a string or a number")
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"config key {key!r}: {value!r} is not one of {choices}")
+    return value
+
+
 def _apply_config(args, argv):
     if getattr(args, "config", None) is None:
         return
     data = json.loads(Path(args.config).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    # positionals and --help cannot come from a config file
+    flags = {a.dest: a for a in args.parser._actions
+             if a.option_strings and a.default is not argparse.SUPPRESS}
     given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"config key {key!r} is not a flag of this command")
-        if f"--{key.replace('_', '-')}" in given:
+        if given.intersection(action.option_strings):
             continue
-        setattr(args, attr, value)
+        setattr(args, action.dest, _config_value(key, action, value))
 
 
 def main(argv=None):

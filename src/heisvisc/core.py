@@ -46,7 +46,6 @@ __all__ = [
     "heis_hessian",
     "heis_hessian_sym",
     "mul_coords",
-    "inv_coords",
     "left_difference",
     "gauge_coords",
     "dist_coords",
@@ -76,11 +75,6 @@ class Point:
     @property
     def n(self):
         return self.x.shape[0]
-
-    @property
-    def z(self):
-        """First-layer coordinates (x_1..x_n, y_1..y_n)."""
-        return np.concatenate([self.x, self.y])
 
     def coords(self):
         """Flat coordinate vector (x_1..x_n, y_1..y_n, t)."""
@@ -118,11 +112,6 @@ def mul_coords(a, b, n):
     out[..., n : 2 * n] = ay + by
     out[..., 2 * n] = at + bt + twist
     return out
-
-
-def inv_coords(a):
-    """Group inverse: coordinate negation."""
-    return -np.asarray(a, dtype=float)
 
 
 def left_difference(eta, xi, n):

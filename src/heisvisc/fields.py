@@ -26,7 +26,7 @@ at the native grid spacing.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +42,9 @@ __all__ = [
     "parse_field",
     "sample",
     "central_differences",
-    "const",
-    "coord_var",
+    "boundary_ring",
     "exp_of",
     "log_of",
-    "min_of",
-    "max_of",
     "z_norm_sq",
 ]
 
@@ -130,12 +127,6 @@ class Const(Node):
         d = len(order)
         return self.value, np.zeros(d), np.zeros((d, d))
 
-    def to_source(self):
-        return repr(self.value)
-
-    def variables(self, out):
-        pass
-
 
 @dataclass(frozen=True)
 class Var(Node):
@@ -150,21 +141,11 @@ class Var(Node):
         g[order.index(self.name)] = 1.0
         return float(env[self.name]), g, np.zeros((d, d))
 
-    def to_source(self):
-        return self.name
-
-    def variables(self, out):
-        out.add(self.name)
-
 
 @dataclass(frozen=True)
 class _Binary(Node):
     a: Node
     b: Node
-
-    def variables(self, out):
-        self.a.variables(out)
-        self.b.variables(out)
 
 
 class Add(_Binary):
@@ -176,9 +157,6 @@ class Add(_Binary):
         vb, gb, hb = self.b.jet(env, order, kink_tol)
         return va + vb, ga + gb, ha + hb
 
-    def to_source(self):
-        return f"({self.a.to_source()} + {self.b.to_source()})"
-
 
 class Sub(_Binary):
     def evaluate(self, env):
@@ -188,9 +166,6 @@ class Sub(_Binary):
         va, ga, ha = self.a.jet(env, order, kink_tol)
         vb, gb, hb = self.b.jet(env, order, kink_tol)
         return va - vb, ga - gb, ha - hb
-
-    def to_source(self):
-        return f"({self.a.to_source()} - {self.b.to_source()})"
 
 
 class Mul(_Binary):
@@ -202,9 +177,6 @@ class Mul(_Binary):
         vb, gb, hb = self.b.jet(env, order, kink_tol)
         cross = np.outer(ga, gb)
         return va * vb, va * gb + vb * ga, va * hb + vb * ha + cross + cross.T
-
-    def to_source(self):
-        return f"({self.a.to_source()} * {self.b.to_source()})"
 
 
 class Div(_Binary):
@@ -225,9 +197,6 @@ class Div(_Binary):
         cross = np.outer(g, gb)
         h = (ha - v * hb - cross - cross.T) / vb
         return v, g, h
-
-    def to_source(self):
-        return f"({self.a.to_source()} / {self.b.to_source()})"
 
 
 @dataclass(frozen=True)
@@ -263,12 +232,6 @@ class Pow(Node):
         d2 = c * (c - 1) * float(np.power(va, c - 2)) if c != 1.0 else 0.0
         return v, d1 * ga, d1 * ha + d2 * np.outer(ga, ga)
 
-    def to_source(self):
-        return f"({self.base.to_source()} ^ {self.exponent!r})"
-
-    def variables(self, out):
-        self.base.variables(out)
-
 
 @dataclass(frozen=True)
 class Neg(Node):
@@ -280,12 +243,6 @@ class Neg(Node):
     def jet(self, env, order, kink_tol):
         v, g, h = self.a.jet(env, order, kink_tol)
         return -v, -g, -h
-
-    def to_source(self):
-        return f"(-{self.a.to_source()})"
-
-    def variables(self, out):
-        self.a.variables(out)
 
 
 @dataclass(frozen=True)
@@ -299,12 +256,6 @@ class Exp(Node):
         v, g, h = self.a.jet(env, order, kink_tol)
         ev = float(np.exp(v))
         return ev, ev * g, ev * (h + np.outer(g, g))
-
-    def to_source(self):
-        return f"exp({self.a.to_source()})"
-
-    def variables(self, out):
-        self.a.variables(out)
 
 
 @dataclass(frozen=True)
@@ -324,12 +275,6 @@ class Log(Node):
         gg = g / v
         return float(np.log(v)), gg, h / v - np.outer(gg, gg)
 
-    def to_source(self):
-        return f"log({self.a.to_source()})"
-
-    def variables(self, out):
-        self.a.variables(out)
-
 
 class _MinMax(_Binary):
     op = None
@@ -348,9 +293,6 @@ class _MinMax(_Binary):
             return ja
         return jb
 
-    def to_source(self):
-        return f"{self.name}({self.a.to_source()}, {self.b.to_source()})"
-
 
 class Min(_MinMax):
     name = "min"
@@ -364,28 +306,12 @@ class Max(_MinMax):
     pick_first_when_positive = True
 
 
-def const(c):
-    return Const(float(c))
-
-
-def coord_var(name):
-    return Var(name)
-
-
 def exp_of(a):
     return Exp(_as_node(a))
 
 
 def log_of(a):
     return Log(_as_node(a))
-
-
-def min_of(a, b):
-    return Min(_as_node(a), _as_node(b))
-
-
-def max_of(a, b):
-    return Max(_as_node(a), _as_node(b))
 
 
 def z_norm_sq(n):
@@ -557,9 +483,6 @@ class AnalyticField:
         root = _Parser(text, set(names)).parse()
         return cls(root, n, tuple(extra_vars))
 
-    def source(self):
-        return self.root.to_source()
-
     def _env_from_coords(self, coords, extra):
         coords = np.asarray(coords, dtype=float)
         if coords.shape[-1] != 2 * self.n + 1:
@@ -634,12 +557,6 @@ class Domain:
     def n(self):
         return (self.box.shape[0] - 1) // 2
 
-    def contains(self, p, tol=0.0):
-        c = p.coords() if isinstance(p, Point) else np.asarray(p, dtype=float)
-        return bool(
-            np.all(c >= self.box[:, 0] - tol) and np.all(c <= self.box[:, 1] + tol)
-        )
-
     def sample_points(self, gen, count):
         """Uniform coordinate samples, shape (count, 2n+1)."""
         lo, hi = self.box[:, 0], self.box[:, 1]
@@ -693,27 +610,24 @@ class GridField:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def coords_at(self, index):
-        axes = self.axes()
-        flat = np.array([axes[a][i] for a, i in enumerate(index)])
-        return Point.from_coords(flat, self.n)
-
     def boundary_mask(self):
-        mask = np.zeros(self.res, dtype=bool)
-        for a in range(len(self.res)):
-            sl = [slice(None)] * len(self.res)
-            sl[a] = 0
-            mask[tuple(sl)] = True
-            sl[a] = -1
-            mask[tuple(sl)] = True
-        return mask
-
-    def interior_mask(self):
-        return ~self.boundary_mask()
+        return boundary_ring(self.res)
 
     def copy(self):
         mask = None if self.jet_invalid is None else self.jet_invalid.copy()
         return GridField(self.n, self.box.copy(), self.values.copy(), mask)
+
+
+def boundary_ring(shape):
+    """Boolean array of ``shape``, True on the first and last slice of every axis."""
+    mask = np.zeros(shape, dtype=bool)
+    for a in range(len(shape)):
+        sl = [slice(None)] * len(shape)
+        sl[a] = 0
+        mask[tuple(sl)] = True
+        sl[a] = -1
+        mask[tuple(sl)] = True
+    return mask
 
 
 def _kink_mask(root, env, shape):

@@ -104,12 +104,30 @@ def read_grid_csv(path):
     count = int(np.prod(res))
     if len(rows) != count:
         raise ValueError(f"grid CSV: expected {count} rows, found {len(rows)}")
-    values = np.empty(res)
-    for ln in rows:
+    index, flat = [], np.empty(count)
+    for k, ln in enumerate(rows):
         parts = ln.split(",")
-        idx = tuple(int(p) for p in parts[:d])
-        values[idx] = float(parts[-1])
-    return GridField(n, box, values)
+        if len(parts) != len(expected):
+            raise ValueError(f"grid CSV: data row {k + 1}: expected {len(expected)} columns")
+        index.extend(map(int, parts[:d]))
+        flat[k] = float(parts[-1])
+    index = np.array(index, dtype=np.int64).reshape(count, d)
+    # every node exactly once: an unchecked index would wrap (-1), raise
+    # IndexError (>= res) or leave another node unset (a repeat)
+    outside = ((index < 0) | (index >= res)).any(axis=1)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"grid CSV: data row {k + 1}: index {tuple(index[k].tolist())} "
+                         f"is outside res {res}")
+    nodes = np.ravel_multi_index(index.T, res)
+    _, first = np.unique(nodes, return_index=True)
+    if first.size < count:
+        k = int(np.setdiff1d(np.arange(count), first)[0])
+        raise ValueError(f"grid CSV: data row {k + 1}: node {tuple(index[k].tolist())} "
+                         "appears twice")
+    values = np.empty(count)
+    values[nodes] = flat
+    return GridField(n, box, values.reshape(res))
 
 
 def witness_csv_text(result):

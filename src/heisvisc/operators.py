@@ -8,11 +8,13 @@ with the quadratic gradient family
 
     L(xi, s, p) = alpha(xi, s) p (x) p - gamma(xi, s) Jp (x) Jp - beta(xi, s) |p|^2 I,
 
-where (x) is the outer product and J = [[0, I], [-I, 0]].  Coefficients may
-be constants, analytic fields in (x, y, t, s), or plain callables of
-(coords, s).  The conformal pair: ``eval_A_psi`` is F with alpha = gamma = 1,
-beta = 1/2, and ``eval_A_u`` is the equivalent form in the substitution
-u = exp(-(Q-2) psi / 2), Q = 2n + 2, satisfying A^u = e^{2 psi} A[psi].
+where (x) is the outer product and J = [[0, I], [-I, 0]].  Coefficients are
+constants or analytic fields in (x, y, t, s).  ``gradient_term`` is the
+array form of L that the grid operator and the structural gate share;
+``eval_L`` is the pointwise form at an exact jet.  The conformal pair:
+``eval_A_psi`` is F with alpha = gamma = 1, beta = 1/2, and ``eval_A_u`` is
+the equivalent form in the substitution u = exp(-(Q-2) psi / 2),
+Q = 2n + 2, satisfying A^u = e^{2 psi} A[psi].
 
 ``check_structural`` samples the growth, monotonicity, and sign conditions
 under which the comparison machinery downstream is justified, reporting a
@@ -21,7 +23,7 @@ as smallest-eigenvalue margins; required conditions depend on which sign
 branch the coefficient structure satisfies.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +39,8 @@ __all__ = [
     "ConditionCheck",
     "StructuralReport",
     "apply_J",
+    "coefficient_values",
+    "gradient_term",
     "eval_L",
     "eval_F",
     "eval_A_psi",
@@ -45,10 +49,6 @@ __all__ = [
     "check_structural",
     "spec_from_json",
 ]
-
-
-def _is_coefficient(c):
-    return isinstance(c, (int, float)) or isinstance(c, AnalyticField) or callable(c)
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ class OperatorSpec:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             c = getattr(self, name)
-            if isinstance(c, (int, np.floating, np.integer)):
+            if isinstance(c, (int, float, np.floating, np.integer)):
                 object.__setattr__(self, name, float(c))
-            elif not _is_coefficient(c):
-                raise ValueError(f"{name} must be a constant, AnalyticField, or callable")
+            elif not isinstance(c, AnalyticField):
+                raise ValueError(f"{name} must be a number or an AnalyticField")
         m = float(self.m)
         if m < 0:
             raise ValueError("exponent m must be nonnegative")
@@ -89,38 +89,42 @@ def conformal_operator_spec():
     return OperatorSpec(alpha=1.0, beta=0.5, gamma=1.0, m=2.0)
 
 
-def _coeff_value(c, coords, s):
-    """Evaluate a coefficient at flat coords (broadcasting) and solution value s."""
-    if isinstance(c, float):
-        shape = np.broadcast_shapes(np.shape(coords)[:-1], np.shape(s))
-        return np.broadcast_to(c, shape) if shape else c
-    if isinstance(c, AnalyticField):
-        if "s" in c.extra_vars:
-            return c(coords, s=s)
-        return c(coords)
-    return c(coords, s)
+def coefficient_values(spec, coords, s):
+    """(alpha, beta, gamma) at flat coordinates ``coords`` (..., 2n+1) and
+    solution values ``s``, as arrays of the shape of ``s``."""
+    out = []
+    for c in (spec.alpha, spec.beta, spec.gamma):
+        if isinstance(c, AnalyticField):
+            c = c(coords, s=s) if "s" in c.extra_vars else c(coords)
+        out.append(np.broadcast_to(np.asarray(c, dtype=float), np.shape(s)))
+    return tuple(out)
 
 
-def _coeff_xi_gradient(c, coords, s, step=1e-4):
-    """Gradient of a coefficient in the 2n+1 spatial coordinates at one point.
+def gradient_term(spec, coords, s, p):
+    """L = alpha p(x)p - gamma Jp(x)Jp - beta |p|^2 I entry by entry.
 
-    Exact for constants and analytic fields; central differences otherwise.
+    ``p`` lists the 2n horizontal gradient components, each an array of the
+    shape of ``s``; ``coords`` and ``s`` are as in :func:`coefficient_values`.
+    Returns ``L[i][j]`` (the same array object as ``L[j][i]``).  Entries are
+    grouped as a (p_i p_j) - g (Jp_i Jp_j), with |p|^2 summed left to right.
     """
-    coords = np.asarray(coords, dtype=float)
-    d = coords.shape[-1]
-    if isinstance(c, float):
-        return np.zeros(d)
-    if isinstance(c, AnalyticField):
-        extra = {"s": float(s)} if "s" in c.extra_vars else {}
-        _, g, _ = c.jet_all(coords, **extra)
-        return g[:d]
-    h = step * (1.0 + np.abs(coords))
-    out = np.zeros(d)
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = h[a]
-        out[a] = (c(coords + e, s) - c(coords - e, s)) / (2.0 * h[a])
-    return out
+    a, b, g = coefficient_values(spec, coords, s)
+    m, n = len(p), len(p) // 2
+    Jp = list(p[n:]) + [-q for q in p[:n]]
+    bsq = b * sum(q * q for q in p)
+    L = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            Lij = a * (p[i] * p[j]) - g * (Jp[i] * Jp[j])
+            L[i][j] = L[j][i] = Lij - bsq if i == j else Lij
+    return L
+
+
+def _coeff_xi_gradient(c, coords, s):
+    """Exact gradient of an analytic coefficient in the 2n+1 coordinates."""
+    extra = {"s": float(s)} if "s" in c.extra_vars else {}
+    _, g, _ = c.jet_all(coords, **extra)
+    return g[: coords.shape[-1]]
 
 
 def _coords_of(xi):
@@ -142,9 +146,7 @@ def eval_L(spec, xi, s, p):
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.shape[0] + 1 != coords.shape[0]:
         raise ValueError("p must be a horizontal vector of length 2n")
-    a = float(_coeff_value(spec.alpha, coords, s))
-    b = float(_coeff_value(spec.beta, coords, s))
-    g = float(_coeff_value(spec.gamma, coords, s))
+    a, b, g = (float(k) for k in coefficient_values(spec, coords, s))
     Jp = apply_J(p)
     return (
         a * np.outer(p, p)
@@ -188,33 +190,6 @@ def eval_A_u(u_jet, xi, n=None):
         + (2.0 * Q / q2**2) * pow_grad * np.outer(g, g)
         - (4.0 / q2**2) * pow_grad * np.outer(Jg, Jg)
         - (2.0 / q2**2) * pow_grad * float(g @ g) * np.eye(2 * n)
-    )
-
-
-# -- batched evaluation helpers (shared by the classifier and solver) --------
-
-
-def coeff_values_batch(spec, coords, s):
-    """(alpha, beta, gamma) arrays at coords (N, 2n+1) and values s (N,)."""
-    out = []
-    for c in (spec.alpha, spec.beta, spec.gamma):
-        v = _coeff_value(c, coords, s)
-        out.append(np.broadcast_to(np.asarray(v, dtype=float), np.shape(s)))
-    return tuple(out)
-
-
-def L_batch(spec, coords, s, p):
-    """eval_L over stacked samples: coords (N, 2n+1), s (N,), p (N, 2n)."""
-    a, b, g = coeff_values_batch(spec, coords, s)
-    Jp = apply_J(p)
-    nn = p.shape[-1]
-    pp = np.einsum("ni,nj->nij", p, p)
-    JJ = np.einsum("ni,nj->nij", Jp, Jp)
-    sq = np.einsum("ni,ni->n", p, p)
-    return (
-        a[:, None, None] * pp
-        - g[:, None, None] * JJ
-        - (b * sq)[:, None, None] * np.eye(nn)
     )
 
 
@@ -265,16 +240,6 @@ class ConditionCheck:
     required: bool
     witness: dict | None = None
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "margin": self.margin,
-            "tol": self.tol,
-            "passed": self.passed,
-            "required": self.required,
-            "witness": self.witness,
-        }
-
 
 @dataclass
 class StructuralReport:
@@ -289,18 +254,16 @@ class StructuralReport:
                 return c
         raise KeyError(name)
 
-    def to_dict(self):
-        return {
-            "samples": self.samples,
-            "branch": self.branch,
-            "passed": self.passed,
-            "conditions": [c.to_dict() for c in self.conditions],
-        }
+
+def _stacked_gradient_term(spec, coords, s, p):
+    """:func:`gradient_term` at samples p (N, 2n), stacked to (N, 2n, 2n)."""
+    L = gradient_term(spec, coords, s, list(p.T))
+    return np.stack([np.stack(row, axis=-1) for row in L], axis=-2)
 
 
-def grad_p_L_batch(spec, coords, s, p):
+def grad_p_L(spec, coords, s, p):
     """Gradient of L in p as a (N, 2n, 2n, 2n) tensor, D[:, k] = dL/dp_k."""
-    a, b, g = coeff_values_batch(spec, coords, s)
+    a, b, g = coefficient_values(spec, coords, s)
     nn = p.shape[-1]
     E = np.eye(nn)
     J = j_matrix(nn // 2)
@@ -315,27 +278,21 @@ def grad_p_L_batch(spec, coords, s, p):
     )
 
 
-def grad_xi_L_batch(spec, coords, s, p):
+def grad_xi_L(spec, coords, s, p):
     """Gradient of L in the spatial coordinates, (N, 2n+1, 2n, 2n)."""
     N, d = coords.shape
     nn = p.shape[-1]
-    Jp = apply_J(p)
-    pp = np.einsum("ni,nj->nij", p, p)
-    JJ = np.einsum("ni,nj->nij", Jp, Jp)
-    sq = np.einsum("ni,ni->n", p, p)
     out = np.zeros((N, d, nn, nn))
-    parts = (
-        (spec.alpha, pp),
-        (spec.gamma, -JJ),
-        (spec.beta, -sq[:, None, None] * np.eye(nn)),
-    )
-    for c, mat in parts:
+    for name in ("alpha", "gamma", "beta"):
+        c = getattr(spec, name)
         if isinstance(c, float):
             continue
+        # L is linear in each coefficient: dL/dc is L with c = 1, the others 0
+        dL_dc = _stacked_gradient_term(OperatorSpec(**{name: 1.0}), coords, s, p)
         grads = np.stack(
             [_coeff_xi_gradient(c, coords[i], s[i]) for i in range(N)]
         )
-        out += np.einsum("na,nij->naij", grads, mat)
+        out += np.einsum("na,nij->naij", grads, dL_dc)
     return out
 
 
@@ -397,17 +354,17 @@ def check_structural(spec, bounds, box, plan, tol_factor=1e-8):
     eye = np.eye(nn)
     pp = np.einsum("ni,nj->nij", p, p)
 
-    L1 = L_batch(spec, coords, s1, p)
-    L2 = L_batch(spec, coords, s2, p)
-    Dp = grad_p_L_batch(spec, coords, s1, p)
-    Dxi = grad_xi_L_batch(spec, coords, s1, p)
+    L1 = _stacked_gradient_term(spec, coords, s1, p)
+    L2 = _stacked_gradient_term(spec, coords, s2, p)
+    Dp = grad_p_L(spec, coords, s1, p)
+    Dxi = grad_xi_L(spec, coords, s1, p)
     norm_Dp = np.sqrt(np.einsum("nkij->n", Dp**2))
     norm_Dxi = np.sqrt(np.einsum("naij->n", Dxi**2))
     pDp = np.einsum("nk,nkij->nij", p, Dp)
 
     conditions = []
 
-    def add(name, margins, scales, required, witness_extra=None):
+    def add(name, margins, scales, required):
         tol = tol_factor * (1.0 + scales)
         ok = margins >= -tol
         idx = int(np.argmin(margins + tol))  # worst relative slack
@@ -441,8 +398,8 @@ def check_structural(spec, bounds, box, plan, tol_factor=1e-8):
     )
 
     # sign branch
-    a1, b1, g1 = coeff_values_batch(spec, coords, s1)
-    a2, b2, g2 = coeff_values_batch(spec, coords, s2)
+    a1, b1, g1 = coefficient_values(spec, coords, s1)
+    a2, b2, g2 = coefficient_values(spec, coords, s2)
     balls = np.concatenate([b1, b2])
     galls = np.concatenate([g1, g2])
     branch_pos = min(balls.min() - bounds.beta0, galls.min())

@@ -218,7 +218,7 @@ def suite_calculus(seed, count=100):
         Q = 2 * n + 2
         for _ in range(count // 2):
             psi = _random_polynomial(gen, n, degree=2)
-            u = parse_field(f"exp({-(Q - 2.0) / 2.0!r}*({psi.source()}))", n)
+            u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * psi.root), n)
             coords = gen.uniform(-0.8, 0.8, size=2 * n + 1)
             pt = Point.from_coords(coords)
             psi_jet = psi.jet2(coords)

@@ -38,8 +38,8 @@ from .cones import (
 )
 from .core import frame_t_coefficients
 from .envelopes import gauge_quartic, lower_envelope, upper_envelope
-from .fields import central_differences
-from .operators import coeff_values_batch
+from .fields import boundary_ring, central_differences
+from .operators import gradient_term
 
 __all__ = [
     "TAG_NAMES",
@@ -71,8 +71,9 @@ class GridOperator:
 
         F_ij = H_ij + c_i H_jt + c_j H_it + c_i c_j H_tt,    p_i = d_i u + c_i d_t u,
 
-    and L is added entry by entry.  The lattice geometry is cached, so one
-    instance serves every sweep of a solve.
+    and L (:func:`heisvisc.operators.gradient_term`) is added entry by
+    entry.  The lattice geometry is cached, so one instance serves every
+    sweep of a solve.
     """
 
     def __init__(self, template, spec, gradient=False):
@@ -80,9 +81,8 @@ class GridOperator:
         self.n = n = template.n
         self.spacing = template.spacing
         self.inner = (slice(1, -1),) * (2 * n + 1)
-        coords = template.coords_full()[self.inner]
+        self.coords = coords = template.coords_full()[self.inner].copy()
         self.shape = coords.shape[:-1]
-        self.coords = coords.reshape(-1, 2 * n + 1)
         c = frame_t_coefficients(coords, n)
         self.c = [c[..., i].copy() for i in range(2 * n)]
         self.c2 = [2.0 * ci for ci in self.c]
@@ -109,18 +109,10 @@ class GridOperator:
         p = [grad[i] + c[i] * grad[m] for i in range(m)]
         if self.zero_L:
             return F, p
-        if self.spec.is_constant:
-            a, b, g = self.spec.constants()
-        else:
-            s = values[self.inner].reshape(-1)
-            a, b, g = (k.reshape(self.shape)
-                       for k in coeff_values_batch(self.spec, self.coords, s))
-        Jp = p[self.n:] + [-q for q in p[: self.n]]
-        bsq = b * sum(q * q for q in p)
+        L = gradient_term(self.spec, self.coords, values[self.inner], p)
         for i in range(m):
             for j in range(i, m):
-                L = a * p[i] * p[j] - g * Jp[i] * Jp[j]
-                F[i][j] = F[j][i] = F[i][j] + (L - bsq if i == j else L)
+                F[i][j] = F[j][i] = F[i][j] + L[i][j]
         return F, p
 
 
@@ -153,10 +145,6 @@ class Classification:
 
     def count(self, name):
         return self.counts.get(name, 0)
-
-    @property
-    def testable(self):
-        return int(self.tags.size - self.count("Untestable"))
 
     def all_testable_are(self, *names):
         allowed = {_TAG_CODE[m] for m in names}
@@ -235,20 +223,6 @@ class KeyLemmaReport:
     worst: dict | None = None
 
 
-def _collar_mask(res):
-    """Testable nodes one cell away from the grid boundary."""
-    d = len(res)
-    inner_shape = tuple(r - 2 for r in res)
-    mask = np.zeros(inner_shape, dtype=bool)
-    for a in range(d):
-        sl = [slice(None)] * d
-        sl[a] = 0
-        mask[tuple(sl)] = True
-        sl[a] = -1
-        mask[tuple(sl)] = True
-    return mask.reshape(-1)
-
-
 def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super",
                           distance_metric="euclidean", max_a=1e6):
     """Certify the identity-shift bound for an envelope regularization.
@@ -271,13 +245,12 @@ def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super",
     n = g.n
 
     op = GridOperator(g, spec, gradient=True)
-    coords = op.coords
+    coords = op.coords.reshape(-1, 2 * n + 1)
     K = coords.shape[0]
     if K == 0:
         raise ValueError("grid has no full-stencil interior nodes")
     F, p = op(g.values)
     vals = g.values[op.inner].reshape(K)
-    res = g.res
 
     src_coords = w.coords_full().reshape(-1, 2 * n + 1)
     src_vals = w.values.reshape(-1)
@@ -311,7 +284,8 @@ def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super",
         ok = ok | ~keep                      # excluded nodes do not count
         return ok
 
-    collar = _collar_mask(res)
+    # testable nodes one cell away from the grid boundary
+    collar = boundary_ring(op.shape).reshape(-1)
     body = ~collar & keep
 
     def holds(trial):

@@ -1,5 +1,5 @@
 """End-to-end command-line checks: JSON-line outputs, exit codes, file
-outputs, determinism, and the config/env-var plumbing."""
+outputs, determinism, and the config plumbing."""
 
 import json
 
@@ -114,6 +114,21 @@ def test_envelope_rejects_zero_eps(capsys, tmp_path):
     )
     assert code == 2
     assert "eps" in err
+
+
+@pytest.mark.parametrize("index", ["0,0,0", "3,3,-1", "9,3,3"],
+                         ids=["repeated", "negative", "too_large"])
+def test_envelope_rejects_bad_grid_index(capsys, tmp_path, index):
+    src = tmp_path / "spike.csv"
+    spike_csv(src)
+    lines = src.read_text().splitlines()
+    lines[5] = index + "," + lines[5].split(",", 3)[3]   # data row 2, node (0, 0, 1)
+    src.write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        capsys, "envelope", "--input", str(src), "--eps", "0.5", "--out-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert "data row 2" in err
 
 
 def test_envelope_missing_input_is_io_error(capsys, tmp_path):
@@ -261,15 +276,6 @@ def test_check_tampered_cone_fails_with_witness(capsys):
     assert trace["detail"]["witness"] is not None
 
 
-def test_check_all_threaded_matches_serial(capsys, tmp_path, monkeypatch):
-    code, serial, _ = run(capsys, "check", "--suite", "all", "--seed", "7", "--count", "60")
-    assert code == 0
-    monkeypatch.setenv("HEISVISC_THREADS", "3")
-    code, threaded, _ = run(capsys, "check", "--suite", "all", "--seed", "7", "--count", "60")
-    assert code == 0
-    assert threaded == serial
-
-
 # -- config file -----------------------------------------------------------------
 
 
@@ -294,3 +300,44 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run(capsys, "gauge", "--config", str(cfg), "--point", "0,0,1")
     assert code == 2
     assert "wat" in err
+
+
+def test_config_rejects_positional_key(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"op": "inv"}))
+    code, out, err = run(capsys, "group", "mul", "--config", str(cfg),
+                         "--a", "1,0,0", "--b", "0,1,0")
+    assert code == 2
+    assert "'op'" in err
+    assert out == ""
+
+
+def test_config_value_must_be_a_choice(capsys, tmp_path):
+    src = tmp_path / "spike.csv"
+    spike_csv(src)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "sideways"}))
+    code, out, err = run(capsys, "envelope", "--config", str(cfg), "--input", str(src),
+                         "--eps", "0.5", "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert "'sideways' is not one of 'upper', 'lower'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"seed": "many"}, "config key 'seed': invalid value 'many'"),
+        ({"seed": 2.5}, "config key 'seed': invalid value 2.5"),
+        ({"count": None}, "config key 'count' must be a string or a number"),
+        ({"tamper": "yes"}, "config key 'tamper' must be true or false"),
+    ],
+    ids=["word_for_int", "fraction_for_int", "null", "switch"],
+)
+def test_config_values_pass_flag_type_checks(capsys, config, message, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "check", "--suite", "core", "--config", str(cfg))
+    assert code == 2
+    assert message in err
+    assert out == ""

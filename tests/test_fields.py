@@ -14,10 +14,7 @@ from heisvisc.fields import (
     NonSmoothError,
     ParseError,
     central_differences,
-    const,
-    coord_var,
     exp_of,
-    max_of,
     parse_field,
     sample,
     z_norm_sq,
@@ -145,8 +142,8 @@ def test_jet_at_kink_raises():
 
 
 def test_programmatic_construction_matches_parse():
-    x1, y1 = coord_var("x1"), coord_var("y1")
-    built = AnalyticField(exp_of(x1 * y1) + const(2.0) * x1 - y1 ** 2, 1)
+    x1, y1 = parse_field("x1", 1).root, parse_field("y1", 1).root
+    built = AnalyticField(exp_of(x1 * y1) + 2.0 * x1 - y1 ** 2, 1)
     parsed = parse_field("exp(x1*y1) + 2.0*x1 - y1^2", 1)
     gen = stream(3, 0)
     for _ in range(20):
@@ -181,9 +178,6 @@ def test_domain_validation():
         Domain(np.array([[1.0, -1.0], [0.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         Domain(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    d = box1()
-    assert d.contains(Point([0.0], [0.0], 0.0))
-    assert not d.contains(Point([0.0], [0.0], 3.0))
 
 
 def test_domain_sampling_deterministic():
@@ -231,7 +225,7 @@ def test_fd_jets_exact_on_quadratics():
     f = parse_field("x1^2 + 3.0*x1*y1 - t^2 + 2.0*y1*t - x1 + 4.0", 1)
     g = sample(f, box1(), 9)
     value, grad, hess = fd_jet(g, (3, 5, 4))
-    exact = f.jet2(g.coords_at((3, 5, 4)))
+    exact = f.jet2(g.coords_full()[3, 5, 4])
     np.testing.assert_allclose(value, exact.value, atol=1e-13)
     np.testing.assert_allclose(grad, exact.egrad, atol=1e-12)
     np.testing.assert_allclose(hess, exact.ehess, atol=1e-12)
@@ -244,7 +238,7 @@ def test_fd_jets_second_order_on_smooth_fields():
     for res, idx in ((11, (3, 7, 5)), (21, (6, 14, 10)), (41, (12, 28, 20))):
         g = sample(f, box1(), res)
         _, _, hess = fd_jet(g, idx)
-        exact = f.jet2(g.coords_at(idx))
+        exact = f.jet2(g.coords_full()[idx])
         errs.append(np.abs(hess - exact.ehess).max())
     # each halving of h divides the error by about 4
     assert errs[2] < errs[1] < errs[0]

@@ -109,6 +109,37 @@ def test_grid_csv_rejects_malformed(tmp_path):
     with pytest.raises(ValueError, match="rows"):
         read_grid_csv(p)
 
+    lines = text.splitlines()
+    lines[5] = "0,0,1,1.0,2.0"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="data row 2: expected 7 columns"):
+        read_grid_csv(p)
+
+
+def csv_with_index(index, tmp_path):
+    """A 3x3x3 grid CSV whose second data row (file line 6) has ``index``."""
+    lines = grid_csv_text(random_grid(res=(3, 3, 3))).splitlines()
+    assert lines[5].startswith("0,0,1,")
+    lines[5] = index + "," + lines[5].split(",", 3)[3]
+    p = tmp_path / "bad_index.csv"
+    p.write_text("\n".join(lines) + "\n")
+    return p
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        ("0,0,0", r"data row 2: node \(0, 0, 0\) appears twice"),
+        ("0,0,-1", r"data row 2: index \(0, 0, -1\) is outside res \(3, 3, 3\)"),
+        ("0,3,1", r"data row 2: index \(0, 3, 1\) is outside res \(3, 3, 3\)"),
+    ],
+    ids=["repeated", "negative", "too_large"],
+)
+def test_grid_csv_rejects_bad_index(tmp_path, index, message):
+    # each leaves a node unset or writes outside the lattice
+    with pytest.raises(ValueError, match=message):
+        read_grid_csv(csv_with_index(index, tmp_path))
+
 
 def test_witness_csv_matches_envelope():
     v = sample(parse_field("x1*x1 - y1", 1), Domain(BOX1), (5, 5, 5))

@@ -5,22 +5,22 @@ import numpy as np
 import pytest
 
 from heisvisc.core import Jet2, Point, heis_hessian_sym, horizontal_gradient, j_matrix
-from heisvisc.fields import Domain, parse_field
+from heisvisc.fields import AnalyticField, Const, Domain, exp_of, parse_field
 from heisvisc.operators import (
     OperatorSpec,
     SamplePlan,
     StructuralBounds,
     apply_J,
     check_structural,
-    coeff_values_batch,
+    coefficient_values,
     conformal_operator_spec,
     eval_A_psi,
     eval_A_u,
     eval_F,
     eval_L,
-    grad_p_L_batch,
-    grad_xi_L_batch,
-    L_batch,
+    grad_p_L,
+    grad_xi_L,
+    gradient_term,
     spec_from_json,
 )
 from heisvisc.rng import stream
@@ -41,6 +41,12 @@ def random_polynomial_field(gen, n, degree=3):
 
 def box_domain(n, half=1.5):
     return Domain(np.array([[-half, half]] * (2 * n + 1)))
+
+
+def L_stack(spec, coords, s, p):
+    """gradient_term at samples p (N, 2n) as an (N, 2n, 2n) stack."""
+    L = gradient_term(spec, coords, s, list(p.T))
+    return np.stack([np.stack(row, axis=-1) for row in L], axis=-2)
 
 
 # -- apply_J ------------------------------------------------------------------
@@ -120,15 +126,13 @@ def test_eval_l_rejects_bad_gradient_length():
         eval_L(conformal_operator_spec(), ORIGIN, 0.0, np.zeros(3))
 
 
-def test_eval_l_with_field_and_callable_coefficients():
+def test_eval_l_with_field_coefficients():
     alpha_field = parse_field("x1 + 2.0*s", 1, extra_vars=("s",))
     spec_f = OperatorSpec(alpha=alpha_field, beta=0.0, gamma=0.0)
-    spec_c = OperatorSpec(alpha=lambda coords, s: coords[..., 0] + 2.0 * s, beta=0.0, gamma=0.0)
     pt = Point(x=(0.5,), y=(-0.2,), t=0.1)
     p = np.array([1.0, 2.0])
     expected = (0.5 + 2.0 * 0.7) * np.outer(p, p)
     np.testing.assert_allclose(eval_L(spec_f, pt, 0.7, p), expected, atol=1e-14)
-    np.testing.assert_allclose(eval_L(spec_c, pt, 0.7, p), expected, atol=1e-14)
 
 
 # -- eval_F and the quadratic-shift identity ----------------------------------
@@ -160,10 +164,10 @@ def test_quadratic_shift_identity():
         names = (
             [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)] + ["t"]
         )
-        norm_sq = " + ".join(f"{v}*{v}" for v in names)
+        norm_sq = parse_field(" + ".join(f"{v}*{v}" for v in names), n).root
         for _ in range(5):
             mu = float(gen.uniform(0.1, 2.0))
-            shifted = parse_field(f"({f.source()}) + {mu!r}*({norm_sq})", n)
+            shifted = AnalyticField(f.root + mu * norm_sq, n)
             coords = gen.uniform(-1, 1, size=2 * n + 1)
             pt = Point.from_coords(coords)
             diff = eval_F(zero, shifted.jet2(coords), pt) - eval_F(
@@ -191,7 +195,7 @@ def test_conformal_change_of_variables(n):
     Q = 2 * n + 2
     for _ in range(25):
         psi = random_polynomial_field(gen, n, degree=2)
-        u = parse_field(f"exp({-(Q - 2.0) / 2.0!r}*({psi.source()}))", n)
+        u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * psi.root), n)
         coords = gen.uniform(-0.8, 0.8, size=2 * n + 1)
         pt = Point.from_coords(coords)
         lhs = eval_A_u(u.jet2(coords), pt)
@@ -220,12 +224,12 @@ def test_l_batch_matches_pointwise():
     spec = OperatorSpec(
         alpha=parse_field("x1 - s", 1, extra_vars=("s",)),
         beta=0.5,
-        gamma=lambda coords, s: np.asarray(coords)[..., 2] * 0.0 + 1.5,
+        gamma=parse_field("1.5 + 0.0*t", 1),
     )
     coords = gen.uniform(-1, 1, size=(40, 3))
     s = gen.uniform(-1, 1, size=40)
     p = gen.normal(size=(40, 2))
-    batch = L_batch(spec, coords, s, p)
+    batch = L_stack(spec, coords, s, p)
     for i in range(40):
         single = eval_L(spec, Point.from_coords(coords[i]), float(s[i]), p[i])
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
@@ -235,7 +239,7 @@ def test_coeff_values_batch_broadcasts_constants():
     spec = OperatorSpec(alpha=2.0, beta=-1.0, gamma=0.0)
     coords = np.zeros((7, 3))
     s = np.zeros(7)
-    a, b, g = coeff_values_batch(spec, coords, s)
+    a, b, g = coefficient_values(spec, coords, s)
     assert a.shape == b.shape == g.shape == (7,)
     np.testing.assert_allclose(a, 2.0)
     np.testing.assert_allclose(b, -1.0)
@@ -248,12 +252,12 @@ def test_grad_p_l_batch_against_finite_differences():
         coords = gen.uniform(-1, 1, size=(6, 2 * n + 1))
         s = gen.uniform(-1, 1, size=6)
         p = gen.normal(size=(6, 2 * n))
-        D = grad_p_L_batch(spec, coords, s, p)
+        D = grad_p_L(spec, coords, s, p)
         h = 1e-6
         for k in range(2 * n):
             e = np.zeros(2 * n)
             e[k] = h
-            fd = (L_batch(spec, coords, s, p + e) - L_batch(spec, coords, s, p - e)) / (
+            fd = (L_stack(spec, coords, s, p + e) - L_stack(spec, coords, s, p - e)) / (
                 2 * h
             )
             assert np.abs(D[:, k] - fd).max() < 1e-6
@@ -269,12 +273,12 @@ def test_grad_xi_l_batch_against_finite_differences():
     coords = gen.uniform(-1, 1, size=(5, 3))
     s = gen.uniform(-1, 1, size=5)
     p = gen.normal(size=(5, 2))
-    D = grad_xi_L_batch(spec, coords, s, p)
+    D = grad_xi_L(spec, coords, s, p)
     h = 1e-6
     for a in range(3):
         e = np.zeros(3)
         e[a] = h
-        fd = (L_batch(spec, coords + e, s, p) - L_batch(spec, coords - e, s, p)) / (
+        fd = (L_stack(spec, coords + e, s, p) - L_stack(spec, coords - e, s, p)) / (
             2 * h
         )
         assert np.abs(D[:, a] - fd).max() < 1e-6
@@ -287,9 +291,9 @@ def test_euler_identity_for_quadratic_family():
     coords = gen.uniform(-1, 1, size=(30, 5))
     s = gen.uniform(-1, 1, size=30)
     p = gen.normal(size=(30, 4))
-    D = grad_p_L_batch(spec, coords, s, p)
+    D = grad_p_L(spec, coords, s, p)
     pDp = np.einsum("nk,nkij->nij", p, D)
-    np.testing.assert_allclose(pDp, 2.0 * L_batch(spec, coords, s, p), atol=1e-12)
+    np.testing.assert_allclose(pDp, 2.0 * L_stack(spec, coords, s, p), atol=1e-12)
 
 
 # -- structural conditions -----------------------------------------------------
@@ -357,6 +361,8 @@ def test_operator_spec_validation():
     with pytest.raises(ValueError):
         OperatorSpec(alpha="1.0")
     with pytest.raises(ValueError):
+        OperatorSpec(alpha=lambda coords, s: 1.0)
+    with pytest.raises(ValueError):
         OperatorSpec(m=-1.0)
     spec = OperatorSpec(alpha=2, beta=0.5, gamma=1)
     assert spec.is_constant and isinstance(spec.alpha, float)
@@ -374,13 +380,13 @@ def test_spec_json_round_trip_constants():
 def test_spec_json_round_trip_expression():
     alpha = parse_field("x1 + 2.0*s", 1, extra_vars=("s",))
     spec = OperatorSpec(alpha=alpha, beta=0.5, gamma=0.0)
-    back = spec_from_json({"alpha": alpha.source(), "beta": 0.5, "gamma": 0.0}, n=1)
+    back = spec_from_json({"alpha": "x1 + 2.0*s", "beta": 0.5, "gamma": 0.0}, n=1)
     gen = stream(14)
     coords = gen.uniform(-1, 1, size=(10, 3))
     s = gen.uniform(-1, 1, size=10)
     p = gen.normal(size=(10, 2))
     np.testing.assert_allclose(
-        L_batch(back, coords, s, p), L_batch(spec, coords, s, p), atol=1e-14
+        L_stack(back, coords, s, p), L_stack(spec, coords, s, p), atol=1e-14
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heisvisc.cones import ConeSpec
-from heisvisc.fields import AnalyticField, Domain, GridField, parse_field, sample
+from heisvisc.fields import Domain, GridField, parse_field, sample
 from heisvisc.operators import OperatorSpec
 from heisvisc.perron import (
     Problem,

@@ -62,13 +62,20 @@ def test_tampered_cones_suite_fails():
 
 
 @pytest.mark.parametrize(
-    "tamper, golden",
-    [(False, "check_cones_seed42.json"), (True, "check_cones_seed42_tamper.json")],
-    ids=["plain", "tamper"],
+    "suite, seed, tamper, golden",
+    [
+        ("cones", 42, False, "check_cones_seed42.json"),
+        ("cones", 42, True, "check_cones_seed42_tamper.json"),
+        ("structural", 42, False, "check_structural_seed42.json"),
+        ("keylemma", 0, False, "check_keylemma_seed0.json"),
+    ],
+    ids=["plain", "tamper", "structural", "keylemma"],
 )
-def test_cones_report_matches_golden(tamper, golden):
-    # pins the axiom sampler's draw order: every count and witness of the
-    # cones suite at seed 42, byte for byte
+def test_cones_report_matches_golden(suite, seed, tamper, golden):
+    # byte for byte: the cones cases pin the axiom sampler's draw order, the
+    # structural and keylemma cases the gradient term L and the grid
+    # operator that feed their margins (both get their spectra from the
+    # closed form at d = 2, so the files do not depend on LAPACK)
     expected = (GOLDEN / golden).read_bytes()
-    text = report_json(run_suite("cones", 42, tamper=tamper))
+    text = report_json(run_suite(suite, seed, tamper=tamper))
     assert text.encode() == expected
