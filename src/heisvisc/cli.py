@@ -7,8 +7,9 @@ rerun with the same inputs and seed is byte-identical.
 
 Exit codes follow one contract everywhere: 0 success, 1 property or
 convergence failure, 2 usage, I/O, or schema error.  A JSON config file
-passed with --config supplies flag defaults; flags given on the command
-line win.  Config values pass the same type and choice checks as flags.
+passed with --config supplies flag defaults, required flags included;
+flags given on the command line win.  Config values pass the same type
+and choice checks as flags.
 """
 
 import argparse
@@ -89,8 +90,6 @@ def cmd_group(args):
 
 
 def cmd_envelope(args):
-    if args.eps <= 0:
-        raise ValueError("--eps must be positive")
     v = read_grid_csv(args.input)
     build = upper_envelope if args.mode == "upper" else lower_envelope
     r = build(v, args.eps)
@@ -209,7 +208,7 @@ def build_parser():
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn, parser=p)
+        p.set_defaults(fn=fn)
         p.add_argument("--config", default=None,
                        help="JSON file with default flag values (flags win)")
         return p
@@ -275,36 +274,41 @@ def _config_value(key, action, value):
     return value
 
 
-def _apply_config(args, argv):
-    if getattr(args, "config", None) is None:
-        return
-    data = json.loads(Path(args.config).read_text())
+def _install_config(parser, argv):
+    """Install the chosen command's --config values as its flag defaults."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    cmd = sub.choices.get(argv[0]) if argv else None
+    if cmd is None:
+        return   # the real parse reports a missing or unknown command
+    pre = argparse.ArgumentParser(prog=cmd.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    data = {} if path is None else json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     # positionals and --help cannot come from a config file
-    flags = {a.dest: a for a in args.parser._actions
+    flags = {a.dest: a for a in cmd._actions
              if a.option_strings and a.default is not argparse.SUPPRESS}
-    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     for key, value in data.items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"config key {key!r} is not a flag of this command")
-        if given.intersection(action.option_strings):
-            continue
-        setattr(args, action.dest, _config_value(key, action, value))
+        # a flag on the command line, abbreviated or not, still wins the real parse
+        action.default = _config_value(key, action, value)
+        action.required = False
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _install_config(parser, argv)
+        args = parser.parse_args(argv)
         return args.fn(args)
     except ArithmeticError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

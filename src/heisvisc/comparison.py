@@ -154,7 +154,7 @@ def _margin_matrices(psi, p, spec, nodes, mode):
     return np.array(A), np.array(B)
 
 
-def lemma35_margin(psi, p, spec, domain, nodes, mode="up", tol=None):
+def lemma35_margin(psi, p, spec, nodes, mode="up"):
     """Certify operator control for the perturbed field on sampled nodes.
 
     For ``mode="up"`` the check is that the operator of the raised field
@@ -177,8 +177,7 @@ def lemma35_margin(psi, p, spec, domain, nodes, mode="up", tol=None):
         raise ValueError("no nodes fall in the admissible region {|psi|<=M, bump>=-delta}")
 
     A, B = _margin_matrices(psi, p, spec, nodes, mode)
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.abs(A).max(initial=0.0)))
+    tol = 1e-8 * (1.0 + float(np.abs(A).max(initial=0.0)))
 
     def min_margin(c):
         return float(np.linalg.eigvalsh(A - (p.mu * c) * B)[:, 0].min())
@@ -260,7 +259,7 @@ class TouchingReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def touching_harness(w, v, spec, cone, touch_tol=None):
+def touching_harness(w, v, spec, cone):
     """Compare supersolution candidate ``w`` against subsolution candidate ``v``.
 
     Both fields must share a lattice.  Requires w >= v nodewise (reported,
@@ -273,8 +272,7 @@ def touching_harness(w, v, spec, cone, touch_tol=None):
     diff = w.values - v.values
     min_diff = float(diff.min())
     sup = float(np.abs(diff).max())
-    if touch_tol is None:
-        touch_tol = 1e-9 * (1.0 + sup)
+    touch_tol = 1e-9 * (1.0 + sup)
 
     boundary = w.boundary_mask()
     boundary_gap = float(diff[boundary].min())

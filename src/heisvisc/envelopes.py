@@ -9,6 +9,7 @@ with a min and +(1/eps) d^4.  The maximum runs over every node of the grid,
 boundary included, by brute force in blocks; candidates outside the pruning
 window d^4 <= eps * (max v - min v) are masked out first (they can never win,
 so masking preserves exactness).  Ties break to the smallest flat node index.
+The same scan records the kernel constant the curvature check needs.
 
 The check_* functions verify the properties the regularization argument
 rests on: monotonicity and pointwise squeezing in eps, one-sided curvature
@@ -59,6 +60,10 @@ def _gauge_parts(a, b, n):
     return zs, zs * zs + np.square(dt + shear)
 
 
+# source rows per block of the all-pairs scan
+_BLOCK = 192
+
+
 @dataclass
 class EnvelopeResult:
     """Envelope output grid, argmax witness, and the defining parameters.
@@ -66,7 +71,8 @@ class EnvelopeResult:
     ``witness`` maps each node to the flat (C-order) index of the node
     attaining its extremum.  ``source_min``/``source_max`` record the range
     of the input field; the property checks need them to reconstruct the
-    pruning window without the source grid.
+    pruning window without the source grid.  ``kernel_sup``, the sup over
+    in-window pairs of the kernel Hessian norm bound, is check_semiconvexity's C.
     """
 
     out: GridField
@@ -75,19 +81,20 @@ class EnvelopeResult:
     mode: str
     source_min: float
     source_max: float
+    kernel_sup: float
 
 
-def upper_envelope(v, eps, block=192):
+def upper_envelope(v, eps):
     """Exact discrete sup-convolution over all grid nodes."""
-    return _envelope(v, eps, "upper", block)
+    return _envelope(v, eps, "upper")
 
 
-def lower_envelope(w, eps, block=192):
+def lower_envelope(w, eps):
     """Exact discrete inf-convolution over all grid nodes."""
-    return _envelope(w, eps, "lower", block)
+    return _envelope(w, eps, "lower")
 
 
-def _envelope(v, eps, mode, block):
+def _envelope(v, eps, mode):
     eps = float(eps)
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be a positive real, got {eps}")
@@ -98,22 +105,33 @@ def _envelope(v, eps, mode, block):
     N = vals.size
     vmin, vmax = float(vals.min()), float(vals.max())
     window = eps * (vmax - vmin)
+    # kernel Hessian norm bound at a pair (xi, eta): the z-block contributes
+    # at most 12 |dz|^2 and the rank-one shear part 2 (1 + 4 |z_eta|^2)
+    shear_part = 2.0 * (1.0 + 4.0 * np.square(coords[:, : 2 * v.n]).sum(axis=1))
+    kernel_sup = 0.0
     out = np.empty(N)
     wit = np.empty(N, dtype=np.int64)
-    for start in range(0, N, block):
-        stop = min(start + block, N)
-        d4 = gauge_quartic(coords[start:stop, None, :], coords[None, :, :], v.n)
+    for start in range(0, N, _BLOCK):
+        stop = min(start + _BLOCK, N)
+        zs, d4 = _gauge_parts(coords[start:stop, None, :], coords[None, :, :], v.n)
+        far = d4 > window
+        zs *= 12.0
+        zs += shear_part[None, :]
+        zs[far] = -np.inf
+        kernel_sup = max(kernel_sup, float(zs.max()))
+        del zs  # freed before the scores block is allocated
         if mode == "upper":
             scores = vals[None, :] - d4 / eps
-            scores[d4 > window] = -np.inf
+            scores[far] = -np.inf
             idx = np.argmax(scores, axis=1)
         else:
             scores = vals[None, :] + d4 / eps
-            scores[d4 > window] = np.inf
+            scores[far] = np.inf
             idx = np.argmin(scores, axis=1)
         rows = np.arange(stop - start)
         out[start:stop] = scores[rows, idx]
         wit[start:stop] = idx
+        del scores, d4  # not alive while the next block is built
     field = GridField(n=v.n, box=v.box.copy(), values=out.reshape(v.res))
     return EnvelopeResult(
         out=field,
@@ -122,6 +140,7 @@ def _envelope(v, eps, mode, block):
         mode=mode,
         source_min=vmin,
         source_max=vmax,
+        kernel_sup=kernel_sup,
     )
 
 
@@ -163,7 +182,7 @@ def check_monotone_convergence(v, eps_list, mode="upper"):
                 deviation_violations=0,
                 witness={"index": i, "eps": eps_list[i], "eps_next": eps_list[i + 1]},
             )
-    outs = [_envelope(v, e, mode, 192).out.values for e in eps_list]
+    outs = [_envelope(v, e, mode).out.values for e in eps_list]
     deviations = tuple(float(np.abs(o - v.values).max()) for o in outs)
     point_bad = 0
     witness = None
@@ -212,31 +231,18 @@ class SemiconvexReport:
     worst_node: tuple | None = None
 
 
-def check_semiconvexity(r, block=192):
+def check_semiconvexity(r):
     """One-sided curvature bound for an envelope result.
 
     Upper envelopes are maxima of functions whose Euclidean Hessian is
     -(1/eps) times the kernel Hessian, so every FD Hessian eigenvalue on the
     grid must stay above -C/eps (below +C/eps for lower envelopes), where C
     bounds the kernel Hessian norm over node pairs inside the pruning
-    window.  C is sampled pairwise and inflated by 10%.
+    window.  C is the search's ``r.kernel_sup``, inflated by 10%.
     """
     g = r.out
     n = g.n
-    coords = g.coords_full().reshape(-1, 2 * n + 1)
-    N = coords.shape[0]
-    window = r.eps * (r.source_max - r.source_min)
-    # kernel Hessian norm bound at a pair (xi, eta): the z-block contributes
-    # at most 12 |dz|^2 and the rank-one shear part 2 (1 + 4 |z_eta|^2)
-    z_eta_sq = np.square(coords[:, : 2 * n]).sum(axis=1)
-    best = 0.0
-    for start in range(0, N, block):
-        stop = min(start + block, N)
-        zs, d4 = _gauge_parts(coords[start:stop, None, :], coords[None, :, :], n)
-        val = 12.0 * zs + 2.0 * (1.0 + 4.0 * z_eta_sq[None, :])
-        val[d4 > window] = -np.inf
-        best = max(best, float(val.max()))
-    kernel_constant = 1.1 * best
+    kernel_constant = 1.1 * r.kernel_sup
     bound = kernel_constant / r.eps
     scale = max(abs(r.source_min), abs(r.source_max))
     tol = 1e-8 * (1.0 + scale)

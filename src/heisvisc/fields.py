@@ -431,7 +431,7 @@ class _Parser:
                 self.advance()
                 args = [self.expr()]
                 while True:
-                    k2, v2, p2 = self.peek()
+                    k2, v2, _ = self.peek()
                     if k2 == "op" and v2 == ",":
                         self.advance()
                         args.append(self.expr())
@@ -659,7 +659,7 @@ def _kink_mask(root, env, shape):
     return mask if mask.any() else None
 
 
-def sample(f, domain, res, detect_kinks=True, **extra):
+def sample(f, domain, res, **extra):
     """Evaluate an analytic field on a uniform lattice over the domain box.
 
     ``res`` is an int (same node count on every axis) or a per-axis tuple.
@@ -684,7 +684,7 @@ def sample(f, domain, res, detect_kinks=True, **extra):
             raise ValueError(f"missing value for extra variable {name!r}")
         env[name] = extra[name]
     values = np.broadcast_to(np.asarray(f.root.evaluate(env), dtype=float), res).copy()
-    mask = _kink_mask(f.root, env, res) if detect_kinks else None
+    mask = _kink_mask(f.root, env, res)
     return GridField(f.n, domain.box.copy(), values, mask)
 
 

@@ -5,6 +5,8 @@ column-name row (indices, then coordinates, then value), then one row per
 node in C order.  Floats are written with `repr`, which round-trips
 bit-exactly, and files always use LF line endings, so a grid written twice
 is byte-identical and `read_grid_csv(write_grid_csv(g)) == g` exactly.
+The reader refuses, naming the data row, an index outside the lattice, a
+repeated node, and coordinates off the header's lattice node.
 
 Problem JSON holds the domain, resolution, operator and cone descriptions,
 the boundary expression, and either explicit bracket-grid CSV paths
@@ -104,12 +106,13 @@ def read_grid_csv(path):
     count = int(np.prod(res))
     if len(rows) != count:
         raise ValueError(f"grid CSV: expected {count} rows, found {len(rows)}")
-    index, flat = [], np.empty(count)
+    index, coords, flat = [], np.empty((count, d)), np.empty(count)
     for k, ln in enumerate(rows):
         parts = ln.split(",")
         if len(parts) != len(expected):
             raise ValueError(f"grid CSV: data row {k + 1}: expected {len(expected)} columns")
         index.extend(map(int, parts[:d]))
+        coords[k] = list(map(float, parts[d:2 * d]))
         flat[k] = float(parts[-1])
     index = np.array(index, dtype=np.int64).reshape(count, d)
     # every node exactly once: an unchecked index would wrap (-1), raise
@@ -127,7 +130,17 @@ def read_grid_csv(path):
                          "appears twice")
     values = np.empty(count)
     values[nodes] = flat
-    return GridField(n, box, values.reshape(res))
+    g = GridField(n, box, values.reshape(res))
+    # coordinates must name the header's node, up to a tolerance far below
+    # the spacing so that hand-written decimals still load
+    lattice = g.coords_full().reshape(count, d)[nodes]
+    off = (np.abs(coords - lattice) > 1e-2 * g.spacing).any(axis=1)
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(f"grid CSV: data row {k + 1}: coordinates "
+                         f"{tuple(coords[k].tolist())} are off the lattice node "
+                         f"{tuple(index[k].tolist())} at {tuple(lattice[k].tolist())}")
+    return g
 
 
 def witness_csv_text(result):

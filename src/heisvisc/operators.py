@@ -166,15 +166,12 @@ def eval_A_psi(jet, xi):
     return eval_F(conformal_operator_spec(), jet, xi)
 
 
-def eval_A_u(u_jet, xi, n=None):
+def eval_A_u(u_jet, xi):
     """The conformal operator in the u-variable; requires u > 0.
 
     Satisfies A^u = e^{2 psi} A[psi] for u = exp(-(Q-2) psi / 2), Q = 2n + 2.
     """
-    if n is None:
-        n = xi.n
-    if u_jet.n != n or xi.n != n:
-        raise ValueError("dimension mismatch between jet, point, and n")
+    n = xi.n
     u = u_jet.value
     if u <= 0:
         raise ValueError("eval_A_u requires a positive function value")
@@ -311,12 +308,12 @@ def _witness(idx, coords, s1, s2, p, theta, margin):
     }
 
 
-def check_structural(spec, bounds, box, plan, tol_factor=1e-8):
+def check_structural(spec, bounds, box, plan):
     """Sample the structural conditions on a box and report margins.
 
     Conditions checked (matrix inequalities as smallest-eigenvalue margins,
     scalar inequalities as slacks; a sample passes when margin >= -tol with
-    tol = tol_factor * (1 + magnitude scale)):
+    tol = 1e-8 * (1 + magnitude scale)):
 
     - xi_gradient_bound:   |grad_xi L| <= C |p|^m
     - p_gradient_bound:    |grad_p L| <= C |p|
@@ -336,7 +333,6 @@ def check_structural(spec, bounds, box, plan, tol_factor=1e-8):
         raise ValueError("box must have n >= 1")
     gen = stream(plan.seed, 101)
     N = plan.count
-    d = 2 * box.n + 1
     nn = 2 * box.n
     C, m = bounds.C, bounds.m
 
@@ -365,7 +361,7 @@ def check_structural(spec, bounds, box, plan, tol_factor=1e-8):
     conditions = []
 
     def add(name, margins, scales, required):
-        tol = tol_factor * (1.0 + scales)
+        tol = 1e-8 * (1.0 + scales)
         ok = margins >= -tol
         idx = int(np.argmin(margins + tol))  # worst relative slack
         conditions.append(
@@ -398,8 +394,8 @@ def check_structural(spec, bounds, box, plan, tol_factor=1e-8):
     )
 
     # sign branch
-    a1, b1, g1 = coefficient_values(spec, coords, s1)
-    a2, b2, g2 = coefficient_values(spec, coords, s2)
+    _, b1, g1 = coefficient_values(spec, coords, s1)
+    _, b2, g2 = coefficient_values(spec, coords, s2)
     balls = np.concatenate([b1, b2])
     galls = np.concatenate([g1, g2])
     branch_pos = min(balls.min() - bounds.beta0, galls.min())

@@ -41,11 +41,6 @@ _GATE_PLAN = SamplePlan(seed=2357, count=400)
 _BOUNDARY_AGREE_TOL = 1e-10
 
 
-def _require_same_lattice(a, b):
-    if a.n != b.n or a.res != b.res or not np.array_equal(a.box, b.box):
-        raise ValueError("fields live on different lattices")
-
-
 def boundary_bump(domain):
     """Smooth field positive inside the box and zero on its whole boundary.
 
@@ -80,7 +75,7 @@ class Problem:
     Validated at construction: the bracket is ordered and agrees with the
     boundary data on the boundary ring, the coefficients are constant
     (the solver path does not handle coefficient fields), and the
-    operator passes the structural gate for ``bounds``.
+    operator passes the structural gate for ``DEFAULT_BOUNDS``.
     """
 
     spec: OperatorSpec
@@ -88,10 +83,11 @@ class Problem:
     boundary: AnalyticField
     sub: GridField
     sup: GridField
-    bounds: StructuralBounds = DEFAULT_BOUNDS
 
     def __post_init__(self):
-        _require_same_lattice(self.sub, self.sup)
+        sub, sup = self.sub, self.sup
+        if sub.n != sup.n or sub.res != sup.res or not np.array_equal(sub.box, sup.box):
+            raise ValueError("fields live on different lattices")
         if not (self.sub.values <= self.sup.values).all():
             raise ValueError("lower bracket exceeds upper bracket at some node")
         bmask = self.sub.boundary_mask()
@@ -106,7 +102,7 @@ class Problem:
             )
         if not self.spec.is_constant:
             raise ValueError("the solver path requires constant coefficients")
-        report = check_structural(self.spec, self.bounds, self.domain, _GATE_PLAN)
+        report = check_structural(self.spec, DEFAULT_BOUNDS, self.domain, _GATE_PLAN)
         if not report.passed:
             failing = [c.name for c in report.conditions if c.required and not c.passed]
             raise ValueError(f"operator fails the structural gate: {failing}")
@@ -246,18 +242,17 @@ class UniquenessReport:
     descent: SolveResult
 
 
-def uniqueness_gap(problem, dt="auto", tol=1e-10, max_iter=60000, uniq_tol=None):
+def uniqueness_gap(problem, max_iter=60000):
     """Solve from both ends of the bracket and measure their disagreement."""
-    up = solve(problem, dt=dt, tol=tol, max_iter=max_iter, start="sub")
-    down = solve(problem, dt=dt, tol=tol, max_iter=max_iter, start="super")
+    up = solve(problem, max_iter=max_iter, start="sub")
+    down = solve(problem, max_iter=max_iter, start="super")
     if not (up.converged and down.converged):
         raise ArithmeticError(
             f"bracketed runs did not converge (ascent {up.converged}, "
             f"descent {down.converged})"
         )
     gap = float(np.abs(up.u.values - down.u.values).max())
-    if uniq_tol is None:
-        uniq_tol = 1e-6 * float(np.abs(problem.sup.values - problem.sub.values).max())
+    uniq_tol = 1e-6 * float(np.abs(problem.sup.values - problem.sub.values).max())
     return UniquenessReport(
         gap=gap, tol=float(uniq_tol), passed=gap <= uniq_tol, ascent=up, descent=down
     )

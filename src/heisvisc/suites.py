@@ -379,7 +379,6 @@ def _perturb_params(k0):
 def suite_lemma35(seed, count=400):
     checks = []
     spec = conformal_operator_spec()
-    dom = Domain(_BOX1.copy())
     fixtures = [
         ("linear", parse_field("0.4*x1", 1)),
         ("polynomial", parse_field("0.2*x1*x1 - 0.15*y1 + 0.1*x1*t", 1)),
@@ -387,7 +386,7 @@ def suite_lemma35(seed, count=400):
     for i, (tag, psi) in enumerate(fixtures):
         nodes = stream(seed, stream_id=51 + i).uniform(-1.0, 1.0, size=(count, 3))
         for mode in ("up", "down"):
-            probe = lemma35_margin(psi, _perturb_params(0.0), spec, dom, nodes, mode=mode)
+            probe = lemma35_margin(psi, _perturb_params(0.0), spec, nodes, mode=mode)
             k0 = probe.k0_max
             if k0 is None or k0 <= 0.0:
                 checks.append(
@@ -399,7 +398,7 @@ def suite_lemma35(seed, count=400):
                 )
                 continue
             rep = lemma35_margin(
-                psi, _perturb_params(0.5 * k0), spec, dom, nodes, mode=mode
+                psi, _perturb_params(0.5 * k0), spec, nodes, mode=mode
             )
             checks.append(
                 CheckOutcome(

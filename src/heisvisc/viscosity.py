@@ -14,10 +14,9 @@ regularizations: after shifting F by
     a * (dist(xi, xi_*) + (1/eps) d(xi, xi_*)^4) * |grad_H w_eps|^m
 
 along the identity, the shifted matrix must land outside (inside, for the
-sub side) the admissible set, where xi_* is the envelope's argmax witness.
-The first summand of the shift uses the Euclidean distance by default; the
-``distance_metric`` option switches it to the group gauge distance for
-sensitivity studies.  The smallest sufficient ``a`` is found by bisection on
+sub side) the admissible set, where xi_* is the envelope's argmax witness
+and the first summand of the shift is the Euclidean distance.  The smallest
+sufficient ``a`` (up to a ceiling of 1e6) is found by bisection on
 precomputed spectra (shifting by a multiple of the identity only translates
 eigenvalues), with the one-cell boundary collar reported separately since
 its stencils read envelope values contaminated by the grid edge.
@@ -146,11 +145,6 @@ class Classification:
     def count(self, name):
         return self.counts.get(name, 0)
 
-    def all_testable_are(self, *names):
-        allowed = {_TAG_CODE[m] for m in names}
-        codes = self.tags[self.tags != _TAG_CODE["Untestable"]]
-        return bool(np.isin(codes, list(allowed)).all())
-
 
 def classify_grid(g, spec, cone, side="both"):
     """Classify every node of a grid field; see the module docstring."""
@@ -213,7 +207,6 @@ class KeyLemmaReport:
     a: float
     passed: bool               # given a certifies all non-collar testable nodes
     min_a: float | None        # smallest sufficient a found by bisection
-    distance_metric: str
     testable: int
     excluded_bound: int        # nodes dropped by the |w_eps| + |w(xi_*)| <= M cut
     coverage: float            # passing fraction of all testable nodes at a
@@ -223,8 +216,7 @@ class KeyLemmaReport:
     worst: dict | None = None
 
 
-def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super",
-                          distance_metric="euclidean", max_a=1e6):
+def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super"):
     """Certify the identity-shift bound for an envelope regularization.
 
     Builds the eps-envelope of ``w`` (lower for mode 'super', upper for
@@ -236,8 +228,6 @@ def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super",
     """
     if mode not in ("super", "sub"):
         raise ValueError(f"mode must be 'super' or 'sub', got {mode!r}")
-    if distance_metric not in ("euclidean", "gauge"):
-        raise ValueError("distance_metric must be 'euclidean' or 'gauge'")
     if eps <= 0 or a < 0 or M <= 0:
         raise ValueError("need eps > 0, a >= 0, M > 0")
     env = lower_envelope(w, eps) if mode == "super" else upper_envelope(w, eps)
@@ -257,10 +247,7 @@ def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super",
     wit = env.witness[op.inner].reshape(-1)
     wit_coords = src_coords[wit]
     d4 = gauge_quartic(coords, wit_coords, n)
-    if distance_metric == "euclidean":
-        dist = np.sqrt(np.square(coords - wit_coords).sum(axis=1))
-    else:
-        dist = d4**0.25
+    dist = np.sqrt(np.square(coords - wit_coords).sum(axis=1))
     grad_sq = sum(q * q for q in p).reshape(K)
     shift0 = (dist + d4 / eps) * grad_sq ** (spec.m / 2.0)
 
@@ -293,6 +280,7 @@ def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super",
 
     # bisection for the smallest sufficient a over the non-collar interior
     min_a = None
+    max_a = 1e6   # ceiling of the doubling search
     if holds(0.0):
         min_a = 0.0
     else:
@@ -333,7 +321,6 @@ def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super",
         a=float(a),
         passed=interior_fail == 0,
         min_a=min_a,
-        distance_metric=distance_metric,
         testable=int(keep.size),
         excluded_bound=excluded,
         coverage=coverage,

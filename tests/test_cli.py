@@ -116,13 +116,14 @@ def test_envelope_rejects_zero_eps(capsys, tmp_path):
     assert "eps" in err
 
 
-@pytest.mark.parametrize("index", ["0,0,0", "3,3,-1", "9,3,3"],
-                         ids=["repeated", "negative", "too_large"])
+@pytest.mark.parametrize("index", ["0,0,0", "3,3,-1", "9,3,3", "0,0,1,5.0,7.0,-9.0"],
+                         ids=["repeated", "negative", "too_large", "off_lattice"])
 def test_envelope_rejects_bad_grid_index(capsys, tmp_path, index):
     src = tmp_path / "spike.csv"
     spike_csv(src)
     lines = src.read_text().splitlines()
-    lines[5] = index + "," + lines[5].split(",", 3)[3]   # data row 2, node (0, 0, 1)
+    k = index.count(",") + 1
+    lines[5] = index + "," + lines[5].split(",", k)[k]   # data row 2, node (0, 0, 1)
     src.write_text("\n".join(lines) + "\n")
     code, _, err = run(
         capsys, "envelope", "--input", str(src), "--eps", "0.5", "--out-dir", str(tmp_path)
@@ -292,6 +293,29 @@ def test_config_supplies_defaults_and_flags_win(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["seed"] == 13
     assert rep["checks"][0]["checked"] == 200
+
+
+def test_config_supplies_required_flags(capsys, tmp_path):
+    src = tmp_path / "spike.csv"
+    spike_csv(src)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(src), "eps": 0.25, "out-dir": str(tmp_path / "out")}))
+    code, out, err = run(capsys, "envelope", "--config", str(cfg))
+    assert code == 0, err
+    report = json.loads((tmp_path / "out" / "field_report.json").read_text())
+    assert report["eps"] == 0.25
+    assert report["passed"] is True
+
+
+def test_abbreviated_flag_beats_config(capsys, tmp_path):
+    src = tmp_path / "spike.csv"
+    spike_csv(src)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 5.0}))
+    code, _, err = run(capsys, "envelope", "--config", str(cfg), "--input", str(src),
+                       "--ep", "0.5", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert json.loads((tmp_path / "field_report.json").read_text())["eps"] == 0.5
 
 
 def test_config_rejects_unknown_key(capsys, tmp_path):

@@ -172,7 +172,7 @@ def margin_nodes():
 def test_margin_zero_mu_passes_exactly(margin_nodes):
     psi = parse_field("x1", 1)
     p = good_params(mu=0.0, k0=0.0)
-    rep = lemma35_margin(psi, p, conformal_operator_spec(), Domain(BOX1), margin_nodes)
+    rep = lemma35_margin(psi, p, conformal_operator_spec(), margin_nodes)
     assert rep.passed
     assert rep.min_margin == 0.0
     assert rep.max_margin == 0.0
@@ -182,7 +182,7 @@ def test_margin_zero_mu_passes_exactly(margin_nodes):
 def test_margin_linear_field_yields_positive_coupling(margin_nodes):
     psi = parse_field("x1", 1)
     p = good_params()
-    rep = lemma35_margin(psi, p, conformal_operator_spec(), Domain(BOX1), margin_nodes)
+    rep = lemma35_margin(psi, p, conformal_operator_spec(), margin_nodes)
     assert rep.passed
     assert rep.min_margin > 0.0
     assert 0.35 < rep.k0_max < 0.45
@@ -190,11 +190,11 @@ def test_margin_linear_field_yields_positive_coupling(margin_nodes):
 
     at_max = dataclasses.replace(p, K0=0.9 * rep.k0_max)
     assert lemma35_margin(
-        psi, at_max, conformal_operator_spec(), Domain(BOX1), margin_nodes
+        psi, at_max, conformal_operator_spec(), margin_nodes
     ).passed
     beyond = dataclasses.replace(p, K0=1.1 * rep.k0_max)
     assert not lemma35_margin(
-        psi, beyond, conformal_operator_spec(), Domain(BOX1), margin_nodes
+        psi, beyond, conformal_operator_spec(), margin_nodes
     ).passed
 
 
@@ -202,7 +202,7 @@ def test_margin_mirrored_for_lowered_field(margin_nodes):
     psi = parse_field("x1", 1)
     p = good_params()
     rep = lemma35_margin(
-        psi, p, conformal_operator_spec(), Domain(BOX1), margin_nodes, mode="down"
+        psi, p, conformal_operator_spec(), margin_nodes, mode="down"
     )
     assert rep.passed
     assert rep.min_margin > 0.0
@@ -212,7 +212,7 @@ def test_margin_mirrored_for_lowered_field(margin_nodes):
 def test_margin_polynomial_field(margin_nodes):
     psi = parse_field("0.2*x1*x1 - 0.15*y1 + 0.1*x1*t", 1)
     p = good_params()
-    rep = lemma35_margin(psi, p, conformal_operator_spec(), Domain(BOX1), margin_nodes)
+    rep = lemma35_margin(psi, p, conformal_operator_spec(), margin_nodes)
     assert rep.passed
     assert rep.k0_max > 0.1
     assert rep.excluded_count == 0
@@ -225,7 +225,7 @@ def test_margin_coupling_grows_as_mu_shrinks(margin_nodes):
     k0s = []
     for frac in (0.9, 0.45, 0.1):
         p = good_params(mu=frac * MU0)
-        k0s.append(lemma35_margin(psi, p, spec, Domain(BOX1), nodes).k0_max)
+        k0s.append(lemma35_margin(psi, p, spec, nodes).k0_max)
     assert k0s[0] <= k0s[1] + 1e-12 <= k0s[2] + 2e-12
 
 
@@ -234,7 +234,7 @@ def test_margin_empty_region_is_an_error():
     p = good_params()
     far = np.array([[0.9, 0.0, 0.0], [0.95, 0.2, -0.1]])
     with pytest.raises(ValueError, match="admissible"):
-        lemma35_margin(psi, p, conformal_operator_spec(), Domain(BOX1), far)
+        lemma35_margin(psi, p, conformal_operator_spec(), far)
 
 
 def test_margin_rejects_unknown_mode(margin_nodes):
@@ -243,7 +243,6 @@ def test_margin_rejects_unknown_mode(margin_nodes):
             parse_field("x1", 1),
             good_params(),
             conformal_operator_spec(),
-            Domain(BOX1),
             margin_nodes,
             mode="sideways",
         )

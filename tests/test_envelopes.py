@@ -177,6 +177,35 @@ def test_semiconvexity_bound_scales_with_eps():
     assert r2.kernel_constant <= r1.kernel_constant * (1.0 + 1e-12)
 
 
+def _kernel_sup_reference(r):
+    """The all-pairs scan check_semiconvexity once ran, one source row at a time."""
+    n = r.out.n
+    coords = r.out.coords_full().reshape(-1, 2 * n + 1)
+    window = r.eps * (r.source_max - r.source_min)
+    z_eta_sq = np.square(coords[:, : 2 * n]).sum(axis=1)
+    best = 0.0
+    for xi in coords:
+        dz = xi[None, : 2 * n] - coords[:, : 2 * n]
+        zs = np.square(dz).sum(axis=-1)
+        val = 12.0 * zs + 2.0 * (1.0 + 4.0 * z_eta_sq)
+        val[gauge_quartic(xi[None, :], coords, n) > window] = -np.inf
+        best = max(best, float(val.max()))
+    return best
+
+
+def test_recorded_kernel_constant_matches_all_pairs_scan():
+    kinked = sample(parse_field("max(x1, 0.0 - t) + 0.3*y1", 1), Domain(BOX1), 9)
+    box2 = np.array([[-1.0, 1.0]] * 5)
+    wavy = sample(parse_field("min(x1*y2, t) + 0.2*x2 - 0.4*y1*y1", 2), Domain(box2), 5)
+    for v in (kinked, wavy):
+        for eps in (5.0, 0.05):
+            for env in (upper_envelope, lower_envelope):
+                r = env(v, eps)
+                ref = _kernel_sup_reference(r)
+                assert r.kernel_sup == ref
+                assert check_semiconvexity(r).kernel_constant == 1.1 * ref
+
+
 def test_witness_bound_and_exact_optimality():
     for v in (spike_field(), smooth_field()):
         for mode, env in (("upper", upper_envelope), ("lower", lower_envelope)):

@@ -117,10 +117,15 @@ def test_grid_csv_rejects_malformed(tmp_path):
 
 
 def csv_with_index(index, tmp_path):
-    """A 3x3x3 grid CSV whose second data row (file line 6) has ``index``."""
+    """A 3x3x3 grid CSV whose second data row (file line 6) starts with ``index``.
+
+    ``index`` replaces as many leading columns as it holds: the node index,
+    optionally followed by coordinates.
+    """
     lines = grid_csv_text(random_grid(res=(3, 3, 3))).splitlines()
     assert lines[5].startswith("0,0,1,")
-    lines[5] = index + "," + lines[5].split(",", 3)[3]
+    k = index.count(",") + 1
+    lines[5] = index + "," + lines[5].split(",", k)[k]
     p = tmp_path / "bad_index.csv"
     p.write_text("\n".join(lines) + "\n")
     return p
@@ -132,11 +137,13 @@ def csv_with_index(index, tmp_path):
         ("0,0,0", r"data row 2: node \(0, 0, 0\) appears twice"),
         ("0,0,-1", r"data row 2: index \(0, 0, -1\) is outside res \(3, 3, 3\)"),
         ("0,3,1", r"data row 2: index \(0, 3, 1\) is outside res \(3, 3, 3\)"),
+        ("0,0,1,5.0,7.0,-9.0", r"data row 2: coordinates \(5.0, 7.0, -9.0\) are off "
+                               r"the lattice node \(0, 0, 1\) at \(-1.0, -1.0, 0.0\)"),
     ],
-    ids=["repeated", "negative", "too_large"],
+    ids=["repeated", "negative", "too_large", "off_lattice"],
 )
 def test_grid_csv_rejects_bad_index(tmp_path, index, message):
-    # each leaves a node unset or writes outside the lattice
+    # each leaves a node unset, writes outside the lattice or misplaces a node
     with pytest.raises(ValueError, match=message):
         read_grid_csv(csv_with_index(index, tmp_path))
 

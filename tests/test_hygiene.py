@@ -1,10 +1,17 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no function
+keeps a local or (at module level) a parameter it never reads."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/heisvisc", "tests", "scripts")
+# unread locals and parameters are looked for in the program only: test
+# functions take pytest fixtures they need for their side effects
+PROGRAM = ("src/heisvisc", "scripts")
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = _FUNCTIONS + (ast.Lambda, ast.ClassDef, ast.ListComp, ast.SetComp,
+                        ast.DictComp, ast.GeneratorExp)
 
 
 def unused_imports(path):
@@ -31,6 +38,58 @@ def unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _own_scope(fn):
+    """Nodes of a function body, not descending into nested scopes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _reads(nodes):
+    """Names a set of statements reads; ``del x`` and ``x += ...`` count."""
+    read = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Load, ast.Del)):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+    return read
+
+
+def unread_names(path):
+    """(line, name) of each function local assigned but never read, and of
+    each parameter of a module-level function that its body never reads.
+
+    Names starting with an underscore are exempt, and so are the parameters
+    of methods, which keep the signature their class shares.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, _FUNCTIONS):
+            continue
+        read = _reads(fn.body)
+        own = list(_own_scope(fn))
+        declared = {name for node in own if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for name in node.names}
+        found |= {(node.lineno, node.id) for node in own
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                  and node.id not in read | declared and not node.id.startswith("_")}
+    for fn in tree.body:
+        if isinstance(fn, _FUNCTIONS):
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = _reads(fn.body)
+            found |= {(a.lineno, a.arg) for a in params
+                      if a.arg not in read and not a.arg.startswith("_")}
+    return sorted(found)
+
+
 def test_no_unused_imports():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
@@ -48,3 +107,39 @@ def test_scan_sees_unused_and_exported_names(tmp_path):
         "__all__ = ['dumps']\nnumpy.linalg.norm\n"
     )
     assert unused_imports(src) == [(1, "os"), (3, "ld")]
+
+
+def test_no_unread_locals_or_parameters():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for top in PROGRAM
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for line, name in unread_names(path)
+    ]
+    assert not found, "names assigned or passed but never read:\n" + "\n".join(found)
+
+
+def test_scan_sees_unread_locals_and_parameters(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def f(a, b, *rest, c=1, _d=2, **kw):\n"        # 1: b, rest, c, kw unread
+        "    x, y = a, 0\n"                              # 2: y unread
+        "    for i, _ in enumerate(x):\n"                # 3: i unread
+        "        z = [k for k in x]\n"                   # 4: z unread
+        "    total = 0\n"
+        "    total += 1\n"
+        "    gone = 1\n"
+        "    del gone\n"
+        "    def inner(p):\n"                            # nested: p is exempt
+        "        w = x\n"                                # 10: w unread
+        "        return total\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def method(self, unused):\n"                # methods are exempt
+        "        kept = 1\n"                             # 15: kept unread
+        "        return self\n"
+    )
+    assert unread_names(src) == [
+        (1, "b"), (1, "c"), (1, "kw"), (1, "rest"), (2, "y"), (3, "i"), (4, "z"),
+        (10, "w"), (15, "kept"),
+    ]

@@ -13,12 +13,17 @@ from heisvisc.perron import (
     solve,
     uniqueness_gap,
 )
-from heisvisc.viscosity import classify_grid
+from heisvisc.viscosity import TAG_NAMES, classify_grid
 
 BOX1 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
 ZERO = OperatorSpec(0.0, 0.0, 0.0)
 TRACE = ConeSpec("trace")
 X1 = parse_field("x1", 1)
+
+
+def tags_of_testable(cls):
+    """Names of the tags a classification gives its testable nodes."""
+    return {TAG_NAMES[c] for c in np.unique(cls.tags)} - {"Untestable"}
 
 
 def linear_problem(r=11, scale=0.3, shift=0.0, n=1):
@@ -39,7 +44,7 @@ def test_max_of_subsolutions_stays_subsolution():
     b = sample(parse_field("0.5*(x1*x1 + y1*y1) + x1", 1), dom, res)
     merged = GridField(1, BOX1, np.maximum(a.values, b.values))
     cls = classify_grid(merged, ZERO, TRACE, side="sub")
-    assert cls.all_testable_are("SubOK")
+    assert tags_of_testable(cls) == {"SubOK"}
 
 
 # -- bracket construction ------------------------------------------------------
