@@ -65,12 +65,13 @@ def main(argv=None):
     failed = False
     for tag, v in fixtures().items():
         for mode, build in (("upper", upper_envelope), ("lower", lower_envelope)):
-            r = build(v, eps_list[len(eps_list) // 2])
+            results = [build(v, eps) for eps in eps_list]
+            r = results[len(eps_list) // 2]
             write_grid_csv(r.out, out / f"{tag}_{mode}_envelope.csv")
             write_witness_csv(r, out / f"{tag}_{mode}_witness.csv")
             wit = check_witness_bound(r, v)
             semi = check_semiconvexity(r)
-            mono = check_monotone_convergence(v, eps_list, mode=mode)
+            mono = check_monotone_convergence(results, v)
             ok = wit.passed and semi.passed and mono.passed
             failed = failed or not ok
             print(f"{tag:9s} {mode:5s} eps {r.eps:4.2f}  witness {wit.passed}  "

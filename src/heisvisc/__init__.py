@@ -2,12 +2,12 @@
 
 Layout:
 
-- ``core``        group arithmetic, gauge metric, horizontal calculus
+- ``core``        group arithmetic, gauge metric, horizontal calculus on flat coordinate arrays
 - ``fields``      analytic scalar fields (parsed expressions with exact jets) and grid fields
 - ``operators``   the nonlinear operator family, conformal variants, structural checks
-- ``cones``       admissible eigenvalue cones and membership classification
+- ``cones``       admissible eigenvalue cones; classification of matrix stacks; axiom sampler
 - ``envelopes``   gauge-quartic sup/inf convolutions with witnesses
-- ``viscosity``   pointwise sub/supersolution tagging and perturbation certificates
+- ``viscosity``   the grid operator, grid sub/supersolution classification, envelope-shift certificate
 - ``comparison``  strictness perturbations and the touching-point harness
 - ``perron``      monotone clamped iteration between sub- and supersolution data
 - ``gridio``      CSV grid interchange and problem JSON loading

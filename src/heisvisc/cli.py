@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .comparison import touching_harness
-from .core import Point, dist, gauge, group_inv, group_mul
+from .core import dist, gauge, group_inv, group_mul
 from .envelopes import (
     check_semiconvexity,
     check_witness_bound,
@@ -55,7 +55,9 @@ def _parse_point(text, n=None):
         raise ValueError(f"point needs 2n+1 coordinates, got {coords.size}")
     if n is not None and coords.size != 2 * n + 1:
         raise ValueError(f"point {text!r} has {coords.size} coordinates, expected {2 * n + 1}")
-    return Point.from_coords(coords)
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("point coordinates must be finite")
+    return coords
 
 
 def _out_dir(args):
@@ -70,22 +72,22 @@ def _out_dir(args):
 
 def cmd_gauge(args):
     p = _parse_point(args.point, args.n)
-    _print_json({"point": list(p.coords()), "gauge": gauge(p)})
+    _print_json({"point": p.tolist(), "gauge": float(gauge(p))})
     return 0
 
 
 def cmd_group(args):
     a = _parse_point(args.a)
     if args.op == "inv":
-        _print_json({"op": "inv", "result": list(group_inv(a).coords())})
+        _print_json({"op": "inv", "result": group_inv(a).tolist()})
         return 0
     if args.b is None:
         raise ValueError(f"group {args.op} needs --b")
-    b = _parse_point(args.b, n=a.n)
+    b = _parse_point(args.b, n=(a.size - 1) // 2)
     if args.op == "mul":
-        _print_json({"op": "mul", "result": list(group_mul(a, b).coords())})
+        _print_json({"op": "mul", "result": group_mul(a, b).tolist()})
     else:
-        _print_json({"op": "dist", "result": dist(a, b)})
+        _print_json({"op": "dist", "result": float(dist(a, b))})
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import Point, horizontal_gradient
+from .core import horizontal_gradient
 from .fields import AnalyticField, Const, exp_of, z_norm_sq
 from .operators import eval_F
 from .viscosity import classify_grid
@@ -141,10 +141,9 @@ def _margin_matrices(psi, p, spec, nodes, mode):
     sign = 1.0 if mode == "up" else -1.0
     A = []
     B = []
-    for coords in nodes:
-        xi = Point.from_coords(coords)
-        jet = psi.jet2(coords)
-        jet_t = tilde.jet2(coords)
+    for xi in nodes:
+        jet = psi.jet2(xi)
+        jet_t = tilde.jet2(xi)
         weight = 1.0 - sign * p.mu * p.beta * math.exp(-p.beta * jet.value)
         base = sign * (eval_F(spec, jet_t, xi) - weight * eval_F(spec, jet, xi))
         g = horizontal_gradient(jet, xi)

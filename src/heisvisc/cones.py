@@ -7,24 +7,26 @@ outside, zero on the boundary.  Four families are supported:
 * ``trace``    -- rho = tr M (half-space of nonnegative-trace matrices),
 * ``posdef``   -- rho = smallest eigenvalue (positive-semidefinite matrices),
 * ``sigma_k``  -- rho built from the first k elementary symmetric functions
-  of the eigenvalues (see :func:`defining_value`); positively 1-homogeneous,
+  of the eigenvalues (see :func:`values_from_eigenvalues`); positively
+  1-homogeneous,
 * ``spectral`` -- rho = g(l1, ..., ld), a user expression in the ascending
   eigenvalues.
 
-Classification into Interior / Exterior / Boundary uses a symmetric band
-around rho = 0 of width ``tol * (1 + ||M||_F)``: values inside the band are
-Boundary.  Every eigenvalue comes from :func:`spectrum`: the closed form for
-2 x 2 matrices and LAPACK's ``eigvalsh`` otherwise.  It takes matrices entry
-by entry, which is how the grid operator holds them; the stack functions
-(``*_batch``) check symmetry and pass an entry view, and the single-matrix
-functions are the stack functions on a stack of one.
+Classification codes are +1 (Interior), -1 (Exterior) and 0 (Boundary),
+with a symmetric band around rho = 0 of width ``tol * (1 + ||M||_F)``:
+values inside the band are Boundary.  Every eigenvalue comes from
+:func:`spectrum`: the closed form for 2 x 2 matrices and LAPACK's
+``eigvalsh`` otherwise.  It takes matrices entry by entry, which is how the
+grid operator holds them.  The public matrix functions take a stack of
+shape (N, d, d), check each matrix's symmetry and pass its entry view; a
+single matrix is a stack of one.
 
 :func:`check_axioms` samples the structural axioms a constraint set must
 satisfy for the comparison machinery (stability under positive-definite
 shifts, invariance under positive scaling, and the one-sided scaling
 variants) and reports violations with witnesses.  Sampling is batched: all
 starts march to the interior together and each condition is classified in
-one :func:`classify_batch` call.  The seeded stream is still drawn in the
+one :func:`classify` call.  The seeded stream is still drawn in the
 order of a one-sample-at-a-time loop, which the golden cones reports pin;
 samples that never reach the interior are found by rewinding the stream
 and redrawing up to them.
@@ -32,20 +34,14 @@ and redrawing up to them.
 
 from __future__ import annotations
 
-import enum
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import Node, parse_expr
 from .rng import stream
-
-class Region(enum.Enum):
-    INTERIOR = "Interior"
-    EXTERIOR = "Exterior"
-    BOUNDARY = "Boundary"
-
 
 def _check_symmetric(M):
     """Validate square matrices and return them exactly symmetrised.
@@ -75,14 +71,6 @@ def _stack(Ms):
     return Ms.transpose(1, 2, 0)
 
 
-def _single(M):
-    """One d x d matrix as a stack of one, so it takes the batch path."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"expected a single d x d matrix, got shape {M.shape}")
-    return M[None]
-
-
 def spectrum(F):
     """Ascending eigenvalues of symmetric matrices held entry by entry.
 
@@ -103,14 +91,9 @@ def spectrum(F):
     return np.linalg.eigvalsh(np.moveaxis(F, (0, 1), (-2, -1)))
 
 
-def eigenvalues_batch(Ms):
+def eigenvalues(Ms):
     """Eigenvalues of a stack of symmetric matrices, shape (N, d) ascending."""
     return spectrum(_stack(Ms))
-
-
-def eigenvalues(M):
-    """Eigenvalues of one symmetric matrix, ascending (batch path)."""
-    return eigenvalues_batch(_single(M))[0]
 
 
 def elementary_symmetric(lams, k):
@@ -170,9 +153,11 @@ class ConeSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
         if self.family == "sigma_k":
-            if self.k is None or int(self.k) < 1:
-                raise ValueError("sigma_k family needs an integer k >= 1")
-            object.__setattr__(self, "k", int(self.k))
+            k = self.k
+            integral = isinstance(k, numbers.Integral) or (isinstance(k, float) and k.is_integer())
+            if isinstance(k, bool) or not integral or k < 1:
+                raise ValueError(f"cone.k must be an integer >= 1 for sigma_k, got {k!r}")
+            object.__setattr__(self, "k", int(k))
         if self.family == "spectral" and self.g is None:
             raise ValueError("spectral family needs an expression g in l1..ld")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
@@ -235,25 +220,10 @@ def band_from_entries(spec, F):
     return spec.tol * (1.0 + np.sqrt(sq))
 
 
-_REGIONS = {1: Region.INTERIOR, -1: Region.EXTERIOR, 0: Region.BOUNDARY}
-
-
-def defining_value(spec, M):
-    """Scalar rho(M): positive inside the set, negative outside.
-
-    The batch path on a stack of one, so the two always agree bit for bit.
-    """
-    return float(defining_value_batch(spec, _single(M))[0])
-
-
-def defining_value_batch(spec, Ms):
-    """Defining values rho of a stack of symmetric matrices, shape (N,)."""
+def defining_value(spec, Ms):
+    """Defining values rho of a stack of symmetric matrices, shape (N,):
+    positive inside the set, negative outside."""
     return values_from_entries(spec, _stack(Ms))
-
-
-def classify(spec, M):
-    """Classify one matrix into Interior / Exterior / Boundary (batch path)."""
-    return _REGIONS[int(classify_batch(spec, _single(M))[0])]
 
 
 def codes_from_values(rho, band):
@@ -274,8 +244,8 @@ def band_from_eigenvalues(spec, lams):
     return spec.tol * (1.0 + np.sqrt(np.square(lams).sum(axis=-1)))
 
 
-def classify_batch(spec, Ms):
-    """Vector classification; returns int8 codes (see codes_from_values)."""
+def classify(spec, Ms):
+    """Classification codes of a stack of symmetric matrices, int8 shape (N,)."""
     F = _stack(Ms)
     return codes_from_values(values_from_entries(spec, F), band_from_entries(spec, F))
 
@@ -345,6 +315,7 @@ _AXIOM_NAMES = (
 
 
 _SHIFT, _SCALE, _SHRINK, _EXPAND = _AXIOM_NAMES
+_REGION_NAMES = {1: "Interior", -1: "Exterior", 0: "Boundary"}
 _INTERIOR_TRIES = 80
 _FIRST_CHUNK = 64
 
@@ -369,7 +340,7 @@ def _march_to_interior(spec, W, scale, margin):
             break
         X = A[active]
         frob = np.sqrt(np.sum((X * X).reshape(active.size, -1), axis=1))
-        hit = defining_value_batch(spec, X) > margin * (1.0 + frob)
+        hit = defining_value(spec, X) > margin * (1.0 + frob)
         inside[active[hit]] = True
         active = active[~hit]
         A[active] += step * eye
@@ -475,7 +446,7 @@ def check_axioms(spec, plan, conditions=_AXIOM_NAMES):
             key, M = "B", A + np.stack(params)
         else:
             key, M = "c", np.array(params)[:, None, None] * A
-        codes = classify_batch(spec, M)
+        codes = classify(spec, M)
         bad = np.flatnonzero(codes != 1)
         cond.violations = int(bad.size)
         if bad.size:
@@ -483,7 +454,7 @@ def check_axioms(spec, plan, conditions=_AXIOM_NAMES):
             param = params[i].tolist() if name == _SHIFT else params[i]
             cond.witness = {
                 "A": A[i].tolist(), key: param, "tested": M[i].tolist(),
-                "classification": _REGIONS[int(codes[i])].value,
+                "classification": _REGION_NAMES[int(codes[i])],
             }
     ordered = [checks[name] for name in conditions]
     passed = all(c.passed for c in ordered) and skipped < plan.count

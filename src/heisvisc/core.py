@@ -23,8 +23,11 @@ where the entry at (row i, col j) is V_j V_i u and J is the block matrix
 [[0, I], [-I, 0]].  Only the antisymmetric part 4 (du/dt) J depends on the
 frame ordering; the symmetrized Hessian is B H B^T.
 
-Flat coordinate layout used throughout: length 2n+1 vectors ordered
-(x_1..x_n, y_1..y_n, t).  Array-level helpers broadcast over leading axes.
+Every point is a flat coordinate array: its last axis has length 2n+1,
+ordered (x_1..x_n, y_1..y_n, t), and n is read from that length.  The
+group functions broadcast over the leading axes, so one call handles one
+point or a whole sample; two-point functions refuse operands of different
+n.  The calculus functions take one base point and a :class:`Jet2`.
 """
 
 from dataclasses import dataclass
@@ -32,78 +35,45 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Point",
     "Jet2",
     "group_mul",
     "group_inv",
     "gauge",
     "dist",
     "dilate",
+    "left_difference",
     "frame_t_coefficients",
     "frame_matrix",
     "j_matrix",
     "horizontal_gradient",
     "heis_hessian",
     "heis_hessian_sym",
-    "mul_coords",
-    "left_difference",
-    "gauge_coords",
-    "dist_coords",
 ]
 
 
-@dataclass(frozen=True)
-class Point:
-    """A group element with first-layer coordinates x, y in R^n and center t."""
-
-    x: np.ndarray
-    y: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-            raise ValueError("x and y must be 1-d arrays of equal length")
-        t = float(self.t)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.isfinite(t)):
-            raise ValueError("point coordinates must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "t", t)
-
-    @property
-    def n(self):
-        return self.x.shape[0]
-
-    def coords(self):
-        """Flat coordinate vector (x_1..x_n, y_1..y_n, t)."""
-        return np.concatenate([self.x, self.y, [self.t]])
-
-    @classmethod
-    def from_coords(cls, coords, n=None):
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 1 or coords.shape[0] % 2 != 1:
-            raise ValueError("flat coordinates must be a 1-d vector of odd length")
-        if n is None:
-            n = (coords.shape[0] - 1) // 2
-        if coords.shape[0] != 2 * n + 1:
-            raise ValueError(f"expected {2 * n + 1} coordinates, got {coords.shape[0]}")
-        return cls(coords[:n], coords[n : 2 * n], coords[2 * n])
+def _flat(coords):
+    """Float array of flat coordinates and the n its last axis holds."""
+    coords = np.asarray(coords, dtype=float)
+    d = coords.shape[-1] if coords.ndim else 0
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"flat coordinates need 2n+1 >= 3 entries on the last axis, got {d}")
+    return coords, (d - 1) // 2
 
 
-def _check_same_n(a, b):
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: n={a.n} vs n={b.n}")
+def _pair(a, b):
+    a, n = _flat(a)
+    b, m = _flat(b)
+    if n != m:
+        raise ValueError(f"dimension mismatch: n={n} vs n={m}")
+    return a, b, n
 
 
-# -- array-level group operations (flat layout, broadcasting over leading axes)
+# -- group operations
 
 
-def mul_coords(a, b, n):
-    """Group product of flat coordinate arrays, broadcasting elementwise."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def group_mul(a, b):
+    """Group product a o b."""
+    a, b, n = _pair(a, b)
     ax, ay, at = a[..., :n], a[..., n : 2 * n], a[..., 2 * n]
     bx, by, bt = b[..., :n], b[..., n : 2 * n], b[..., 2 * n]
     twist = 2.0 * np.sum(ay * bx - ax * by, axis=-1)
@@ -114,15 +84,19 @@ def mul_coords(a, b, n):
     return out
 
 
-def left_difference(eta, xi, n):
-    """Flat coordinates of eta^-1 o xi, broadcasting over leading axes.
+def group_inv(a):
+    """Group inverse -a."""
+    return -_flat(a)[0]
+
+
+def left_difference(eta, xi):
+    """eta^-1 o xi.
 
     Expanding the product gives
     (x - x', y - y', t - t' + 2 sum_i (x'_i y_i - y'_i x_i))
     with (x, y, t) = xi and (x', y', t') = eta.
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
+    eta, xi, n = _pair(eta, xi)
     dx = xi[..., :n] - eta[..., :n]
     dy = xi[..., n : 2 * n] - eta[..., n : 2 * n]
     twist = 2.0 * np.sum(
@@ -135,47 +109,26 @@ def left_difference(eta, xi, n):
     return out
 
 
-def gauge_coords(coords, n):
-    """Homogeneous gauge (|z|^4 + t^2)^(1/4) of flat coordinate arrays."""
-    coords = np.asarray(coords, dtype=float)
-    z2 = np.sum(coords[..., : 2 * n] ** 2, axis=-1)
-    return (z2 * z2 + coords[..., 2 * n] ** 2) ** 0.25
-
-
-def dist_coords(a, b, n):
-    """Gauge distance between flat coordinate arrays."""
-    return gauge_coords(left_difference(b, a, n), n)
-
-
-# -- Point-level wrappers
-
-
-def group_mul(a, b):
-    """Group product a o b."""
-    _check_same_n(a, b)
-    return Point.from_coords(mul_coords(a.coords(), b.coords(), a.n), a.n)
-
-
-def group_inv(a):
-    """Group inverse of a."""
-    return Point.from_coords(-a.coords(), a.n)
-
-
-def gauge(p):
-    """Homogeneous gauge of p."""
-    return float(gauge_coords(p.coords(), p.n))
+def gauge(a):
+    """Homogeneous gauge (|z|^4 + t^2)^(1/4)."""
+    a, n = _flat(a)
+    z2 = np.sum(a[..., : 2 * n] ** 2, axis=-1)
+    return (z2 * z2 + a[..., 2 * n] ** 2) ** 0.25
 
 
 def dist(a, b):
     """Left-invariant gauge distance gauge(b^-1 o a); symmetric in a, b."""
-    _check_same_n(a, b)
-    return float(dist_coords(a.coords(), b.coords(), a.n))
+    return gauge(left_difference(b, a))
 
 
-def dilate(lam, p):
-    """Anisotropic dilation (lam x, lam y, lam^2 t)."""
-    lam = float(lam)
-    return Point(lam * p.x, lam * p.y, lam * lam * p.t)
+def dilate(lam, a):
+    """Anisotropic dilation (lam x, lam y, lam^2 t); ``lam`` broadcasts
+    against the leading axes of ``a``."""
+    a, n = _flat(a)
+    lam = np.asarray(lam, dtype=float)[..., None]
+    out = lam * a
+    out[..., 2 * n] = (lam * lam)[..., 0] * a[..., 2 * n]
+    return out
 
 
 # -- horizontal calculus from Euclidean second-order jets
@@ -226,51 +179,47 @@ def j_matrix(n):
     return J
 
 
-def frame_t_coefficients(coords, n):
+def frame_t_coefficients(coords):
     """The d/dt coefficients c = (2 y_1..2 y_n, -2 x_1..-2 x_n) of the frame.
 
-    ``coords`` holds flat coordinates on its last axis (leading axes
-    broadcast); the result has 2n entries on its last axis.  This is the
-    last column of :func:`frame_matrix`.
+    The result has 2n entries on its last axis.  This is the last column
+    of :func:`frame_matrix`.
     """
-    coords = np.asarray(coords, dtype=float)
+    coords, n = _flat(coords)
     return np.concatenate([2.0 * coords[..., n : 2 * n], -2.0 * coords[..., :n]], axis=-1)
 
 
 def frame_matrix(at):
-    """Coefficients of the horizontal frame in Euclidean coordinates at a point.
+    """Coefficients of the horizontal frame in Euclidean coordinates.
 
     Row i < n carries X_{i+1} = e_{x_{i+1}} + 2 y_{i+1} e_t and row n + i
-    carries Y_{i+1} = e_{y_{i+1}} - 2 x_{i+1} e_t; shape (2n, 2n+1).
+    carries Y_{i+1} = e_{y_{i+1}} - 2 x_{i+1} e_t; shape (..., 2n, 2n+1).
     """
-    n = at.n
-    B = np.zeros((2 * n, 2 * n + 1))
-    B[:, : 2 * n] = np.eye(2 * n)
-    B[:, 2 * n] = frame_t_coefficients(at.coords(), n)
+    at, n = _flat(at)
+    B = np.zeros(at.shape[:-1] + (2 * n, 2 * n + 1))
+    B[..., : 2 * n] = np.eye(2 * n)
+    B[..., 2 * n] = frame_t_coefficients(at)
     return B
 
 
-def _check_jet_point(jet, at):
-    if jet.n != at.n:
-        raise ValueError(f"dimension mismatch: jet n={jet.n} vs point n={at.n}")
+def _jet_frame(jet, at):
+    """Frame matrix at ``at``, checked against the jet's n."""
+    if np.shape(at) != (2 * jet.n + 1,):
+        raise ValueError(f"expected one point with {2 * jet.n + 1} coordinates, got shape {np.shape(at)}")
+    return frame_matrix(at)
 
 
 def horizontal_gradient(jet, at):
     """Frame derivatives (X_1 u .. X_n u, Y_1 u .. Y_n u) at the base point."""
-    _check_jet_point(jet, at)
-    return frame_matrix(at) @ jet.egrad
+    return _jet_frame(jet, at) @ jet.egrad
 
 
 def heis_hessian(jet, at):
     """Full horizontal Hessian; entry (i, j) is V_j V_i u in frame order."""
-    _check_jet_point(jet, at)
-    B = frame_matrix(at)
-    n = at.n
-    return B @ jet.ehess @ B.T + 2.0 * jet.egrad[2 * n] * j_matrix(n)
+    return heis_hessian_sym(jet, at) + 2.0 * jet.egrad[2 * jet.n] * j_matrix(jet.n)
 
 
 def heis_hessian_sym(jet, at):
     """Symmetrized horizontal Hessian B H B^T (the frame-order-free part)."""
-    _check_jet_point(jet, at)
-    B = frame_matrix(at)
+    B = _jet_frame(jet, at)
     return B @ jet.ehess @ B.T

@@ -160,16 +160,22 @@ class MonotoneReport:
     witness: dict | None = None
 
 
-def check_monotone_convergence(v, eps_list, mode="upper"):
+def check_monotone_convergence(results, v):
     """Monotonicity in eps, nodewise and in sup-deviation.
 
-    For decreasing eps the upper envelopes must decrease toward v (lower
-    envelopes increase), and the sup-norm deviation from v must shrink.
-    A wrongly ordered eps list fails with a witness instead of raising.
+    ``results`` are envelopes of the source field v, all of one mode, in
+    the order to compare.  For decreasing eps the upper envelopes must
+    decrease toward v (lower envelopes increase), and the sup-norm
+    deviation from v must shrink.  Results not in strictly decreasing eps
+    order fail with a witness instead of raising.
     """
-    eps_list = tuple(float(e) for e in eps_list)
-    if len(eps_list) < 2:
-        raise ValueError("need at least two eps values")
+    if len(results) < 2:
+        raise ValueError("need at least two envelopes")
+    modes = {r.mode for r in results}
+    if len(modes) != 1:
+        raise ValueError(f"envelopes of mixed modes {sorted(modes)}")
+    (mode,) = modes
+    eps_list = tuple(r.eps for r in results)
     for i in range(len(eps_list) - 1):
         if not eps_list[i] > eps_list[i + 1] > 0:
             return MonotoneReport(
@@ -182,7 +188,7 @@ def check_monotone_convergence(v, eps_list, mode="upper"):
                 deviation_violations=0,
                 witness={"index": i, "eps": eps_list[i], "eps_next": eps_list[i + 1]},
             )
-    outs = [_envelope(v, e, mode).out.values for e in eps_list]
+    outs = [r.out.values for r in results]
     deviations = tuple(float(np.abs(o - v.values).max()) for o in outs)
     point_bad = 0
     witness = None

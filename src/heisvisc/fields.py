@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Jet2, Point
+from .core import Jet2
 
 __all__ = [
     "ParseError",
@@ -499,16 +499,12 @@ class AnalyticField:
         return env
 
     def __call__(self, at, **extra):
-        if isinstance(at, Point):
-            at = at.coords()
         out = self.root.evaluate(self._env_from_coords(at, extra))
         out = np.asarray(out, dtype=float)
         return float(out) if out.ndim == 0 else out
 
     def jet_all(self, at, kink_tol=KINK_TOL, **extra):
         """Exact (value, gradient, Hessian) over all declared variables."""
-        if isinstance(at, Point):
-            at = at.coords()
         env = self._env_from_coords(at, extra)
         order = list(self.names)
         return self.root.jet(env, order, kink_tol)

@@ -191,11 +191,20 @@ def _need(data, key, path):
     return data[key]
 
 
+def _integer(value, path):
+    """A JSON integer; booleans and fractional numbers are refused, not truncated."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"problem JSON: {path} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _cone_from_json(data):
     family = _need(data, "family", "cone.family")
     kwargs = {}
     if "k" in data and data["k"] is not None:
-        kwargs["k"] = int(data["k"])
+        kwargs["k"] = data["k"]  # ConeSpec refuses a k that is not an integer
     if "g" in data and data["g"] is not None:
         kwargs["g"] = data["g"]
     if "tol" in data:
@@ -211,12 +220,13 @@ def problem_from_json(data, base=None):
     """
     base = Path(base) if base is not None else Path(".")
     dom = _need(data, "domain", "domain")
-    n = int(_need(dom, "n", "domain.n"))
+    n = _integer(_need(dom, "n", "domain.n"), "domain.n")
     box = np.asarray(_need(dom, "box", "domain.box"), dtype=float)
     d = 2 * n + 1
     if box.shape != (d, 2):
         raise ValueError(f"problem JSON: domain.box must be {d} [lo, hi] pairs")
-    res = tuple(int(r) for r in _need(data, "resolution", "resolution"))
+    res = tuple(_integer(r, f"resolution[{i}]")
+                for i, r in enumerate(_need(data, "resolution", "resolution")))
     if len(res) != d:
         raise ValueError(f"problem JSON: resolution must have {d} entries")
     spec = spec_from_json(_need(data, "operator", "operator"), n)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import eigenvalues_batch
-from .core import Point, heis_hessian_sym, horizontal_gradient, j_matrix
+from .cones import eigenvalues
+from .core import heis_hessian_sym, horizontal_gradient, j_matrix
 from .fields import AnalyticField, parse_field
 from .rng import stream
 
@@ -127,10 +127,6 @@ def _coeff_xi_gradient(c, coords, s):
     return g[: coords.shape[-1]]
 
 
-def _coords_of(xi):
-    return xi.coords() if isinstance(xi, Point) else np.asarray(xi, dtype=float)
-
-
 def apply_J(p):
     """Rotate a horizontal vector by J: (p_x, p_y) -> (p_y, -p_x) blockwise."""
     p = np.asarray(p, dtype=float)
@@ -142,7 +138,7 @@ def apply_J(p):
 
 def eval_L(spec, xi, s, p):
     """The gradient part alpha p(x)p - gamma Jp(x)Jp - beta |p|^2 I at one point."""
-    coords = _coords_of(xi)
+    coords = np.asarray(xi, dtype=float)
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.shape[0] + 1 != coords.shape[0]:
         raise ValueError("p must be a horizontal vector of length 2n")
@@ -171,7 +167,7 @@ def eval_A_u(u_jet, xi):
 
     Satisfies A^u = e^{2 psi} A[psi] for u = exp(-(Q-2) psi / 2), Q = 2n + 2.
     """
-    n = xi.n
+    n = u_jet.n
     u = u_jet.value
     if u <= 0:
         raise ValueError("eval_A_u requires a positive function value")
@@ -293,8 +289,8 @@ def grad_xi_L(spec, coords, s, p):
     return out
 
 
-def _min_eig_batch(mats):
-    return eigenvalues_batch(mats)[:, 0]
+def _min_eig(mats):
+    return eigenvalues(mats)[:, 0]
 
 
 def _witness(idx, coords, s1, s2, p, theta, margin):
@@ -384,11 +380,11 @@ def check_structural(spec, bounds, box, plan):
     # monotonicity and growth in s
     diff = L2 - L1
     diff_scale = np.abs(diff).reshape(N, -1).max(axis=1)
-    add("monotone_in_s", _min_eig_batch(diff), diff_scale, True)
+    add("monotone_in_s", _min_eig(diff), diff_scale, True)
     upper = (C * (s2 - s1) * pm)[:, None, None] * eye - diff
     add(
         "s_growth_bound",
-        _min_eig_batch(upper),
+        _min_eig(upper),
         diff_scale + C * (s2 - s1) * pm,
         True,
     )
@@ -421,13 +417,13 @@ def check_structural(spec, bounds, box, plan):
     ).max(axis=1)
     add(
         "euler_excess_upper_bound",
-        _min_eig_batch(rhs_up - (excess + theta_term - theta_eye)),
+        _min_eig(rhs_up - (excess + theta_term - theta_eye)),
         up_scale,
         branch == "positive",
     )
     add(
         "euler_excess_lower_bound",
-        _min_eig_batch((excess - theta_term + theta_eye) + rhs_up),
+        _min_eig((excess - theta_term + theta_eye) + rhs_up),
         up_scale,
         branch == "negative",
     )
@@ -442,19 +438,21 @@ def check_structural(spec, bounds, box, plan):
 
 
 def spec_from_json(data, n):
-    def parse_coeff(v):
-        if isinstance(v, (int, float)):
+    def parse_coeff(name, expression=True):
+        v = data[name]
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
             return float(v)
-        if isinstance(v, str):
+        if expression and isinstance(v, str):
             return parse_field(v, n, extra_vars=("s",))
-        raise ValueError(f"coefficient must be a number or expression, got {type(v)}")
+        kind = "a number or expression" if expression else "a number"
+        raise ValueError(f"operator.{name} must be {kind}, got {v!r}")
 
     missing = {"alpha", "beta", "gamma"} - set(data)
     if missing:
         raise ValueError(f"operator spec missing fields: {sorted(missing)}")
     return OperatorSpec(
-        alpha=parse_coeff(data["alpha"]),
-        beta=parse_coeff(data["beta"]),
-        gamma=parse_coeff(data["gamma"]),
-        m=float(data.get("m", 2.0)),
+        alpha=parse_coeff("alpha"),
+        beta=parse_coeff("beta"),
+        gamma=parse_coeff("gamma"),
+        m=parse_coeff("m", expression=False) if "m" in data else 2.0,
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .comparison import PerturbParams, lemma35_margin
 from .cones import AxiomPlan, ConeSpec, check_axioms, shifted_trace_spec
-from .core import Point, dilate, dist, gauge, group_inv, group_mul, heis_hessian, heis_hessian_sym, j_matrix
+from .core import dilate, dist, gauge, group_inv, group_mul, heis_hessian, heis_hessian_sym, j_matrix
 from .envelopes import (
     check_monotone_convergence,
     check_semiconvexity,
@@ -125,42 +125,38 @@ def suite_core(seed, count=2000):
     checks = []
     per_n = {1: count - count // 2, 2: count // 2}
 
-    worst = 0.0
-    gen = stream(seed, stream_id=11)
-    for n, cnt in per_n.items():
-        for a, b, c in zip(*(map(Point.from_coords, _random_points(gen, n, cnt)) for _ in range(3))):
-            lhs = group_mul(group_mul(a, b), c).coords()
-            rhs = group_mul(a, group_mul(b, c)).coords()
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    checks.append(_outcome("group_associative", count, worst, 1e-12))
+    def worst_over_n(stream_id, error):
+        # one array call per n; ``error`` draws its samples, then returns
+        # the per-sample errors
+        gen = stream(seed, stream_id=stream_id)
+        return max(float(error(gen, n, cnt).max(initial=0.0)) for n, cnt in per_n.items())
 
-    worst = 0.0
-    gen = stream(seed, stream_id=12)
-    for n, cnt in per_n.items():
-        for p in map(Point.from_coords, _random_points(gen, n, cnt)):
-            left = group_mul(group_inv(p), p).coords()
-            right = group_mul(p, group_inv(p)).coords()
-            worst = max(worst, float(np.abs(left).max()), float(np.abs(right).max()))
-    checks.append(_outcome("group_inverse", count, worst, 1e-12))
+    def associative(gen, n, cnt):
+        a, b, c = (_random_points(gen, n, cnt) for _ in range(3))
+        return np.abs(group_mul(group_mul(a, b), c) - group_mul(a, group_mul(b, c)))
 
-    worst = 0.0
-    gen = stream(seed, stream_id=13)
-    for n, cnt in per_n.items():
-        coords = _random_points(gen, n, cnt)
-        lams = gen.uniform(0.1, 4.0, size=cnt)
-        for row, lam in zip(coords, lams):
-            p = Point.from_coords(row)
-            err = abs(gauge(dilate(lam, p)) - lam * gauge(p))
-            worst = max(worst, float(err) / max(1.0, lam * gauge(p)))
-    checks.append(_outcome("gauge_dilation_homogeneous", count, worst, 1e-12))
+    def inverse(gen, n, cnt):
+        p = _random_points(gen, n, cnt)
+        return np.abs(np.concatenate([group_mul(group_inv(p), p), group_mul(p, group_inv(p))]))
 
-    worst = 0.0
-    gen = stream(seed, stream_id=14)
-    for n, cnt in per_n.items():
-        for a, b, z in zip(*(map(Point.from_coords, _random_points(gen, n, cnt)) for _ in range(3))):
-            err = abs(dist(group_mul(z, a), group_mul(z, b)) - dist(a, b))
-            worst = max(worst, float(err) / max(1.0, dist(a, b)))
-    checks.append(_outcome("distance_left_invariant", count, worst, 1e-12))
+    def homogeneous(gen, n, cnt):
+        p = _random_points(gen, n, cnt)
+        lam = gen.uniform(0.1, 4.0, size=cnt)
+        scaled = lam * gauge(p)
+        return np.abs(gauge(dilate(lam, p)) - scaled) / np.maximum(1.0, scaled)
+
+    def left_invariant(gen, n, cnt):
+        a, b, z = (_random_points(gen, n, cnt) for _ in range(3))
+        d = dist(a, b)
+        return np.abs(dist(group_mul(z, a), group_mul(z, b)) - d) / np.maximum(1.0, d)
+
+    for name, stream_id, error in (
+        ("group_associative", 11, associative),
+        ("group_inverse", 12, inverse),
+        ("gauge_dilation_homogeneous", 13, homogeneous),
+        ("distance_left_invariant", 14, left_invariant),
+    ):
+        checks.append(_outcome(name, count, worst_over_n(stream_id, error), 1e-12))
 
     return SuiteReport("core", seed, all(c.passed for c in checks), checks)
 
@@ -190,7 +186,7 @@ def suite_calculus(seed, count=100):
             f = _random_polynomial(gen, n)
             coords = gen.uniform(-1.5, 1.5, size=2 * n + 1)
             jet = f.jet2(coords)
-            H = heis_hessian(jet, Point.from_coords(coords))
+            H = heis_hessian(jet, coords)
             resid = np.abs((H - H.T) - 4.0 * jet.egrad[-1] * J).max()
             worst = max(worst, float(resid) / (1.0 + abs(jet.egrad[-1])))
     checks.append(_outcome("hessian_commutator", count, worst, 1e-10))
@@ -203,11 +199,10 @@ def suite_calculus(seed, count=100):
     pts = 10 * count
     while kept < pts:
         coords = gen.uniform(-2.0, 2.0, size=3)
-        p = Point.from_coords(coords)
-        if gauge(p) < 0.5:
+        if gauge(coords) < 0.5:
             continue
         kept += 1
-        tr = np.trace(heis_hessian_sym(harmonic.jet2(coords), p))
+        tr = np.trace(heis_hessian_sym(harmonic.jet2(coords), coords))
         worst = max(worst, float(abs(tr)))
     checks.append(_outcome("gauge_harmonic_trace", pts, worst, 1e-6))
 
@@ -220,10 +215,9 @@ def suite_calculus(seed, count=100):
             psi = _random_polynomial(gen, n, degree=2)
             u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * psi.root), n)
             coords = gen.uniform(-0.8, 0.8, size=2 * n + 1)
-            pt = Point.from_coords(coords)
             psi_jet = psi.jet2(coords)
-            lhs = eval_A_u(u.jet2(coords), pt)
-            rhs = np.exp(2.0 * psi_jet.value) * eval_A_psi(psi_jet, pt)
+            lhs = eval_A_u(u.jet2(coords), coords)
+            rhs = np.exp(2.0 * psi_jet.value) * eval_A_psi(psi_jet, coords)
             scale = 1.0 + float(np.abs(rhs).max())
             worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
     checks.append(_outcome("conformal_change_of_variables", 2 * (count // 2), worst, 1e-8))
@@ -282,7 +276,8 @@ def suite_cones(seed, count=1500, tamper=False):
 def _envelope_fixture_checks(tag, v, eps_list):
     checks = []
     for mode, build in (("upper", upper_envelope), ("lower", lower_envelope)):
-        r = build(v, eps_list[1])
+        results = [build(v, eps) for eps in eps_list]
+        r = results[1]
         wit = check_witness_bound(r, v)
         checks.append(
             CheckOutcome(
@@ -301,7 +296,7 @@ def _envelope_fixture_checks(tag, v, eps_list):
                 checked=int(semi.checked), error=float(semi.violations), tol=0.0,
             )
         )
-        mono = check_monotone_convergence(v, eps_list, mode=mode)
+        mono = check_monotone_convergence(results, v)
         checks.append(
             CheckOutcome(
                 name=f"{tag}_{mode}_eps_monotone", passed=mono.passed,

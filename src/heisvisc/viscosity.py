@@ -82,7 +82,7 @@ class GridOperator:
         self.inner = (slice(1, -1),) * (2 * n + 1)
         self.coords = coords = template.coords_full()[self.inner].copy()
         self.shape = coords.shape[:-1]
-        c = frame_t_coefficients(coords, n)
+        c = frame_t_coefficients(coords)
         self.c = [c[..., i].copy() for i in range(2 * n)]
         self.c2 = [2.0 * ci for ci in self.c]
         self.cc = [[ci * cj for cj in self.c] for ci in self.c]

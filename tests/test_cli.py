@@ -44,6 +44,16 @@ def test_gauge_rejects_wrong_dimension(capsys):
     assert "expected 5" in err
 
 
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_gauge_and_group_reject_non_finite_point(capsys, coord):
+    code, _, err = run(capsys, "gauge", f"--point={coord},0,0")
+    assert code == 2
+    assert "finite" in err
+    code, _, err = run(capsys, "group", "mul", "--a", "1,0,0", f"--b=0,{coord},0")
+    assert code == 2
+    assert "finite" in err
+
+
 def test_group_mul_example(capsys):
     code, out, _ = run(capsys, "group", "mul", "--a", "1,0,0", "--b", "0,1,0")
     assert code == 0
@@ -209,6 +219,16 @@ def test_solve_missing_problem_field_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "--problem", str(p), "--out-dir", str(tmp_path))
     assert code == 2
     assert "cone" in err
+
+
+def test_solve_fractional_problem_integer_exits_2(capsys, tmp_path):
+    data = json.loads(write_problem(tmp_path).read_text())
+    data["cone"] = {"family": "sigma_k", "k": 2.7}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    code, _, err = run(capsys, "solve", "--problem", str(p), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "cone.k" in err
 
 
 def test_classify_on_boundary_solution_passes(capsys, tmp_path):

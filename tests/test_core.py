@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from heisvisc.core import (
     Jet2,
-    Point,
     dilate,
     dist,
     frame_matrix,
@@ -34,8 +33,7 @@ FRAME_COMMUTATOR_CONSTANT = 4.0
 
 
 def random_point(gen, n, scale=2.0):
-    c = gen.uniform(-scale, scale, size=2 * n + 1)
-    return Point.from_coords(c, n)
+    return gen.uniform(-scale, scale, size=2 * n + 1)
 
 
 def symbolic_frames(n):
@@ -54,34 +52,30 @@ def symbolic_frames(n):
 
 
 def test_group_mul_example():
-    a = Point([1.0], [0.0], 0.0)
-    b = Point([0.0], [1.0], 0.0)
-    np.testing.assert_allclose(group_mul(a, b).coords(), [1.0, 1.0, -2.0], atol=0)
+    a = np.array([1.0, 0.0, 0.0])
+    b = np.array([0.0, 1.0, 0.0])
+    np.testing.assert_allclose(group_mul(a, b), [1.0, 1.0, -2.0], atol=0)
     # and the twist flips sign when the factors swap
-    np.testing.assert_allclose(group_mul(b, a).coords(), [1.0, 1.0, 2.0], atol=0)
+    np.testing.assert_allclose(group_mul(b, a), [1.0, 1.0, 2.0], atol=0)
 
 
 def test_identity_and_inverse():
     gen = stream(7, 1)
-    e = Point([0.0, 0.0], [0.0, 0.0], 0.0)
+    e = np.zeros(5)
     for _ in range(50):
         p = random_point(gen, 2)
-        np.testing.assert_allclose(group_mul(p, e).coords(), p.coords(), atol=0)
-        np.testing.assert_allclose(group_mul(e, p).coords(), p.coords(), atol=0)
-        np.testing.assert_allclose(
-            group_mul(p, group_inv(p)).coords(), np.zeros(5), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            group_mul(group_inv(p), p).coords(), np.zeros(5), atol=1e-12
-        )
+        np.testing.assert_allclose(group_mul(p, e), p, atol=0)
+        np.testing.assert_allclose(group_mul(e, p), p, atol=0)
+        np.testing.assert_allclose(group_mul(p, group_inv(p)), np.zeros(5), atol=1e-12)
+        np.testing.assert_allclose(group_mul(group_inv(p), p), np.zeros(5), atol=1e-12)
 
 
 def test_associativity_sampled():
     gen = stream(7, 2)
     for _ in range(200):
         a, b, c = (random_point(gen, 1) for _ in range(3))
-        lhs = group_mul(group_mul(a, b), c).coords()
-        rhs = group_mul(a, group_mul(b, c)).coords()
+        lhs = group_mul(group_mul(a, b), c)
+        rhs = group_mul(a, group_mul(b, c))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * (1 + np.abs(lhs).max()))
 
 
@@ -90,21 +84,19 @@ def test_associativity_sampled():
 )
 @settings(max_examples=200, deadline=None)
 def test_group_axioms_property(flat):
-    a = Point.from_coords(flat[:3], 1)
-    b = Point.from_coords(flat[3:6], 1)
-    c = Point.from_coords(flat[6:], 1)
-    lhs = group_mul(group_mul(a, b), c).coords()
-    rhs = group_mul(a, group_mul(b, c)).coords()
+    a, b, c = flat[:3], flat[3:6], flat[6:]
+    lhs = group_mul(group_mul(a, b), c)
+    rhs = group_mul(a, group_mul(b, c))
     scale = 1 + max(np.abs(lhs).max(), np.abs(rhs).max())
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
-    back = group_mul(a, group_inv(a)).coords()
-    assert np.abs(back).max() <= 1e-12 * (1 + np.abs(a.coords()).max() ** 2)
+    back = group_mul(a, group_inv(a))
+    assert np.abs(back).max() <= 1e-12 * (1 + np.abs(a).max() ** 2)
 
 
 def test_gauge_examples():
-    assert gauge(Point([0.0], [0.0], 4.0)) == pytest.approx(2.0, abs=1e-15)
-    assert gauge(Point([1.0], [1.0], 0.0)) == pytest.approx(np.sqrt(2.0), rel=1e-15)
-    assert gauge(Point([0.0, 0.0], [0.0, 0.0], -9.0)) == pytest.approx(3.0, rel=1e-15)
+    assert gauge([0.0, 0.0, 4.0]) == pytest.approx(2.0, abs=1e-15)
+    assert gauge([1.0, 1.0, 0.0]) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert gauge([0.0, 0.0, 0.0, 0.0, -9.0]) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_gauge_dilation_homogeneity():
@@ -132,18 +124,37 @@ def test_left_difference_matches_group_ops():
     for n in (1, 2):
         for _ in range(50):
             a, b = random_point(gen, n), random_point(gen, n)
-            direct = left_difference(b.coords(), a.coords(), n)
-            via_mul = group_mul(group_inv(b), a).coords()
+            direct = left_difference(b, a)
+            via_mul = group_mul(group_inv(b), a)
             np.testing.assert_allclose(direct, via_mul, atol=1e-13)
 
 
+def test_group_functions_broadcast_over_samples():
+    gen = stream(7, 6)
+    for n in (1, 2):
+        a, b = gen.uniform(-2, 2, size=(2, 40, 2 * n + 1))
+        lam = gen.uniform(0.1, 3.0, size=40)
+        np.testing.assert_array_equal(group_mul(a, b), [group_mul(p, q) for p, q in zip(a, b)])
+        np.testing.assert_array_equal(left_difference(a[0], b), [left_difference(a[0], q) for q in b])
+        np.testing.assert_array_equal(dilate(lam, a), [dilate(m, p) for p, m in zip(a, lam)])
+        # the fourth root takes numpy's vector path on a stack: equal to rounding
+        np.testing.assert_allclose(dist(a, b), [dist(p, q) for p, q in zip(a, b)], rtol=1e-15)
+        np.testing.assert_allclose(gauge(a), [gauge(p) for p in a], rtol=1e-15)
+
+
 def test_point_validation():
-    with pytest.raises(ValueError):
-        Point([1.0, 2.0], [3.0], 0.0)
-    with pytest.raises(ValueError):
-        Point([np.inf], [0.0], 0.0)
-    with pytest.raises(ValueError):
-        group_mul(Point([1.0], [0.0], 0.0), Point([1.0, 0.0], [0.0, 0.0], 0.0))
+    # a point is a flat coordinate array of odd length 2n+1 >= 3; finiteness
+    # of outside input is the command line's check (see test_cli)
+    for bad in (
+        lambda: group_mul([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]),
+        lambda: dist(np.zeros((4, 3)), np.zeros(5)),
+        lambda: gauge([1.0, 2.0]),
+        lambda: group_inv(np.zeros((3, 4))),
+        lambda: dilate(2.0, 1.0),
+        lambda: heis_hessian(Jet2(0.0, np.zeros(3), np.zeros((3, 3))), np.zeros(5)),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_jet_validation():
@@ -191,7 +202,7 @@ def test_heis_hessian_against_symbolic_oracle(n):
 
     for _ in range(25):
         p = random_point(gen, n)
-        args = list(p.coords())
+        args = list(p)
         jet = Jet2(
             float(to_val(*args)),
             np.ravel(to_egrad(*args)).astype(float),
@@ -215,8 +226,8 @@ def test_heis_hessian_against_symbolic_oracle(n):
 
 def test_heis_hessian_closed_forms():
     # u = t has Euclidean Hessian zero: only the frame twist survives
-    p = Point([0.3], [-0.7], 0.2)
-    jet = Jet2(p.t, np.array([0.0, 0.0, 1.0]), np.zeros((3, 3)))
+    p = np.array([0.3, -0.7, 0.2])
+    jet = Jet2(p[2], np.array([0.0, 0.0, 1.0]), np.zeros((3, 3)))
     np.testing.assert_allclose(heis_hessian(jet, p), [[0.0, 2.0], [-2.0, 0.0]], atol=0)
     np.testing.assert_allclose(heis_hessian_sym(jet, p), np.zeros((2, 2)), atol=0)
 
@@ -225,7 +236,7 @@ def test_heis_hessian_closed_forms():
     for n in (1, 2):
         for _ in range(20):
             p = random_point(gen, n)
-            c = p.coords()
+            c = p
             jet = Jet2(c @ c, 2.0 * c, 2.0 * np.eye(2 * n + 1))
             Jz = j_matrix(n) @ c[: 2 * n]
             expected = 2.0 * (np.eye(2 * n) + 4.0 * np.outer(Jz, Jz))
@@ -233,7 +244,7 @@ def test_heis_hessian_closed_forms():
 
 
 def test_frame_matrix_rows():
-    p = Point([0.5, -1.0], [2.0, 0.25], 3.0)
+    p = np.array([0.5, -1.0, 2.0, 0.25, 3.0])
     B = frame_matrix(p)
     assert B.shape == (4, 5)
     np.testing.assert_allclose(B[0], [1, 0, 0, 0, 2 * 2.0], atol=0)
@@ -241,12 +252,12 @@ def test_frame_matrix_rows():
 
 
 def test_horizontal_gradient_linear_fields():
-    p = Point([0.4], [-0.3], 1.0)
+    p = np.array([0.4, -0.3, 1.0])
     # u = x1: X u = 1, Y u = 0
-    jet = Jet2(p.x[0], np.array([1.0, 0.0, 0.0]), np.zeros((3, 3)))
+    jet = Jet2(p[0], np.array([1.0, 0.0, 0.0]), np.zeros((3, 3)))
     np.testing.assert_allclose(horizontal_gradient(jet, p), [1.0, 0.0], atol=0)
     # u = t: X u = 2 y1, Y u = -2 x1
-    jet = Jet2(p.t, np.array([0.0, 0.0, 1.0]), np.zeros((3, 3)))
+    jet = Jet2(p[2], np.array([0.0, 0.0, 1.0]), np.zeros((3, 3)))
     np.testing.assert_allclose(horizontal_gradient(jet, p), [-0.6, -0.8], atol=1e-15)
 
 
@@ -254,11 +265,10 @@ def test_coords_roundtrip_and_dilate_group_compat():
     gen = stream(7, 8)
     for _ in range(50):
         p = random_point(gen, 2)
-        q = Point.from_coords(p.coords(), 2)
-        np.testing.assert_allclose(q.coords(), p.coords(), atol=0)
-        # dilations are group homomorphisms
         a, b = random_point(gen, 2), random_point(gen, 2)
         lam = float(gen.uniform(0.1, 2.0))
-        lhs = dilate(lam, group_mul(a, b)).coords()
-        rhs = group_mul(dilate(lam, a), dilate(lam, b)).coords()
+        np.testing.assert_allclose(dilate(1.0 / lam, dilate(lam, p)), p, rtol=1e-14)
+        # dilations are group homomorphisms
+        lhs = dilate(lam, group_mul(a, b))
+        rhs = group_mul(dilate(lam, a), dilate(lam, b))
         np.testing.assert_allclose(lhs, rhs, atol=1e-11)

@@ -5,7 +5,7 @@ group-translation structure of the kernel."""
 import numpy as np
 import pytest
 
-from heisvisc.core import dist_coords
+from heisvisc.core import dist
 from heisvisc.envelopes import (
     check_monotone_convergence,
     check_semiconvexity,
@@ -44,7 +44,7 @@ def test_gauge_quartic_matches_group_distance():
         a = gen.uniform(-2, 2, size=(40, 2 * n + 1))
         b = gen.uniform(-2, 2, size=(40, 2 * n + 1))
         d4 = gauge_quartic(a, b, n)
-        ref = dist_coords(a, b, n) ** 4
+        ref = dist(a, b) ** 4
         np.testing.assert_allclose(d4, ref, rtol=1e-12, atol=1e-14)
         assert d4.min() >= 0
 
@@ -72,7 +72,7 @@ def test_spike_envelope_against_brute_force_oracle():
     # independent oracle: per-node python loop through the definition using
     # the group distance from core (different code path than the kernel here)
     for i in range(0, coords.shape[0], 17):
-        scores = vals - dist_coords(np.broadcast_to(coords[i], coords.shape), coords, 1) ** 4 / eps
+        scores = vals - dist(np.broadcast_to(coords[i], coords.shape), coords) ** 4 / eps
         best = np.max(scores)
         assert abs(r.out.values.reshape(-1)[i] - best) < 1e-10
     # closed form: the best zero node is xi itself, so out = max(1 - d4/eps, 0)
@@ -127,28 +127,42 @@ def test_t_translation_equivariance():
 # -- property checks --------------------------------------------------------------
 
 
+def envelope_ladder(v, eps_list, mode):
+    build = upper_envelope if mode == "upper" else lower_envelope
+    return [build(v, eps) for eps in eps_list]
+
+
 def test_monotone_convergence_smooth():
     v = smooth_field()
     for mode in ("upper", "lower"):
-        rep = check_monotone_convergence(v, [0.8, 0.4, 0.2, 0.1], mode)
+        rep = check_monotone_convergence(envelope_ladder(v, [0.8, 0.4, 0.2, 0.1], mode), v)
         assert rep.passed
         assert rep.ordering_ok
+        assert rep.mode == mode
         assert rep.deviations[-1] < rep.deviations[0]
 
 
 def test_monotone_convergence_constant_is_exact():
-    rep = check_monotone_convergence(constant_field(), [0.5, 0.25], "upper")
+    v = constant_field()
+    rep = check_monotone_convergence(envelope_ladder(v, [0.5, 0.25], "upper"), v)
     assert rep.passed
     assert rep.deviations == (0.0, 0.0)
 
 
 def test_monotone_convergence_rejects_bad_ordering():
-    rep = check_monotone_convergence(constant_field(), [0.25, 0.5], "upper")
+    v = constant_field()
+    rep = check_monotone_convergence(envelope_ladder(v, [0.25, 0.5], "upper"), v)
     assert not rep.passed
     assert not rep.ordering_ok
     assert rep.witness == {"index": 0, "eps": 0.25, "eps_next": 0.5}
     with pytest.raises(ValueError):
-        check_monotone_convergence(constant_field(), [0.5], "upper")
+        check_monotone_convergence(envelope_ladder(v, [0.5], "upper"), v)
+
+
+def test_monotone_convergence_refuses_mixed_modes():
+    v = constant_field()
+    with pytest.raises(ValueError, match="mixed modes"):
+        check_monotone_convergence([upper_envelope(v, 0.5), lower_envelope(v, 0.25)], v)
 
 
 def test_semiconvexity_constant_field():

@@ -5,7 +5,6 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from heisvisc.core import Point
 from heisvisc.fields import (
     AnalyticField,
     Domain,
@@ -44,7 +43,7 @@ def sympy_jet(text, n, at):
 
 def test_eval_examples():
     f = parse_field("x1^2 + 4*y1*t", 1)
-    assert f(Point([1.0], [2.0], 3.0)) == pytest.approx(25.0, abs=0)
+    assert f(np.array([1.0, 2.0, 3.0])) == pytest.approx(25.0, abs=0)
     g = parse_field("min(x1, y1) + max(t, 0.0)", 1)
     assert g(np.array([2.0, -1.0, -5.0])) == pytest.approx(-1.0, abs=0)
     assert g(np.array([-3.0, 1.0, 2.0])) == pytest.approx(-1.0, abs=0)

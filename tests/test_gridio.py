@@ -2,6 +2,7 @@
 problem JSON loading and its schema errors."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,43 @@ def test_problem_json_nested_missing_field():
     del data["cone"]["family"]
     with pytest.raises(ValueError, match="cone.family"):
         problem_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("cone.k", 2.7),
+        ("cone.k", True),
+        ("resolution[1]", 5.9),
+        ("resolution[0]", True),
+        ("domain.n", 1.6),
+        ("domain.n", "1"),
+        ("operator.alpha", True),
+        ("operator.gamma", [1.0]),
+        ("operator.m", "2"),
+    ],
+)
+def test_problem_json_refuses_values_it_would_truncate(path, value):
+    data = base_problem_json()
+    if path == "cone.k":
+        data["cone"] = {"family": "sigma_k", "k": value}
+    elif path.startswith("resolution"):
+        data["resolution"][int(path[-2])] = value
+    else:
+        section, key = path.split(".")
+        data[section][key] = value
+    with pytest.raises(ValueError, match=re.escape(path)):
+        problem_from_json(data)
+
+
+def test_problem_json_accepts_integral_floats():
+    data = base_problem_json()
+    data["domain"]["n"] = 1.0
+    data["resolution"] = [5.0, 5, 5]
+    data["cone"] = {"family": "sigma_k", "k": 2.0}
+    prob = problem_from_json(data)
+    assert prob.cone.k == 2 and isinstance(prob.cone.k, int)
+    assert prob.sub.res == (5, 5, 5)
 
 
 def test_problem_json_rejects_expression_operator():

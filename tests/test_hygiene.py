@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no function
-keeps a local or (at module level) a parameter it never reads."""
+"""Source hygiene: no module imports a name it never uses, no function
+keeps a local or (at module level) a parameter it never reads, and no
+public function or class of the package is there only for the tests."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,12 @@ SCANNED = ("src/heisvisc", "tests", "scripts")
 # unread locals and parameters are looked for in the program only: test
 # functions take pytest fixtures they need for their side effects
 PROGRAM = ("src/heisvisc", "scripts")
+# files whose reads keep a public name of the package alive: the tests do not
+PUBLIC_READERS = ("src/heisvisc", "scripts", "perfbench")
+# gate 12 reads it; ROADMAP item 7 moves it into `heisvisc solve`
+TEST_ONLY_EXEMPT = {"perron.uniqueness_gap"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
 _SCOPES = _FUNCTIONS + (ast.Lambda, ast.ClassDef, ast.ListComp, ast.SetComp,
                         ast.DictComp, ast.GeneratorExp)
 
@@ -143,3 +149,70 @@ def test_scan_sees_unread_locals_and_parameters(tmp_path):
         (1, "b"), (1, "c"), (1, "kw"), (1, "rest"), (2, "y"), (3, "i"), (4, "z"),
         (10, "w"), (15, "kept"),
     ]
+
+
+def _module_reads(tree):
+    """Names a module reads as names, attributes or imports, leaving out
+    ``__all__`` and each top-level definition's reads of its own name."""
+    read = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            continue
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found |= {alias.name for alias in node.names}
+        if isinstance(stmt, _DEFINITIONS):
+            found.discard(stmt.name)
+        read |= found
+    return read
+
+
+def unread_public_names(package, readers):
+    """``module.name`` of each public top-level function or class of the
+    modules in ``package`` that no file under ``readers`` reads."""
+    read = set()
+    for top in readers:
+        for path in sorted(top.rglob("*.py")):
+            read |= _module_reads(ast.parse(path.read_text(), filename=str(path)))
+    return sorted(
+        f"{path.stem}.{stmt.name}"
+        for path in sorted(package.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(stmt, _DEFINITIONS) and not stmt.name.startswith("_")
+        and stmt.name not in read
+    )
+
+
+def test_no_public_name_only_tests_use():
+    found = set(unread_public_names(ROOT / "src/heisvisc", [ROOT / p for p in PUBLIC_READERS]))
+    assert not found - TEST_ONLY_EXEMPT, (
+        "public names no program file reads:\n" + "\n".join(sorted(found - TEST_ONLY_EXEMPT)))
+    # an exemption that no longer applies goes too
+    assert TEST_ONLY_EXEMPT <= found
+
+
+def test_scan_sees_public_names_only_tests_read(tmp_path):
+    pkg, other = tmp_path / "pkg", tmp_path / "scripts"
+    pkg.mkdir()
+    other.mkdir()
+    (pkg / "mod.py").write_text(
+        "from .dep import helper\n"
+        "__all__ = ['listed', 'used', 'Kept']\n"
+        "def used():\n    return helper()\n"
+        "def listed():\n    return 1\n"
+        "def recursive(k):\n    return recursive(k - 1) if k else used()\n"
+        "def _private():\n    return 0\n"
+        "class Kept:\n    pass\n"
+        "class Lonely:\n    def method(self):\n        return Lonely\n"
+    )
+    (pkg / "dep.py").write_text("def helper():\n    return 2\n")
+    (other / "run.py").write_text("import mod\nprint(mod.Kept)\n")
+    assert unread_public_names(pkg, [pkg, other]) == [
+        "mod.Lonely", "mod.listed", "mod.recursive"]

@@ -4,7 +4,7 @@ covariance, and the structural-condition sampler."""
 import numpy as np
 import pytest
 
-from heisvisc.core import Jet2, Point, heis_hessian_sym, horizontal_gradient, j_matrix
+from heisvisc.core import Jet2, heis_hessian_sym, horizontal_gradient, j_matrix
 from heisvisc.fields import AnalyticField, Const, Domain, exp_of, parse_field
 from heisvisc.operators import (
     OperatorSpec,
@@ -25,7 +25,7 @@ from heisvisc.operators import (
 )
 from heisvisc.rng import stream
 
-ORIGIN = Point(x=(0.0,), y=(0.0,), t=0.0)
+ORIGIN = np.zeros(3)
 
 
 def random_polynomial_field(gen, n, degree=3):
@@ -99,7 +99,7 @@ def test_eval_l_trace_identity():
     # tr L = (alpha - gamma - 2 n beta) |p|^2
     gen = stream(4)
     for n in (1, 2, 3):
-        pt = Point(x=tuple(gen.normal(size=n)), y=tuple(gen.normal(size=n)), t=0.4)
+        pt = np.concatenate([gen.normal(size=n), gen.normal(size=n), [0.4]])
         for _ in range(10):
             a, b, g = gen.normal(size=3)
             spec = OperatorSpec(alpha=a, beta=b, gamma=g)
@@ -115,9 +115,9 @@ def test_eval_l_even_in_p_and_symmetric():
     spec = OperatorSpec(alpha=0.7, beta=-0.3, gamma=1.2)
     for _ in range(10):
         p = gen.normal(size=4)
-        L = eval_L(spec, Point(x=(0.1, 0.2), y=(0.3, -0.1), t=0.5), 0.0, p)
+        L = eval_L(spec, np.array([0.1, 0.2, 0.3, -0.1, 0.5]), 0.0, p)
         np.testing.assert_allclose(L, L.T, atol=1e-14)
-        Lm = eval_L(spec, Point(x=(0.1, 0.2), y=(0.3, -0.1), t=0.5), 0.0, -p)
+        Lm = eval_L(spec, np.array([0.1, 0.2, 0.3, -0.1, 0.5]), 0.0, -p)
         np.testing.assert_allclose(L, Lm, atol=1e-14)
 
 
@@ -129,7 +129,7 @@ def test_eval_l_rejects_bad_gradient_length():
 def test_eval_l_with_field_coefficients():
     alpha_field = parse_field("x1 + 2.0*s", 1, extra_vars=("s",))
     spec_f = OperatorSpec(alpha=alpha_field, beta=0.0, gamma=0.0)
-    pt = Point(x=(0.5,), y=(-0.2,), t=0.1)
+    pt = np.array([0.5, -0.2, 0.1])
     p = np.array([1.0, 2.0])
     expected = (0.5 + 2.0 * 0.7) * np.outer(p, p)
     np.testing.assert_allclose(eval_L(spec_f, pt, 0.7, p), expected, atol=1e-14)
@@ -145,7 +145,7 @@ def test_eval_f_is_hessian_plus_gradient_part():
         spec = OperatorSpec(alpha=0.8, beta=0.2, gamma=-0.5)
         for _ in range(5):
             coords = gen.uniform(-1, 1, size=2 * n + 1)
-            pt = Point.from_coords(coords)
+            pt = coords
             jet = f.jet2(coords)
             F = eval_F(spec, jet, pt)
             expected = heis_hessian_sym(jet, pt) + eval_L(
@@ -169,7 +169,7 @@ def test_quadratic_shift_identity():
             mu = float(gen.uniform(0.1, 2.0))
             shifted = AnalyticField(f.root + mu * norm_sq, n)
             coords = gen.uniform(-1, 1, size=2 * n + 1)
-            pt = Point.from_coords(coords)
+            pt = coords
             diff = eval_F(zero, shifted.jet2(coords), pt) - eval_F(
                 zero, f.jet2(coords), pt
             )
@@ -197,7 +197,7 @@ def test_conformal_change_of_variables(n):
         psi = random_polynomial_field(gen, n, degree=2)
         u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * psi.root), n)
         coords = gen.uniform(-0.8, 0.8, size=2 * n + 1)
-        pt = Point.from_coords(coords)
+        pt = coords
         lhs = eval_A_u(u.jet2(coords), pt)
         psi_jet = psi.jet2(coords)
         rhs = np.exp(2.0 * psi_jet.value) * eval_A_psi(psi_jet, pt)
@@ -231,7 +231,7 @@ def test_l_batch_matches_pointwise():
     p = gen.normal(size=(40, 2))
     batch = L_stack(spec, coords, s, p)
     for i in range(40):
-        single = eval_L(spec, Point.from_coords(coords[i]), float(s[i]), p[i])
+        single = eval_L(spec, coords[i], float(s[i]), p[i])
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
 
 
@@ -330,10 +330,10 @@ def test_structural_decreasing_alpha_fails_monotonicity():
     # the witness reproduces the reported margin
     from heisvisc.cones import eigenvalues
 
-    diff = eval_L(spec, Point.from_coords(np.array(w["xi"])), w["s_prime"], np.array(w["p"])) - eval_L(
-        spec, Point.from_coords(np.array(w["xi"])), w["s"], np.array(w["p"])
+    diff = eval_L(spec, w["xi"], w["s_prime"], np.array(w["p"])) - eval_L(
+        spec, w["xi"], w["s"], np.array(w["p"])
     )
-    assert abs(eigenvalues(diff)[0] - w["margin"]) < 1e-9
+    assert abs(eigenvalues(diff[None])[0, 0] - w["margin"]) < 1e-9
 
 
 def test_structural_negative_branch():

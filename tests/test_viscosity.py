@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heisvisc.cones import ConeSpec, defining_value
-from heisvisc.core import Point, heis_hessian_sym, horizontal_gradient
+from heisvisc.core import heis_hessian_sym, horizontal_gradient
 from heisvisc.fields import Domain, GridField, parse_field, sample
 from heisvisc.operators import OperatorSpec, conformal_operator_spec, eval_F, eval_L
 from heisvisc.rng import stream
@@ -89,8 +89,8 @@ def test_grid_verdict_matches_exact_jets_on_quadratics():
     cls = classify_grid(g, spec, cone, side="both")
     coords = g.coords_full()
     for node in [(1, 1, 1), (3, 2, 4), (5, 5, 5), (2, 4, 3)]:
-        pt = Point.from_coords(coords[node], g.n)
-        rho_exact = defining_value(cone, eval_F(spec, f.jet2(pt.coords()), pt))
+        pt = coords[node]
+        rho_exact = defining_value(cone, eval_F(spec, f.jet2(pt), pt)[None])[0]
         assert cls.rho[node] == pytest.approx(rho_exact, abs=1e-9)
 
 
@@ -124,8 +124,8 @@ def test_grid_operator_matches_exact_frame_calculus(n, res, coefficients):
     coords = g.coords_full()
     for at in np.ndindex(op.shape):
         node = tuple(i + 1 for i in at)
-        pt = Point.from_coords(coords[node], g.n)
-        jet = f.jet2(pt.coords())
+        pt = coords[node]
+        jet = f.jet2(pt)
         grad_h = horizontal_gradient(jet, pt)
         exact = heis_hessian_sym(jet, pt) + eval_L(spec, pt, g.values[node], grad_h)
         got = np.array([[F[i][j][at] for j in range(m)] for i in range(m)])
