@@ -14,6 +14,7 @@ and choice checks as flags.
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -43,7 +44,15 @@ __all__ = ["main", "build_parser"]
 
 
 def _print_json(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    # a result past the float range is refused, never printed as invalid JSON
+    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
+
+
+# argparse takes an argument that starts with '-' for a flag unless it looks
+# like a negative number, and before Python 3.13 that test passes one plain
+# number only.  No flag here starts with '-' and a digit, so a coordinate
+# list such as -0.5,0.25,7 can be read as the value it is.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _parse_point(text, n=None):
@@ -210,6 +219,7 @@ def build_parser():
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_VALUE
         p.set_defaults(fn=fn)
         p.add_argument("--config", default=None,
                        help="JSON file with default flag values (flags win)")

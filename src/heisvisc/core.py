@@ -109,16 +109,66 @@ def left_difference(eta, xi):
     return out
 
 
+_TINY = np.finfo(float).tiny
+
+
 def gauge(a):
-    """Homogeneous gauge (|z|^4 + t^2)^(1/4)."""
+    """Homogeneous gauge (|z|^4 + t^2)^(1/4).
+
+    |z|^4 + t^2 leaves the float range long before the gauge does: it
+    overflows once a coordinate passes about 1e77 (|t| 1e154) and underflows
+    below about 1e-77.  Only there is the point first dilated to unit size,
+    by gauge(dilate(lam, a)) = lam gauge(a); elsewhere the plain formula
+    stands, bit for bit.
+    """
     a, n = _flat(a)
-    z2 = np.sum(a[..., : 2 * n] ** 2, axis=-1)
-    return (z2 * z2 + a[..., 2 * n] ** 2) ** 0.25
+    quartic = _quartic(a, n)
+    lost = (quartic == np.inf) | (quartic < _TINY)
+    if lost.any():
+        lost &= np.isfinite(a).all(axis=-1) & a.any(axis=-1)
+    if not lost.any():
+        return quartic**0.25
+    s = np.where(lost, _unit_scale(a, n), 1.0)
+    with np.errstate(over="ignore"):   # a gauge past the float range is inf
+        return np.where(lost, s * _quartic(_shrink(a, s, n), n) ** 0.25, quartic**0.25)[()]
 
 
 def dist(a, b):
-    """Left-invariant gauge distance gauge(b^-1 o a); symmetric in a, b."""
-    return gauge(left_difference(b, a))
+    """Left-invariant gauge distance gauge(b^-1 o a); symmetric in a, b.
+
+    Where b^-1 o a overflows, both points are first dilated to unit size,
+    by dist(dilate(lam, a), dilate(lam, b)) = lam dist(a, b).
+    """
+    a, b, n = _pair(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = gauge(left_difference(b, a))
+    lost = ~np.isfinite(r)
+    if lost.any():
+        lost &= np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1)
+    if not lost.any():
+        return r
+    s = np.where(lost, np.maximum(_unit_scale(a, n), _unit_scale(b, n)), 1.0)
+    unit = gauge(left_difference(_shrink(b, s, n), _shrink(a, s, n)))
+    with np.errstate(over="ignore"):   # a distance past the float range is inf
+        return np.where(lost, s * unit, r)[()]
+
+
+def _quartic(a, n):
+    with np.errstate(over="ignore", under="ignore"):
+        z2 = np.sum(a[..., : 2 * n] ** 2, axis=-1)
+        return z2 * z2 + a[..., 2 * n] ** 2
+
+
+def _unit_scale(a, n):
+    """Per point, the lam > 0 that makes dilate(1/lam, a) of unit size."""
+    return np.maximum(np.abs(a[..., : 2 * n]).max(axis=-1), np.sqrt(np.abs(a[..., 2 * n])))
+
+
+def _shrink(a, s, n):
+    """dilate(1/s, a), dividing so that no reciprocal under- or overflows."""
+    out = a / s[..., None]
+    out[..., 2 * n] /= s
+    return out
 
 
 def dilate(lam, a):

@@ -6,10 +6,20 @@ The upper envelope of a grid field v at parameter eps > 0 is
 
 where d is the left-invariant gauge distance; the lower envelope mirrors it
 with a min and +(1/eps) d^4.  The maximum runs over every node of the grid,
-boundary included, by brute force in blocks; candidates outside the pruning
-window d^4 <= eps * (max v - min v) are masked out first (they can never win,
-so masking preserves exactness).  Ties break to the smallest flat node index.
-The same scan records the kernel constant the curvature check needs.
+boundary included, and is exact: ties break to the smallest flat node index.
+
+The search is factored over z-rows.  In C order t is the last axis, so node
+``zrow * T + k`` sits at (z[zrow], t[k]), and d^4 = |dz|^4 + (dt + shear)^2
+where |dz|^2 and the shear depend on the pair of z-rows alone.  For each
+source z-row they are computed once against every target z-row, with the
+same expressions as ``gauge_quartic``, so every d^4 has the same bits as a
+pair-by-pair evaluation.  A target row with |dz|^4 > window lies wholly
+outside the pruning window d^4 <= eps * (max v - min v) and is dropped.  The
+rest are scored together, candidates in ascending flat index, so the first
+best is the smallest index.  A candidate outside the window scores below
+min v, hence below the node itself; only a rounding tie at the window's edge
+can make one win, and then the window is masked and the search repeated.
+The same pass records the kernel constant the curvature check needs.
 
 The check_* functions verify the properties the regularization argument
 rests on: monotonicity and pointwise squeezing in eps, one-sided curvature
@@ -50,18 +60,20 @@ def _gauge_parts(a, b, n):
     """(squared z-displacement, quartic gauge distance) for broadcast pairs."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    zs, shear = _z_parts(a, b, n)
+    dt = a[..., 2 * n] - b[..., 2 * n]
+    return zs, zs * zs + np.square(dt + shear)
+
+
+def _z_parts(a, b, n):
+    """(|dz|^2, shear) of broadcast pairs; both depend on the z-coordinates only."""
     dz = a[..., : 2 * n] - b[..., : 2 * n]
     zs = np.square(dz).sum(axis=-1)
     shear = 2.0 * (
         (a[..., n : 2 * n] * b[..., :n]).sum(axis=-1)
         - (a[..., :n] * b[..., n : 2 * n]).sum(axis=-1)
     )
-    dt = a[..., 2 * n] - b[..., 2 * n]
-    return zs, zs * zs + np.square(dt + shear)
-
-
-# source rows per block of the all-pairs scan
-_BLOCK = 192
+    return zs, shear
 
 
 @dataclass
@@ -100,38 +112,58 @@ def _envelope(v, eps, mode):
         raise ValueError(f"eps must be a positive real, got {eps}")
     if not np.all(np.isfinite(v.values)):
         raise ValueError("field values must be finite")
-    coords = v.coords_full().reshape(-1, 2 * v.n + 1)
-    vals = v.values.reshape(-1)
-    N = vals.size
+    n = v.n
+    T = v.res[-1]
+    # C order puts t on the last axis: node zrow * T + k is (z[zrow], t[k])
+    coords = v.coords_full().reshape(-1, T, 2 * n + 1)
+    z = coords[:, 0, : 2 * n]
+    t = coords[0, :, 2 * n]
+    vals = v.values.reshape(-1, T)
     vmin, vmax = float(vals.min()), float(vals.max())
     window = eps * (vmax - vmin)
     # kernel Hessian norm bound at a pair (xi, eta): the z-block contributes
     # at most 12 |dz|^2 and the rank-one shear part 2 (1 + 4 |z_eta|^2)
-    shear_part = 2.0 * (1.0 + 4.0 * np.square(coords[:, : 2 * v.n]).sum(axis=1))
+    shear_part = 2.0 * (1.0 + 4.0 * np.square(z).sum(axis=1))
+    dt = t[:, None] - t[None, :]
+    # dt once per target row, so that each step below is one pass over a
+    # row's candidates; ``block`` holds them and is reused by every row
+    tiled = np.tile(dt, len(z))
+    block = np.empty(tiled.size)
     kernel_sup = 0.0
-    out = np.empty(N)
-    wit = np.empty(N, dtype=np.int64)
-    for start in range(0, N, _BLOCK):
-        stop = min(start + _BLOCK, N)
-        zs, d4 = _gauge_parts(coords[start:stop, None, :], coords[None, :, :], v.n)
+    out = np.empty(vals.shape)
+    wit = np.empty(vals.shape, dtype=np.int64)
+    src = np.arange(T)
+    for row in range(len(z)):
+        zs, shear = _z_parts(z[row], z, n)
+        zs2 = zs * zs
+        # d^4 >= |dz|^4, so a target row with |dz|^4 > window is all outside
+        keep = np.flatnonzero(zs2 <= window)
+        zs, shear, zs2 = zs[keep], shear[keep], zs2[keep]
+        # d4[i, k * T + j]: node (row, i) against node (keep[k], j)
+        width = len(keep) * T
+        d4 = block[: T * width].reshape(T, width)
+        np.add(tiled[:, :width], np.repeat(shear, T), out=d4)
+        np.square(d4, out=d4)
+        d4 += np.repeat(zs2, T)
         far = d4 > window
-        zs *= 12.0
-        zs += shear_part[None, :]
-        zs[far] = -np.inf
-        kernel_sup = max(kernel_sup, float(zs.max()))
-        del zs  # freed before the scores block is allocated
+        near = ~far.all(axis=0).reshape(-1, T).all(axis=1)
+        kernel_sup = max(kernel_sup, float((12.0 * zs + shear_part[keep])[near].max()))
+        d4 /= eps
+        # a candidate outside the window never beats the node itself, save
+        # by rounding at the window's edge; only then is the mask applied
         if mode == "upper":
-            scores = vals[None, :] - d4 / eps
-            scores[far] = -np.inf
-            idx = np.argmax(scores, axis=1)
+            scores = np.subtract(vals[keep].reshape(-1), d4, out=d4)
+            best, excluded = np.argmax, -np.inf
         else:
-            scores = vals[None, :] + d4 / eps
-            scores[far] = np.inf
-            idx = np.argmin(scores, axis=1)
-        rows = np.arange(stop - start)
-        out[start:stop] = scores[rows, idx]
-        wit[start:stop] = idx
-        del scores, d4  # not alive while the next block is built
+            scores = np.add(vals[keep].reshape(-1), d4, out=d4)
+            best, excluded = np.argmin, np.inf
+        idx = best(scores, axis=1)
+        if far[src, idx].any():
+            scores[far] = excluded
+            idx = best(scores, axis=1)
+        k, j = np.divmod(idx, T)
+        out[row] = scores[src, idx]
+        wit[row] = keep[k] * T + j
     field = GridField(n=v.n, box=v.box.copy(), values=out.reshape(v.res))
     return EnvelopeResult(
         out=field,

@@ -54,6 +54,41 @@ def test_gauge_and_group_reject_non_finite_point(capsys, coord):
     assert "finite" in err
 
 
+def test_gauge_and_dist_of_huge_points_are_finite_json(capsys):
+    def strict_json(stdout):
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+        return json.loads(stdout.strip().splitlines()[-1], parse_constant=refuse)
+
+    code, out, err = run(capsys, "gauge", "--point", "1e300,0,0")
+    assert (code, err) == (0, "")
+    assert strict_json(out)["gauge"] == 1e300
+    code, out, err = run(capsys, "group", "dist", "--a", "1e300,1e300,0", "--b", "-1e300,1e300,5")
+    assert (code, err) == (0, "")
+    assert strict_json(out)["result"] == pytest.approx(32**0.25 * 1e300)
+    # a gauge past the float range itself is refused, not printed as Infinity
+    code, out, err = run(capsys, "gauge", "--point", "1.5e308,1.5e308,0")
+    assert code == 2
+    assert out == ""
+    assert "out of range" in err.lower()
+
+
+def test_point_flags_take_negative_coordinates(capsys):
+    code, out, _ = run(capsys, "group", "dist", "--a", "1,2,3", "--b", "-0.5,0.25,7")
+    assert code == 0
+    code_eq, out_eq, _ = run(capsys, "group", "dist", "--a", "1,2,3", "--b=-0.5,0.25,7")
+    assert last_json(out) == last_json(out_eq)
+    code, out, _ = run(capsys, "group", "mul", "--a", "-1,0,0", "--b", "0,1,0")
+    assert code == 0
+    assert last_json(out)["result"] == [-1.0, 1.0, 2.0]
+    code, out, _ = run(capsys, "gauge", "--point", "-.5,0,0")
+    assert code == 0
+    assert last_json(out) == {"gauge": 0.5, "point": [-0.5, 0.0, 0.0]}
+    code, _, err = run(capsys, "gauge", "--point", "-inf,0,0")
+    assert code == 2
+    assert "finite" in err
+
+
 def test_group_mul_example(capsys):
     code, out, _ = run(capsys, "group", "mul", "--a", "1,0,0", "--b", "0,1,0")
     assert code == 0

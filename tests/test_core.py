@@ -109,6 +109,27 @@ def test_gauge_dilation_homogeneity():
         )
 
 
+def test_gauge_and_dist_hold_at_extreme_scales():
+    gen = stream(7, 5)
+    pts = gen.uniform(-2.0, 2.0, size=(50, 5))
+    others = gen.uniform(-2.0, 2.0, size=(50, 5))
+    # in the normal range the plain formula stands, bit for bit
+    z2 = np.sum(pts[:, :4] ** 2, axis=-1)
+    assert np.array_equal(gauge(pts), (z2 * z2 + pts[:, 4] ** 2) ** 0.25)
+    # past it, homogeneity: no overflow to inf, no underflow to 0
+    with np.errstate(over="raise", invalid="raise"):
+        for lam in (1e80, 1e150, 1e-80, 1e-150):
+            big, big_other = dilate(lam, pts), dilate(lam, others)
+            np.testing.assert_allclose(gauge(big), lam * gauge(pts), rtol=1e-14)
+            np.testing.assert_allclose(dist(big, big_other), lam * dist(pts, others), rtol=1e-13)
+        assert gauge([1e300, 0.0, 0.0]) == 1e300
+        assert gauge([0.0, 0.0, -1e300]) == 1e150
+        # the twist 2 (y x' - x y') alone overflows here
+        assert dist([1e300, 1e300, 0.0], [-1e300, 1e300, 5.0]) == pytest.approx(32**0.25 * 1e300)
+        assert gauge([0.0, 0.0, 0.0]) == 0.0
+        assert dist([1e300, 0.0, 0.0], [1e300, 0.0, 0.0]) == 0.0
+
+
 def test_distance_left_invariance_and_symmetry():
     gen = stream(7, 4)
     for _ in range(100):

@@ -82,6 +82,78 @@ def test_spike_envelope_against_brute_force_oracle():
     np.testing.assert_allclose(r.out.values.reshape(-1), closed, atol=1e-12)
 
 
+def _blocked_all_pairs_search(v, eps, mode, block=192):
+    """The search as it once ran: every node pair scored, 192 source nodes at
+    a time, out-of-window pairs masked afterwards.  Returns (out, witness,
+    kernel_sup)."""
+    n = v.n
+    coords = v.coords_full().reshape(-1, 2 * n + 1)
+    vals = v.values.reshape(-1)
+    window = eps * (vals.max() - vals.min())
+    shear_part = 2.0 * (1.0 + 4.0 * np.square(coords[:, : 2 * n]).sum(axis=1))
+    kernel_sup = 0.0
+    out = np.empty(vals.size)
+    wit = np.empty(vals.size, dtype=np.int64)
+    for start in range(0, vals.size, block):
+        a = coords[start : start + block, None, :]
+        b = coords[None, :, :]
+        zs = np.square(a[..., : 2 * n] - b[..., : 2 * n]).sum(axis=-1)
+        shear = 2.0 * (
+            (a[..., n : 2 * n] * b[..., :n]).sum(axis=-1)
+            - (a[..., :n] * b[..., n : 2 * n]).sum(axis=-1)
+        )
+        d4 = zs * zs + np.square(a[..., 2 * n] - b[..., 2 * n] + shear)
+        far = d4 > window
+        kern = 12.0 * zs + shear_part[None, :]
+        kern[far] = -np.inf
+        kernel_sup = max(kernel_sup, float(kern.max()))
+        if mode == "upper":
+            scores = vals[None, :] - d4 / eps
+            scores[far] = -np.inf
+            idx = np.argmax(scores, axis=1)
+        else:
+            scores = vals[None, :] + d4 / eps
+            scores[far] = np.inf
+            idx = np.argmin(scores, axis=1)
+        rows = np.arange(idx.size)
+        out[start : start + block] = scores[rows, idx]
+        wit[start : start + block] = idx
+    return out.reshape(v.res), wit.reshape(v.res), kernel_sup
+
+
+def _edge_tie_field(sign):
+    # eps puts one far pair a rounding step outside the window while its
+    # score ties the node itself: unmasked, the smaller index (the peak) wins
+    vals = np.zeros((5, 5, 5))
+    vals[0, 0, 0] = sign * 0.001
+    return GridField(1, BOX1, vals)
+
+
+def test_search_matches_all_pairs_reference():
+    uneven = np.array([[-0.5, 1.5], [-2.0, 0.25], [-1.0, 3.0]])
+    box2 = np.array([[-1.0, 1.0]] * 5)
+    fields = {
+        "constant": constant_field(),
+        "spike": spike_field(),
+        "kinked": sample(parse_field("max(x1, 0.0 - t) + 0.3*y1", 1), Domain(BOX1), 9),
+        "n2": sample(parse_field("min(x1*y2, t) + 0.2*x2 - 0.4*y1*y1", 2), Domain(box2), 5),
+        "non_cubic": sample(
+            parse_field("x1*y1 + 0.3*t*t - max(x1 - 0.2, 0.2 - x1)", 1), Domain(uneven), (7, 5, 9)
+        ),
+        "zero_oscillation": GridField(1, uneven, np.zeros((6, 5, 4))),
+    }
+    cases = [(name, v, eps) for name, v in fields.items() for eps in (5.0, 0.05, 1e-12)]
+    cases += [("edge_tie", _edge_tie_field(1.0), 3999.9999999999995)]
+    cases += [("edge_tie_negated", _edge_tie_field(-1.0), 3999.9999999999995)]
+    for name, v, eps in cases:
+        for mode, build in (("upper", upper_envelope), ("lower", lower_envelope)):
+            out, wit, kernel_sup = _blocked_all_pairs_search(v, eps, mode)
+            r = build(v, eps)
+            assert r.out.values.tobytes() == out.tobytes(), (name, eps, mode)
+            np.testing.assert_array_equal(r.witness, wit, err_msg=f"{name} {eps} {mode}")
+            assert r.kernel_sup == kernel_sup, (name, eps, mode)
+
+
 def test_upper_dominates_and_lower_is_dominated():
     v = smooth_field()
     for eps in (1.0, 0.25):
