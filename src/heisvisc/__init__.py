@@ -2,9 +2,9 @@
 
 Layout:
 
-- ``core``        group arithmetic, gauge metric, horizontal calculus on flat coordinate arrays
-- ``fields``      analytic scalar fields (parsed expressions with exact jets) and grid fields
-- ``operators``   the nonlinear operator family, conformal variants, structural checks
+- ``core``        group arithmetic, gauge metric, frame coefficients on flat coordinate arrays
+- ``fields``      analytic scalar fields (parsed expressions, exact jets over point batches) and grid fields
+- ``operators``   the frame contraction and gradient term, the operator family, conformal variants, structural checks
 - ``cones``       admissible eigenvalue cones; classification of matrix stacks; axiom sampler
 - ``envelopes``   gauge-quartic sup/inf convolutions with witnesses
 - ``viscosity``   the grid operator, grid sub/supersolution classification, envelope-shift certificate

@@ -80,6 +80,8 @@ def _out_dir(args):
 
 
 def cmd_gauge(args):
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     p = _parse_point(args.point, args.n)
     _print_json({"point": p.tolist(), "gauge": float(gauge(p))})
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import horizontal_gradient
+from .cones import eigenvalues
 from .fields import AnalyticField, Const, exp_of, z_norm_sq
 from .operators import eval_F
 from .viscosity import classify_grid
@@ -139,18 +139,13 @@ def _margin_matrices(psi, p, spec, nodes, mode):
     """Per-node pencil (A, B): the margin at coupling c is lambda_min(A - mu*c*B)."""
     tilde = perturb_up(psi, p) if mode == "up" else perturb_down(psi, p)
     sign = 1.0 if mode == "up" else -1.0
-    A = []
-    B = []
-    for xi in nodes:
-        jet = psi.jet2(xi)
-        jet_t = tilde.jet2(xi)
-        weight = 1.0 - sign * p.mu * p.beta * math.exp(-p.beta * jet.value)
-        base = sign * (eval_F(spec, jet_t, xi) - weight * eval_F(spec, jet, xi))
-        g = horizontal_gradient(jet, xi)
-        growth = 1.0 + float(np.dot(g, g)) ** (spec.m / 2.0)
-        A.append(base)
-        B.append(growth * np.eye(g.size) + np.outer(g, g))
-    return np.array(A), np.array(B)
+    F, g = eval_F(spec, psi, nodes)
+    F_tilde, _ = eval_F(spec, tilde, nodes)
+    weight = 1.0 - sign * p.mu * p.beta * np.exp(-p.beta * psi(nodes))
+    A = sign * (F_tilde - weight[..., None, None] * F)
+    growth = 1.0 + np.sum(g * g, axis=-1) ** (spec.m / 2.0)
+    B = growth[:, None, None] * np.eye(g.shape[-1]) + g[:, :, None] * g[:, None, :]
+    return A, B
 
 
 def lemma35_margin(psi, p, spec, nodes, mode="up"):
@@ -179,7 +174,7 @@ def lemma35_margin(psi, p, spec, nodes, mode="up"):
     tol = 1e-8 * (1.0 + float(np.abs(A).max(initial=0.0)))
 
     def min_margin(c):
-        return float(np.linalg.eigvalsh(A - (p.mu * c) * B)[:, 0].min())
+        return float(eigenvalues(A - (p.mu * c) * B)[:, 0].min())
 
     base = min_margin(p.K0)
     passed = base >= -tol
@@ -203,7 +198,7 @@ def lemma35_margin(psi, p, spec, nodes, mode="up"):
                 hi = mid
         k0_max = lo
 
-    margins = np.linalg.eigvalsh(A - (p.mu * p.K0) * B)[:, 0]
+    margins = eigenvalues(A - (p.mu * p.K0) * B)[:, 0]
     return PerturbationReport(
         mode=mode,
         mu=p.mu,

@@ -1,4 +1,4 @@
-"""Heisenberg group arithmetic and left-invariant horizontal calculus.
+"""Heisenberg group arithmetic and the coefficients of the horizontal frame.
 
 Points of the group live in R^n x R^n x R with coordinates (x, y, t) and
 product
@@ -13,29 +13,23 @@ The horizontal frame is
 
     X_j = d/dx_j + 2 y_j d/dt,      Y_j = d/dy_j - 2 x_j d/dt,
 
-ordered (X_1..X_n, Y_1..Y_n).  Horizontal second derivatives follow from
-Euclidean second-order jets by the chain rule: with B the 2n x (2n+1)
-frame-coefficient matrix at the base point and H the Euclidean Hessian,
-
-    full horizontal Hessian  = B H B^T + 2 (du/dt) J,
-
-where the entry at (row i, col j) is V_j V_i u and J is the block matrix
-[[0, I], [-I, 0]].  Only the antisymmetric part 4 (du/dt) J depends on the
-frame ordering; the symmetrized Hessian is B H B^T.
+ordered (X_1..X_n, Y_1..Y_n), so the i-th field is V_i = d/dz_i + c_i d/dt
+with c = :func:`frame_t_coefficients`.  Horizontal derivatives follow from
+Euclidean ones by the chain rule; :func:`heisvisc.operators.contract` is
+the one place that applies it.  The full horizontal Hessian V_j V_i u is
+its symmetric contraction plus (du/dt) d_j c_i, whose antisymmetric part is
+4 (du/dt) J with J the block matrix [[0, I], [-I, 0]].
 
 Every point is a flat coordinate array: its last axis has length 2n+1,
 ordered (x_1..x_n, y_1..y_n, t), and n is read from that length.  The
 group functions broadcast over the leading axes, so one call handles one
 point or a whole sample; two-point functions refuse operands of different
-n.  The calculus functions take one base point and a :class:`Jet2`.
+n.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Jet2",
     "group_mul",
     "group_inv",
     "gauge",
@@ -43,11 +37,7 @@ __all__ = [
     "dilate",
     "left_difference",
     "frame_t_coefficients",
-    "frame_matrix",
     "j_matrix",
-    "horizontal_gradient",
-    "heis_hessian",
-    "heis_hessian_sym",
 ]
 
 
@@ -181,44 +171,7 @@ def dilate(lam, a):
     return out
 
 
-# -- horizontal calculus from Euclidean second-order jets
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Euclidean second-order jet (value, gradient, Hessian) in the flat layout.
-
-    The Hessian is validated to be symmetric up to a relative tolerance and
-    stored exactly symmetrized, so downstream linear algebra never sees an
-    asymmetric matrix.
-    """
-
-    value: float
-    egrad: np.ndarray
-    ehess: np.ndarray
-    sym_tol: float = 1e-12
-
-    def __post_init__(self):
-        value = float(self.value)
-        g = np.asarray(self.egrad, dtype=float)
-        h = np.asarray(self.ehess, dtype=float)
-        if g.ndim != 1 or g.shape[0] % 2 != 1:
-            raise ValueError("gradient must be a flat vector of odd length 2n+1")
-        d = g.shape[0]
-        if h.shape != (d, d):
-            raise ValueError(f"Hessian must have shape ({d}, {d}), got {h.shape}")
-        if not (np.isfinite(value) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-            raise ValueError("jet entries must be finite")
-        scale = 1.0 + float(np.abs(h).max(initial=0.0))
-        if float(np.abs(h - h.T).max(initial=0.0)) > self.sym_tol * scale:
-            raise ValueError("Hessian asymmetry exceeds tolerance")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "egrad", g)
-        object.__setattr__(self, "ehess", 0.5 * (h + h.T))
-
-    @property
-    def n(self):
-        return (self.egrad.shape[0] - 1) // 2
+# -- the horizontal frame
 
 
 def j_matrix(n):
@@ -232,44 +185,8 @@ def j_matrix(n):
 def frame_t_coefficients(coords):
     """The d/dt coefficients c = (2 y_1..2 y_n, -2 x_1..-2 x_n) of the frame.
 
-    The result has 2n entries on its last axis.  This is the last column
-    of :func:`frame_matrix`.
+    The result has 2n entries on its last axis: entry i is the d/dt
+    coefficient of the i-th frame field.
     """
     coords, n = _flat(coords)
     return np.concatenate([2.0 * coords[..., n : 2 * n], -2.0 * coords[..., :n]], axis=-1)
-
-
-def frame_matrix(at):
-    """Coefficients of the horizontal frame in Euclidean coordinates.
-
-    Row i < n carries X_{i+1} = e_{x_{i+1}} + 2 y_{i+1} e_t and row n + i
-    carries Y_{i+1} = e_{y_{i+1}} - 2 x_{i+1} e_t; shape (..., 2n, 2n+1).
-    """
-    at, n = _flat(at)
-    B = np.zeros(at.shape[:-1] + (2 * n, 2 * n + 1))
-    B[..., : 2 * n] = np.eye(2 * n)
-    B[..., 2 * n] = frame_t_coefficients(at)
-    return B
-
-
-def _jet_frame(jet, at):
-    """Frame matrix at ``at``, checked against the jet's n."""
-    if np.shape(at) != (2 * jet.n + 1,):
-        raise ValueError(f"expected one point with {2 * jet.n + 1} coordinates, got shape {np.shape(at)}")
-    return frame_matrix(at)
-
-
-def horizontal_gradient(jet, at):
-    """Frame derivatives (X_1 u .. X_n u, Y_1 u .. Y_n u) at the base point."""
-    return _jet_frame(jet, at) @ jet.egrad
-
-
-def heis_hessian(jet, at):
-    """Full horizontal Hessian; entry (i, j) is V_j V_i u in frame order."""
-    return heis_hessian_sym(jet, at) + 2.0 * jet.egrad[2 * jet.n] * j_matrix(jet.n)
-
-
-def heis_hessian_sym(jet, at):
-    """Symmetrized horizontal Hessian B H B^T (the frame-order-free part)."""
-    B = _jet_frame(jet, at)
-    return B @ jet.ehess @ B.T

@@ -15,9 +15,10 @@ coefficients) and the functions ``exp``, ``log``, ``min``, ``max``.  There is
 no implicit multiplication and no named constants.
 
 Values and first/second derivatives are propagated through the syntax tree in
-forward mode, so jets are exact up to rounding: no finite differences are
-involved on the analytic side.  ``min``/``max`` evaluate everywhere but have
-no jet on their kink set; requesting one raises :class:`NonSmoothError`.
+forward mode, over a whole batch of points in one walk, so jets are exact up
+to rounding: no finite differences are involved on the analytic side.
+``min``/``max`` evaluate everywhere but have no jet on their kink set;
+requesting one there raises :class:`NonSmoothError`.
 
 Grid fields store samples of a scalar on a uniform lattice over a coordinate
 box, together with an optional mask of nodes where discrete jets would be
@@ -29,8 +30,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import Jet2
 
 __all__ = [
     "ParseError",
@@ -70,8 +69,16 @@ class NonSmoothError(ValueError):
 # -- expression nodes -------------------------------------------------------
 #
 # Each node evaluates under an environment mapping variable names to scalars
-# or broadcastable arrays, and propagates (value, gradient, Hessian) jets
-# under an ordered variable list.  Jets are scalar-point only.
+# or broadcastable arrays.  ``jets`` propagates (value, gradient, Hessian)
+# over a batch of points in one tree walk: ``axes`` maps each coordinate
+# name to its axis and ``shape`` is the batch shape, and a jet comes back as
+# arrays of shapes ``shape``, (d,) + ``shape`` and (d, d) + ``shape``,
+# entry axes first.  Other variables (extras such as ``s``) are held fixed.
+
+
+def _outer(g, h):
+    """Outer product of two gradient stacks, point by point."""
+    return g[:, None] * h[None, :]
 
 
 @dataclass(frozen=True)
@@ -123,9 +130,9 @@ class Const(Node):
     def evaluate(self, env):
         return self.value
 
-    def jet(self, env, order, kink_tol):
-        d = len(order)
-        return self.value, np.zeros(d), np.zeros((d, d))
+    def jets(self, env, axes, shape):
+        d = len(axes)
+        return np.full(shape, self.value), np.zeros((d,) + shape), np.zeros((d, d) + shape)
 
 
 @dataclass(frozen=True)
@@ -135,11 +142,13 @@ class Var(Node):
     def evaluate(self, env):
         return env[self.name]
 
-    def jet(self, env, order, kink_tol):
-        d = len(order)
-        g = np.zeros(d)
-        g[order.index(self.name)] = 1.0
-        return float(env[self.name]), g, np.zeros((d, d))
+    def jets(self, env, axes, shape):
+        d = len(axes)
+        g = np.zeros((d,) + shape)
+        if self.name in axes:
+            g[axes[self.name]] = 1.0
+        v = np.array(np.broadcast_to(env[self.name], shape), dtype=float)
+        return v, g, np.zeros((d, d) + shape)
 
 
 @dataclass(frozen=True)
@@ -152,9 +161,9 @@ class Add(_Binary):
     def evaluate(self, env):
         return self.a.evaluate(env) + self.b.evaluate(env)
 
-    def jet(self, env, order, kink_tol):
-        va, ga, ha = self.a.jet(env, order, kink_tol)
-        vb, gb, hb = self.b.jet(env, order, kink_tol)
+    def jets(self, env, axes, shape):
+        va, ga, ha = self.a.jets(env, axes, shape)
+        vb, gb, hb = self.b.jets(env, axes, shape)
         return va + vb, ga + gb, ha + hb
 
 
@@ -162,9 +171,9 @@ class Sub(_Binary):
     def evaluate(self, env):
         return self.a.evaluate(env) - self.b.evaluate(env)
 
-    def jet(self, env, order, kink_tol):
-        va, ga, ha = self.a.jet(env, order, kink_tol)
-        vb, gb, hb = self.b.jet(env, order, kink_tol)
+    def jets(self, env, axes, shape):
+        va, ga, ha = self.a.jets(env, axes, shape)
+        vb, gb, hb = self.b.jets(env, axes, shape)
         return va - vb, ga - gb, ha - hb
 
 
@@ -172,11 +181,11 @@ class Mul(_Binary):
     def evaluate(self, env):
         return self.a.evaluate(env) * self.b.evaluate(env)
 
-    def jet(self, env, order, kink_tol):
-        va, ga, ha = self.a.jet(env, order, kink_tol)
-        vb, gb, hb = self.b.jet(env, order, kink_tol)
-        cross = np.outer(ga, gb)
-        return va * vb, va * gb + vb * ga, va * hb + vb * ha + cross + cross.T
+    def jets(self, env, axes, shape):
+        va, ga, ha = self.a.jets(env, axes, shape)
+        vb, gb, hb = self.b.jets(env, axes, shape)
+        cross = _outer(ga, gb)
+        return va * vb, va * gb + vb * ga, va * hb + vb * ha + cross + cross.swapaxes(0, 1)
 
 
 class Div(_Binary):
@@ -187,16 +196,15 @@ class Div(_Binary):
             raise EvaluationDomainError("division by zero")
         return num / den
 
-    def jet(self, env, order, kink_tol):
-        va, ga, ha = self.a.jet(env, order, kink_tol)
-        vb, gb, hb = self.b.jet(env, order, kink_tol)
-        if vb == 0.0:
+    def jets(self, env, axes, shape):
+        va, ga, ha = self.a.jets(env, axes, shape)
+        vb, gb, hb = self.b.jets(env, axes, shape)
+        if np.any(vb == 0.0):
             raise EvaluationDomainError("division by zero")
         v = va / vb
         g = (ga - v * gb) / vb
-        cross = np.outer(g, gb)
-        h = (ha - v * hb - cross - cross.T) / vb
-        return v, g, h
+        cross = _outer(g, gb)
+        return v, g, (ha - v * hb - cross - cross.swapaxes(0, 1)) / vb
 
 
 @dataclass(frozen=True)
@@ -216,21 +224,18 @@ class Pow(Node):
         out = np.power(a, c)
         return out if out.ndim else float(out)
 
-    def jet(self, env, order, kink_tol):
-        va, ga, ha = self.base.jet(env, order, kink_tol)
+    def jets(self, env, axes, shape):
+        va, ga, ha = self.base.jets(env, axes, shape)
         c = self.exponent
         if c == 0.0:
-            d = len(order)
-            return 1.0, np.zeros(d), np.zeros((d, d))
-        integer = float(c).is_integer()
-        if va == 0.0 and (c < 2 and c != 1.0):
+            return np.ones(shape), np.zeros_like(ga), np.zeros_like(ha)
+        if c < 2 and c != 1.0 and np.any(va == 0.0):
             raise EvaluationDomainError("power jet undefined at zero base")
-        if va < 0.0 and not integer:
+        if not float(c).is_integer() and np.any(va < 0.0):
             raise EvaluationDomainError("fractional power of a negative base")
-        v = float(np.power(va, c))
-        d1 = c * float(np.power(va, c - 1))
-        d2 = c * (c - 1) * float(np.power(va, c - 2)) if c != 1.0 else 0.0
-        return v, d1 * ga, d1 * ha + d2 * np.outer(ga, ga)
+        d1 = c * np.power(va, c - 1)
+        d2 = c * (c - 1) * np.power(va, c - 2) if c != 1.0 else 0.0
+        return np.power(va, c), d1 * ga, d1 * ha + d2 * _outer(ga, ga)
 
 
 @dataclass(frozen=True)
@@ -240,8 +245,8 @@ class Neg(Node):
     def evaluate(self, env):
         return -self.a.evaluate(env)
 
-    def jet(self, env, order, kink_tol):
-        v, g, h = self.a.jet(env, order, kink_tol)
+    def jets(self, env, axes, shape):
+        v, g, h = self.a.jets(env, axes, shape)
         return -v, -g, -h
 
 
@@ -252,10 +257,10 @@ class Exp(Node):
     def evaluate(self, env):
         return np.exp(self.a.evaluate(env))
 
-    def jet(self, env, order, kink_tol):
-        v, g, h = self.a.jet(env, order, kink_tol)
-        ev = float(np.exp(v))
-        return ev, ev * g, ev * (h + np.outer(g, g))
+    def jets(self, env, axes, shape):
+        v, g, h = self.a.jets(env, axes, shape)
+        ev = np.exp(v)
+        return ev, ev * g, ev * (h + _outer(g, g))
 
 
 @dataclass(frozen=True)
@@ -268,12 +273,12 @@ class Log(Node):
             raise EvaluationDomainError("log of a nonpositive value")
         return np.log(v)
 
-    def jet(self, env, order, kink_tol):
-        v, g, h = self.a.jet(env, order, kink_tol)
-        if v <= 0.0:
+    def jets(self, env, axes, shape):
+        v, g, h = self.a.jets(env, axes, shape)
+        if np.any(v <= 0.0):
             raise EvaluationDomainError("log of a nonpositive value")
         gg = g / v
-        return float(np.log(v)), gg, h / v - np.outer(gg, gg)
+        return np.log(v), gg, h / v - _outer(gg, gg)
 
 
 class _MinMax(_Binary):
@@ -283,15 +288,14 @@ class _MinMax(_Binary):
     def evaluate(self, env):
         return self.op(self.a.evaluate(env), self.b.evaluate(env))
 
-    def jet(self, env, order, kink_tol):
-        ja = self.a.jet(env, order, kink_tol)
-        jb = self.b.jet(env, order, kink_tol)
+    def jets(self, env, axes, shape):
+        ja = self.a.jets(env, axes, shape)
+        jb = self.b.jets(env, axes, shape)
         gap = ja[0] - jb[0]
-        if abs(gap) <= kink_tol * (1.0 + abs(ja[0]) + abs(jb[0])):
+        if np.any(np.abs(gap) <= KINK_TOL * (1.0 + np.abs(ja[0]) + np.abs(jb[0]))):
             raise NonSmoothError(f"{self.name}: jet requested on the kink set")
-        if (gap > 0) == self.pick_first_when_positive:
-            return ja
-        return jb
+        first = (gap > 0) == self.pick_first_when_positive
+        return tuple(np.where(first, x, y) for x, y in zip(ja, jb))
 
 
 class Min(_MinMax):
@@ -466,7 +470,8 @@ class AnalyticField:
     """An expression over the coordinates x1..xn, y1..yn, t (plus extras).
 
     Wraps a syntax tree together with the ambient dimension; evaluation
-    broadcasts over arrays, jets are exact forward-mode at single points.
+    broadcasts over arrays, and jets are exact forward mode over a batch of
+    points.
     """
 
     root: Node
@@ -503,17 +508,17 @@ class AnalyticField:
         out = np.asarray(out, dtype=float)
         return float(out) if out.ndim == 0 else out
 
-    def jet_all(self, at, kink_tol=KINK_TOL, **extra):
-        """Exact (value, gradient, Hessian) over all declared variables."""
-        env = self._env_from_coords(at, extra)
-        order = list(self.names)
-        return self.root.jet(env, order, kink_tol)
+    def jets(self, points, **extra):
+        """Exact value, gradient and Hessian in the 2n+1 coordinates.
 
-    def jet2(self, at, kink_tol=KINK_TOL, **extra):
-        """Exact Euclidean jet over the 2n+1 group coordinates as a Jet2."""
-        v, g, h = self.jet_all(at, kink_tol=kink_tol, **extra)
-        d = 2 * self.n + 1
-        return Jet2(v, g[:d], h[:d, :d])
+        ``points`` has shape S + (2n+1,); the jet comes back as arrays of
+        shapes S, (2n+1,) + S and (2n+1, 2n+1) + S, entry axes first as the
+        grid operator holds its derivatives.  A kink, zero divisor or
+        domain error at any point raises, as evaluation does.
+        """
+        env = self._env_from_coords(points, extra)
+        axes = {name: a for a, name in enumerate(self.names[: 2 * self.n + 1])}
+        return self.root.jets(env, axes, np.shape(points)[:-1])
 
 
 def parse_field(text, n, extra_vars=()):
@@ -541,8 +546,8 @@ class Domain:
 
     def __post_init__(self):
         box = np.asarray(self.box, dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] % 2 != 1:
-            raise ValueError("box must have shape (2n+1, 2)")
+        if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] % 2 != 1 or len(box) < 3:
+            raise ValueError("box must have shape (2n+1, 2) with n >= 1")
         if not np.all(np.isfinite(box)):
             raise ValueError("box bounds must be finite")
         if not np.all(box[:, 0] < box[:, 1]):
@@ -575,6 +580,8 @@ class GridField:
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         d = 2 * self.n + 1
         if self.box.shape != (d, 2):
             raise ValueError(f"box must have shape ({d}, 2)")

@@ -9,12 +9,13 @@ with the quadratic gradient family
     L(xi, s, p) = alpha(xi, s) p (x) p - gamma(xi, s) Jp (x) Jp - beta(xi, s) |p|^2 I,
 
 where (x) is the outer product and J = [[0, I], [-I, 0]].  Coefficients are
-constants or analytic fields in (x, y, t, s).  ``gradient_term`` is the
-array form of L that the grid operator and the structural gate share;
-``eval_L`` is the pointwise form at an exact jet.  The conformal pair:
-``eval_A_psi`` is F with alpha = gamma = 1, beta = 1/2, and ``eval_A_u`` is
-the equivalent form in the substitution u = exp(-(Q-2) psi / 2),
-Q = 2n + 2, satisfying A^u = e^{2 psi} A[psi].
+constants or analytic fields in (x, y, t, s).  ``contract`` is the one
+frame contraction: it turns Euclidean derivatives into F and the horizontal
+gradient, and the grid operator (finite differences) and ``eval_F`` (exact
+jets of an analytic field) both call it; ``gradient_term`` is the one L.
+The conformal pair: ``eval_A_psi`` is F with alpha = gamma = 1, beta = 1/2,
+and ``eval_A_u`` is the equivalent form in the substitution
+u = exp(-(Q-2) psi / 2), Q = 2n + 2, satisfying A^u = e^{2 psi} A[psi].
 
 ``check_structural`` samples the growth, monotonicity, and sign conditions
 under which the comparison machinery downstream is justified, reporting a
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import eigenvalues
-from .core import heis_hessian_sym, horizontal_gradient, j_matrix
+from .core import frame_t_coefficients, j_matrix
 from .fields import AnalyticField, parse_field
 from .rng import stream
 
@@ -41,7 +42,8 @@ __all__ = [
     "apply_J",
     "coefficient_values",
     "gradient_term",
-    "eval_L",
+    "frame_terms",
+    "contract",
     "eval_F",
     "eval_A_psi",
     "eval_A_u",
@@ -78,6 +80,11 @@ class OperatorSpec:
             isinstance(getattr(self, c), float) for c in ("alpha", "beta", "gamma")
         )
 
+    @property
+    def is_zero(self):
+        """Whether L vanishes identically: every coefficient is the constant 0."""
+        return self.is_constant and not any(self.constants())
+
     def constants(self):
         if not self.is_constant:
             raise ValueError("operator spec has non-constant coefficients")
@@ -108,8 +115,10 @@ def gradient_term(spec, coords, s, p):
     Returns ``L[i][j]`` (the same array object as ``L[j][i]``).  Entries are
     grouped as a (p_i p_j) - g (Jp_i Jp_j), with |p|^2 summed left to right.
     """
-    a, b, g = coefficient_values(spec, coords, s)
     m, n = len(p), len(p) // 2
+    if m + 1 != np.shape(coords)[-1]:
+        raise ValueError("p must be a horizontal vector of length 2n")
+    a, b, g = coefficient_values(spec, coords, s)
     Jp = list(p[n:]) + [-q for q in p[:n]]
     bsq = b * sum(q * q for q in p)
     L = [[None] * m for _ in range(m)]
@@ -120,11 +129,53 @@ def gradient_term(spec, coords, s, p):
     return L
 
 
-def _coeff_xi_gradient(c, coords, s):
-    """Exact gradient of an analytic coefficient in the 2n+1 coordinates."""
-    extra = {"s": float(s)} if "s" in c.extra_vars else {}
-    _, g, _ = c.jet_all(coords, **extra)
-    return g[: coords.shape[-1]]
+def frame_terms(coords):
+    """The frame's t-coefficients c at ``coords`` with 2 c_i and c_i c_j,
+    each a list of arrays: the per-point factors of :func:`contract`."""
+    c = frame_t_coefficients(coords)
+    c = [c[..., i].copy() for i in range(c.shape[-1])]
+    return c, [2.0 * ci for ci in c], [[ci * cj for cj in c] for ci in c]
+
+
+def contract(spec, coords, u, H, grad, terms=None):
+    """F = (symmetrized horizontal Hessian) + L and the horizontal gradient p.
+
+    ``H[a][b]`` and ``grad[a]`` are the Euclidean second and first
+    derivatives of u in the flat coordinate axes, arrays of the shape of
+    ``u``, at the points ``coords`` (that shape + (2n+1,)).  With c the
+    t-coefficients of the frame rows (:func:`heisvisc.core.frame_t_coefficients`),
+
+        F_ij = H_ij + c_i H_jt + c_j H_it + c_i c_j H_tt,    p_i = d_i u + c_i d_t u,
+
+    and L (:func:`gradient_term`) at (coords, u, p) is added entry by entry.
+    ``grad`` may be None only when L is identically zero; p is then None
+    too.  ``terms`` are the :func:`frame_terms` of ``coords``, for callers
+    that reuse them.  Returns ``F[i][j]`` (the same array object as
+    ``F[j][i]``) and the list ``p``.
+    """
+    c, c2, cc = frame_terms(coords) if terms is None else terms
+    m = len(c)
+    Ht = H[m]
+    F = [[None] * m for _ in range(m)]
+    for i in range(m):
+        F[i][i] = H[i][i] + c2[i] * Ht[i] + cc[i][i] * Ht[m]
+        for j in range(i + 1, m):
+            F[i][j] = F[j][i] = H[i][j] + c[i] * Ht[j] + c[j] * Ht[i] + cc[i][j] * Ht[m]
+    if grad is None:
+        return F, None
+    p = [grad[i] + c[i] * grad[m] for i in range(m)]
+    if spec.is_zero:
+        return F, p
+    L = gradient_term(spec, coords, u, p)
+    for i in range(m):
+        for j in range(i, m):
+            F[i][j] = F[j][i] = F[i][j] + L[i][j]
+    return F, p
+
+
+def _stacked(M):
+    """Entry lists ``M[i][j]`` as one array with the matrix axes last."""
+    return np.stack([np.stack(row, axis=-1) for row in M], axis=-2)
 
 
 def apply_J(p):
@@ -136,54 +187,44 @@ def apply_J(p):
     return np.concatenate([p[..., n:], -p[..., :n]], axis=-1)
 
 
-def eval_L(spec, xi, s, p):
-    """The gradient part alpha p(x)p - gamma Jp(x)Jp - beta |p|^2 I at one point."""
-    coords = np.asarray(xi, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] + 1 != coords.shape[0]:
-        raise ValueError("p must be a horizontal vector of length 2n")
-    a, b, g = (float(k) for k in coefficient_values(spec, coords, s))
-    Jp = apply_J(p)
-    return (
-        a * np.outer(p, p)
-        - g * np.outer(Jp, Jp)
-        - b * float(p @ p) * np.eye(p.shape[0])
-    )
+def eval_F(spec, field, points):
+    """F[psi] and the horizontal gradient of an analytic field at ``points``.
+
+    ``points`` has shape S + (2n+1,); the exact jets of ``field`` go
+    through :func:`contract`.  Returns F with shape S + (2n, 2n) and p with
+    shape S + (2n,).
+    """
+    points = np.asarray(points, dtype=float)
+    u, grad, H = field.jets(points)
+    F, p = contract(spec, points, u, H, grad)
+    return _stacked(F), np.stack(p, axis=-1)
 
 
-def eval_F(spec, jet, xi):
-    """F[psi] at a point from the Euclidean jet of psi."""
-    p = horizontal_gradient(jet, xi)
-    return heis_hessian_sym(jet, xi) + eval_L(spec, xi, jet.value, p)
-
-
-def eval_A_psi(jet, xi):
+def eval_A_psi(field, points):
     """The distinguished conformally covariant operator applied to psi."""
-    return eval_F(conformal_operator_spec(), jet, xi)
+    return eval_F(conformal_operator_spec(), field, points)[0]
 
 
-def eval_A_u(u_jet, xi):
-    """The conformal operator in the u-variable; requires u > 0.
+def eval_A_u(field, points):
+    """The conformal operator in the u-variable at ``points``; requires u > 0.
 
     Satisfies A^u = e^{2 psi} A[psi] for u = exp(-(Q-2) psi / 2), Q = 2n + 2.
+    With q = Q - 2 it is -(2/q) u^{-(Q+2)/q} times the symmetrized Hessian
+    of u plus u^{-2Q/q} times L at the constants alpha = 2Q/q^2,
+    beta = 2/q^2, gamma = 4/q^2.
     """
-    n = u_jet.n
-    u = u_jet.value
-    if u <= 0:
+    points = np.asarray(points, dtype=float)
+    u, grad, H = field.jets(points)
+    if np.any(u <= 0):
         raise ValueError("eval_A_u requires a positive function value")
-    Q = 2 * n + 2
-    q2 = Q - 2.0
-    hess = heis_hessian_sym(u_jet, xi)
-    g = horizontal_gradient(u_jet, xi)
-    Jg = apply_J(g)
-    pow_hess = u ** (-(Q + 2.0) / q2)
-    pow_grad = u ** (-2.0 * Q / q2)
-    return (
-        -(2.0 / q2) * pow_hess * hess
-        + (2.0 * Q / q2**2) * pow_grad * np.outer(g, g)
-        - (4.0 / q2**2) * pow_grad * np.outer(Jg, Jg)
-        - (2.0 / q2**2) * pow_grad * float(g @ g) * np.eye(2 * n)
+    q2 = 2.0 * field.n
+    Q = q2 + 2.0
+    hess, g = contract(OperatorSpec(), points, u, H, grad)
+    L = gradient_term(
+        OperatorSpec(alpha=2.0 * Q / q2**2, beta=2.0 / q2**2, gamma=4.0 / q2**2), points, u, g
     )
+    hess_part = (-(2.0 / q2) * u ** (-(Q + 2.0) / q2))[..., None, None] * _stacked(hess)
+    return hess_part + (u ** (-2.0 * Q / q2))[..., None, None] * _stacked(L)
 
 
 # -- structural condition checking -------------------------------------------
@@ -250,8 +291,7 @@ class StructuralReport:
 
 def _stacked_gradient_term(spec, coords, s, p):
     """:func:`gradient_term` at samples p (N, 2n), stacked to (N, 2n, 2n)."""
-    L = gradient_term(spec, coords, s, list(p.T))
-    return np.stack([np.stack(row, axis=-1) for row in L], axis=-2)
+    return _stacked(gradient_term(spec, coords, s, list(p.T)))
 
 
 def grad_p_L(spec, coords, s, p):
@@ -282,10 +322,9 @@ def grad_xi_L(spec, coords, s, p):
             continue
         # L is linear in each coefficient: dL/dc is L with c = 1, the others 0
         dL_dc = _stacked_gradient_term(OperatorSpec(**{name: 1.0}), coords, s, p)
-        grads = np.stack(
-            [_coeff_xi_gradient(c, coords[i], s[i]) for i in range(N)]
-        )
-        out += np.einsum("na,nij->naij", grads, dL_dc)
+        extra = {"s": s} if "s" in c.extra_vars else {}
+        grads = c.jets(coords, **extra)[1]   # (2n+1, N): exact, all samples at once
+        out += np.einsum("an,nij->naij", grads, dL_dc)
     return out
 
 
@@ -325,8 +364,6 @@ def check_structural(spec, bounds, box, plan):
     beta requires the upper bound, negative beta the lower, and the
     constant-coefficient gamma == 0 branch requires neither.
     """
-    if box.n < 1:
-        raise ValueError("box must have n >= 1")
     gen = stream(plan.seed, 101)
     N = plan.count
     nn = 2 * box.n

@@ -22,7 +22,7 @@ import numpy as np
 
 from .comparison import PerturbParams, lemma35_margin
 from .cones import AxiomPlan, ConeSpec, check_axioms, shifted_trace_spec
-from .core import dilate, dist, gauge, group_inv, group_mul, heis_hessian, heis_hessian_sym, j_matrix
+from .core import dilate, dist, frame_t_coefficients, gauge, group_inv, group_mul, j_matrix
 from .envelopes import (
     check_monotone_convergence,
     check_semiconvexity,
@@ -37,8 +37,10 @@ from .operators import (
     StructuralBounds,
     check_structural,
     conformal_operator_spec,
+    contract,
     eval_A_psi,
     eval_A_u,
+    eval_F,
 )
 from .rng import stream
 from .viscosity import key_lemma_certificate
@@ -176,34 +178,41 @@ def _gauge_power_field(n, power):
 def suite_calculus(seed, count=100):
     checks = []
 
-    # antisymmetric part of the frame Hessian is 4 * u_t * J
+    # the full frame Hessian V_j V_i u is the symmetric contraction plus
+    # u_t d_j c_i, with d_j c_i the Euclidean derivatives of the frame's
+    # t-coefficients; its antisymmetric part must be 4 u_t J
     worst = 0.0
     gen = stream(seed, stream_id=21)
     fields_per_n = {1: count - count // 3, 2: count // 3}
     for n, cnt in fields_per_n.items():
-        J = j_matrix(n)
-        for _ in range(cnt):
-            f = _random_polynomial(gen, n)
-            coords = gen.uniform(-1.5, 1.5, size=2 * n + 1)
-            jet = f.jet2(coords)
-            H = heis_hessian(jet, coords)
-            resid = np.abs((H - H.T) - 4.0 * jet.egrad[-1] * J).max()
-            worst = max(worst, float(resid) / (1.0 + abs(jet.egrad[-1])))
+        draws = [(_random_polynomial(gen, n), gen.uniform(-1.5, 1.5, size=2 * n + 1))
+                 for _ in range(cnt)]
+        if not draws:
+            continue
+        coords = np.array([x for _, x in draws])
+        u, grad, H = (np.stack(part, axis=-1) for part in zip(*(f.jets(x) for f, x in draws)))
+        sym, _ = contract(OperatorSpec(), coords, u, H, grad)
+        u_t = grad[-1]
+        # c is affine in the point, so a unit step gives d_j c_i up to rounding
+        steps = coords[:, None, :] + np.eye(2 * n + 1)[: 2 * n]
+        dc = frame_t_coefficients(steps) - frame_t_coefficients(coords)[:, None, :]
+        full = np.stack([np.stack(row, axis=-1) for row in sym], axis=-2)
+        full += u_t[:, None, None] * dc.swapaxes(-1, -2)
+        resid = np.abs((full - full.swapaxes(-1, -2)) - 4.0 * u_t[:, None, None] * j_matrix(n))
+        worst = max(worst, float((resid.max(axis=(-2, -1)) / (1.0 + np.abs(u_t))).max()))
     checks.append(_outcome("hessian_commutator", count, worst, 1e-10))
 
-    # trace of the symmetrized frame Hessian of gauge^(2-Q) vanishes (n=1)
-    worst = 0.0
+    # trace of the symmetrized frame Hessian of gauge^(2-Q) vanishes (n=1);
+    # points are drawn in blocks, which keeps the points a one-at-a-time
+    # rejection loop keeps
     gen = stream(seed, stream_id=22)
-    harmonic = _gauge_power_field(1, -2.0)
-    kept = 0
     pts = 10 * count
-    while kept < pts:
-        coords = gen.uniform(-2.0, 2.0, size=3)
-        if gauge(coords) < 0.5:
-            continue
-        kept += 1
-        tr = np.trace(heis_hessian_sym(harmonic.jet2(coords), coords))
-        worst = max(worst, float(abs(tr)))
+    kept = np.empty((0, 3))
+    while len(kept) < pts:
+        block = gen.uniform(-2.0, 2.0, size=(pts, 3))
+        kept = np.concatenate([kept, block[gauge(block) >= 0.5]])
+    F, _ = eval_F(OperatorSpec(), _gauge_power_field(1, -2.0), kept[:pts])
+    worst = float(np.abs(np.trace(F, axis1=-2, axis2=-1)).max())
     checks.append(_outcome("gauge_harmonic_trace", pts, worst, 1e-6))
 
     # conformal change of variables u = exp(-(Q-2) psi / 2)
@@ -215,9 +224,8 @@ def suite_calculus(seed, count=100):
             psi = _random_polynomial(gen, n, degree=2)
             u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * psi.root), n)
             coords = gen.uniform(-0.8, 0.8, size=2 * n + 1)
-            psi_jet = psi.jet2(coords)
-            lhs = eval_A_u(u.jet2(coords), coords)
-            rhs = np.exp(2.0 * psi_jet.value) * eval_A_psi(psi_jet, coords)
+            lhs = eval_A_u(u, coords)
+            rhs = np.exp(2.0 * psi(coords)) * eval_A_psi(psi, coords)
             scale = 1.0 + float(np.abs(rhs).max())
             worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
     checks.append(_outcome("conformal_change_of_variables", 2 * (count // 2), worst, 1e-8))
@@ -471,6 +479,8 @@ def run_suite(name, seed, count=None, tamper=False, pool=None):
     the member suites concurrently (results are assembled in a fixed
     order, so the output does not depend on the schedule).
     """
+    if count is not None and count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     if name == "all":
         def run_one(member):
             return run_suite(member, seed, count=count, tamper=tamper)

@@ -4,7 +4,8 @@ A grid field is tested node by node: at every interior node with a full
 finite-difference stencil (and no kink flag in a 3^d neighborhood) the
 discrete second-order jet stands in for the touching test function, the
 operator matrix F is assembled (by :class:`GridOperator`, the grid operator
-path the solver shares), and its position relative to the admissible set
+path the solver shares, through the one frame contraction of
+:mod:`heisvisc.operators`), and its position relative to the admissible set
 decides the verdict.  Subsolutions need F in the closed set (Interior or
 Boundary), supersolutions need the closed complement (Exterior or Boundary).
 
@@ -35,10 +36,9 @@ from .cones import (
     values_from_eigenvalues,
     values_from_entries,
 )
-from .core import frame_t_coefficients
 from .envelopes import gauge_quartic, lower_envelope, upper_envelope
 from .fields import boundary_ring, central_differences
-from .operators import gradient_term
+from .operators import contract, frame_terms
 
 __all__ = [
     "TAG_NAMES",
@@ -63,31 +63,21 @@ _TAG_CODE = {name: i for i, name in enumerate(TAG_NAMES)}
 class GridOperator:
     """The operator matrix F on the interior block of one lattice, for any n.
 
-    F = (symmetrized horizontal Hessian) + L(xi, u, p).  Central differences
-    give the Euclidean second derivatives H, and the first derivatives only
-    when L is not identically zero or ``gradient`` is set.  With c the
-    t-coefficients of the frame rows (:func:`heisvisc.core.frame_t_coefficients`),
-
-        F_ij = H_ij + c_i H_jt + c_j H_it + c_i c_j H_tt,    p_i = d_i u + c_i d_t u,
-
-    and L (:func:`heisvisc.operators.gradient_term`) is added entry by
-    entry.  The lattice geometry is cached, so one instance serves every
-    sweep of a solve.
+    Central differences give the Euclidean second derivatives, and the
+    first derivatives only when L is not identically zero or ``gradient``
+    is set; :func:`heisvisc.operators.contract` turns them into F and the
+    horizontal gradient.  The frame terms of the lattice are cached, so one
+    instance serves every sweep of a solve.
     """
 
     def __init__(self, template, spec, gradient=False):
         self.spec = spec
-        self.n = n = template.n
         self.spacing = template.spacing
-        self.inner = (slice(1, -1),) * (2 * n + 1)
+        self.inner = (slice(1, -1),) * (2 * template.n + 1)
         self.coords = coords = template.coords_full()[self.inner].copy()
         self.shape = coords.shape[:-1]
-        c = frame_t_coefficients(coords)
-        self.c = [c[..., i].copy() for i in range(2 * n)]
-        self.c2 = [2.0 * ci for ci in self.c]
-        self.cc = [[ci * cj for cj in self.c] for ci in self.c]
-        self.zero_L = spec.is_constant and not any(spec.constants())
-        self.gradient = gradient or not self.zero_L
+        self.terms = frame_terms(coords)
+        self.gradient = gradient or not spec.is_zero
 
     def __call__(self, values):
         """Entry arrays ``F[i][j]`` over the interior block, and ``p``.
@@ -95,24 +85,8 @@ class GridOperator:
         ``p`` lists the horizontal gradient components, or is None when the
         gradient is not computed (see the class docstring).
         """
-        m = 2 * self.n
         H, grad = central_differences(values, self.spacing, self.gradient)
-        c, cc, Ht = self.c, self.cc, H[m]
-        F = [[None] * m for _ in range(m)]
-        for i in range(m):
-            F[i][i] = H[i][i] + self.c2[i] * Ht[i] + cc[i][i] * Ht[m]
-            for j in range(i + 1, m):
-                F[i][j] = F[j][i] = H[i][j] + c[i] * Ht[j] + c[j] * Ht[i] + cc[i][j] * Ht[m]
-        if grad is None:
-            return F, None
-        p = [grad[i] + c[i] * grad[m] for i in range(m)]
-        if self.zero_L:
-            return F, p
-        L = gradient_term(self.spec, self.coords, values[self.inner], p)
-        for i in range(m):
-            for j in range(i, m):
-                F[i][j] = F[j][i] = F[i][j] + L[i][j]
-        return F, p
+        return contract(self.spec, self.coords, values[self.inner], H, grad, self.terms)
 
 
 def _untestable_mask(g):

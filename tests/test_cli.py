@@ -44,6 +44,12 @@ def test_gauge_rejects_wrong_dimension(capsys):
     assert "expected 5" in err
 
 
+def test_gauge_rejects_n_below_one(capsys):
+    code, _, err = run(capsys, "gauge", "--n", "-2", "--point=-1,0,0")
+    assert code == 2
+    assert "--n must be at least 1" in err
+
+
 @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
 def test_gauge_and_group_reject_non_finite_point(capsys, coord):
     code, _, err = run(capsys, "gauge", f"--point={coord},0,0")
@@ -175,6 +181,19 @@ def test_envelope_rejects_bad_grid_index(capsys, tmp_path, index):
     )
     assert code == 2
     assert "data row 2" in err
+
+
+def test_envelope_rejects_grid_with_n_zero(capsys, tmp_path):
+    # a one-axis grid (only t) is no Heisenberg group grid
+    src = tmp_path / "n0.csv"
+    src.write_text("# n=0\n# box=-1.0..1.0\n# res=3\ni1,t,value\n"
+                   "0,-1.0,0.0\n1,0.0,1.0\n2,1.0,0.0\n")
+    code, out, err = run(
+        capsys, "envelope", "--input", str(src), "--eps", "0.5", "--out-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "n must be at least 1" in err
 
 
 def test_envelope_missing_input_is_io_error(capsys, tmp_path):
@@ -312,6 +331,15 @@ def test_check_core_suite_passes(capsys, tmp_path):
     assert rep["suite"] == "core"
     assert rep["seed"] == 42
     assert report_path.read_text() == out
+
+
+@pytest.mark.parametrize("suite", ["core", "calculus", "lemma35", "envelopes", "all"])
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_check_refuses_count_below_one(capsys, suite, count):
+    code, out, err = run(capsys, "check", "--suite", suite, "--count", count)
+    assert code == 2
+    assert out == ""
+    assert f"count must be at least 1, got {count}" in err
 
 
 def test_check_unknown_suite_exits_2(capsys):

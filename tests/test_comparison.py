@@ -134,12 +134,12 @@ def test_perturbed_jets_match_symbolic_oracle():
     at = np.array([0.4, -0.7, 0.3])
     subs = dict(zip(syms, at))
 
-    jet = up.jet2(at)
-    assert jet.value == pytest.approx(float(expr.subs(subs)), rel=1e-13)
+    value, egrad, ehess = up.jets(at)
+    assert value == pytest.approx(float(expr.subs(subs)), rel=1e-13)
     grad = [float(sp.diff(expr, v).subs(subs)) for v in syms]
     hess = [[float(sp.diff(expr, a, b).subs(subs)) for b in syms] for a in syms]
-    np.testing.assert_allclose(jet.egrad, grad, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(jet.ehess, hess, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(egrad, grad, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(ehess, hess, rtol=1e-12, atol=1e-14)
 
 
 # -- admissible region -------------------------------------------------------

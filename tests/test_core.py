@@ -1,8 +1,9 @@
 """Group arithmetic, gauge metric, and horizontal calculus checks.
 
-The horizontal Hessian assembly is validated against a symbolic oracle that
-applies the frame fields directly; the frame-ordering constant linking the
-antisymmetric part to the t-derivative is derived symbolically once and
+The frame contraction (``operators.contract``, the one place Euclidean
+derivatives become horizontal ones) is validated against a symbolic oracle
+that applies the frame fields directly; the frame-ordering constant linking
+the antisymmetric part to the t-derivative is derived symbolically once and
 frozen below.
 """
 
@@ -12,19 +13,16 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from heisvisc.core import (
-    Jet2,
     dilate,
     dist,
-    frame_matrix,
+    frame_t_coefficients,
     gauge,
     group_inv,
     group_mul,
-    heis_hessian,
-    heis_hessian_sym,
-    horizontal_gradient,
     j_matrix,
     left_difference,
 )
+from heisvisc.operators import OperatorSpec, contract
 from heisvisc.rng import stream
 
 # Antisymmetric part of the horizontal Hessian equals this constant times
@@ -172,18 +170,9 @@ def test_point_validation():
         lambda: gauge([1.0, 2.0]),
         lambda: group_inv(np.zeros((3, 4))),
         lambda: dilate(2.0, 1.0),
-        lambda: heis_hessian(Jet2(0.0, np.zeros(3), np.zeros((3, 3))), np.zeros(5)),
     ):
         with pytest.raises(ValueError):
             bad()
-
-
-def test_jet_validation():
-    with pytest.raises(ValueError):
-        Jet2(0.0, np.zeros(3), np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
-    near = np.eye(3) + 1e-14 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    j = Jet2(0.0, np.zeros(3), near)
-    np.testing.assert_allclose(j.ehess, j.ehess.T, atol=0)
 
 
 def test_commutator_constant():
@@ -199,6 +188,20 @@ def test_commutator_constant():
     assert sp.simplify(comm + 4 * sp.diff(u, t)) == 0
 
 
+def stacked(M):
+    """Entry lists M[i][j] of a contraction as a stack with the matrix axes last."""
+    return np.stack([np.stack(row, axis=-1) for row in M], axis=-2)
+
+
+def frame_derivatives(coords):
+    """Euclidean derivatives d_j c_i of the frame's t-coefficients, as a
+    stack indexed [.., i, j]; c is affine, so a unit step is exact."""
+    m = coords.shape[-1] - 1
+    steps = coords[..., None, :] + np.eye(m + 1)[:m]
+    dc = frame_t_coefficients(steps) - frame_t_coefficients(coords)[..., None, :]
+    return dc.swapaxes(-1, -2)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_heis_hessian_against_symbolic_oracle(n):
     xs, ys, t, frames = symbolic_frames(n)
@@ -210,76 +213,85 @@ def test_heis_hessian_against_symbolic_oracle(n):
     weights = gen.uniform(-1, 1, size=len(monomials))
     u = sum(w * m for w, m in zip(weights, monomials))
 
-    hess_sym_expr = sp.Matrix(2 * n, 2 * n, lambda i, j: frames[j](frames[i](u)))
+    # the oracle: frame fields applied symbolically, and F = sym + L of the
+    # symbolic horizontal gradient for a spec with all three coefficients
+    a, b, g = 0.7, -0.3, 1.2
+    full_expr = sp.Matrix(2 * n, 2 * n, lambda i, j: frames[j](frames[i](u)))
     grad_expr = sp.Matrix([frames[i](u) for i in range(2 * n)])
+    Jgrad = sp.Matrix(list(grad_expr[n:]) + [-q for q in grad_expr[:n]])
+    L_expr = (a * grad_expr * grad_expr.T - g * Jgrad * Jgrad.T
+              - b * (grad_expr.T * grad_expr)[0] * sp.eye(2 * n))
+    F_expr = (full_expr + full_expr.T) / 2 + L_expr
     egrad_expr = sp.Matrix([sp.diff(u, v) for v in coords])
     ehess_expr = sp.Matrix(len(coords), len(coords), lambda i, j: sp.diff(u, coords[i], coords[j]))
 
-    to_full = sp.lambdify(coords, hess_sym_expr, "numpy")
-    to_grad = sp.lambdify(coords, grad_expr, "numpy")
-    to_egrad = sp.lambdify(coords, egrad_expr, "numpy")
-    to_ehess = sp.lambdify(coords, ehess_expr, "numpy")
-    to_val = sp.lambdify(coords, u, "numpy")
+    pts = np.array([random_point(gen, n) for _ in range(25)])
 
-    for _ in range(25):
-        p = random_point(gen, n)
-        args = list(p)
-        jet = Jet2(
-            float(to_val(*args)),
-            np.ravel(to_egrad(*args)).astype(float),
-            np.asarray(to_ehess(*args), dtype=float),
-        )
-        full = heis_hessian(jet, p)
-        oracle = np.asarray(to_full(*args), dtype=float)
-        scale = 1 + np.abs(oracle).max()
-        np.testing.assert_allclose(full, oracle, atol=1e-10 * scale)
-        np.testing.assert_allclose(
-            heis_hessian_sym(jet, p), 0.5 * (oracle + oracle.T), atol=1e-10 * scale
-        )
-        np.testing.assert_allclose(
-            horizontal_gradient(jet, p), np.ravel(to_grad(*args)), atol=1e-10 * scale
-        )
+    def at_points(expr):
+        f = sp.lambdify(coords, expr, "numpy")
+        return np.stack([np.asarray(f(*p), dtype=float) for p in pts], axis=-1)
+
+    val, egrad, ehess = at_points(u), at_points(egrad_expr)[:, 0], at_points(ehess_expr)
+    oracle, oracle_F = at_points(full_expr), at_points(F_expr)
+    oracle_grad = at_points(grad_expr)[:, 0]
+
+    sym, grad_h = contract(OperatorSpec(), pts, val, ehess, egrad)
+    F, _ = contract(OperatorSpec(alpha=a, beta=b, gamma=g), pts, val, ehess, egrad)
+    sym, F = stacked(sym), stacked(F)
+    # the full Hessian adds u_t d_j c_i to the symmetric contraction
+    full = sym + egrad[2 * n][:, None, None] * frame_derivatives(pts)
+    for k in range(len(pts)):
+        ref = oracle[..., k]
+        scale = 1 + np.abs(ref).max()
+        np.testing.assert_allclose(full[k], ref, atol=1e-10 * scale)
+        np.testing.assert_allclose(sym[k], 0.5 * (ref + ref.T), atol=1e-10 * scale)
+        np.testing.assert_allclose([q[k] for q in grad_h], oracle_grad[:, k], atol=1e-10 * scale)
+        ref_F = oracle_F[..., k]
+        np.testing.assert_allclose(F[k], ref_F, atol=1e-10 * (1 + np.abs(ref_F).max()))
         # antisymmetric part carries exactly the frozen frame constant
-        anti = full - full.T
-        expected = FRAME_COMMUTATOR_CONSTANT * jet.egrad[2 * n] * j_matrix(n)
+        anti = full[k] - full[k].T
+        expected = FRAME_COMMUTATOR_CONSTANT * egrad[2 * n, k] * j_matrix(n)
         np.testing.assert_allclose(anti, expected, atol=1e-10 * scale)
 
 
 def test_heis_hessian_closed_forms():
-    # u = t has Euclidean Hessian zero: only the frame twist survives
+    # u = t has Euclidean Hessian zero: the symmetric part vanishes, and
+    # only the frame twist survives in the full Hessian
     p = np.array([0.3, -0.7, 0.2])
-    jet = Jet2(p[2], np.array([0.0, 0.0, 1.0]), np.zeros((3, 3)))
-    np.testing.assert_allclose(heis_hessian(jet, p), [[0.0, 2.0], [-2.0, 0.0]], atol=0)
-    np.testing.assert_allclose(heis_hessian_sym(jet, p), np.zeros((2, 2)), atol=0)
+    sym, _ = contract(OperatorSpec(), p, p[2], np.zeros((3, 3)), np.array([0.0, 0.0, 1.0]))
+    np.testing.assert_allclose(stacked(sym), np.zeros((2, 2)), atol=0)
+    np.testing.assert_allclose(stacked(sym) + frame_derivatives(p), [[0.0, 2.0], [-2.0, 0.0]],
+                               atol=0)
 
     # u = |z|^2 + t^2: symmetrized part is 2(I + 4 (Jz)(Jz)^T)
     gen = stream(11, 9)
     for n in (1, 2):
-        for _ in range(20):
-            p = random_point(gen, n)
-            c = p
-            jet = Jet2(c @ c, 2.0 * c, 2.0 * np.eye(2 * n + 1))
-            Jz = j_matrix(n) @ c[: 2 * n]
-            expected = 2.0 * (np.eye(2 * n) + 4.0 * np.outer(Jz, Jz))
-            np.testing.assert_allclose(heis_hessian_sym(jet, p), expected, atol=1e-12)
+        d = 2 * n + 1
+        p = np.array([random_point(gen, n) for _ in range(20)])
+        ehess = np.broadcast_to(2.0 * np.eye(d)[..., None], (d, d, 20))
+        sym, _ = contract(OperatorSpec(), p, np.sum(p * p, axis=-1), ehess, 2.0 * p.T)
+        Jz = p[:, : 2 * n] @ j_matrix(n).T
+        expected = 2.0 * (np.eye(2 * n) + 4.0 * Jz[:, :, None] * Jz[:, None, :])
+        np.testing.assert_allclose(stacked(sym), expected, atol=1e-12)
 
 
-def test_frame_matrix_rows():
+def test_frame_t_coefficients_rows():
+    # rows X_1 = e_x1 + 2 y1 e_t and Y_2 = e_y2 - 2 x2 e_t, at one point and a stack
     p = np.array([0.5, -1.0, 2.0, 0.25, 3.0])
-    B = frame_matrix(p)
-    assert B.shape == (4, 5)
-    np.testing.assert_allclose(B[0], [1, 0, 0, 0, 2 * 2.0], atol=0)
-    np.testing.assert_allclose(B[3], [0, 0, 0, 1, -2 * -1.0], atol=0)
+    c = frame_t_coefficients(p)
+    np.testing.assert_allclose(c, [2 * 2.0, 2 * 0.25, -2 * 0.5, -2 * -1.0], atol=0)
+    np.testing.assert_array_equal(frame_t_coefficients(np.stack([p, 2 * p])), [c, 2 * c])
 
 
 def test_horizontal_gradient_linear_fields():
     p = np.array([0.4, -0.3, 1.0])
+    zero = np.zeros((3, 3))
     # u = x1: X u = 1, Y u = 0
-    jet = Jet2(p[0], np.array([1.0, 0.0, 0.0]), np.zeros((3, 3)))
-    np.testing.assert_allclose(horizontal_gradient(jet, p), [1.0, 0.0], atol=0)
+    _, grad_h = contract(OperatorSpec(), p, p[0], zero, np.array([1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(grad_h, [1.0, 0.0], atol=0)
     # u = t: X u = 2 y1, Y u = -2 x1
-    jet = Jet2(p[2], np.array([0.0, 0.0, 1.0]), np.zeros((3, 3)))
-    np.testing.assert_allclose(horizontal_gradient(jet, p), [-0.6, -0.8], atol=1e-15)
+    _, grad_h = contract(OperatorSpec(), p, p[2], zero, np.array([0.0, 0.0, 1.0]))
+    np.testing.assert_allclose(grad_h, [-0.6, -0.8], atol=1e-15)
 
 
 def test_coords_roundtrip_and_dilate_group_compat():

@@ -124,20 +124,56 @@ JET_CASES = [
 def test_jets_match_sympy_oracle(text, n, at):
     f = parse_field(text, n)
     at = np.asarray(at)
-    jet = f.jet2(at)
+    value, egrad, ehess = f.jets(at)
     val, grad, hess = sympy_jet(text, n, at)
     scale = 1 + abs(val) + np.abs(grad).max() + np.abs(hess).max()
-    assert jet.value == pytest.approx(val, abs=1e-12 * scale)
-    np.testing.assert_allclose(jet.egrad, grad, atol=1e-12 * scale)
-    np.testing.assert_allclose(jet.ehess, hess, atol=1e-12 * scale)
+    assert value == pytest.approx(val, abs=1e-12 * scale)
+    np.testing.assert_allclose(egrad, grad, atol=1e-12 * scale)
+    np.testing.assert_allclose(ehess, hess, atol=1e-12 * scale)
 
 
 def test_jet_at_kink_raises():
     f = parse_field("min(x1, y1)", 1)
     with pytest.raises(NonSmoothError):
-        f.jet2(np.array([0.5, 0.5, 0.0]))
+        f.jets(np.array([0.5, 0.5, 0.0]))
+    # one point on the kink refuses the whole batch
+    with pytest.raises(NonSmoothError):
+        f.jets(np.array([[0.5, -0.5, 0.0], [0.5, 0.5, 0.0]]))
     # evaluation itself is fine on the kink
     assert f(np.array([0.5, 0.5, 0.0])) == 0.5
+
+
+@pytest.mark.parametrize("text,n,at", JET_CASES)
+def test_batched_jets_equal_pointwise(text, n, at):
+    # one tree walk over a batch gives, bit for bit, the jets of each point
+    f = parse_field(text, n)
+    pts = np.asarray(at) + stream(4, n).uniform(-0.05, 0.05, size=(30, 2 * n + 1))
+    value, egrad, ehess = f.jets(pts)
+    assert value.shape == (30,) and egrad.shape == (2 * n + 1, 30)
+    assert ehess.shape == (2 * n + 1, 2 * n + 1, 30)
+    for k, pt in enumerate(pts):
+        v, g, h = f.jets(pt)
+        assert v == value[k]
+        np.testing.assert_array_equal(g, egrad[:, k])
+        np.testing.assert_array_equal(h, ehess[:, :, k])
+    np.testing.assert_array_equal(value, f(pts))
+
+
+def test_jets_hold_extra_variables_fixed():
+    f = parse_field("x1*s + s*s*t", 1, extra_vars=("s",))
+    pts = np.array([[0.5, 0.0, 2.0], [1.0, 1.0, -1.0]])
+    s = np.array([3.0, -2.0])
+    value, egrad, ehess = f.jets(pts, s=s)
+    np.testing.assert_array_equal(value, [0.5 * 3.0 + 9.0 * 2.0, -2.0 - 4.0])
+    np.testing.assert_array_equal(egrad, [s, [0.0, 0.0], s * s])
+    np.testing.assert_array_equal(ehess, np.zeros((3, 3, 2)))
+
+
+def test_jet_domain_errors_refuse_the_batch():
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    for text in ("log(x1)", "1.0/x1", "x1^0.5", "x1^-1"):
+        with pytest.raises(EvaluationDomainError):
+            parse_field(text, 1).jets(pts)
 
 
 def test_programmatic_construction_matches_parse():
@@ -148,8 +184,8 @@ def test_programmatic_construction_matches_parse():
     for _ in range(20):
         at = gen.uniform(-1, 1, size=3)
         assert built(at) == pytest.approx(parsed(at), rel=1e-14, abs=1e-14)
-    jet_b, jet_p = built.jet2(np.array([0.2, -0.3, 0.1])), parsed.jet2(np.array([0.2, -0.3, 0.1]))
-    np.testing.assert_allclose(jet_b.ehess, jet_p.ehess, atol=1e-14)
+    at = np.array([0.2, -0.3, 0.1])
+    np.testing.assert_allclose(built.jets(at)[2], parsed.jets(at)[2], atol=1e-14)
 
 
 def test_z_norm_sq_helper():
@@ -177,6 +213,8 @@ def test_domain_validation():
         Domain(np.array([[1.0, -1.0], [0.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         Domain(np.array([[0.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="n >= 1"):
+        Domain(np.array([[0.0, 1.0]]))
 
 
 def test_domain_sampling_deterministic():
@@ -224,10 +262,10 @@ def test_fd_jets_exact_on_quadratics():
     f = parse_field("x1^2 + 3.0*x1*y1 - t^2 + 2.0*y1*t - x1 + 4.0", 1)
     g = sample(f, box1(), 9)
     value, grad, hess = fd_jet(g, (3, 5, 4))
-    exact = f.jet2(g.coords_full()[3, 5, 4])
-    np.testing.assert_allclose(value, exact.value, atol=1e-13)
-    np.testing.assert_allclose(grad, exact.egrad, atol=1e-12)
-    np.testing.assert_allclose(hess, exact.ehess, atol=1e-12)
+    exact_value, exact_grad, exact_hess = f.jets(g.coords_full()[3, 5, 4])
+    np.testing.assert_allclose(value, exact_value, atol=1e-13)
+    np.testing.assert_allclose(grad, exact_grad, atol=1e-12)
+    np.testing.assert_allclose(hess, exact_hess, atol=1e-12)
 
 
 def test_fd_jets_second_order_on_smooth_fields():
@@ -237,8 +275,8 @@ def test_fd_jets_second_order_on_smooth_fields():
     for res, idx in ((11, (3, 7, 5)), (21, (6, 14, 10)), (41, (12, 28, 20))):
         g = sample(f, box1(), res)
         _, _, hess = fd_jet(g, idx)
-        exact = f.jet2(g.coords_full()[idx])
-        errs.append(np.abs(hess - exact.ehess).max())
+        exact_hess = f.jets(g.coords_full()[idx])[2]
+        errs.append(np.abs(hess - exact_hess).max())
     # each halving of h divides the error by about 4
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] <= errs[0] / 8
@@ -270,6 +308,8 @@ def test_grid_masks_and_copy():
 
 
 def test_gridfield_validation():
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        GridField(0, np.array([[0.0, 1.0]]), np.zeros(4))
     with pytest.raises(ValueError):
         GridField(1, np.zeros((3, 2)), np.zeros((4, 4)))
     with pytest.raises(ValueError):

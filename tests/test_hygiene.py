@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no function
-keeps a local or (at module level) a parameter it never reads, and no
-public function or class of the package is there only for the tests."""
+keeps a local or (at module level) a parameter it never reads, no public
+function or class of the package is there only for the tests, and every
+eigenvalue the program computes comes from one place."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,9 @@ SCANNED = ("src/heisvisc", "tests", "scripts")
 PROGRAM = ("src/heisvisc", "scripts")
 # files whose reads keep a public name of the package alive: the tests do not
 PUBLIC_READERS = ("src/heisvisc", "scripts", "perfbench")
+# the one eigen path (cones.spectrum); the tests may still call LAPACK as
+# the reference it is checked against
+EIGEN_HOME = "src/heisvisc/cones.py"
 # gate 12 reads it; ROADMAP item 7 moves it into `heisvisc solve`
 TEST_ONLY_EXEMPT = {"perron.uniqueness_gap"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -216,3 +220,43 @@ def test_scan_sees_public_names_only_tests_read(tmp_path):
     (other / "run.py").write_text("import mod\nprint(mod.Kept)\n")
     assert unread_public_names(pkg, [pkg, other]) == [
         "mod.Lonely", "mod.listed", "mod.recursive"]
+
+
+def _is_linalg(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "linalg") or (
+        isinstance(node, ast.Name) and node.id == "linalg")
+
+
+def eigen_calls(path):
+    """(line, name) of each eigen routine a module reads from a ``linalg``
+    namespace (numpy's or scipy's), by attribute or by import."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("eig") and _is_linalg(
+                node.value):
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found |= {(node.lineno, a.name) for a in node.names if a.name.startswith("eig")}
+    return sorted(found)
+
+
+def test_eigenvalues_come_from_cones_only():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for top in PROGRAM
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path != ROOT / EIGEN_HOME
+        for line, name in eigen_calls(path)
+    ]
+    assert not found, "eigen routines called outside cones.py:\n" + "\n".join(found)
+
+
+def test_scan_sees_eigen_calls(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import numpy as np\nimport scipy.linalg\nfrom numpy import linalg\n"
+        "from numpy.linalg import eigh, norm\n"
+        "np.linalg.eigvalsh(a)\nscipy.linalg.eig(a)\nlinalg.eigvals(a)\nnp.linalg.norm(a)\n"
+    )
+    assert eigen_calls(src) == [(4, "eigh"), (5, "eigvalsh"), (6, "eig"), (7, "eigvals")]

@@ -1,10 +1,10 @@
-"""Tests for the operator family: pointwise evaluation, batching, conformal
-covariance, and the structural-condition sampler."""
+"""Tests for the operator family: the gradient term L, F from exact jets,
+conformal covariance, and the structural-condition sampler."""
 
 import numpy as np
 import pytest
 
-from heisvisc.core import Jet2, heis_hessian_sym, horizontal_gradient, j_matrix
+from heisvisc.core import j_matrix
 from heisvisc.fields import AnalyticField, Const, Domain, exp_of, parse_field
 from heisvisc.operators import (
     OperatorSpec,
@@ -17,7 +17,6 @@ from heisvisc.operators import (
     eval_A_psi,
     eval_A_u,
     eval_F,
-    eval_L,
     grad_p_L,
     grad_xi_L,
     gradient_term,
@@ -49,6 +48,11 @@ def L_stack(spec, coords, s, p):
     return np.stack([np.stack(row, axis=-1) for row in L], axis=-2)
 
 
+def L_at(spec, xi, s, p):
+    """gradient_term at one point as a (2n, 2n) matrix."""
+    return L_stack(spec, np.asarray(xi, dtype=float)[None], np.array([s]), np.asarray(p)[None])[0]
+
+
 # -- apply_J ------------------------------------------------------------------
 
 
@@ -75,24 +79,24 @@ def test_apply_j_rejects_odd_length():
         apply_J([1.0, 2.0, 3.0])
 
 
-# -- eval_L -------------------------------------------------------------------
+# -- the gradient term L ------------------------------------------------------
 
 
 def test_eval_l_hand_computed_example():
     # alpha = gamma = 1, beta = 1/2, p = e_x:
     #   p(x)p = diag(1, 0), Jp = (0, -1) so Jp(x)Jp = diag(0, 1), |p|^2 = 1
     spec = conformal_operator_spec()
-    L = eval_L(spec, ORIGIN, 0.0, np.array([1.0, 0.0]))
+    L = L_at(spec, ORIGIN, 0.0, np.array([1.0, 0.0]))
     np.testing.assert_allclose(L, [[0.5, 0.0], [0.0, -1.5]], atol=1e-15)
 
 
 def test_eval_l_zero_gradient_and_zero_spec():
     spec = conformal_operator_spec()
-    np.testing.assert_allclose(eval_L(spec, ORIGIN, 1.0, np.zeros(2)), np.zeros((2, 2)))
+    np.testing.assert_allclose(L_at(spec, ORIGIN, 1.0, np.zeros(2)), np.zeros((2, 2)))
     zero = OperatorSpec()
     gen = stream(3)
     p = gen.normal(size=2)
-    np.testing.assert_allclose(eval_L(zero, ORIGIN, 0.3, p), np.zeros((2, 2)))
+    np.testing.assert_allclose(L_at(zero, ORIGIN, 0.3, p), np.zeros((2, 2)))
 
 
 def test_eval_l_trace_identity():
@@ -105,7 +109,7 @@ def test_eval_l_trace_identity():
             spec = OperatorSpec(alpha=a, beta=b, gamma=g)
             p = gen.normal(size=2 * n)
             expected = (a - g - 2 * n * b) * (p @ p)
-            assert abs(np.trace(eval_L(spec, pt, 0.0, p)) - expected) < 1e-12 * (
+            assert abs(np.trace(L_at(spec, pt, 0.0, p)) - expected) < 1e-12 * (
                 1 + abs(expected)
             )
 
@@ -115,15 +119,15 @@ def test_eval_l_even_in_p_and_symmetric():
     spec = OperatorSpec(alpha=0.7, beta=-0.3, gamma=1.2)
     for _ in range(10):
         p = gen.normal(size=4)
-        L = eval_L(spec, np.array([0.1, 0.2, 0.3, -0.1, 0.5]), 0.0, p)
+        L = L_at(spec, np.array([0.1, 0.2, 0.3, -0.1, 0.5]), 0.0, p)
         np.testing.assert_allclose(L, L.T, atol=1e-14)
-        Lm = eval_L(spec, np.array([0.1, 0.2, 0.3, -0.1, 0.5]), 0.0, -p)
+        Lm = L_at(spec, np.array([0.1, 0.2, 0.3, -0.1, 0.5]), 0.0, -p)
         np.testing.assert_allclose(L, Lm, atol=1e-14)
 
 
 def test_eval_l_rejects_bad_gradient_length():
-    with pytest.raises(ValueError):
-        eval_L(conformal_operator_spec(), ORIGIN, 0.0, np.zeros(3))
+    with pytest.raises(ValueError, match="length 2n"):
+        gradient_term(conformal_operator_spec(), ORIGIN, 0.0, [0.0, 0.0, 0.0])
 
 
 def test_eval_l_with_field_coefficients():
@@ -132,26 +136,27 @@ def test_eval_l_with_field_coefficients():
     pt = np.array([0.5, -0.2, 0.1])
     p = np.array([1.0, 2.0])
     expected = (0.5 + 2.0 * 0.7) * np.outer(p, p)
-    np.testing.assert_allclose(eval_L(spec_f, pt, 0.7, p), expected, atol=1e-14)
+    np.testing.assert_allclose(L_at(spec_f, pt, 0.7, p), expected, atol=1e-14)
 
 
 # -- eval_F and the quadratic-shift identity ----------------------------------
 
 
 def test_eval_f_is_hessian_plus_gradient_part():
+    # F's gradient part is L at the field's own value and horizontal gradient
     gen = stream(6)
     for n in (1, 2):
         f = random_polynomial_field(gen, n)
         spec = OperatorSpec(alpha=0.8, beta=0.2, gamma=-0.5)
-        for _ in range(5):
-            coords = gen.uniform(-1, 1, size=2 * n + 1)
-            pt = coords
-            jet = f.jet2(coords)
-            F = eval_F(spec, jet, pt)
-            expected = heis_hessian_sym(jet, pt) + eval_L(
-                spec, pt, jet.value, horizontal_gradient(jet, pt)
-            )
-            np.testing.assert_allclose(F, expected, atol=1e-14)
+        pts = gen.uniform(-1, 1, size=(5, 2 * n + 1))
+        F, p = eval_F(spec, f, pts)
+        hess, p0 = eval_F(OperatorSpec(), f, pts)
+        np.testing.assert_array_equal(p, p0)
+        expected = hess + L_stack(spec, pts, f(pts), p)
+        np.testing.assert_allclose(F, expected, atol=1e-14)
+        # a batch is the stack of its points
+        for k in range(len(pts)):
+            np.testing.assert_array_equal(eval_F(spec, f, pts[k])[0], F[k])
 
 
 def test_quadratic_shift_identity():
@@ -169,10 +174,7 @@ def test_quadratic_shift_identity():
             mu = float(gen.uniform(0.1, 2.0))
             shifted = AnalyticField(f.root + mu * norm_sq, n)
             coords = gen.uniform(-1, 1, size=2 * n + 1)
-            pt = coords
-            diff = eval_F(zero, shifted.jet2(coords), pt) - eval_F(
-                zero, f.jet2(coords), pt
-            )
+            diff = eval_F(zero, shifted, coords)[0] - eval_F(zero, f, coords)[0]
             z = coords[: 2 * n]
             Jz = np.concatenate([z[n:], -z[:n]])
             expected = 2.0 * mu * (np.eye(2 * n) + 4.0 * np.outer(Jz, Jz))
@@ -196,42 +198,39 @@ def test_conformal_change_of_variables(n):
     for _ in range(25):
         psi = random_polynomial_field(gen, n, degree=2)
         u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * psi.root), n)
-        coords = gen.uniform(-0.8, 0.8, size=2 * n + 1)
-        pt = coords
-        lhs = eval_A_u(u.jet2(coords), pt)
-        psi_jet = psi.jet2(coords)
-        rhs = np.exp(2.0 * psi_jet.value) * eval_A_psi(psi_jet, pt)
+        pts = gen.uniform(-0.8, 0.8, size=(4, 2 * n + 1))
+        lhs = eval_A_u(u, pts)
+        rhs = np.exp(2.0 * psi(pts))[:, None, None] * eval_A_psi(psi, pts)
         scale = 1.0 + np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-8 * scale
 
 
 def test_eval_a_u_constant_one_is_zero():
-    jet = Jet2(1.0, np.zeros(3), np.zeros((3, 3)))
-    np.testing.assert_allclose(eval_A_u(jet, ORIGIN), np.zeros((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(eval_A_u(parse_field("1.0", 1), ORIGIN), np.zeros((2, 2)),
+                               atol=1e-15)
 
 
 def test_eval_a_u_requires_positive_value():
-    jet = Jet2(-0.5, np.zeros(3), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        eval_A_u(jet, ORIGIN)
+    u = parse_field("x1", 1)
+    with pytest.raises(ValueError, match="positive"):
+        eval_A_u(u, np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]))
 
 
 # -- batched evaluation --------------------------------------------------------
 
 
 def test_l_batch_matches_pointwise():
+    # field coefficients over a batch agree with constant specs point by point
     gen = stream(9)
-    spec = OperatorSpec(
-        alpha=parse_field("x1 - s", 1, extra_vars=("s",)),
-        beta=0.5,
-        gamma=parse_field("1.5 + 0.0*t", 1),
-    )
+    alpha = parse_field("x1 - s", 1, extra_vars=("s",))
+    spec = OperatorSpec(alpha=alpha, beta=0.5, gamma=parse_field("1.5 + 0.0*t", 1))
     coords = gen.uniform(-1, 1, size=(40, 3))
     s = gen.uniform(-1, 1, size=40)
     p = gen.normal(size=(40, 2))
     batch = L_stack(spec, coords, s, p)
     for i in range(40):
-        single = eval_L(spec, coords[i], float(s[i]), p[i])
+        a = alpha(coords[i], s=float(s[i]))
+        single = L_at(OperatorSpec(alpha=a, beta=0.5, gamma=1.5), coords[i], float(s[i]), p[i])
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
 
 
@@ -330,7 +329,7 @@ def test_structural_decreasing_alpha_fails_monotonicity():
     # the witness reproduces the reported margin
     from heisvisc.cones import eigenvalues
 
-    diff = eval_L(spec, w["xi"], w["s_prime"], np.array(w["p"])) - eval_L(
+    diff = L_at(spec, w["xi"], w["s_prime"], np.array(w["p"])) - L_at(
         spec, w["xi"], w["s"], np.array(w["p"])
     )
     assert abs(eigenvalues(diff[None])[0, 0] - w["margin"]) < 1e-9

@@ -15,6 +15,19 @@ def test_unknown_suite_raises():
         run_suite("bogus", 1)
 
 
+def test_count_below_one_raises():
+    for name in SUITE_NAMES:
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            run_suite(name, 1, count=0)
+
+
+def test_calculus_suite_at_small_counts():
+    # at count 1 the commutator check draws no n = 2 polynomial
+    rep = run_suite("calculus", 3, count=1)
+    assert rep.passed
+    assert [c.checked for c in rep.checks[:2]] == [1, 10]
+
+
 def test_suite_names_cover_dispatch():
     assert set(SUITE_NAMES) == {
         "core", "calculus", "cones", "envelopes", "structural",

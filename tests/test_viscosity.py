@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from heisvisc.cones import ConeSpec, defining_value
-from heisvisc.core import heis_hessian_sym, horizontal_gradient
 from heisvisc.fields import Domain, GridField, parse_field, sample
-from heisvisc.operators import OperatorSpec, conformal_operator_spec, eval_F, eval_L
+from heisvisc.operators import OperatorSpec, conformal_operator_spec, eval_F
 from heisvisc.rng import stream
 from heisvisc.viscosity import (
     TAG_NAMES,
@@ -87,11 +86,11 @@ def test_grid_verdict_matches_exact_jets_on_quadratics():
     spec = conformal_operator_spec()
     cone = ConeSpec("posdef")
     cls = classify_grid(g, spec, cone, side="both")
-    coords = g.coords_full()
-    for node in [(1, 1, 1), (3, 2, 4), (5, 5, 5), (2, 4, 3)]:
-        pt = coords[node]
-        rho_exact = defining_value(cone, eval_F(spec, f.jet2(pt), pt)[None])[0]
-        assert cls.rho[node] == pytest.approx(rho_exact, abs=1e-9)
+    nodes = [(1, 1, 1), (3, 2, 4), (5, 5, 5), (2, 4, 3)]
+    coords = g.coords_full()[tuple(np.array(nodes).T)]
+    rho_exact = defining_value(cone, eval_F(spec, f, coords)[0])
+    for node, rho in zip(nodes, rho_exact):
+        assert cls.rho[node] == pytest.approx(rho, abs=1e-9)
 
 
 def random_quadratic(gen, n):
@@ -107,8 +106,8 @@ def random_quadratic(gen, n):
 @pytest.mark.parametrize("n, res", [(1, 7), (2, 5)], ids=["n1", "n2"])
 @pytest.mark.parametrize("coefficients", ["zero", "conformal", "field"])
 def test_grid_operator_matches_exact_frame_calculus(n, res, coefficients):
-    # FD jets are exact on quadratics, so the shared path's F and p must equal
-    # the pointwise frame calculus at every interior node
+    # FD jets are exact on quadratics, so the grid's F and p must equal F
+    # from the field's exact jets at every interior node
     spec = {
         "zero": ZERO_SPEC,
         "conformal": conformal_operator_spec(),
@@ -121,16 +120,12 @@ def test_grid_operator_matches_exact_frame_calculus(n, res, coefficients):
     op = GridOperator(g, spec, gradient=True)
     F, p = op(g.values)
     m = 2 * n
-    coords = g.coords_full()
+    exact_F, exact_p = eval_F(spec, f, op.coords)
     for at in np.ndindex(op.shape):
-        node = tuple(i + 1 for i in at)
-        pt = coords[node]
-        jet = f.jet2(pt)
-        grad_h = horizontal_gradient(jet, pt)
-        exact = heis_hessian_sym(jet, pt) + eval_L(spec, pt, g.values[node], grad_h)
+        exact = exact_F[at]
         got = np.array([[F[i][j][at] for j in range(m)] for i in range(m)])
         np.testing.assert_allclose(got, exact, rtol=0, atol=1e-10 * (1 + np.abs(exact).max()))
-        np.testing.assert_allclose([q[at] for q in p], grad_h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([q[at] for q in p], exact_p[at], rtol=0, atol=1e-12)
 
 
 def test_kink_nodes_are_untestable():
