@@ -41,9 +41,9 @@ def study(name, expr, resolutions, scale, tol):
         err = float(np.abs(sol.u.values[inner] - exact.values[inner]).max())
         order = math.log2(prev_err / err) if prev_err else float("nan")
         prev_err = err
-        rows.append((name, r, err, order, sol.iterations, sol.dt, elapsed))
+        rows.append((name, r, err, order, sol.iterations, elapsed))
         print(f"{name:9s} {r:3d}^3  err {err:.3e}  order {order:5.2f}  "
-              f"sweeps {sol.iterations:6d}  dt {sol.dt:.2e}  {elapsed:6.1f}s")
+              f"steps {sol.iterations:3d}  {elapsed:6.2f}s")
     return rows
 
 
@@ -64,9 +64,9 @@ def main(argv=None):
 
     if args.csv:
         with open(args.csv, "w", newline="\n") as fh:
-            fh.write("field,res,max_error,order,sweeps,dt,seconds\n")
-            for name, r, err, order, sweeps, dt, elapsed in rows:
-                fh.write(f"{name},{r},{err!r},{order!r},{sweeps},{dt!r},{elapsed:.2f}\n")
+            fh.write("field,res,max_error,order,steps,seconds\n")
+            for name, r, err, order, steps, elapsed in rows:
+                fh.write(f"{name},{r},{err!r},{order!r},{steps},{elapsed:.2f}\n")
         print(f"wrote {args.csv}")
     return 0
 

@@ -183,13 +183,8 @@ def cmd_compare(args):
 
 def cmd_solve(args):
     prob = load_problem(args.problem)
-    dt = "auto" if args.dt == "auto" else float(args.dt)
     out = _out_dir(args)
-    try:
-        res = solve(prob, dt=dt, tol=args.tol, max_iter=args.max_iter, start=args.start)
-    except ArithmeticError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    res = solve(prob, tol=args.tol, max_iter=args.max_iter, start=args.start)
     write_grid_csv(res.u, out / "solution.csv")
     write_residuals_csv(res.residuals, out / "residuals.csv")
     report = {
@@ -197,7 +192,7 @@ def cmd_solve(args):
         "converged": bool(res.converged),
         "iterations": int(res.iterations),
         "final_residual": float(res.final_residual),
-        "dt": float(res.dt),
+        "held": int(res.held),
         "start": res.start,
     }
     (out / "solve_report.json").write_text(
@@ -259,12 +254,11 @@ def build_parser():
     p.add_argument("--problem", required=True)
     p.add_argument("--out-dir", default=None)
 
-    p = add("solve", cmd_solve, "bracketed fixed-point solve of a problem JSON")
+    p = add("solve", cmd_solve, "bracketed semismooth Newton solve of a problem JSON")
     p.add_argument("--problem", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--dt", default="auto")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=60000)
+    p.add_argument("--max-iter", type=int, default=100, help="Newton steps")
     p.add_argument("--start", choices=("sub", "super"), default="sub")
 
     return parser

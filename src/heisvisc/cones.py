@@ -71,24 +71,32 @@ def _stack(Ms):
     return Ms.transpose(1, 2, 0)
 
 
-def spectrum(F):
+def spectrum(F, vectors=False):
     """Ascending eigenvalues of symmetric matrices held entry by entry.
 
     ``F[i][j]`` is entry (i, j) of every matrix at once: a nested list of
     equally shaped arrays, or an array of shape (d, d, ...).  Returns shape
-    (..., d).  At d = 2 the eigenvalues come from the closed form
-    m -+ sqrt(((a - c) / 2)^2 + b^2), which reads only the upper triangle;
-    otherwise from LAPACK's ``eigvalsh``.  Symmetry is the caller's
-    contract (the stack functions below check it).
+    (..., d), and with ``vectors`` also the eigenvectors, shape (..., d, d)
+    with column k belonging to eigenvalue k.  At d = 2 both come from the
+    closed form: eigenvalues m -+ r with r = sqrt(((a - c) / 2)^2 + b^2),
+    eigenvectors the rotation by half of atan2(b, (a - c) / 2); it reads
+    only the upper triangle.  Otherwise LAPACK's ``eigvalsh``/``eigh``.
+    Symmetry is the caller's contract (the stack functions below check it).
     """
     d = len(F)
     if d == 2:
         half_gap = 0.5 * (F[0][0] - F[1][1])
         r = np.sqrt(half_gap * half_gap + F[0][1] * F[0][1])
         m = 0.5 * (F[0][0] + F[1][1])
-        return np.stack([m - r, m + r], axis=-1)
-    F = np.asarray(F, dtype=float)
-    return np.linalg.eigvalsh(np.moveaxis(F, (0, 1), (-2, -1)))
+        lams = np.stack([m - r, m + r], axis=-1)
+        if not vectors:
+            return lams
+        theta = 0.5 * np.arctan2(F[0][1], half_gap)
+        cos, sin = np.cos(theta), np.sin(theta)
+        return lams, np.stack([np.stack([-sin, cos], axis=-1),
+                               np.stack([cos, sin], axis=-1)], axis=-1)
+    F = np.moveaxis(np.asarray(F, dtype=float), (0, 1), (-2, -1))
+    return np.linalg.eigh(F) if vectors else np.linalg.eigvalsh(F)
 
 
 def eigenvalues(Ms):
@@ -164,6 +172,29 @@ class ConeSpec:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 
+def _active_e(lams, k):
+    """The e_j that sets the sigma_k defining value, its index j - 1, and e_1..e_k.
+
+    Inside the positivity cone it is the e_j with the smallest j-th root;
+    outside, the first negative e_j.
+    """
+    d = lams.shape[-1]
+    if k > d:
+        raise ValueError(f"sigma_{k} undefined for {d}x{d} matrices")
+    e = elementary_symmetric(lams, k)
+    neg = e < 0.0
+    roots = np.arange(1, k + 1, dtype=float)
+    inside = np.argmin(np.maximum(e, 0.0) ** (1.0 / roots), axis=-1)
+    j = np.where(neg.any(axis=-1), np.argmax(neg, axis=-1), inside)
+    return np.take_along_axis(e, j[..., None], axis=-1)[..., 0], j, e
+
+
+def _signed_root(e_at, j):
+    """The sigma_k defining value from the active e_j: its j-th root, signed."""
+    root = np.abs(e_at) ** (1.0 / (j + 1.0))
+    return np.where(e_at < 0.0, -root, root)
+
+
 def values_from_eigenvalues(spec, lams):
     """Defining value(s) from precomputed ascending eigenvalues.
 
@@ -179,20 +210,11 @@ def values_from_eigenvalues(spec, lams):
     if spec.family == "posdef":
         return lams[..., 0]
     if spec.family == "sigma_k":
-        k = spec.k
-        if k > d:
-            raise ValueError(f"sigma_{k} undefined for {d}x{d} matrices")
-        e = elementary_symmetric(lams, k)
-        roots = np.arange(1, k + 1, dtype=float)
         # Inside the positivity cone: the smallest j-th root of e_j, which is
         # 1-homogeneous in M.  Outside: minus the root of the first negative
         # e_j, so the value crosses zero exactly on the cone boundary.
-        pos_val = np.min(np.maximum(e, 0.0) ** (1.0 / roots), axis=-1)
-        neg = e < 0.0
-        first_neg = np.argmax(neg, axis=-1)
-        e_at = np.take_along_axis(e, first_neg[..., None], axis=-1)[..., 0]
-        neg_val = -np.abs(e_at) ** (1.0 / (first_neg + 1.0))
-        return np.where(neg.any(axis=-1), neg_val, pos_val)
+        e_at, j, _ = _active_e(lams, spec.k)
+        return _signed_root(e_at, j)
     tree = _spectral_tree(spec.g, d)
     env = {f"l{i + 1}": lams[..., i] for i in range(d)}
     out = tree.evaluate(env)
@@ -208,6 +230,66 @@ def values_from_entries(spec, F):
     if spec.family == "trace":
         return functools.reduce(np.add, [F[i][i] for i in range(len(F))])
     return values_from_eigenvalues(spec, spectrum(F))
+
+
+def newton_values(spec, F):
+    """The defining value rho and the value r a Newton iteration linearises.
+
+    ``F`` is laid out as for :func:`spectrum`.  r has the sign and the zero
+    set of rho.  It is rho itself except for ``sigma_k``, where it is the
+    active e_j, the one :func:`values_from_eigenvalues` takes the j-th root
+    of: the root's derivative blows up on the cone boundary, where the
+    solutions of rho = 0 lie.
+    """
+    if spec.family == "trace":
+        rho = values_from_entries(spec, F)
+        return rho, rho
+    lams = spectrum(F)
+    if spec.family != "sigma_k":
+        rho = values_from_eigenvalues(spec, lams)
+        return rho, rho
+    e_at, j, _ = _active_e(lams, spec.k)
+    return _signed_root(e_at, j), e_at
+
+
+def newton_gradient(spec, F):
+    """G[i][j] = dr / dF_ij for the r of :func:`newton_values`.
+
+    Returns an array of shape (d, d, ...) laid out as ``F``: the identity
+    for ``trace``, otherwise V diag(dr / d lambda) V^T from the spectrum,
+    with the eigenvalue derivative (1, 0, ..., 0) for ``posdef``,
+    e_{j-1} of the other eigenvalues for ``sigma_k`` and the tree's jets of
+    g for ``spectral``.  Away from repeated eigenvalues it is the exact
+    derivative, except for ``sigma_k`` outside the cone: there the
+    eigenvalue derivative is clipped at zero.  Inside and on the cone it
+    is nonnegative anyway; outside, e_j's own gradient is indefinite and
+    would make the Newton systems lose ellipticity.
+    """
+    d = len(F)
+    shape = np.shape(F[0][0])
+    if spec.family == "trace":
+        return np.broadcast_to(np.eye(d).reshape((d, d) + (1,) * len(shape)), (d, d) + shape)
+    lams, V = spectrum(F, vectors=True)
+    if spec.family == "posdef":
+        dl = np.zeros(lams.shape)
+        dl[..., 0] = 1.0
+    elif spec.family == "sigma_k":
+        _, j, e = _active_e(lams, spec.k)
+        # e_m of the eigenvalues other than l_i, for every i at once, from
+        # e_m(l \ l_i) = e_m(l) - l_i e_{m-1}(l \ l_i); d e_j / d l_i is the
+        # one with m = j - 1
+        lower = [np.ones(lams.shape)]
+        for m in range(1, spec.k):
+            lower.append(e[..., m - 1, None] - lams * lower[-1])
+        dl = np.take_along_axis(np.stack(lower, axis=-2), j[..., None, None], axis=-2)[..., 0, :]
+        # nonnegative on the closed cone (Garding); outside it the clipped
+        # gradient keeps the linearised operator degenerate elliptic
+        dl = np.maximum(dl, 0.0)
+    else:
+        names = {f"l{i + 1}": i for i in range(d)}
+        env = {name: lams[..., i] for name, i in names.items()}
+        dl = np.moveaxis(_spectral_tree(spec.g, d).jets(env, names, shape)[1], 0, -1)
+    return np.einsum("...ik,...k,...jk->ij...", V, dl, V)
 
 
 def band_from_entries(spec, F):

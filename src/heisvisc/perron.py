@@ -1,12 +1,16 @@
-"""Bracketed fixed-point solver between an ordered sub/supersolution pair.
+"""Bracketed semismooth Newton solver between an ordered sub/supersolution pair.
 
-Given grid fields v <= w that agree on the boundary, the solver relaxes
-toward a field whose operator matrix sits on the admissible-set boundary
-at every interior node, clamping each sweep to [v, w].  Iterating from v
-ascends, from w descends; running both directions and comparing is the
-numerical uniqueness check.  Each sweep evaluates F through
-:class:`heisvisc.viscosity.GridOperator`, the grid operator path the
-classifier uses, for every n.
+Given grid fields v <= w that agree on the boundary, the solver looks for
+a field u with v <= u <= w whose operator matrix sits on the admissible-set
+boundary (rho(F[u]) = 0) at every interior node it does not hold at a
+bound, by a primal-dual active-set (semismooth Newton) iteration
+(Hintermueller-Ito-Kunisch, SIAM J. Optim. 13, 2002).  Its Jacobian is
+built from the one stencil (:func:`heisvisc.fields.central_differences`)
+and the one frame contraction (:func:`heisvisc.operators.contract`), one
+array of weights per stencil offset.  Starting from v and from w and
+comparing is the numerical uniqueness check.  Every iterate is evaluated
+through :class:`heisvisc.viscosity.GridOperator`, the grid operator path
+the classifier uses, for every n.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeSpec, band_from_entries, values_from_entries
-from .fields import AnalyticField, Const, Domain, GridField, parse_field, sample
-from .operators import OperatorSpec, SamplePlan, StructuralBounds, check_structural
+from .cones import ConeSpec, band_from_entries, newton_gradient, newton_values
+from .fields import (AnalyticField, Const, Domain, GridField, central_differences,
+                     parse_field, sample)
+from .operators import (OperatorSpec, SamplePlan, StructuralBounds, check_structural,
+                        contract, grad_p_L)
 from .viscosity import GridOperator
 
 __all__ = [
@@ -38,6 +44,7 @@ DEFAULT_BOUNDS = StructuralBounds(
 )
 
 _GATE_PLAN = SamplePlan(seed=2357, count=400)
+_ZERO = OperatorSpec()
 _BOUNDARY_AGREE_TOL = 1e-10
 
 
@@ -123,28 +130,163 @@ class SolveResult:
     residuals: np.ndarray
     converged: bool
     final_residual: float
-    dt: float
+    held: int
     start: str
 
 
-def _auto_dt(problem):
-    h_min = float(problem.sub.spacing.min())
-    a, b, g = problem.spec.constants()
-    coeff_scale = abs(a) + abs(b) + abs(g)
-    return h_min**2 / (8.0 * problem.sub.n * (1.0 + coeff_scale))
+_SHRINKS = 10          # step halvings a Newton step may try before the solve gives up
+_SET_UPDATES = 5       # active-set updates of one Newton step's linearised problem
+_LINEAR_RTOL = 1e-4    # relative residual the inner linear solve asks of each Newton step
+_CHUNK = 1 << 12       # unit derivatives x nodes per block of the Jacobian assembly
 
 
-def solve(problem, dt="auto", tol=1e-10, max_iter=60000, start="sub"):
-    """Relax the bracket toward a field with F on the admissible boundary.
+class _Stencil:
+    """The one stencil's offsets and weights, and the Jacobian of r built on it.
 
-    Synchronous sweeps with double buffering: the interior update is
-    clamp(psi + dt*rho, v, w), the boundary ring stays pinned.  Starting
-    from the lower bracket the iterates ascend, from the upper they
-    descend; a probe watches that direction and halves dt (down to a
-    floor) when a sweep breaks it.  The residual is the largest amount by
-    which |rho| exceeds the admissible-set boundary band among interior
-    nodes the clamp left free; convergence also triggers on a drift-free
-    sweep, where every node is held by the clamp or the pin.
+    ``central_differences`` of a unit impulse at the centre of a 5^d patch
+    gives, on the patch's 3^d interior block, the weight with which each
+    second and first Euclidean derivative at a node reads the value at
+    each offset (the block is the offset table flipped).  The offsets with
+    a nonzero weight are kept, 19 at n = 1 and 51 at n = 2, in ``weights``:
+    one row per offset, one column per derivative (the Hessian entries
+    a <= b, then the gradient).  The Jacobian is one array of weights per
+    offset over the interior nodes.  It is applied by one gather from the
+    flat padded lattice, each node reading its neighbour at every offset:
+    on the 5^5 grids of a warm-up a slice per offset costs 7 times more in
+    call overhead, and at 21^3 the two take about the same time.
+    """
+
+    def __init__(self, op):
+        self.op = op
+        d = len(op.spacing)
+        patch = np.zeros((5,) * d)
+        patch[(2,) * d] = 1.0
+        H, g = central_differences(patch, op.spacing, gradient=True)
+        flip = (slice(None, None, -1),) * d
+        pairs = [(a, b) for a in range(d) for b in range(a, d)]
+        columns = [H[a][b][flip] for a, b in pairs] + [g[a][flip] for a in range(d)]
+        used = np.any([c != 0.0 for c in columns], axis=0)
+        self.weights = np.stack([c[used] for c in columns], axis=1)
+        offsets = np.argwhere(used) - 1
+        self.centre = int(np.flatnonzero(~offsets.any(axis=1))[0])
+        # the derivatives as unit inputs to the frame contraction, one per column
+        unit = np.eye(len(columns)).reshape((len(columns), len(columns)) + (1,) * d)
+        self.H = [[None] * d for _ in range(d)]
+        for col, (a, b) in enumerate(pairs):
+            self.H[a][b] = self.H[b][a] = unit[col]
+        self.g = list(unit[len(pairs):])
+        res = tuple(n + 2 for n in op.shape)
+        nodes = np.ravel_multi_index(np.indices(op.shape).reshape(d, -1) + 1, res)
+        shifts = np.ravel_multi_index(offsets.T + 1, res) - np.ravel_multi_index((1,) * d, res)
+        self.neighbours = nodes + shifts[:, None]
+        self.pad = np.zeros(res)
+
+    def jacobian(self, spec, G, u, p):
+        """J[k] = d r / d u at offset k, per interior node.
+
+        ``G`` is d r / d F (:func:`heisvisc.cones.newton_gradient`) and
+        ``u``, ``p`` the iterate's interior values and horizontal gradient.
+        :func:`heisvisc.operators.contract` with the zero spec turns each
+        Euclidean derivative into its dF and dp, which G (and, through
+        :func:`heisvisc.operators.grad_p_L`, dL/dp) contracts to dr per
+        unit derivative; the stencil weights then give dr per offset.
+        """
+        op = self.op
+        m = len(G)
+        shape = op.shape
+        flat = int(np.prod(shape))
+        q = None
+        if not spec.is_zero:
+            Dp = grad_p_L(spec, op.coords.reshape(flat, -1), u.reshape(flat),
+                          np.stack(p, axis=-1).reshape(flat, m))
+            q = np.einsum("ijn,nkij->kn", np.reshape(G, (m, m, flat)), Dp).reshape((m,) + shape)
+        cols = self.weights.shape[1]
+        per_unit = np.empty((cols,) + shape)
+        step = max(1, _CHUNK // flat)
+        for lo in range(0, cols, step):
+            block = slice(lo, lo + step)
+            dF, dp = contract(_ZERO, op.coords, None, [[h[block] for h in row] for row in self.H],
+                              [w[block] for w in self.g], op.terms)
+            out = per_unit[block]
+            out[...] = 0.0
+            for i in range(m):
+                out += G[i][i] * dF[i][i]
+                for j in range(i + 1, m):
+                    out += 2.0 * G[i][j] * dF[i][j]
+                if q is not None:
+                    out += q[i] * dp[i]
+        return np.einsum("kc,c...->k...", self.weights, per_unit)
+
+    def apply(self, J, x):
+        """J x over the interior, flat, with x flat and zero on the boundary ring."""
+        self.pad[self.op.inner] = x.reshape(self.op.shape)
+        near = self.pad.ravel()[self.neighbours]
+        return np.einsum("kn,kn->n", J.reshape(near.shape), near)
+
+
+def _dot(a, b):
+    # numpy's own loop: a BLAS dot can wait milliseconds on its threads
+    return float(np.einsum("i,i->", a, b))
+
+
+def _bicgstab(apply, b, diag, rtol, maxiter):
+    """Jacobi-preconditioned BiCGSTAB for apply(x) = b, from x = 0, on flat vectors."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    r0 = b.copy()
+    goal = rtol * rtol * _dot(b, b)
+    rho = alpha = omega = 1.0
+    v = np.zeros_like(b)
+    p = np.zeros_like(b)
+    for _ in range(maxiter):
+        rho_next = _dot(r0, r)
+        if rho_next == 0.0 or omega == 0.0:
+            break
+        p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+        rho = rho_next
+        ph = p / diag
+        v = apply(ph)
+        alpha = rho / _dot(r0, v)
+        s = r - alpha * v
+        x += alpha * ph
+        if _dot(s, s) <= goal:
+            break
+        sh = s / diag
+        t = apply(sh)
+        tt = _dot(t, t)
+        omega = _dot(t, s) / tt if tt > 0.0 else 0.0
+        x += omega * sh
+        r = s - omega * t
+        if _dot(r, r) <= goal:
+            break
+    return x
+
+
+def solve(problem, tol=1e-10, max_iter=100, start="sub"):
+    """Solve rho(F[u]) = 0 between the bracket by semismooth Newton.
+
+    A primal-dual active-set (semismooth Newton) iteration on the natural
+    residual u - clip(u + r / |J_kk|, v, w), with the boundary ring pinned.
+    r is rho, or for ``sigma_k`` the active e_j, which has the same sign and
+    zero set (:func:`heisvisc.cones.newton_values`), and J its Jacobian
+    in the interior values.  Each step solves the linearised problem by
+    active sets, starting from the held sets of the step before (none at
+    the first): J delta = -r on the free nodes (Jacobi-preconditioned
+    BiCGSTAB, the held rows being identity rows), a free node the step
+    carries out of the bracket is held at that bound, and a held node whose
+    linearised r points back into the bracket is freed, until the sets
+    settle (at most five updates).  The step is then halved, at most ten
+    times, until the largest natural residual falls; a step that finds no
+    descent ends the solve unconverged.
+
+    Every iterate is evaluated through
+    :class:`heisvisc.viscosity.GridOperator`, the operator path the
+    classifier uses.  A node is held when it sits on its bound with rho
+    pointing out of the bracket; the residual is the largest amount by
+    which |rho| exceeds the admissible-set boundary band on the other
+    nodes, and the solve has converged when it is below ``tol``.
+    ``max_iter`` counts Newton steps.  Starting from the lower bracket or
+    the upper one and comparing is the numerical uniqueness check.
     """
     if start not in ("sub", "super"):
         raise ValueError(f"start must be 'sub' or 'super', got {start!r}")
@@ -153,82 +295,89 @@ def solve(problem, dt="auto", tol=1e-10, max_iter=60000, start="sub"):
     v = problem.sub.values
     w = problem.sup.values
     if np.array_equal(v, w):
-        return SolveResult(
-            u=problem.sub.copy(),
-            iterations=0,
-            residuals=np.empty(0),
-            converged=True,
-            final_residual=0.0,
-            dt=0.0,
-            start=start,
-        )
+        return SolveResult(u=problem.sub.copy(), iterations=0, residuals=np.empty(0),
+                           converged=True, final_residual=0.0, held=0, start=start)
 
-    step = _auto_dt(problem) if dt == "auto" else float(dt)
-    if step <= 0.0:
-        raise ValueError("dt must be positive")
-    floor = step * 2.0**-20
-    ascending = start == "sub"
-
-    op = GridOperator(problem.sub, problem.spec)
-    cone = problem.cone
+    spec, cone = problem.spec, problem.cone
+    op = GridOperator(problem.sub, spec)
+    stencil = _Stencil(op)
     inner = op.inner
-    v_int = v[inner]
-    w_int = w[inner]
+    v_int, w_int = v[inner], w[inner]
+    full = (v if start == "sub" else w).copy()
     bmask = problem.sub.boundary_mask()
+    full[bmask] = v[bmask]
 
-    while True:
-        # one full attempt at the current step; a broken sweep direction
-        # means instability has contaminated the state, so the attempt is
-        # abandoned and restarted from the bracket at half the step
-        cur = (v if ascending else w).copy()
-        cur[bmask] = v[bmask]
-        nxt = cur.copy()
+    def evaluate(u):
+        full[inner] = u
+        F, p = op(full)
+        rho, r = newton_values(cone, F)
+        held = ((u == v_int) & (rho < 0.0)) | ((u == w_int) & (rho > 0.0))
+        excess = np.maximum(np.abs(rho) - band_from_entries(cone, F), 0.0)
+        resid = float(excess[~held].max()) if not held.all() else 0.0
+        return F, p, r, held, resid
 
-        history = []
-        converged = False
-        broke = False
-        resid = np.inf
-        sweeps = 0
-        for sweeps in range(1, max_iter + 1):
-            F, _ = op(cur)
-            rho = values_from_entries(cone, F)
-            band = band_from_entries(cone, F)
-            cur_int = cur[inner]
-            slack = 1e-13 * (1.0 + float(np.abs(cur_int).max()))
-            clamped = np.clip(cur_int + step * rho, v_int, w_int)
-            drift = clamped - cur_int
-            broke = drift.min() < -slack if ascending else drift.max() > slack
-            if broke:
+    def direction(u, F, p, r, lo, hi):
+        """The step of the linearised problem, its held sets and |J_kk|."""
+        J = stencil.jacobian(spec, newton_gradient(cone, F), u, p)
+        scale = np.abs(J[stencil.centre])
+        scale = np.maximum(scale, 1e-12 * scale.max())
+        for updates in range(_SET_UPDATES + 1):
+            free = ~(lo | hi)
+            delta = np.where(lo, v_int - u, np.where(hi, w_int - u, 0.0)).ravel()
+            rhs = -r.ravel()
+            if not free.all():
+                rhs = np.where(free.ravel(), rhs - stencil.apply(J, delta), 0.0)
+            delta += _bicgstab(lambda x: stencil.apply(J, x) * free.ravel(), rhs,
+                               -scale.ravel(), _LINEAR_RTOL, 10 * max(op.shape))
+            delta = delta.reshape(u.shape)
+            if updates == _SET_UPDATES:
                 break
-
-            free = (cur_int + step * rho) == clamped
-            excess = np.maximum(np.abs(rho) - band, 0.0)
-            resid = float(excess[free].max()) if free.any() else 0.0
-            history.append(resid)
-
-            nxt[inner] = clamped
-            cur, nxt = nxt, cur
-            if resid < tol or not np.abs(drift).max() > 0.0:
-                converged = True
+            # the linearised r at held nodes; free nodes need only their target
+            lin = r if free.all() else r + stencil.apply(J, delta).reshape(u.shape)
+            next_lo = np.where(lo, lin <= 0.0, u + delta < v_int)
+            next_hi = np.where(hi, lin >= 0.0, u + delta > w_int)
+            if np.array_equal(next_lo, lo) and np.array_equal(next_hi, hi):
                 break
+            lo, hi = next_lo, next_hi
+        return delta, lo, hi, scale
 
-        if not broke:
+    def natural(x, rx, scale):
+        return float(np.abs(x - np.clip(x + rx / scale, v_int, w_int)).max())
+
+    u = full[inner].copy()
+    F, p, r, held, resid = evaluate(u)
+    history = []
+    steps = 0
+    converged = resid < tol
+    # the held sets of one step's linearised problem start the next one's
+    lo = hi = np.zeros(u.shape, dtype=bool)
+    while not converged and steps < max_iter:
+        delta, lo, hi, scale = direction(u, F, p, r, lo, hi)
+        merit = natural(u, r, scale)
+        for halving in range(_SHRINKS + 1):
+            size = 0.5**halving
+            trial = np.where(lo, (1.0 - size) * u + size * v_int,
+                             np.where(hi, (1.0 - size) * u + size * w_int,
+                                      np.clip(u + size * delta, v_int, w_int)))
+            state = evaluate(trial)
+            if natural(trial, state[2], scale) < merit:
+                break
+        else:
             break
-        step *= 0.5
-        if step < floor:
-            raise ArithmeticError(
-                "time step collapsed below its floor without restoring "
-                "monotone sweeps; the scheme is unstable on this problem"
-            )
+        u = trial
+        F, p, r, held, resid = state
+        steps += 1
+        history.append(resid)
+        converged = resid < tol
 
-    u = GridField(problem.sub.n, problem.sub.box.copy(), cur)
+    full[inner] = u
     return SolveResult(
-        u=u,
-        iterations=sweeps,
+        u=GridField(problem.sub.n, problem.sub.box.copy(), full),
+        iterations=steps,
         residuals=np.array(history),
         converged=converged,
         final_residual=resid,
-        dt=step,
+        held=int(held.sum()),
         start=start,
     )
 
@@ -242,7 +391,7 @@ class UniquenessReport:
     descent: SolveResult
 
 
-def uniqueness_gap(problem, max_iter=60000):
+def uniqueness_gap(problem, max_iter=100):
     """Solve from both ends of the bracket and measure their disagreement."""
     up = solve(problem, max_iter=max_iter, start="sub")
     down = solve(problem, max_iter=max_iter, start="super")

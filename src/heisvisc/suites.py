@@ -218,9 +218,10 @@ def suite_calculus(seed, count=100):
     # conformal change of variables u = exp(-(Q-2) psi / 2)
     worst = 0.0
     gen = stream(seed, stream_id=23)
+    per_n = max(1, count // 2)
     for n in (1, 2):
         Q = 2 * n + 2
-        for _ in range(count // 2):
+        for _ in range(per_n):
             psi = _random_polynomial(gen, n, degree=2)
             u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * psi.root), n)
             coords = gen.uniform(-0.8, 0.8, size=2 * n + 1)
@@ -228,7 +229,7 @@ def suite_calculus(seed, count=100):
             rhs = np.exp(2.0 * psi(coords)) * eval_A_psi(psi, coords)
             scale = 1.0 + float(np.abs(rhs).max())
             worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
-    checks.append(_outcome("conformal_change_of_variables", 2 * (count // 2), worst, 1e-8))
+    checks.append(_outcome("conformal_change_of_variables", 2 * per_n, worst, 1e-8))
 
     return SuiteReport("calculus", seed, all(c.passed for c in checks), checks)
 

@@ -239,6 +239,9 @@ def test_solve_linear_problem(capsys, tmp_path):
     assert np.abs(u.values - exact.values).max() <= 1e-9
     report = json.loads((out_dir / "solve_report.json").read_text())
     assert report["converged"] is True
+    assert report["held"] == 0
+    assert set(report) == {"problem", "converged", "iterations", "final_residual", "held",
+                           "start"}
     lines = (out_dir / "residuals.csv").read_text().splitlines()
     assert lines[0] == "sweep,residual"
     assert len(lines) == report["iterations"] + 1
@@ -258,7 +261,7 @@ def test_solve_nonconvergence_exits_1(capsys, tmp_path):
     out_dir = tmp_path / "out"
     code, out, _ = run(
         capsys, "solve", "--problem", str(prob), "--out-dir", str(out_dir),
-        "--max-iter", "3",
+        "--max-iter", "1",
     )
     assert code == 1
     assert last_json(out)["converged"] is False

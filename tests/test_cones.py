@@ -16,6 +16,7 @@ from heisvisc.cones import (
     eigenvalues,
     elementary_symmetric,
     shifted_trace_spec,
+    spectrum,
     values_from_eigenvalues,
 )
 from heisvisc.gridio import problem_from_json
@@ -69,6 +70,20 @@ def test_eigenvalues_match_lapack(d):
     ref = np.linalg.eigvalsh(Ms)
     scale = 1.0 + np.abs(ref).max()
     assert np.abs(ours - ref).max() < 1e-11 * scale
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_spectrum_vectors_diagonalise(d):
+    # d = 2 is the closed form; the repeated and diagonal cases are its edges
+    gen = stream(37)
+    Ms = np.stack([random_symmetric(gen, d, scale=3.0) for _ in range(50)]
+                  + [np.eye(d), np.diag(np.arange(d, 0.0, -1.0))])
+    lams, V = spectrum(Ms.transpose(1, 2, 0), vectors=True)
+    scale = 1.0 + np.abs(lams).max()
+    np.testing.assert_allclose(np.einsum("nij,njk->nik", Ms, V), V * lams[:, None, :],
+                               rtol=0, atol=1e-12 * scale)
+    gram = np.einsum("nji,njk->nik", V, V)
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(d), Ms.shape), rtol=0, atol=1e-13)
 
 
 def test_eigenvalues_rejects_nonsymmetric_and_nonsquare():

@@ -260,3 +260,39 @@ def test_scan_sees_eigen_calls(tmp_path):
         "np.linalg.eigvalsh(a)\nscipy.linalg.eig(a)\nlinalg.eigvals(a)\nnp.linalg.norm(a)\n"
     )
     assert eigen_calls(src) == [(4, "eigh"), (5, "eigvalsh"), (6, "eig"), (7, "eigvals")]
+
+
+def sparse_solver_imports(path):
+    """Lines of a module that import ``scipy.sparse.linalg``, in any form."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == "scipy.sparse.linalg" or n.startswith("scipy.sparse.linalg.") for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_sparse_solver_imports():
+    # the solver's linear algebra is its own: scipy.sparse.linalg alone adds
+    # a tenth of a second and several MB to every command's start-up
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line in sparse_solver_imports(path)
+    ]
+    assert not found, "scipy.sparse.linalg imported under src/:\n" + "\n".join(found)
+
+
+def test_scan_sees_sparse_solver_imports(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import scipy.sparse.linalg\nfrom scipy.sparse.linalg import gmres\n"
+        "from scipy.sparse import linalg\nimport scipy.sparse\nfrom scipy import ndimage\n"
+    )
+    assert sparse_solver_imports(src) == [1, 2, 3]

@@ -28,6 +28,11 @@ def test_calculus_suite_at_small_counts():
     assert [c.checked for c in rep.checks[:2]] == [1, 10]
 
 
+def test_calculus_checks_look_at_something_at_count_one():
+    rep = run_suite("calculus", 3, count=1)
+    assert all(c.checked >= 1 for c in rep.checks), [(c.name, c.checked) for c in rep.checks]
+
+
 def test_suite_names_cover_dispatch():
     assert set(SUITE_NAMES) == {
         "core", "calculus", "cones", "envelopes", "structural",
