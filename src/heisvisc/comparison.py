@@ -7,7 +7,10 @@ certifies that control numerically, node by node, and searches for the
 largest admissible coupling constant.  The second is ``touching_harness``,
 which takes an ordered pair of grid fields and reports whether their
 contact set is confined to the boundary, the discrete shadow of a
-comparison principle.
+comparison principle.  The contact set splits into components under face
+adjacency (nodes one lattice step apart along one axis); each component is
+named by its smallest flat (C-order) index, and the report lists them in
+that order, the order in which a raster scan first meets them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .cones import eigenvalues
 from .fields import AnalyticField, Const, exp_of, z_norm_sq
@@ -253,6 +255,35 @@ class TouchingReport:
         return json.dumps(payload, sort_keys=True)
 
 
+def _components(mask):
+    """Face-connected components of a boolean lattice mask.
+
+    Returns an int array of the mask's shape holding, at each mask node,
+    the smallest flat (C-order) index in its component, and -1 off the
+    mask.  Every node starts at its own index and takes the minimum over
+    its face neighbours in the mask, one axis at a time, then jumps to the
+    label of the node its label names; that repeats until nothing changes.
+    """
+    flat = np.arange(mask.size)
+    labels = flat.reshape(mask.shape)
+    edges = []
+    for axis in range(mask.ndim):
+        row = np.moveaxis(mask, axis, 0)
+        edges.append(row[1:] & row[:-1])
+    on = np.flatnonzero(mask)
+    while True:
+        before = flat[on]
+        for axis, edge in enumerate(edges):
+            row = np.moveaxis(labels, axis, 0)
+            np.minimum(row[1:], row[:-1], out=row[1:], where=edge)
+            np.minimum(row[:-1], row[1:], out=row[:-1], where=edge)
+        flat[on] = flat[flat[on]]
+        if np.array_equal(flat[on], before):
+            break
+    flat[~mask.ravel()] = -1
+    return labels
+
+
 def touching_harness(w, v, spec, cone):
     """Compare supersolution candidate ``w`` against subsolution candidate ``v``.
 
@@ -272,17 +303,13 @@ def touching_harness(w, v, spec, cone):
     boundary_gap = float(diff[boundary].min())
     touching = diff <= touch_tol
 
-    structure = ndimage.generate_binary_structure(diff.ndim, 1)
-    labels, n_comp = ndimage.label(touching, structure=structure)
-    components = []
-    for lab in range(1, n_comp + 1):
-        mask = labels == lab
-        components.append(
-            TouchingComponent(
-                size=int(mask.sum()),
-                touches_boundary=bool((mask & boundary).any()),
-            )
-        )
+    labels = _components(touching)
+    roots, sizes = np.unique(labels[touching], return_counts=True)
+    reach = np.isin(roots, labels[boundary])
+    components = [
+        TouchingComponent(size=int(size), touches_boundary=bool(hit))
+        for size, hit in zip(sizes, reach)
+    ]
 
     verdict = (
         "CONSISTENT"

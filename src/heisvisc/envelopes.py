@@ -53,16 +53,11 @@ def gauge_quartic(a, b, n):
     axis holds flat coordinates (x_1..x_n, y_1..y_n, t).  Written directly on
     the group-difference coordinates so no fourth root is ever taken.
     """
-    return _gauge_parts(a, b, n)[1]
-
-
-def _gauge_parts(a, b, n):
-    """(squared z-displacement, quartic gauge distance) for broadcast pairs."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     zs, shear = _z_parts(a, b, n)
     dt = a[..., 2 * n] - b[..., 2 * n]
-    return zs, zs * zs + np.square(dt + shear)
+    return zs * zs + np.square(dt + shear)
 
 
 def _z_parts(a, b, n):

@@ -8,9 +8,11 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from scipy import ndimage
 
 from heisvisc.comparison import (
     PerturbParams,
+    _components,
     admissible_region_mask,
     lemma35_margin,
     perturb_down,
@@ -18,7 +20,7 @@ from heisvisc.comparison import (
     touching_harness,
 )
 from heisvisc.cones import ConeSpec
-from heisvisc.fields import Domain, parse_field, sample
+from heisvisc.fields import Domain, GridField, parse_field, sample
 from heisvisc.operators import OperatorSpec, conformal_operator_spec
 from heisvisc.rng import stream
 
@@ -293,6 +295,50 @@ def test_harness_interior_island_is_flagged():
     assert not rep.components[0].touches_boundary
     assert rep.boundary_gap > 0.0
     assert rep.precondition_ok
+
+
+def test_harness_lists_islands_in_scan_order():
+    # contact on the boundary ring and on three interior islands: a bent
+    # 3-node one, a single node, and a 2-node one meeting the single node
+    # only at an edge, which face adjacency keeps apart
+    diff = np.ones((9, 9, 9))
+    diff[0, :, :] = diff[-1, :, :] = diff[:, 0, :] = 0.0
+    diff[:, -1, :] = diff[:, :, 0] = diff[:, :, -1] = 0.0
+    for node in [(2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 5, 5), (3, 6, 5), (4, 6, 5)]:
+        diff[node] = 0.0
+    v = GridField(1, BOX1.copy(), np.zeros((9, 9, 9)))
+    w = GridField(1, BOX1.copy(), diff)
+    rep = touching_harness(w, v, ZERO_SPEC, TRACE)
+    assert rep.to_json() == (
+        '{"boundary_gap": 0.0, "components": ['
+        '{"size": 386, "touches_boundary": true}, '
+        '{"size": 3, "touches_boundary": false}, '
+        '{"size": 1, "touches_boundary": false}, '
+        '{"size": 2, "touches_boundary": false}], '
+        '"touching_count": 392, "verdict": "VIOLATION"}'
+    )
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_components_match_ndimage_label(d):
+    rng = stream(11, d)
+    masks = [np.zeros((2,) * d, dtype=bool), np.ones((3,) * d, dtype=bool)]
+    for _ in range(40):
+        shape = tuple(rng.integers(2, 8 if d == 3 else 5, size=d))
+        masks.append(rng.random(shape) < rng.uniform(0.2, 0.8))
+    face = ndimage.generate_binary_structure(d, 1)
+    for mask in masks:
+        labels = _components(mask)
+        ref, count = ndimage.label(mask, structure=face)
+        roots, order, sizes = np.unique(
+            labels[mask], return_inverse=True, return_counts=True)
+        # the same partition, numbered in the same order
+        np.testing.assert_array_equal(order + 1, ref[mask])
+        np.testing.assert_array_equal(sizes, np.bincount(ref.ravel(), minlength=1)[1:])
+        # each component is named by its smallest flat index
+        firsts = [np.flatnonzero(ref == k)[0] for k in range(1, count + 1)]
+        np.testing.assert_array_equal(roots, np.array(firsts, dtype=int))
+        assert (labels[~mask] == -1).all()
 
 
 def test_harness_equal_boundary_data_touches_only_at_boundary():

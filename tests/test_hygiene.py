@@ -1,9 +1,12 @@
 """Source hygiene: no module imports a name it never uses, no function
 keeps a local or (at module level) a parameter it never reads, no public
-function or class of the package is there only for the tests, and every
-eigenvalue the program computes comes from one place."""
+function or class of the package is there only for the tests, every
+eigenvalue the program computes comes from one place, and the package runs
+on numpy alone."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -262,37 +265,51 @@ def test_scan_sees_eigen_calls(tmp_path):
     assert eigen_calls(src) == [(4, "eigh"), (5, "eigvalsh"), (6, "eig"), (7, "eigvals")]
 
 
-def sparse_solver_imports(path):
-    """Lines of a module that import ``scipy.sparse.linalg``, in any form."""
+def scipy_imports(path):
+    """Lines of a module that import ``scipy`` or any of its submodules."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module]
         else:
             continue
-        if any(n == "scipy.sparse.linalg" or n.startswith("scipy.sparse.linalg.") for n in names):
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
             found.append(node.lineno)
     return found
 
 
-def test_no_sparse_solver_imports():
-    # the solver's linear algebra is its own: scipy.sparse.linalg alone adds
-    # a tenth of a second and several MB to every command's start-up
+def test_no_scipy_imports():
+    # numpy is the one runtime dependency: importing scipy.ndimage alone
+    # cost about a third of a second and 26 MB on every command's start-up
     found = [
         f"{path.relative_to(ROOT)}:{line}"
         for path in sorted((ROOT / "src").rglob("*.py"))
-        for line in sparse_solver_imports(path)
+        for line in scipy_imports(path)
     ]
-    assert not found, "scipy.sparse.linalg imported under src/:\n" + "\n".join(found)
+    assert not found, "scipy imported under src/:\n" + "\n".join(found)
 
 
-def test_scan_sees_sparse_solver_imports(tmp_path):
+def test_scan_sees_scipy_imports(tmp_path):
     src = tmp_path / "m.py"
     src.write_text(
         "import scipy.sparse.linalg\nfrom scipy.sparse.linalg import gmres\n"
         "from scipy.sparse import linalg\nimport scipy.sparse\nfrom scipy import ndimage\n"
+        "import scipy\nimport numpy as np, scipy as sp\nimport scipyx\nfrom . import scipy\n"
+        "from .scipy import label\n"
     )
-    assert sparse_solver_imports(src) == [1, 2, 3]
+    assert scipy_imports(src) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_cli_import_loads_no_scipy():
+    # catches scipy pulled in through another package, which the scan of
+    # the package's own imports cannot see
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import heisvisc.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
 """Tests for grid classification and the envelope-shift certificate."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from heisvisc.cones import ConeSpec, defining_value
 from heisvisc.fields import Domain, GridField, parse_field, sample
@@ -10,6 +13,7 @@ from heisvisc.rng import stream
 from heisvisc.viscosity import (
     TAG_NAMES,
     GridOperator,
+    _untestable_mask,
     classify_grid,
     key_lemma_certificate,
 )
@@ -137,6 +141,21 @@ def test_kink_nodes_are_untestable():
     assert np.isnan(cls.rho[4, 4, 4])
     total = sum(cls.counts.values())
     assert total == 9**3
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_kink_flags_grow_to_their_jet_cubes(d):
+    rng = stream(12, d)
+    flags = [np.zeros((2,) * d, dtype=bool), np.ones((3,) * d, dtype=bool)]
+    for _ in range(40):
+        shape = tuple(rng.integers(2, 8 if d == 3 else 5, size=d))
+        flags.append(rng.random(shape) < rng.uniform(0.01, 0.3))
+    cube = np.ones((3,) * d, dtype=bool)
+    for flag in flags:
+        # no boundary ring, so the growth is seen on the lattice's edges too
+        g = SimpleNamespace(jet_invalid=flag, boundary_mask=lambda: np.zeros(flag.shape, bool))
+        expected = ndimage.binary_dilation(flag, structure=cube)
+        np.testing.assert_array_equal(_untestable_mask(g), expected)
 
 
 def test_classification_bookkeeping():
