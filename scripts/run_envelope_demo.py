@@ -21,7 +21,7 @@ from heisvisc.envelopes import (
     upper_envelope,
 )
 from heisvisc.fields import GridField
-from heisvisc.gridio import grid_csv_text, witness_csv_text, write_grid_csv, write_witness_csv
+from heisvisc.gridio import write_grid_csv, write_witness_csv
 
 BOX1 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
 
@@ -35,15 +35,16 @@ def fixtures():
 
 def regenerate_goldens(golden_dir):
     fx = fixtures()
+    spike_upper = upper_envelope(fx["spike"], 0.5)
     files = {
-        "constant_upper_envelope.csv": grid_csv_text(upper_envelope(fx["constant"], 0.5).out),
-        "constant_lower_envelope.csv": grid_csv_text(lower_envelope(fx["constant"], 0.5).out),
-        "spike_upper_envelope.csv": grid_csv_text(upper_envelope(fx["spike"], 0.5).out),
-        "spike_upper_witness.csv": witness_csv_text(upper_envelope(fx["spike"], 0.5)),
+        "constant_upper_envelope.csv": (write_grid_csv, upper_envelope(fx["constant"], 0.5).out),
+        "constant_lower_envelope.csv": (write_grid_csv, lower_envelope(fx["constant"], 0.5).out),
+        "spike_upper_envelope.csv": (write_grid_csv, spike_upper.out),
+        "spike_upper_witness.csv": (write_witness_csv, spike_upper),
     }
     golden_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (golden_dir / name).write_text(text, newline="\n")
+    for name, (write, obj) in files.items():
+        write(obj, golden_dir / name)
         print(f"wrote {golden_dir / name}")
 
 

@@ -9,8 +9,8 @@ Layout:
 - ``envelopes``   gauge-quartic sup/inf convolutions with witnesses
 - ``viscosity``   the grid operator, grid sub/supersolution classification, envelope-shift certificate
 - ``comparison``  strictness perturbations and the touching-point harness
-- ``perron``      monotone clamped iteration between sub- and supersolution data
-- ``gridio``      CSV grid interchange and problem JSON loading
+- ``perron``      semismooth Newton solve between sub- and supersolution data
+- ``gridio``      grid, witness, classification and residuals CSV; problem JSON loading
 - ``suites``      packaged seeded verification suites
 - ``cli``         command-line front end
 """

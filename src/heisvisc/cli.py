@@ -69,6 +69,10 @@ def _parse_point(text, n=None):
     return coords
 
 
+def _write_report(path, report):
+    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", newline="\n")
+
+
 def _out_dir(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,9 +138,7 @@ def cmd_envelope(args):
         },
     }
     report["passed"] = all(c["passed"] for c in report["checks"].values())
-    (out / f"{args.prefix}_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", newline="\n"
-    )
+    _write_report(out / f"{args.prefix}_report.json", report)
     _print_json({"passed": report["passed"], "out_dir": str(out)})
     return 0 if report["passed"] else 1
 
@@ -155,9 +157,7 @@ def cmd_classify(args):
         summary[tag] = {"counts": {k: int(v) for k, v in c.counts.items()}}
         ok = ok and c.count(bad) == 0
     report = {"problem": str(args.problem), "passed": ok, "sides": summary}
-    (out / "classify_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", newline="\n"
-    )
+    _write_report(out / "classify_report.json", report)
     _print_json({"passed": ok, "out_dir": str(out)})
     return 0 if ok else 1
 
@@ -195,9 +195,7 @@ def cmd_solve(args):
         "held": int(res.held),
         "start": res.start,
     }
-    (out / "solve_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", newline="\n"
-    )
+    _write_report(out / "solve_report.json", report)
     _print_json({"converged": report["converged"], "iterations": report["iterations"],
                  "out_dir": str(out)})
     return 0 if res.converged else 1

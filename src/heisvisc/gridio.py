@@ -1,12 +1,19 @@
 """Deterministic file formats for grids, witnesses, classifications, problems.
 
-Grid CSV layout: three comment headers (`# n=`, `# box=`, `# res=`), one
-column-name row (indices, then coordinates, then value), then one row per
-node in C order.  Floats are written with `repr`, which round-trips
-bit-exactly, and files always use LF line endings, so a grid written twice
-is byte-identical and `read_grid_csv(write_grid_csv(g)) == g` exactly.
-The reader refuses, naming the data row, an index outside the lattice, a
-repeated node, and coordinates off the header's lattice node.
+Every CSV here has one layout, written by one function: `# name=value`
+comment lines, one row of column names, then one comma-separated row per
+entry.  Floats are written with `repr`, which round-trips bit-exactly, and
+files always use LF line endings, so a file written twice is byte-identical.
+The four formats differ only in their comments and columns:
+
+- grid: `# n=`, `# box=`, `# res=`; indices, coordinates, value; one row per
+  node in C order.  `read_grid_csv(write_grid_csv(g)) == g` exactly.  The
+  reader refuses, naming the data row, an index outside the lattice, a
+  repeated node, and coordinates off the header's lattice node.
+- witness: `# res=`, `# eps=`, `# mode=`; `node,witness` as flat C-order
+  indices.
+- classification: `# side=`, `# res=`; `node,tag,margin`.
+- residuals: no comments; `sweep,residual`, counted from 1.
 
 Problem JSON holds the domain, resolution, operator and cone descriptions,
 the boundary expression, and either explicit bracket-grid CSV paths
@@ -15,7 +22,9 @@ the pair with `bracket_from_boundary`.  Schema errors name the offending
 field with a dotted path.
 """
 
+import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,56 +36,44 @@ from .perron import Problem, bracket_from_boundary
 from .viscosity import TAG_NAMES
 
 __all__ = [
-    "grid_csv_text",
     "write_grid_csv",
     "read_grid_csv",
-    "witness_csv_text",
     "write_witness_csv",
-    "classification_csv_text",
     "write_classification_csv",
-    "residuals_csv_text",
     "write_residuals_csv",
     "problem_from_json",
     "load_problem",
 ]
 
 
-def _fmt(x):
-    return repr(float(x))
+def _write_csv(path, comments, names, rows):
+    """Write `# ` + each comment, the column names, then each row of strings."""
+    lines = itertools.chain((f"# {c}" for c in comments), [",".join(names)],
+                            map(",".join, rows))
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _index_names(d):
-    return ("i", "j", "k") if d == 3 else tuple(f"i{a+1}" for a in range(d))
-
-
-def _coord_names(n):
-    if n == 1:
-        return ("x", "y", "t")
-    return tuple(f"x{j+1}" for j in range(n)) + tuple(f"y{j+1}" for j in range(n)) + ("t",)
-
-
-def grid_csv_text(g):
-    """Serialize a GridField to the grid CSV format (string, LF endings)."""
-    d = 2 * g.n + 1
-    lines = [f"# n={g.n}"]
-    lines.append("# box=" + ",".join(f"{_fmt(lo)}..{_fmt(hi)}" for lo, hi in g.box))
-    lines.append("# res=" + ",".join(str(r) for r in g.res))
-    lines.append(",".join(_index_names(d) + _coord_names(g.n) + ("value",)))
-    axes = g.axes()
-    for idx in np.ndindex(*g.res):
-        coords = (axes[a][idx[a]] for a in range(d))
-        lines.append(
-            ",".join(str(i) for i in idx)
-            + ","
-            + ",".join(_fmt(c) for c in coords)
-            + ","
-            + _fmt(g.values[idx])
-        )
-    return "\n".join(lines) + "\n"
+def _grid_columns(n):
+    d = 2 * n + 1
+    index = ("i", "j", "k") if n == 1 else tuple(f"i{a+1}" for a in range(d))
+    coords = ("x", "y", "t") if n == 1 else (
+        tuple(f"x{j+1}" for j in range(n)) + tuple(f"y{j+1}" for j in range(n)) + ("t",))
+    return index + coords + ("value",)
 
 
 def write_grid_csv(g, path):
-    Path(path).write_text(grid_csv_text(g), newline="\n")
+    """Write a GridField in the grid CSV format."""
+    comments = [
+        f"n={g.n}",
+        "box=" + ",".join(f"{lo!r}..{hi!r}" for lo, hi in g.box.tolist()),
+        "res=" + ",".join(map(str, g.res)),
+    ]
+    # each axis is formatted once; the nodes' rows combine them in C order
+    index = itertools.product(*[list(map(str, range(r))) for r in g.res])
+    coords = itertools.product(*[list(map(repr, ax.tolist())) for ax in g.axes()])
+    values = map(repr, g.values.ravel().tolist())
+    rows = (i + c + (v,) for i, c, v in zip(index, coords, values))
+    _write_csv(path, comments, _grid_columns(g.n), rows)
 
 
 def _parse_header(lines, name):
@@ -100,7 +97,7 @@ def read_grid_csv(path):
         raise ValueError("grid CSV: box/res headers inconsistent with n")
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
     header = rows.pop(0).split(",")
-    expected = list(_index_names(d) + _coord_names(n) + ("value",))
+    expected = list(_grid_columns(n))
     if header != expected:
         raise ValueError(f"grid CSV: unexpected column header {header!r}")
     count = int(np.prod(res))
@@ -143,46 +140,31 @@ def read_grid_csv(path):
     return g
 
 
-def witness_csv_text(result):
-    """Envelope witness map as `node,witness` rows of flat C-order indices."""
-    lines = ["# res=" + ",".join(str(r) for r in result.witness.shape)]
-    lines.append(f"# eps={_fmt(result.eps)}")
-    lines.append(f"# mode={result.mode}")
-    lines.append("node,witness")
-    flat = result.witness.ravel()
-    lines.extend(f"{i},{int(w)}" for i, w in enumerate(flat))
-    return "\n".join(lines) + "\n"
-
-
 def write_witness_csv(result, path):
-    Path(path).write_text(witness_csv_text(result), newline="\n")
-
-
-def classification_csv_text(c):
-    """Per-node verdicts as `node,tag,margin` rows (flat C-order indices)."""
-    lines = [f"# side={c.side}"]
-    lines.append("# res=" + ",".join(str(r) for r in c.tags.shape))
-    lines.append("node,tag,margin")
-    tags = c.tags.ravel()
-    rho = c.rho.ravel()
-    lines.extend(
-        f"{i},{TAG_NAMES[tags[i]]},{_fmt(rho[i])}" for i in range(tags.size)
-    )
-    return "\n".join(lines) + "\n"
+    """Envelope witness map as `node,witness` rows of flat C-order indices."""
+    comments = [
+        "res=" + ",".join(map(str, result.witness.shape)),
+        f"eps={float(result.eps)!r}",
+        f"mode={result.mode}",
+    ]
+    witness = result.witness.ravel().tolist()
+    _write_csv(path, comments, ("node", "witness"),
+               zip(map(str, range(len(witness))), map(str, witness)))
 
 
 def write_classification_csv(c, path):
-    Path(path).write_text(classification_csv_text(c), newline="\n")
-
-
-def residuals_csv_text(residuals):
-    lines = ["sweep,residual"]
-    lines.extend(f"{i + 1},{_fmt(r)}" for i, r in enumerate(residuals))
-    return "\n".join(lines) + "\n"
+    """Per-node verdicts as `node,tag,margin` rows (flat C-order indices)."""
+    comments = [f"side={c.side}", "res=" + ",".join(map(str, c.tags.shape))]
+    tags = c.tags.ravel().tolist()
+    _write_csv(path, comments, ("node", "tag", "margin"),
+               zip(map(str, range(len(tags))), map(TAG_NAMES.__getitem__, tags),
+                   map(repr, c.rho.ravel().tolist())))
 
 
 def write_residuals_csv(residuals, path):
-    Path(path).write_text(residuals_csv_text(residuals), newline="\n")
+    """One `sweep,residual` row per solver step, counted from 1."""
+    _write_csv(path, (), ("sweep", "residual"),
+               zip(map(str, itertools.count(1)), map(repr, map(float, residuals))))
 
 
 def _need(data, key, path):
@@ -200,6 +182,15 @@ def _integer(value, path):
     return int(value)
 
 
+def _number(value, path):
+    """A finite JSON number; booleans, strings, NaN and infinities are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        -sys.float_info.max <= value <= sys.float_info.max
+    ):
+        raise ValueError(f"problem JSON: {path} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _cone_from_json(data):
     family = _need(data, "family", "cone.family")
     kwargs = {}
@@ -208,7 +199,7 @@ def _cone_from_json(data):
     if "g" in data and data["g"] is not None:
         kwargs["g"] = data["g"]
     if "tol" in data:
-        kwargs["tol"] = float(data["tol"])
+        kwargs["tol"] = _number(data["tol"], "cone.tol")
     return ConeSpec(family, **kwargs)
 
 
@@ -221,10 +212,14 @@ def problem_from_json(data, base=None):
     base = Path(base) if base is not None else Path(".")
     dom = _need(data, "domain", "domain")
     n = _integer(_need(dom, "n", "domain.n"), "domain.n")
-    box = np.asarray(_need(dom, "box", "domain.box"), dtype=float)
+    box = _need(dom, "box", "domain.box")
     d = 2 * n + 1
-    if box.shape != (d, 2):
+    if not isinstance(box, (list, tuple)) or len(box) != d or any(
+        not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in box
+    ):
         raise ValueError(f"problem JSON: domain.box must be {d} [lo, hi] pairs")
+    box = np.array([[_number(e, f"domain.box[{i}][{j}]") for j, e in enumerate(pair)]
+                    for i, pair in enumerate(box)])
     res = tuple(_integer(r, f"resolution[{i}]")
                 for i, r in enumerate(_need(data, "resolution", "resolution")))
     if len(res) != d:
@@ -236,7 +231,7 @@ def problem_from_json(data, base=None):
         sub = read_grid_csv(base / _need(data, "sub", "sub"))
         sup = read_grid_csv(base / _need(data, "sup", "sup"))
     elif "bracket" in data:
-        scale = float(_need(data["bracket"], "scale", "bracket.scale"))
+        scale = _number(_need(data["bracket"], "scale", "bracket.scale"), "bracket.scale")
         sub, sup = bracket_from_boundary(boundary, Domain(box), res, scale)
     else:
         raise ValueError(

@@ -20,7 +20,7 @@ from heisvisc.comparison import touching_harness
 from heisvisc.cones import ConeSpec
 from heisvisc.envelopes import lower_envelope, upper_envelope
 from heisvisc.fields import Domain, GridField, parse_field, sample
-from heisvisc.gridio import grid_csv_text, witness_csv_text
+from heisvisc.gridio import write_grid_csv, write_witness_csv
 from heisvisc.operators import OperatorSpec
 from heisvisc.perron import Problem, bracket_from_boundary, solve, uniqueness_gap
 from heisvisc.suites import run_suite
@@ -126,7 +126,7 @@ def test_06_cone_axioms_with_non_cone_control():
           f"violations {[c.error for c in families]}")
 
 
-def test_07_envelope_fixtures_and_goldens():
+def test_07_envelope_fixtures_and_goldens(tmp_path):
     rep = run_suite("envelopes", 0)
     violations = sum(c.error for c in rep.checks)
 
@@ -134,14 +134,12 @@ def test_07_envelope_fixtures_and_goldens():
     spike_vals = np.zeros((9, 9, 9))
     spike_vals[4, 4, 4] = 1.0
     spike = GridField(1, BOX1.copy(), spike_vals)
-    regenerated = {
-        "constant_upper_envelope.csv": grid_csv_text(upper_envelope(constant, 0.5).out),
-        "constant_lower_envelope.csv": grid_csv_text(lower_envelope(constant, 0.5).out),
-        "spike_upper_envelope.csv": grid_csv_text(upper_envelope(spike, 0.5).out),
-        "spike_upper_witness.csv": witness_csv_text(upper_envelope(spike, 0.5)),
-    }
-    stale = [name for name, text in regenerated.items()
-             if (GOLDEN / name).read_bytes() != text.encode()]
+    write_grid_csv(upper_envelope(constant, 0.5).out, tmp_path / "constant_upper_envelope.csv")
+    write_grid_csv(lower_envelope(constant, 0.5).out, tmp_path / "constant_lower_envelope.csv")
+    write_grid_csv(upper_envelope(spike, 0.5).out, tmp_path / "spike_upper_envelope.csv")
+    write_witness_csv(upper_envelope(spike, 0.5), tmp_path / "spike_upper_witness.csv")
+    stale = [path.name for path in sorted(tmp_path.iterdir())
+             if (GOLDEN / path.name).read_bytes() != path.read_bytes()]
     ok = rep.passed and violations == 0.0 and not stale
     _line(7, "envelope fixtures clean, golden files byte-stable", ok,
           f"violations {violations:g}, stale {stale}")

@@ -3,6 +3,7 @@ problem JSON loading and its schema errors."""
 
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,18 +14,17 @@ from heisvisc.cones import ConeSpec
 from heisvisc.envelopes import upper_envelope
 from heisvisc.fields import Domain, GridField, parse_field, sample
 from heisvisc.gridio import (
-    classification_csv_text,
-    grid_csv_text,
     load_problem,
     problem_from_json,
     read_grid_csv,
-    residuals_csv_text,
-    witness_csv_text,
+    write_classification_csv,
     write_grid_csv,
+    write_residuals_csv,
+    write_witness_csv,
 )
 from heisvisc.operators import OperatorSpec
 from heisvisc.perron import bracket_from_boundary, solve
-from heisvisc.viscosity import TAG_NAMES, classify_grid
+from heisvisc.viscosity import TAG_NAMES, Classification, classify_grid
 
 BOX1 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
 
@@ -56,9 +56,15 @@ def test_grid_csv_is_byte_stable(tmp_path):
     assert b"\r" not in a.read_bytes()
 
 
-def test_grid_csv_headers_and_columns():
+def written(write, obj, path):
+    """The text ``write`` puts in ``path`` for ``obj``."""
+    write(obj, path)
+    return path.read_text()
+
+
+def test_grid_csv_headers_and_columns(tmp_path):
     g = random_grid(res=(3, 3, 3))
-    lines = grid_csv_text(g).splitlines()
+    lines = written(write_grid_csv, g, tmp_path / "g.csv").splitlines()
     assert lines[0] == "# n=1"
     assert lines[1].startswith("# box=-1.0..1.0,")
     assert lines[2] == "# res=3,3,3"
@@ -95,7 +101,7 @@ def test_grid_csv_n2_round_trip(tmp_path):
 
 def test_grid_csv_rejects_malformed(tmp_path):
     g = random_grid(res=(3, 3, 3))
-    text = grid_csv_text(g)
+    text = written(write_grid_csv, g, tmp_path / "g.csv")
     p = tmp_path / "bad.csv"
 
     p.write_text(text.replace("# n=1\n", ""))
@@ -123,7 +129,7 @@ def csv_with_index(index, tmp_path):
     ``index`` replaces as many leading columns as it holds: the node index,
     optionally followed by coordinates.
     """
-    lines = grid_csv_text(random_grid(res=(3, 3, 3))).splitlines()
+    lines = written(write_grid_csv, random_grid(res=(3, 3, 3)), tmp_path / "g.csv").splitlines()
     assert lines[5].startswith("0,0,1,")
     k = index.count(",") + 1
     lines[5] = index + "," + lines[5].split(",", k)[k]
@@ -149,10 +155,10 @@ def test_grid_csv_rejects_bad_index(tmp_path, index, message):
         read_grid_csv(csv_with_index(index, tmp_path))
 
 
-def test_witness_csv_matches_envelope():
+def test_witness_csv_matches_envelope(tmp_path):
     v = sample(parse_field("x1*x1 - y1", 1), Domain(BOX1), (5, 5, 5))
     r = upper_envelope(v, 0.5)
-    lines = witness_csv_text(r).splitlines()
+    lines = written(write_witness_csv, r, tmp_path / "w.csv").splitlines()
     assert lines[0] == "# res=5,5,5"
     assert lines[1] == "# eps=0.5"
     assert lines[2] == "# mode=upper"
@@ -163,10 +169,10 @@ def test_witness_csv_matches_envelope():
     assert int(wit) == r.witness.ravel()[0]
 
 
-def test_classification_csv_layout():
+def test_classification_csv_layout(tmp_path):
     g = sample(parse_field("x1*x1 + y1*y1", 1), Domain(BOX1), (5, 5, 5))
     c = classify_grid(g, OperatorSpec(0.0, 0.0, 0.0), ConeSpec("trace"), side="sub")
-    lines = classification_csv_text(c).splitlines()
+    lines = written(write_classification_csv, c, tmp_path / "c.csv").splitlines()
     assert lines[0] == "# side=sub"
     assert lines[1] == "# res=5,5,5"
     assert lines[2] == "node,tag,margin"
@@ -176,9 +182,118 @@ def test_classification_csv_layout():
     assert "SubOK" in tags and "Untestable" in tags
 
 
-def test_residuals_csv_layout():
-    lines = residuals_csv_text([0.5, 0.25]).splitlines()
+def test_residuals_csv_layout(tmp_path):
+    lines = written(write_residuals_csv, [0.5, 0.25], tmp_path / "r.csv").splitlines()
     assert lines == ["sweep,residual", "1,0.5", "2,0.25"]
+
+
+# The per-node writers the four formats were first defined by, kept as the
+# reference the writers must match byte for byte.
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def reference_grid_csv(g):
+    d = 2 * g.n + 1
+    if d == 3:
+        names = ("i", "j", "k", "x", "y", "t")
+    else:
+        names = (tuple(f"i{a+1}" for a in range(d)) + tuple(f"x{j+1}" for j in range(g.n))
+                 + tuple(f"y{j+1}" for j in range(g.n)) + ("t",))
+    lines = [f"# n={g.n}"]
+    lines.append("# box=" + ",".join(f"{_fmt(lo)}..{_fmt(hi)}" for lo, hi in g.box))
+    lines.append("# res=" + ",".join(str(r) for r in g.res))
+    lines.append(",".join(names + ("value",)))
+    axes = g.axes()
+    for idx in np.ndindex(*g.res):
+        coords = (axes[a][idx[a]] for a in range(d))
+        lines.append(",".join(str(i) for i in idx) + "," + ",".join(_fmt(c) for c in coords)
+                     + "," + _fmt(g.values[idx]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_witness_csv(result):
+    lines = ["# res=" + ",".join(str(r) for r in result.witness.shape)]
+    lines.append(f"# eps={_fmt(result.eps)}")
+    lines.append(f"# mode={result.mode}")
+    lines.append("node,witness")
+    lines.extend(f"{i},{int(w)}" for i, w in enumerate(result.witness.ravel()))
+    return "\n".join(lines) + "\n"
+
+
+def reference_classification_csv(c):
+    lines = [f"# side={c.side}"]
+    lines.append("# res=" + ",".join(str(r) for r in c.tags.shape))
+    lines.append("node,tag,margin")
+    tags, rho = c.tags.ravel(), c.rho.ravel()
+    lines.extend(f"{i},{TAG_NAMES[tags[i]]},{_fmt(rho[i])}" for i in range(tags.size))
+    return "\n".join(lines) + "\n"
+
+
+def reference_residuals_csv(residuals):
+    lines = ["sweep,residual"]
+    lines.extend(f"{i + 1},{_fmt(r)}" for i, r in enumerate(residuals))
+    return "\n".join(lines) + "\n"
+
+
+# values whose repr is awkward: exponents, signed zero, subnormals, a NaN
+AWKWARD = [1e-07, 1e300, 1e-300, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+           0.1 + 0.2, -np.pi, 2.0 / 3.0, 1e16, 123456789.0, np.nan]
+
+
+def awkward_values(shape, seed=0):
+    flat = rng.stream(seed).standard_normal(int(np.prod(shape)))
+    flat[:len(AWKWARD)] = AWKWARD[:flat.size]
+    return flat.reshape(shape)
+
+
+@pytest.mark.parametrize(
+    "n, box, res",
+    [
+        (1, BOX1, (6, 5, 4)),
+        (1, [[0.0, 1e-07], [-1e300, 1e300], [-0.0, 3.0]], (2, 7, 3)),
+        (2, [[-1.0, 1.0], [0.0, 0.3], [-2.5, 1e-05], [0.1, 0.7], [-1.0, 2.0]], (3, 2, 4, 3, 2)),
+    ],
+    ids=["n1", "n1_uneven_exponents", "n2_uneven"],
+)
+def test_grid_writer_matches_reference(tmp_path, n, box, res):
+    g = GridField(n, np.array(box), awkward_values(res))
+    p = tmp_path / "g.csv"
+    write_grid_csv(g, p)
+    assert p.read_bytes() == reference_grid_csv(g).encode()
+
+
+def test_witness_writer_matches_reference(tmp_path):
+    v = sample(parse_field("x1*x1 - y1", 1), Domain(BOX1), (5, 4, 6))
+    for r in (upper_envelope(v, 0.5),
+              SimpleNamespace(witness=np.arange(24).reshape(2, 3, 4)[..., ::-1], eps=1e-07,
+                              mode="lower")):
+        p = tmp_path / "w.csv"
+        write_witness_csv(r, p)
+        assert p.read_bytes() == reference_witness_csv(r).encode()
+
+
+def test_classification_writer_matches_reference(tmp_path):
+    shape = (4, 3, 5)
+    tags = (np.arange(60) % len(TAG_NAMES)).astype(np.int8).reshape(shape)
+    c = Classification("super", tags, awkward_values(shape, seed=1), {}, {})
+    p = tmp_path / "c.csv"
+    write_classification_csv(c, p)
+    assert p.read_bytes() == reference_classification_csv(c).encode()
+    assert {ln.split(",")[1] for ln in p.read_text().splitlines()[3:]} == set(TAG_NAMES)
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [[], [0.5], np.array(AWKWARD), [np.float64(0.25), 1, 3e-310]],
+    ids=["empty", "one", "awkward", "mixed"],
+)
+def test_residuals_writer_matches_reference(tmp_path, residuals):
+    p = tmp_path / "r.csv"
+    write_residuals_csv(residuals, p)
+    assert p.read_bytes() == reference_residuals_csv(residuals).encode()
 
 
 def base_problem_json():
@@ -273,6 +388,30 @@ def test_problem_json_refuses_values_it_would_truncate(path, value):
         section, key = path.split(".")
         data[section][key] = value
     with pytest.raises(ValueError, match=re.escape(path)):
+        problem_from_json(data)
+
+
+@pytest.mark.parametrize("value", [True, "0.3", None, [0.3], float("nan"), float("inf"), 10**400],
+                         ids=["bool", "string", "null", "list", "nan", "inf", "huge_int"])
+@pytest.mark.parametrize("path", ["cone.tol", "bracket.scale", "domain.box[1][0]"])
+def test_problem_json_refuses_non_numbers(path, value):
+    data = base_problem_json()
+    if path == "domain.box[1][0]":
+        data["domain"]["box"] = [[-1.0, 1.0], [value, 1.0], [-1.0, 1.0]]
+    else:
+        section, key = path.split(".")
+        data[section][key] = value
+    with pytest.raises(ValueError, match=re.escape(f"{path} must be a finite number")):
+        problem_from_json(data)
+
+
+@pytest.mark.parametrize("box", [[[-1.0, 1.0]] * 2, [[-1.0, 1.0]] * 4,
+                                 [[-1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, 1.0]], "box", 1.0],
+                         ids=["too_few", "too_many", "triple", "string", "number"])
+def test_problem_json_refuses_box_of_wrong_shape(box):
+    data = base_problem_json()
+    data["domain"]["box"] = box
+    with pytest.raises(ValueError, match=re.escape("domain.box must be 3 [lo, hi] pairs")):
         problem_from_json(data)
 
 

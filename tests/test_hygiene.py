@@ -1,10 +1,11 @@
 """Source hygiene: no module imports a name it never uses, no function
 keeps a local or (at module level) a parameter it never reads, no public
 function or class of the package is there only for the tests, every
-eigenvalue the program computes comes from one place, and the package runs
-on numpy alone."""
+eigenvalue the program computes comes from one place, the package runs
+on numpy alone, and the golden-file script still writes the goldens."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ PUBLIC_READERS = ("src/heisvisc", "scripts", "perfbench")
 # the one eigen path (cones.spectrum); the tests may still call LAPACK as
 # the reference it is checked against
 EIGEN_HOME = "src/heisvisc/cones.py"
-# gate 12 reads it; ROADMAP item 7 moves it into `heisvisc solve`
+# gate 12 reads it; ROADMAP item 6 moves it into `heisvisc solve`
 TEST_ONLY_EXEMPT = {"perron.uniqueness_gap"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
@@ -313,3 +314,16 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_golden_script_writes_the_goldens(tmp_path):
+    # the scans above read the script's imports but never run it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, str(ROOT / "scripts/run_envelope_demo.py"),
+                    "--golden-dir", str(tmp_path)], capture_output=True, check=True, env=env)
+    golden = ROOT / "tests/golden"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in golden.glob("*.csv"))
+    for path in tmp_path.iterdir():
+        assert path.read_bytes() == (golden / path.name).read_bytes(), path.name
