@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from heisvisc.envelopes import (
     check_monotone_convergence,
     check_semiconvexity,
@@ -20,21 +18,12 @@ from heisvisc.envelopes import (
     lower_envelope,
     upper_envelope,
 )
-from heisvisc.fields import GridField
 from heisvisc.gridio import write_grid_csv, write_witness_csv
-
-BOX1 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
-
-
-def fixtures():
-    constant = GridField(1, BOX1.copy(), np.full((7, 7, 7), 0.75))
-    spike_vals = np.zeros((9, 9, 9))
-    spike_vals[4, 4, 4] = 1.0
-    return {"constant": constant, "spike": GridField(1, BOX1.copy(), spike_vals)}
+from heisvisc.suites import envelope_fixtures
 
 
 def regenerate_goldens(golden_dir):
-    fx = fixtures()
+    fx = envelope_fixtures()
     spike_upper = upper_envelope(fx["spike"], 0.5)
     files = {
         "constant_upper_envelope.csv": (write_grid_csv, upper_envelope(fx["constant"], 0.5).out),
@@ -64,7 +53,7 @@ def main(argv=None):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failed = False
-    for tag, v in fixtures().items():
+    for tag, v in envelope_fixtures().items():
         for mode, build in (("upper", upper_envelope), ("lower", lower_envelope)):
             results = [build(v, eps) for eps in eps_list]
             r = results[len(eps_list) // 2]

@@ -10,7 +10,7 @@ Layout:
 - ``viscosity``   the grid operator, grid sub/supersolution classification, envelope-shift certificate
 - ``comparison``  strictness perturbations and the touching-point harness
 - ``perron``      semismooth Newton solve between sub- and supersolution data
-- ``gridio``      grid, witness, classification and residuals CSV; problem JSON loading
+- ``gridio``      grid, witness, classification and residuals CSV; every JSON the program reads or writes
 - ``suites``      packaged seeded verification suites
 - ``cli``         command-line front end
 """

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: gauge, group, envelope, classify, check, compare, solve.
-Results print as single JSON lines on stdout (sorted keys); file outputs
-use the deterministic formats from :mod:`heisvisc.gridio`, so a command
-rerun with the same inputs and seed is byte-identical.
+Results print as single JSON lines on stdout (`check` prints its indented
+report); every JSON text and file output comes from :mod:`heisvisc.gridio`,
+so a command rerun with the same inputs and seed is byte-identical.
 
 Exit codes follow one contract everywhere: 0 success, 1 property or
 convergence failure, 2 usage, I/O, or schema error.  A JSON config file
@@ -13,7 +13,6 @@ and choice checks as flags.
 """
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -29,8 +28,10 @@ from .envelopes import (
     upper_envelope,
 )
 from .gridio import (
+    json_text,
     load_problem,
     read_grid_csv,
+    read_json,
     write_classification_csv,
     write_grid_csv,
     write_residuals_csv,
@@ -44,8 +45,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _print_json(obj):
-    # a result past the float range is refused, never printed as invalid JSON
-    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(json_text(obj))
 
 
 # argparse takes an argument that starts with '-' for a flag unless it looks
@@ -70,7 +70,7 @@ def _parse_point(text, n=None):
 
 
 def _write_report(path, report):
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", newline="\n")
+    path.write_text(json_text(report, pretty=True), newline="\n")
 
 
 def _out_dir(args):
@@ -174,10 +174,10 @@ def cmd_check(args):
 def cmd_compare(args):
     prob = load_problem(args.problem)
     rep = touching_harness(prob.sup, prob.sub, prob.spec, prob.cone)
-    sys.stdout.write(rep.to_json() + "\n")
+    text = json_text(rep.to_dict())
+    sys.stdout.write(text)
     if args.out_dir is not None:
-        out = _out_dir(args)
-        (out / "compare_report.json").write_text(rep.to_json() + "\n", newline="\n")
+        (_out_dir(args) / "compare_report.json").write_text(text, newline="\n")
     return 0 if rep.verdict == "CONSISTENT" else 1
 
 
@@ -289,7 +289,7 @@ def _install_config(parser, argv):
     pre = argparse.ArgumentParser(prog=cmd.prog, add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv[1:])[0].config
-    data = {} if path is None else json.loads(Path(path).read_text())
+    data = {} if path is None else read_json(path, "config file")
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     # positionals and --help cannot come from a config file

@@ -15,9 +15,8 @@ that order, the order in which a raster scan first meets them.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -242,17 +241,14 @@ class TouchingReport:
     sub_counts: dict
     super_counts: dict
 
-    def to_json(self):
-        payload = {
+    def to_dict(self):
+        """The report's JSON payload (:func:`heisvisc.gridio.json_text` writes it)."""
+        return {
             "boundary_gap": self.boundary_gap,
             "touching_count": self.touching_count,
-            "components": [
-                {"size": c.size, "touches_boundary": c.touches_boundary}
-                for c in self.components
-            ],
+            "components": [asdict(c) for c in self.components],
             "verdict": self.verdict,
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _components(mask):

@@ -358,15 +358,6 @@ class AxiomCondition:
     def passed(self):
         return self.violations == 0
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "violations": self.violations,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
-
 
 @dataclass
 class AxiomReport:
@@ -379,13 +370,6 @@ class AxiomReport:
             if cond.name == name:
                 return cond
         raise KeyError(name)
-
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "conditions": [c.to_dict() for c in self.conditions],
-        }
 
 
 _AXIOM_NAMES = (

@@ -38,6 +38,7 @@ __all__ = [
     "AnalyticField",
     "GridField",
     "Domain",
+    "coordinate_names",
     "parse_field",
     "sample",
     "central_differences",
@@ -458,11 +459,9 @@ class _Parser:
         raise ParseError(f"expected an operand, got {shown!r}", pos)
 
 
-def _standard_names(n, extra_vars):
-    names = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(
-        f"y{i}" for i in range(1, n + 1)
-    ) + ("t",) + tuple(extra_vars)
-    return names
+def coordinate_names(n):
+    """The coordinate names x1..xn, y1..yn, t in the flat layout's order."""
+    return tuple(f"{a}{i}" for a in "xy" for i in range(1, n + 1)) + ("t",)
 
 
 @dataclass(frozen=True)
@@ -480,12 +479,11 @@ class AnalyticField:
 
     @property
     def names(self):
-        return _standard_names(self.n, self.extra_vars)
+        return coordinate_names(self.n) + self.extra_vars
 
     @classmethod
     def parse(cls, text, n, extra_vars=()):
-        names = _standard_names(n, tuple(extra_vars))
-        root = _Parser(text, set(names)).parse()
+        root = _Parser(text, set(coordinate_names(n) + tuple(extra_vars))).parse()
         return cls(root, n, tuple(extra_vars))
 
     def _env_from_coords(self, coords, extra):
@@ -585,6 +583,7 @@ class GridField:
         d = 2 * self.n + 1
         if self.box.shape != (d, 2):
             raise ValueError(f"box must have shape ({d}, 2)")
+        Domain(self.box)  # the one box rule: finite bounds, lo < hi
         if self.values.ndim != d:
             raise ValueError(f"values must have {d} axes, got {self.values.ndim}")
         if any(r < 2 for r in self.values.shape):

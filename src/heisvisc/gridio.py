@@ -1,4 +1,4 @@
-"""Deterministic file formats for grids, witnesses, classifications, problems.
+"""Deterministic file formats: grid, witness, classification CSVs and JSON.
 
 Every CSV here has one layout, written by one function: `# name=value`
 comment lines, one row of column names, then one comma-separated row per
@@ -15,11 +15,14 @@ The four formats differ only in their comments and columns:
 - classification: `# side=`, `# res=`; `node,tag,margin`.
 - residuals: no comments; `sweep,residual`, counted from 1.
 
-Problem JSON holds the domain, resolution, operator and cone descriptions,
-the boundary expression, and either explicit bracket-grid CSV paths
-(relative to the JSON file) or a `bracket: {scale: s}` recipe that rebuilds
-the pair with `bracket_from_boundary`.  Schema errors name the offending
-field with a dotted path.
+Every JSON text the program reads or writes goes through here too:
+`read_json` reads a file and `json_text` writes sorted keys, LF-terminated,
+compact or indented by 2.  Problem JSON holds the domain, resolution,
+operator and cone descriptions (constant, finite coefficients), the
+boundary expression, and either explicit bracket-grid CSV paths (relative
+to the JSON file) or a `bracket: {scale: s}` recipe that rebuilds the pair
+with `bracket_from_boundary`.  Schema errors name the offending field with
+a dotted path.
 """
 
 import itertools
@@ -30,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .cones import ConeSpec
-from .fields import Domain, GridField, parse_field
-from .operators import spec_from_json
+from .fields import Domain, GridField, coordinate_names, parse_field
+from .operators import OperatorSpec
 from .perron import Problem, bracket_from_boundary
 from .viscosity import TAG_NAMES
 
@@ -41,6 +44,8 @@ __all__ = [
     "write_witness_csv",
     "write_classification_csv",
     "write_residuals_csv",
+    "json_text",
+    "read_json",
     "problem_from_json",
     "load_problem",
 ]
@@ -56,8 +61,7 @@ def _write_csv(path, comments, names, rows):
 def _grid_columns(n):
     d = 2 * n + 1
     index = ("i", "j", "k") if n == 1 else tuple(f"i{a+1}" for a in range(d))
-    coords = ("x", "y", "t") if n == 1 else (
-        tuple(f"x{j+1}" for j in range(n)) + tuple(f"y{j+1}" for j in range(n)) + ("t",))
+    coords = ("x", "y", "t") if n == 1 else coordinate_names(n)
     return index + coords + ("value",)
 
 
@@ -167,40 +171,88 @@ def write_residuals_csv(residuals, path):
                zip(map(str, itertools.count(1)), map(repr, map(float, residuals))))
 
 
-def _need(data, key, path):
+def json_text(obj, pretty=False):
+    """The one JSON text: sorted keys, compact or indented by 2, LF-terminated.
+    NaN and infinities are refused, never written as invalid JSON."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False, indent=2 if pretty else None) + "\n"
+
+
+def read_json(path, what):
+    """The JSON value in file ``path``; a parse error names ``what`` and the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{what}: {path} is not valid JSON ({e})") from e
+
+
+def _refuse(path, kind, value):
+    raise ValueError(f"problem JSON: {path} must be {kind}, got {value!r}")
+
+
+def _need(data, path):
+    """The field at dotted ``path`` (its last part is the key in ``data``)."""
+    key = path.rpartition(".")[2]
     if not isinstance(data, dict) or key not in data:
         raise ValueError(f"problem JSON: missing required field '{path}'")
     return data[key]
 
 
-def _integer(value, path):
-    """A JSON integer; booleans and fractional numbers are refused, not truncated."""
+def _integer(value, path, least=None):
+    """A JSON integer, at least ``least`` when given; booleans and fractional
+    numbers are refused, not truncated."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
-        raise ValueError(f"problem JSON: {path} must be an integer, got {value!r}")
+        _refuse(path, "an integer", value)
+    if least is not None and value < least:
+        _refuse(path, f"at least {least}", value)
     return int(value)
 
 
-def _number(value, path):
+def _number(value, path, kind="a finite number"):
     """A finite JSON number; booleans, strings, NaN and infinities are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
         -sys.float_info.max <= value <= sys.float_info.max
     ):
-        raise ValueError(f"problem JSON: {path} must be a finite number, got {value!r}")
+        _refuse(path, kind, value)
     return float(value)
 
 
+def _reader(json_type, kind):
+    """A reader that returns a ``json_type`` value and refuses any other."""
+    def read(value, path):
+        if not isinstance(value, json_type):
+            _refuse(path, kind, value)
+        return value
+    return read
+
+
+_string, _list, _object = (_reader(str, "a string"), _reader(list, "a list"),
+                           _reader(dict, "an object"))
+
+_COEFFICIENT = ("a finite number (the solver path requires constant coefficients; "
+                "expressions wait on ROADMAP item 2(c))")
+
+
+def _operator_from_json(data):
+    data = _object(data, "operator")
+    coeffs = {c: _number(_need(data, f"operator.{c}"), f"operator.{c}", _COEFFICIENT)
+              for c in ("alpha", "beta", "gamma")}
+    if "m" in data:
+        coeffs["m"] = _number(data["m"], "operator.m")
+    return OperatorSpec(**coeffs)
+
+
 def _cone_from_json(data):
-    family = _need(data, "family", "cone.family")
-    kwargs = {}
-    if "k" in data and data["k"] is not None:
-        kwargs["k"] = data["k"]  # ConeSpec refuses a k that is not an integer
-    if "g" in data and data["g"] is not None:
-        kwargs["g"] = data["g"]
+    data = _object(data, "cone")
+    kwargs = {"family": _string(_need(data, "cone.family"), "cone.family")}
+    if data.get("k") is not None:
+        kwargs["k"] = _integer(data["k"], "cone.k")
+    if data.get("g") is not None:
+        kwargs["g"] = _string(data["g"], "cone.g")
     if "tol" in data:
         kwargs["tol"] = _number(data["tol"], "cone.tol")
-    return ConeSpec(family, **kwargs)
+    return ConeSpec(**kwargs)
 
 
 def problem_from_json(data, base=None):
@@ -210,9 +262,9 @@ def problem_from_json(data, base=None):
     against; it defaults to the current directory.
     """
     base = Path(base) if base is not None else Path(".")
-    dom = _need(data, "domain", "domain")
-    n = _integer(_need(dom, "n", "domain.n"), "domain.n")
-    box = _need(dom, "box", "domain.box")
+    dom = _object(_need(data, "domain"), "domain")
+    n = _integer(_need(dom, "domain.n"), "domain.n", least=1)
+    box = _need(dom, "domain.box")
     d = 2 * n + 1
     if not isinstance(box, (list, tuple)) or len(box) != d or any(
         not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in box
@@ -220,31 +272,25 @@ def problem_from_json(data, base=None):
         raise ValueError(f"problem JSON: domain.box must be {d} [lo, hi] pairs")
     box = np.array([[_number(e, f"domain.box[{i}][{j}]") for j, e in enumerate(pair)]
                     for i, pair in enumerate(box)])
-    res = tuple(_integer(r, f"resolution[{i}]")
-                for i, r in enumerate(_need(data, "resolution", "resolution")))
+    res = tuple(_integer(r, f"resolution[{i}]", least=2)
+                for i, r in enumerate(_list(_need(data, "resolution"), "resolution")))
     if len(res) != d:
         raise ValueError(f"problem JSON: resolution must have {d} entries")
-    spec = spec_from_json(_need(data, "operator", "operator"), n)
-    cone = _cone_from_json(_need(data, "cone", "cone"))
-    boundary = parse_field(_need(data, "boundary", "boundary"), n)
+    spec = _operator_from_json(_need(data, "operator"))
+    cone = _cone_from_json(_need(data, "cone"))
+    boundary = parse_field(_string(_need(data, "boundary"), "boundary"), n)
     if "sub" in data or "sup" in data:
-        sub = read_grid_csv(base / _need(data, "sub", "sub"))
-        sup = read_grid_csv(base / _need(data, "sup", "sup"))
+        sub, sup = (read_grid_csv(base / _string(_need(data, side), side))
+                    for side in ("sub", "sup"))
     elif "bracket" in data:
-        scale = _number(_need(data["bracket"], "scale", "bracket.scale"), "bracket.scale")
+        bracket = _object(data["bracket"], "bracket")
+        scale = _number(_need(bracket, "bracket.scale"), "bracket.scale")
         sub, sup = bracket_from_boundary(boundary, Domain(box), res, scale)
     else:
-        raise ValueError(
-            "problem JSON: missing required field 'sub'/'sup' or 'bracket'"
-        )
+        raise ValueError("problem JSON: missing required field 'sub'/'sup' or 'bracket'")
     return Problem(spec, cone, boundary, sub, sup)
 
 
 def load_problem(path):
     """Read and validate a problem JSON file."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"problem JSON: {path} is not valid JSON ({e})") from e
-    return problem_from_json(data, base=path.parent)
+    return problem_from_json(read_json(path, "problem JSON"), base=Path(path).parent)

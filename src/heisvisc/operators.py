@@ -30,7 +30,7 @@ import numpy as np
 
 from .cones import eigenvalues
 from .core import frame_t_coefficients, j_matrix
-from .fields import AnalyticField, parse_field
+from .fields import AnalyticField
 from .rng import stream
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "eval_A_u",
     "conformal_operator_spec",
     "check_structural",
-    "spec_from_json",
 ]
 
 
@@ -70,8 +69,8 @@ class OperatorSpec:
             elif not isinstance(c, AnalyticField):
                 raise ValueError(f"{name} must be a number or an AnalyticField")
         m = float(self.m)
-        if m < 0:
-            raise ValueError("exponent m must be nonnegative")
+        if not (np.isfinite(m) and m >= 0):
+            raise ValueError(f"exponent m must be finite and nonnegative, got {m}")
         object.__setattr__(self, "m", m)
 
     @property
@@ -468,28 +467,4 @@ def check_structural(spec, bounds, box, plan):
     passed = all(c.passed for c in conditions if c.required)
     return StructuralReport(
         samples=N, branch=branch, conditions=conditions, passed=passed
-    )
-
-
-# -- JSON interchange ---------------------------------------------------------
-
-
-def spec_from_json(data, n):
-    def parse_coeff(name, expression=True):
-        v = data[name]
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return float(v)
-        if expression and isinstance(v, str):
-            return parse_field(v, n, extra_vars=("s",))
-        kind = "a number or expression" if expression else "a number"
-        raise ValueError(f"operator.{name} must be {kind}, got {v!r}")
-
-    missing = {"alpha", "beta", "gamma"} - set(data)
-    if missing:
-        raise ValueError(f"operator spec missing fields: {sorted(missing)}")
-    return OperatorSpec(
-        alpha=parse_coeff("alpha"),
-        beta=parse_coeff("beta"),
-        gamma=parse_coeff("gamma"),
-        m=parse_coeff("m", expression=False) if "m" in data else 2.0,
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cones import ConeSpec, band_from_entries, newton_gradient, newton_values
 from .fields import (AnalyticField, Const, Domain, GridField, central_differences,
-                     parse_field, sample)
+                     coordinate_names, parse_field, sample)
 from .operators import (OperatorSpec, SamplePlan, StructuralBounds, check_structural,
                         contract, grad_p_L)
 from .viscosity import GridOperator
@@ -56,8 +56,7 @@ def boundary_bump(domain):
     """
     n = domain.n
     parts = []
-    names = [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)] + ["t"]
-    for a, name in enumerate(names):
+    for a, name in enumerate(coordinate_names(n)):
         lo, hi = (float(e) for e in domain.box[a])
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)

@@ -14,9 +14,8 @@ lemma35 (perturbation margin certificates, both directions), keylemma
 (envelope-shift certificate).  ``run_suite("all", ...)`` chains them.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,11 +29,12 @@ from .envelopes import (
     lower_envelope,
     upper_envelope,
 )
-from .fields import AnalyticField, Const, Domain, GridField, exp_of, log_of, parse_field, sample, z_norm_sq
+from .fields import (AnalyticField, Const, Domain, GridField, coordinate_names, exp_of, log_of,
+                     parse_field, sample, z_norm_sq)
+from .gridio import json_text
 from .operators import (
     OperatorSpec,
     SamplePlan,
-    StructuralBounds,
     check_structural,
     conformal_operator_spec,
     contract,
@@ -42,10 +42,12 @@ from .operators import (
     eval_A_u,
     eval_F,
 )
+from .perron import DEFAULT_BOUNDS
 from .rng import stream
 from .viscosity import key_lemma_certificate
 
-__all__ = ["CheckOutcome", "SuiteReport", "SUITE_NAMES", "run_suite", "report_json"]
+__all__ = ["CheckOutcome", "SuiteReport", "SUITE_NAMES", "envelope_fixtures", "run_suite",
+           "report_json"]
 
 _BOX1 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
 
@@ -110,7 +112,7 @@ def _random_points(gen, n, count, half=2.0):
 
 
 def _random_polynomial(gen, n, degree=3, terms=8):
-    names = [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)] + ["t"]
+    names = coordinate_names(n)
     parts = ["%.6f" % gen.uniform(-1, 1)]
     for _ in range(terms):
         deg = int(gen.integers(1, degree + 1))
@@ -317,16 +319,20 @@ def _envelope_fixture_checks(tag, v, eps_list):
     return checks
 
 
+def envelope_fixtures():
+    """The envelope fixtures on [-1, 1]^3: a constant 7^3 field and a 9^3 unit spike."""
+    spike = np.zeros((9, 9, 9))
+    spike[4, 4, 4] = 1.0
+    return {"constant": GridField(1, _BOX1.copy(), np.full((7, 7, 7), 0.75)),
+            "spike": GridField(1, _BOX1.copy(), spike)}
+
+
 def suite_envelopes(seed, count=None):
     del count  # fixture-driven; nothing to sample
     del seed
     eps_list = [1.0, 0.5, 0.25]
-    constant = GridField(1, _BOX1.copy(), np.full((7, 7, 7), 0.75))
-    spike_vals = np.zeros((9, 9, 9))
-    spike_vals[4, 4, 4] = 1.0
-    spike = GridField(1, _BOX1.copy(), spike_vals)
-    checks = _envelope_fixture_checks("constant", constant, eps_list)
-    checks += _envelope_fixture_checks("spike", spike, eps_list)
+    checks = [c for tag, v in envelope_fixtures().items()
+              for c in _envelope_fixture_checks(tag, v, eps_list)]
     return SuiteReport("envelopes", 0, all(c.passed for c in checks), checks)
 
 
@@ -334,15 +340,12 @@ def suite_envelopes(seed, count=None):
 # structural: coefficient growth/sign gate
 
 
-_GATE_BOUNDS = StructuralBounds(R=2.0, Lambda=1.0, theta_bar=0.04, C=6.0, m=2.0, beta0=0.25)
-
-
 def suite_structural(seed, count=2000):
     checks = []
     dom = Domain(_BOX1.copy())
 
     rep = check_structural(
-        conformal_operator_spec(), _GATE_BOUNDS, dom, SamplePlan(seed=seed + 41, count=count)
+        conformal_operator_spec(), DEFAULT_BOUNDS, dom, SamplePlan(seed=seed + 41, count=count)
     )
     bad = sum(1 for c in rep.conditions if c.required and not c.passed)
     checks.append(
@@ -355,7 +358,7 @@ def suite_structural(seed, count=2000):
     falling = OperatorSpec(
         alpha=parse_field("0.0 - s", 1, extra_vars=("s",)), beta=0.5, gamma=1.0
     )
-    rep = check_structural(falling, _GATE_BOUNDS, dom, SamplePlan(seed=seed + 42, count=count))
+    rep = check_structural(falling, DEFAULT_BOUNDS, dom, SamplePlan(seed=seed + 42, count=count))
     witness = next((c.witness for c in rep.conditions if not c.passed and c.witness), None)
     caught = (not rep.passed) and witness is not None
     failing = [c.name for c in rep.conditions if c.required and not c.passed]
@@ -492,7 +495,7 @@ def run_suite(name, seed, count=None, tamper=False, pool=None):
             reports = list(pool.map(run_one, _SUITES))
         return SuiteReport(
             suite="all", seed=seed, passed=all(r.passed for r in reports),
-            checks=[c for r in reports for c in _prefixed(r)],
+            checks=[replace(c, name=f"{r.suite}.{c.name}") for r in reports for c in r.checks],
         )
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITE_NAMES)}")
@@ -505,18 +508,6 @@ def run_suite(name, seed, count=None, tamper=False, pool=None):
     return fn(seed, **kwargs)
 
 
-def _prefixed(report):
-    out = []
-    for c in report.checks:
-        out.append(
-            CheckOutcome(
-                name=f"{report.suite}.{c.name}", passed=c.passed, checked=c.checked,
-                error=c.error, tol=c.tol, detail=c.detail,
-            )
-        )
-    return out
-
-
 def report_json(report):
     """Deterministic JSON text for a suite report (sorted keys, LF, indent 2)."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return json_text(report.to_dict(), pretty=True)

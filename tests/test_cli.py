@@ -288,6 +288,54 @@ def test_solve_fractional_problem_integer_exits_2(capsys, tmp_path):
     assert "cone.k" in err
 
 
+def _set(path, value):
+    """An edit of the problem JSON that sets dotted ``path`` to ``value``."""
+    def edit(data):
+        *outer, key = path.split(".")
+        for name in outer:
+            data = data[name]
+        data[key] = value
+    return edit
+
+
+def _explicit_grids(data):
+    del data["bracket"]
+    data["sub"] = data["sup"] = 5
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (_set("resolution", 5), "resolution must be a list, got 5"),
+        (_set("resolution", None), "resolution must be a list, got None"),
+        (_set("boundary", 5), "boundary must be a string, got 5"),
+        (_set("cone", {"family": "spectral", "g": 5}), "cone.g must be a string, got 5"),
+        (_set("operator", 5), "operator must be an object, got 5"),
+        (_explicit_grids, "sub must be a string, got 5"),
+        (_set("operator.alpha", 10**400), "operator.alpha must be a finite number"),
+        (_set("operator.m", float("nan")), "operator.m must be a finite number, got nan"),
+        (_set("operator.m", float("inf")), "operator.m must be a finite number, got inf"),
+        (_set("operator.alpha", float("nan")), "operator.alpha must be a finite number"),
+        (_set("operator.beta", float("inf")), "operator.beta must be a finite number"),
+        (_set("operator.alpha", "0.1*x1"),
+         "operator.alpha must be a finite number (the solver path requires constant"),
+    ],
+    ids=["resolution_number", "resolution_null", "boundary_number", "cone_g_number",
+         "operator_number", "sub_sup_numbers", "alpha_past_float_range", "m_nan", "m_inf",
+         "alpha_nan", "beta_inf", "alpha_expression"],
+)
+def test_malformed_problem_exits_2_naming_its_path(capsys, tmp_path, edit, path):
+    data = json.loads(write_problem(tmp_path).read_text())
+    edit(data)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))   # NaN and Infinity as the JSON literals
+    code, out, err = run(capsys, "classify", "--problem", str(p), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: problem JSON: {path}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_classify_on_boundary_solution_passes(capsys, tmp_path):
     prob = write_problem(tmp_path, explicit="x1")
     out_dir = tmp_path / "cls"
@@ -432,6 +480,15 @@ def test_config_value_must_be_a_choice(capsys, tmp_path):
     assert code == 2
     assert "'sideways' is not one of 'upper', 'lower'" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_json_names_the_file(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{seed: 3}")
+    code, out, err = run(capsys, "check", "--suite", "core", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith(f"error: config file: {cfg} is not valid JSON (Expecting property")
+    assert out == ""
 
 
 @pytest.mark.parametrize(

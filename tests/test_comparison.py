@@ -2,7 +2,6 @@
 touching harness."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -21,6 +20,7 @@ from heisvisc.comparison import (
 )
 from heisvisc.cones import ConeSpec
 from heisvisc.fields import Domain, GridField, parse_field, sample
+from heisvisc.gridio import json_text
 from heisvisc.operators import OperatorSpec, conformal_operator_spec
 from heisvisc.rng import stream
 
@@ -309,13 +309,21 @@ def test_harness_lists_islands_in_scan_order():
     v = GridField(1, BOX1.copy(), np.zeros((9, 9, 9)))
     w = GridField(1, BOX1.copy(), diff)
     rep = touching_harness(w, v, ZERO_SPEC, TRACE)
-    assert rep.to_json() == (
+    assert rep.to_dict() == {
+        "boundary_gap": 0.0,
+        "touching_count": 392,
+        "components": [{"size": size, "touches_boundary": size == 386}
+                       for size in (386, 3, 1, 2)],
+        "verdict": "VIOLATION",
+    }
+    # the line `heisvisc compare` prints and writes
+    assert json_text(rep.to_dict()) == (
         '{"boundary_gap": 0.0, "components": ['
         '{"size": 386, "touches_boundary": true}, '
         '{"size": 3, "touches_boundary": false}, '
         '{"size": 1, "touches_boundary": false}, '
         '{"size": 2, "touches_boundary": false}], '
-        '"touching_count": 392, "verdict": "VIOLATION"}'
+        '"touching_count": 392, "verdict": "VIOLATION"}\n'
     )
 
 
@@ -404,8 +412,10 @@ def test_harness_json_schema():
     v = harness_grids()
     w = v.copy()
     w.values += 1.0
-    payload = json.loads(touching_harness(w, v, ZERO_SPEC, TRACE).to_json())
-    assert set(payload) == {"boundary_gap", "touching_count", "components", "verdict"}
-    assert payload["verdict"] == "CONSISTENT"
-    assert payload["touching_count"] == 0
-    assert payload["components"] == []
+    payload = touching_harness(w, v, ZERO_SPEC, TRACE).to_dict()
+    assert payload == {"boundary_gap": 1.0, "touching_count": 0, "components": [],
+                       "verdict": "CONSISTENT"}
+    assert json_text(payload) == (
+        '{"boundary_gap": 1.0, "components": [], "touching_count": 0, '
+        '"verdict": "CONSISTENT"}\n'
+    )

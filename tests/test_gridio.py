@@ -123,6 +123,21 @@ def test_grid_csv_rejects_malformed(tmp_path):
         read_grid_csv(p)
 
 
+@pytest.mark.parametrize(
+    "span, message",
+    [("nan..nan", "finite"), ("-inf..inf", "finite"), ("-1.0..inf", "finite"),
+     ("1.0..1.0", "lo < hi"), ("1.0..-1.0", "lo < hi")],
+    ids=["nan", "infinite", "half_infinite", "empty", "reversed"],
+)
+def test_grid_csv_rejects_box_outside_the_domain_rule(tmp_path, span, message):
+    # the reader holds the box to Domain's rule, so no spacing is NaN, inf or 0
+    text = written(write_grid_csv, random_grid(res=(3, 3, 3)), tmp_path / "g.csv")
+    p = tmp_path / "bad_box.csv"
+    p.write_text(text.replace("# box=-1.0..1.0,", f"# box={span},", 1))
+    with pytest.raises(ValueError, match=message):
+        read_grid_csv(p)
+
+
 def csv_with_index(index, tmp_path):
     """A 3x3x3 grid CSV whose second data row (file line 6) starts with ``index``.
 
@@ -376,6 +391,8 @@ def test_problem_json_nested_missing_field():
         ("operator.alpha", True),
         ("operator.gamma", [1.0]),
         ("operator.m", "2"),
+        ("domain.n", 0),
+        ("resolution[1]", 1),
     ],
 )
 def test_problem_json_refuses_values_it_would_truncate(path, value):
@@ -423,6 +440,36 @@ def test_problem_json_accepts_integral_floats():
     prob = problem_from_json(data)
     assert prob.cone.k == 2 and isinstance(prob.cone.k, int)
     assert prob.sub.res == (5, 5, 5)
+
+
+def test_problem_json_operator_constants_round_trip():
+    data = base_problem_json()
+    data["operator"] = {"alpha": 1, "beta": 0.5, "gamma": 1.0}
+    spec = problem_from_json(data).spec
+    assert spec == OperatorSpec(alpha=1.0, beta=0.5, gamma=1.0, m=2.0)
+    assert isinstance(spec.alpha, float)
+    data["operator"] = {"alpha": spec.alpha, "beta": spec.beta, "gamma": spec.gamma, "m": spec.m}
+    assert problem_from_json(json.loads(json.dumps(data))).spec == spec
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+def test_problem_json_operator_missing_fields(name):
+    data = base_problem_json()
+    del data["operator"][name]
+    with pytest.raises(ValueError, match=re.escape(f"missing required field 'operator.{name}'")):
+        problem_from_json(data)
+
+
+@pytest.mark.parametrize("text", ["x1 + 2.0*s", "0.1*x1", "0.5"])
+def test_problem_json_refuses_expression_coefficients(text):
+    # no command solves or classifies with expression coefficients
+    data = base_problem_json()
+    data["operator"]["beta"] = text
+    with pytest.raises(ValueError) as exc:
+        problem_from_json(data)
+    message = str(exc.value)
+    assert message.startswith("problem JSON: operator.beta must be a finite number")
+    assert "constant coefficients" in message and "ROADMAP item 2(c)" in message
 
 
 def test_problem_json_rejects_expression_operator():

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no function
 keeps a local or (at module level) a parameter it never reads, no public
 function or class of the package is there only for the tests, every
-eigenvalue the program computes comes from one place, the package runs
-on numpy alone, and the golden-file script still writes the goldens."""
+eigenvalue the program computes and every JSON text it reads or writes
+comes from one place, the package runs on numpy alone, and the
+golden-file script still writes the goldens."""
 
 import ast
 import os
@@ -20,6 +21,9 @@ PUBLIC_READERS = ("src/heisvisc", "scripts", "perfbench")
 # the one eigen path (cones.spectrum); the tests may still call LAPACK as
 # the reference it is checked against
 EIGEN_HOME = "src/heisvisc/cones.py"
+# the one JSON codec; the tests and perfbench encode and decode JSON freely
+JSON_HOME = "src/heisvisc/gridio.py"
+_JSON_CODEC = {"dump", "dumps", "load", "loads"}
 # gate 12 reads it; ROADMAP item 6 moves it into `heisvisc solve`
 TEST_ONLY_EXEMPT = {"perron.uniqueness_gap"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -264,6 +268,39 @@ def test_scan_sees_eigen_calls(tmp_path):
         "np.linalg.eigvalsh(a)\nscipy.linalg.eig(a)\nlinalg.eigvals(a)\nnp.linalg.norm(a)\n"
     )
     assert eigen_calls(src) == [(4, "eigh"), (5, "eigvalsh"), (6, "eig"), (7, "eigvals")]
+
+
+def json_calls(path):
+    """(line, name) of each ``json`` encoder or decoder a module reads, by
+    attribute or by import."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _JSON_CODEC
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found |= {(node.lineno, a.name) for a in node.names if a.name in _JSON_CODEC}
+    return sorted(found)
+
+
+def test_json_text_comes_from_gridio_only():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: json.{name}"
+        for path in sorted((ROOT / "src/heisvisc").rglob("*.py"))
+        if path != ROOT / JSON_HOME
+        for line, name in json_calls(path)
+    ]
+    assert not found, "JSON encoded or decoded outside gridio.py:\n" + "\n".join(found)
+
+
+def test_scan_sees_json_calls(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import json\nfrom json import loads, JSONDecodeError\n"
+        "json.dumps(a)\njson.load(f)\nx.dumps(a)\njson.JSONDecodeError\njson.dump(a, f)\n"
+    )
+    assert json_calls(src) == [(2, "loads"), (3, "dumps"), (4, "load"), (7, "dump")]
 
 
 def scipy_imports(path):

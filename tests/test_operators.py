@@ -20,7 +20,6 @@ from heisvisc.operators import (
     grad_p_L,
     grad_xi_L,
     gradient_term,
-    spec_from_json,
 )
 from heisvisc.rng import stream
 
@@ -353,7 +352,7 @@ def test_structural_constant_branch_zero_gamma():
     assert not report.condition("euler_excess_lower_bound").required
 
 
-# -- validation and JSON -------------------------------------------------------
+# -- validation ----------------------------------------------------------------
 
 
 def test_operator_spec_validation():
@@ -361,34 +360,10 @@ def test_operator_spec_validation():
         OperatorSpec(alpha="1.0")
     with pytest.raises(ValueError):
         OperatorSpec(alpha=lambda coords, s: 1.0)
-    with pytest.raises(ValueError):
-        OperatorSpec(m=-1.0)
+    for m in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            OperatorSpec(m=m)
     spec = OperatorSpec(alpha=2, beta=0.5, gamma=1)
     assert spec.is_constant and isinstance(spec.alpha, float)
     with pytest.raises(ValueError):
         OperatorSpec(alpha=parse_field("x1", 1)).constants()
-
-
-def test_spec_json_round_trip_constants():
-    spec = OperatorSpec(alpha=1.0, beta=0.5, gamma=1.0, m=3.0)
-    data = {"alpha": spec.alpha, "beta": spec.beta, "gamma": spec.gamma, "m": spec.m}
-    back = spec_from_json(data, n=1)
-    assert back == spec
-
-
-def test_spec_json_round_trip_expression():
-    alpha = parse_field("x1 + 2.0*s", 1, extra_vars=("s",))
-    spec = OperatorSpec(alpha=alpha, beta=0.5, gamma=0.0)
-    back = spec_from_json({"alpha": "x1 + 2.0*s", "beta": 0.5, "gamma": 0.0}, n=1)
-    gen = stream(14)
-    coords = gen.uniform(-1, 1, size=(10, 3))
-    s = gen.uniform(-1, 1, size=10)
-    p = gen.normal(size=(10, 2))
-    np.testing.assert_allclose(
-        L_stack(back, coords, s, p), L_stack(spec, coords, s, p), atol=1e-14
-    )
-
-
-def test_spec_from_json_rejects_missing_fields():
-    with pytest.raises(ValueError):
-        spec_from_json({"alpha": 1.0, "beta": 0.5}, n=1)
