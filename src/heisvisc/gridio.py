@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cones import ConeSpec
+from .cones import ConeSpec, spectral_tree
 from .fields import Domain, GridField, coordinate_names, parse_field
 from .operators import OperatorSpec
 from .perron import Problem, bracket_from_boundary
@@ -131,7 +131,10 @@ def read_grid_csv(path):
                          "appears twice")
     values = np.empty(count)
     values[nodes] = flat
-    g = GridField(n, box, values.reshape(res))
+    try:
+        g = GridField(n, box, values.reshape(res))
+    except ValueError as e:
+        raise ValueError(f"grid CSV: {e}") from None
     # coordinates must name the header's node, up to a tolerance far below
     # the spacing so that hand-written decimals still load
     lattice = g.coords_full().reshape(count, d)[nodes]
@@ -243,7 +246,15 @@ def _operator_from_json(data):
     return OperatorSpec(**coeffs)
 
 
-def _cone_from_json(data):
+def _parsed(parse, text, path):
+    """``parse(text)``; a parse error names the field at dotted ``path``."""
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise ValueError(f"problem JSON: {path}: {e}") from None
+
+
+def _cone_from_json(data, n):
     data = _object(data, "cone")
     kwargs = {"family": _string(_need(data, "cone.family"), "cone.family")}
     if data.get("k") is not None:
@@ -252,7 +263,14 @@ def _cone_from_json(data):
         kwargs["g"] = _string(data["g"], "cone.g")
     if "tol" in data:
         kwargs["tol"] = _number(data["tol"], "cone.tol")
-    return ConeSpec(**kwargs)
+    try:
+        cone = ConeSpec(**kwargs)
+    except ValueError as e:   # each of its messages names its field
+        raise ValueError(f"problem JSON: {e}") from None
+    if cone.family == "spectral":
+        # the cone would parse g only when first evaluated
+        _parsed(lambda g: spectral_tree(g, 2 * n), cone.g, "cone.g")
+    return cone
 
 
 def problem_from_json(data, base=None):
@@ -277,11 +295,18 @@ def problem_from_json(data, base=None):
     if len(res) != d:
         raise ValueError(f"problem JSON: resolution must have {d} entries")
     spec = _operator_from_json(_need(data, "operator"))
-    cone = _cone_from_json(_need(data, "cone"))
-    boundary = parse_field(_string(_need(data, "boundary"), "boundary"), n)
+    cone = _cone_from_json(_need(data, "cone"), n)
+    boundary = _parsed(lambda text: parse_field(text, n),
+                       _string(_need(data, "boundary"), "boundary"), "boundary")
     if "sub" in data or "sup" in data:
         sub, sup = (read_grid_csv(base / _string(_need(data, side), side))
                     for side in ("sub", "sup"))
+        for side, g in (("sub", sub), ("sup", sup)):
+            if g.res != res or not np.array_equal(g.box, box):
+                raise ValueError(
+                    f"problem JSON: {side} holds a {'x'.join(map(str, g.res))} grid on "
+                    f"{g.box.tolist()}, not the resolution {list(res)} on domain.box "
+                    f"{box.tolist()}")
     elif "bracket" in data:
         bracket = _object(data["bracket"], "bracket")
         scale = _number(_need(bracket, "bracket.scale"), "bracket.scale")

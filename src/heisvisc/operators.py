@@ -12,7 +12,9 @@ where (x) is the outer product and J = [[0, I], [-I, 0]].  Coefficients are
 constants or analytic fields in (x, y, t, s).  ``contract`` is the one
 frame contraction: it turns Euclidean derivatives into F and the horizontal
 gradient, and the grid operator (finite differences) and ``eval_F`` (exact
-jets of an analytic field) both call it; ``gradient_term`` is the one L.
+jets of an analytic field) both call it; ``contract_transpose`` is its
+transpose, which the solver's Jacobian is built from; ``gradient_term`` is
+the one L.
 The conformal pair: ``eval_A_psi`` is F with alpha = gamma = 1, beta = 1/2,
 and ``eval_A_u`` is the equivalent form in the substitution
 u = exp(-(Q-2) psi / 2), Q = 2n + 2, satisfying A^u = e^{2 psi} A[psi].
@@ -44,6 +46,7 @@ __all__ = [
     "gradient_term",
     "frame_terms",
     "contract",
+    "contract_transpose",
     "eval_F",
     "eval_A_psi",
     "eval_A_u",
@@ -170,6 +173,36 @@ def contract(spec, coords, u, H, grad, terms=None):
         for j in range(i, m):
             F[i][j] = F[j][i] = F[i][j] + L[i][j]
     return F, p
+
+
+def contract_transpose(G, c, q=None):
+    """The transpose of :func:`contract`'s map from Euclidean derivatives to (F, p).
+
+    For a scalar r with dr/dF_ij = ``G[i][j]`` (symmetric) and
+    dr/dp_i = ``q[i]``, returns the coefficients ``H[a][b]`` (the same array
+    object as ``H[b][a]``) and ``grad[a]`` with which r reads each Euclidean
+    second and first derivative; an off-diagonal pair H_ab = H_ba counts as
+    one derivative.  With ``c`` the frame t-coefficients (the first of
+    :func:`frame_terms`), over the horizontal indices a != b,
+
+        H_aa = G_aa,  H_ab = 2 G_ab,  H_at = 2 (G c)_a,  H_tt = c^T G c,
+        grad_a = q_a,  grad_t = q . c.
+
+    L enters through q alone (its p-derivative contracted with G); ``grad``
+    is None when ``q`` is.
+    """
+    m = len(c)
+    Gc = [sum(G[a][i] * c[i] for i in range(m)) for a in range(m)]
+    H = [[None] * (m + 1) for _ in range(m + 1)]
+    for a in range(m):
+        H[a][a] = G[a][a]
+        for b in range(a + 1, m):
+            H[a][b] = H[b][a] = 2.0 * G[a][b]
+        H[a][m] = H[m][a] = 2.0 * Gc[a]
+    H[m][m] = sum(c[a] * Gc[a] for a in range(m))
+    if q is None:
+        return H, None
+    return H, list(q) + [sum(q[a] * c[a] for a in range(m))]
 
 
 def _stacked(M):

@@ -5,17 +5,19 @@ a field u with v <= u <= w whose operator matrix sits on the admissible-set
 boundary (rho(F[u]) = 0) at every interior node it does not hold at a
 bound, by a primal-dual active-set (semismooth Newton) iteration
 (Hintermueller-Ito-Kunisch, SIAM J. Optim. 13, 2002).  Its Jacobian is
-built from the one stencil (:func:`heisvisc.fields.central_differences`)
-and the one frame contraction (:func:`heisvisc.operators.contract`), one
-array of weights per stencil offset.  Starting from v and from w and
-comparing is the numerical uniqueness check.  Every iterate is evaluated
-through :class:`heisvisc.viscosity.GridOperator`, the grid operator path
-the classifier uses, for every n.
+built in closed form from the one stencil
+(:func:`heisvisc.fields.central_differences`) and the transpose of the one
+frame contraction (:func:`heisvisc.operators.contract_transpose`): one row
+of weights per stencil offset that carries weight.  Starting from v and
+from w and comparing is the numerical uniqueness check.  Every iterate is
+evaluated through :class:`heisvisc.viscosity.GridOperator`, the grid
+operator path the classifier uses, for every n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .cones import ConeSpec, band_from_entries, newton_gradient, newton_values
 from .fields import (AnalyticField, Const, Domain, GridField, central_differences,
                      coordinate_names, parse_field, sample)
 from .operators import (OperatorSpec, SamplePlan, StructuralBounds, check_structural,
-                        contract, grad_p_L)
+                        contract_transpose, grad_p_L)
 from .viscosity import GridOperator
 
 __all__ = [
@@ -44,7 +46,6 @@ DEFAULT_BOUNDS = StructuralBounds(
 )
 
 _GATE_PLAN = SamplePlan(seed=2357, count=400)
-_ZERO = OperatorSpec()
 _BOUNDARY_AGREE_TOL = 1e-10
 
 
@@ -136,7 +137,14 @@ class SolveResult:
 _SHRINKS = 10          # step halvings a Newton step may try before the solve gives up
 _SET_UPDATES = 5       # active-set updates of one Newton step's linearised problem
 _LINEAR_RTOL = 1e-4    # relative residual the inner linear solve asks of each Newton step
-_CHUNK = 1 << 12       # unit derivatives x nodes per block of the Jacobian assembly
+
+
+class _Jacobian(NamedTuple):
+    """d r / d u on the offsets that carry weight, and the table to apply it."""
+
+    rows: np.ndarray          # one flat row of weights per kept offset
+    neighbours: np.ndarray    # the flat padded index each node reads at that offset
+    diagonal: np.ndarray      # the centre offset's row, shaped as the interior
 
 
 class _Stencil:
@@ -145,14 +153,18 @@ class _Stencil:
     ``central_differences`` of a unit impulse at the centre of a 5^d patch
     gives, on the patch's 3^d interior block, the weight with which each
     second and first Euclidean derivative at a node reads the value at
-    each offset (the block is the offset table flipped).  The offsets with
-    a nonzero weight are kept, 19 at n = 1 and 51 at n = 2, in ``weights``:
-    one row per offset, one column per derivative (the Hessian entries
-    a <= b, then the gradient).  The Jacobian is one array of weights per
-    offset over the interior nodes.  It is applied by one gather from the
-    flat padded lattice, each node reading its neighbour at every offset:
-    on the 5^5 grids of a warm-up a slice per offset costs 7 times more in
-    call overhead, and at 21^3 the two take about the same time.
+    each offset (the block is the offset table flipped).  The 19 offsets
+    at n = 1 and 51 at n = 2 with a nonzero weight are kept in ``pairs``,
+    each with its (derivative, weight) pairs: 27 and 65 in all, numbering
+    the Hessian entries a <= b, then the gradient.  The Jacobian's row at an
+    offset sums its pairs' weights times the coefficients
+    :func:`heisvisc.operators.contract_transpose` gives the derivatives; an
+    offset whose derivatives have zero coefficients at every node is left
+    out (under ``trace`` the mixed horizontal entries, leaving 15 and 27).
+    J is applied by one gather from the flat padded lattice, each node
+    reading its neighbour at every kept offset: on the 5^5 grids of a
+    warm-up a slice per offset costs 7 times more in call overhead, and at
+    21^3 the two take about the same time.
     """
 
     def __init__(self, op):
@@ -162,18 +174,14 @@ class _Stencil:
         patch[(2,) * d] = 1.0
         H, g = central_differences(patch, op.spacing, gradient=True)
         flip = (slice(None, None, -1),) * d
-        pairs = [(a, b) for a in range(d) for b in range(a, d)]
-        columns = [H[a][b][flip] for a, b in pairs] + [g[a][flip] for a in range(d)]
+        self.entries = [(a, b) for a in range(d) for b in range(a, d)]
+        columns = [H[a][b][flip] for a, b in self.entries] + [g[a][flip] for a in range(d)]
         used = np.any([c != 0.0 for c in columns], axis=0)
-        self.weights = np.stack([c[used] for c in columns], axis=1)
+        weights = np.stack([c[used] for c in columns], axis=1)
+        self.pairs = [[(c, w) for c, w in enumerate(row.tolist()) if w != 0.0]
+                      for row in weights]
         offsets = np.argwhere(used) - 1
         self.centre = int(np.flatnonzero(~offsets.any(axis=1))[0])
-        # the derivatives as unit inputs to the frame contraction, one per column
-        unit = np.eye(len(columns)).reshape((len(columns), len(columns)) + (1,) * d)
-        self.H = [[None] * d for _ in range(d)]
-        for col, (a, b) in enumerate(pairs):
-            self.H[a][b] = self.H[b][a] = unit[col]
-        self.g = list(unit[len(pairs):])
         res = tuple(n + 2 for n in op.shape)
         nodes = np.ravel_multi_index(np.indices(op.shape).reshape(d, -1) + 1, res)
         shifts = np.ravel_multi_index(offsets.T + 1, res) - np.ravel_multi_index((1,) * d, res)
@@ -181,14 +189,12 @@ class _Stencil:
         self.pad = np.zeros(res)
 
     def jacobian(self, spec, G, u, p):
-        """J[k] = d r / d u at offset k, per interior node.
+        """d r / d u on the kept offsets, per interior node, as a ``_Jacobian``.
 
         ``G`` is d r / d F (:func:`heisvisc.cones.newton_gradient`) and
         ``u``, ``p`` the iterate's interior values and horizontal gradient.
-        :func:`heisvisc.operators.contract` with the zero spec turns each
-        Euclidean derivative into its dF and dp, which G (and, through
-        :func:`heisvisc.operators.grad_p_L`, dL/dp) contracts to dr per
-        unit derivative; the stencil weights then give dr per offset.
+        When L is not zero, q = d r / d p contracts G with dL/dp
+        (:func:`heisvisc.operators.grad_p_L`).
         """
         op = self.op
         m = len(G)
@@ -199,28 +205,25 @@ class _Stencil:
             Dp = grad_p_L(spec, op.coords.reshape(flat, -1), u.reshape(flat),
                           np.stack(p, axis=-1).reshape(flat, m))
             q = np.einsum("ijn,nkij->kn", np.reshape(G, (m, m, flat)), Dp).reshape((m,) + shape)
-        cols = self.weights.shape[1]
-        per_unit = np.empty((cols,) + shape)
-        step = max(1, _CHUNK // flat)
-        for lo in range(0, cols, step):
-            block = slice(lo, lo + step)
-            dF, dp = contract(_ZERO, op.coords, None, [[h[block] for h in row] for row in self.H],
-                              [w[block] for w in self.g], op.terms)
-            out = per_unit[block]
-            out[...] = 0.0
-            for i in range(m):
-                out += G[i][i] * dF[i][i]
-                for j in range(i + 1, m):
-                    out += 2.0 * G[i][j] * dF[i][j]
-                if q is not None:
-                    out += q[i] * dp[i]
-        return np.einsum("kc,c...->k...", self.weights, per_unit)
+        H, grad = contract_transpose(G, op.terms[0], q)
+        coeff = [H[a][b] for a, b in self.entries] + (grad or [None] * (m + 1))
+        live = [w is not None and bool(w.any()) for w in coeff]
+        # the centre row stays for the Jacobi scale even where G vanishes
+        kept = [k for k, pairs in enumerate(self.pairs)
+                if k == self.centre or any(live[c] for c, _ in pairs)]
+        rows = np.zeros((len(kept),) + shape)
+        for row, k in zip(rows, kept):
+            for c, w in self.pairs[k]:
+                if live[c]:
+                    row += w * coeff[c]
+        return _Jacobian(rows.reshape(len(kept), flat), self.neighbours[kept],
+                         rows[kept.index(self.centre)])
 
     def apply(self, J, x):
         """J x over the interior, flat, with x flat and zero on the boundary ring."""
         self.pad[self.op.inner] = x.reshape(self.op.shape)
-        near = self.pad.ravel()[self.neighbours]
-        return np.einsum("kn,kn->n", J.reshape(near.shape), near)
+        near = self.pad.ravel()[J.neighbours]
+        return np.einsum("kn,kn->n", J.rows, near)
 
 
 def _dot(a, b):
@@ -318,7 +321,7 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
     def direction(u, F, p, r, lo, hi):
         """The step of the linearised problem, its held sets and |J_kk|."""
         J = stencil.jacobian(spec, newton_gradient(cone, F), u, p)
-        scale = np.abs(J[stencil.centre])
+        scale = np.abs(J.diagonal)
         scale = np.maximum(scale, 1e-12 * scale.max())
         for updates in range(_SET_UPDATES + 1):
             free = ~(lo | hi)

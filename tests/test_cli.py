@@ -319,10 +319,16 @@ def _explicit_grids(data):
         (_set("operator.beta", float("inf")), "operator.beta must be a finite number"),
         (_set("operator.alpha", "0.1*x1"),
          "operator.alpha must be a finite number (the solver path requires constant"),
+        (_set("cone", {"family": "sigmak"}), "cone.family must be one of"),
+        (_set("boundary", "x1 + z"), "boundary: unknown identifier 'z'"),
+        (_set("cone", {"family": "spectral", "g": "l1 +"}), "cone.g: expected an operand"),
+        (_set("cone", {"family": "spectral", "g": "l1 + l3"}), "cone.g: unknown identifier 'l3'"),
+        (_set("cone", {"family": "spectral"}), "cone.g must be given for the spectral family"),
     ],
     ids=["resolution_number", "resolution_null", "boundary_number", "cone_g_number",
          "operator_number", "sub_sup_numbers", "alpha_past_float_range", "m_nan", "m_inf",
-         "alpha_nan", "beta_inf", "alpha_expression"],
+         "alpha_nan", "beta_inf", "alpha_expression", "cone_family_unknown",
+         "boundary_unparsable", "cone_g_unparsable", "cone_g_past_d", "cone_g_missing"],
 )
 def test_malformed_problem_exits_2_naming_its_path(capsys, tmp_path, edit, path):
     data = json.loads(write_problem(tmp_path).read_text())

@@ -125,8 +125,11 @@ def test_grid_csv_rejects_malformed(tmp_path):
 
 @pytest.mark.parametrize(
     "span, message",
-    [("nan..nan", "finite"), ("-inf..inf", "finite"), ("-1.0..inf", "finite"),
-     ("1.0..1.0", "lo < hi"), ("1.0..-1.0", "lo < hi")],
+    [("nan..nan", "^grid CSV: box bounds must be finite"),
+     ("-inf..inf", "^grid CSV: box bounds must be finite"),
+     ("-1.0..inf", "^grid CSV: box bounds must be finite"),
+     ("1.0..1.0", "^grid CSV: box must satisfy lo < hi"),
+     ("1.0..-1.0", "^grid CSV: box must satisfy lo < hi")],
     ids=["nan", "infinite", "half_infinite", "empty", "reversed"],
 )
 def test_grid_csv_rejects_box_outside_the_domain_rule(tmp_path, span, message):
@@ -347,6 +350,30 @@ def test_problem_json_explicit_grids(tmp_path):
     prob = load_problem(p)
     assert_array_equal(prob.sub.values, v.values)
     assert_array_equal(prob.sup.values, w.values)
+
+
+@pytest.mark.parametrize(
+    "side, res, box, message",
+    [
+        ("sub", (9, 7, 11), BOX1, r"sub holds a 9x7x11 grid on \[\[-1.0, 1.0\], \[-1.0, 1.0\], "
+                                  r"\[-1.0, 1.0\]\], not the resolution \[7, 7, 7\]"),
+        ("sup", (7, 7, 7), 3.0 * BOX1, r"sup holds a 7x7x7 grid on \[\[-3.0, 3.0\], "),
+        ("both", (7, 7, 7, 7, 7), np.array([[-1.0, 1.0]] * 5), r"sub holds a 7x7x7x7x7 grid"),
+    ],
+    ids=["resolution", "box", "n"],
+)
+def test_problem_json_refuses_grids_off_its_lattice(tmp_path, side, res, box, message):
+    # explicit grids must sit on the lattice that resolution and domain.box name
+    data = base_problem_json()
+    del data["bracket"]
+    g = parse_field("x1", 1)
+    v, w = bracket_from_boundary(g, Domain(BOX1), (7, 7, 7), 0.3)
+    other = sample(parse_field("x1", (len(box) - 1) // 2), Domain(box), res)
+    write_grid_csv(other if side in ("sub", "both") else v, tmp_path / "v.csv")
+    write_grid_csv(other if side in ("sup", "both") else w, tmp_path / "w.csv")
+    data["sub"], data["sup"] = "v.csv", "w.csv"
+    with pytest.raises(ValueError, match="^problem JSON: " + message):
+        problem_from_json(data, base=tmp_path)
 
 
 @pytest.mark.parametrize(

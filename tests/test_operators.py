@@ -14,11 +14,14 @@ from heisvisc.operators import (
     check_structural,
     coefficient_values,
     conformal_operator_spec,
+    contract,
+    contract_transpose,
     eval_A_psi,
     eval_A_u,
     eval_F,
     grad_p_L,
     grad_xi_L,
+    frame_terms,
     gradient_term,
 )
 from heisvisc.rng import stream
@@ -50,6 +53,32 @@ def L_stack(spec, coords, s, p):
 def L_at(spec, xi, s, p):
     """gradient_term at one point as a (2n, 2n) matrix."""
     return L_stack(spec, np.asarray(xi, dtype=float)[None], np.array([s]), np.asarray(p)[None])[0]
+
+
+# -- the transpose of the frame contraction -------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_contract_transpose_is_the_adjoint_of_contract(n):
+    # <G, dF> + <q, dp> = sum over derivatives of coefficient * derivative,
+    # with dF, dp from contract's linear part (zero spec) at random points
+    gen = stream(11, n)
+    d, shape = 2 * n + 1, (4, 3)
+    coords = gen.uniform(-2.0, 2.0, size=shape + (d,))
+    S = gen.standard_normal((d, d) + shape)
+    H = S + S.swapaxes(0, 1)
+    grad = gen.standard_normal((d,) + shape)
+    A = gen.standard_normal((d - 1, d - 1) + shape)
+    G = A + A.swapaxes(0, 1)
+    q = gen.standard_normal((d - 1,) + shape)
+    dF, dp = contract(OperatorSpec(), coords, None, H, grad)
+    lhs = sum(G[i][j] * dF[i][j] + (q[i] * dp[i] if i == j else 0.0)
+              for i in range(d - 1) for j in range(d - 1))
+    cH, cg = contract_transpose(G, frame_terms(coords)[0], q)
+    rhs = sum(cH[a][b] * H[a][b] for a in range(d) for b in range(a, d))
+    rhs = rhs + sum(cg[a] * grad[a] for a in range(d))
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.abs(lhs).max())
+    assert contract_transpose(G, frame_terms(coords)[0])[1] is None
 
 
 # -- apply_J ------------------------------------------------------------------

@@ -258,6 +258,26 @@ def test_jacobian_matches_finite_differences(n, r, spec, cone):
         np.testing.assert_array_equal(r0, rho)
 
 
+@pytest.mark.parametrize("n, r, offsets, pairs, trace_kept",
+                         [(1, 9, 19, 27, 15), (2, 5, 51, 65, 27)], ids=["n1", "n2"])
+@pytest.mark.parametrize("spec", [ZERO, conformal_operator_spec()], ids=["zero", "conformal"])
+def test_jacobian_keeps_only_offsets_that_carry_weight(n, r, offsets, pairs, trace_kept, spec):
+    # under trace the mixed horizontal Hessian entries have zero coefficients,
+    # so their diagonal offsets drop; posdef weights every offset
+    dom = Domain(np.array([[-0.5, 0.5]] * (2 * n + 1)))
+    g = sample(parse_field(JACOBIAN_FIELDS[n], n), dom, (r,) * (2 * n + 1))
+    op = GridOperator(g, spec)
+    stencil = _Stencil(op)
+    assert len(stencil.pairs) == offsets
+    assert sum(map(len, stencil.pairs)) == pairs
+    F, p = op(g.values)
+    for cone, kept in ((TRACE, trace_kept), (ConeSpec("posdef"), offsets)):
+        J = stencil.jacobian(spec, newton_gradient(cone, F), g.values[op.inner], p)
+        assert J.rows.shape == (kept, np.prod(op.shape))
+        assert J.neighbours.shape == J.rows.shape
+        assert np.abs(J.rows).max(axis=1).min() > 0.0
+
+
 # -- exact solutions beyond the linear trace problem ----------------------------------
 
 
