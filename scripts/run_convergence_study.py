@@ -2,8 +2,9 @@
 
 Solves the zero-coefficient trace problem for each boundary field over a
 sequence of grid resolutions, prints max errors against the analytic
-field, and reports the observed convergence order between consecutive
-levels.  Optionally writes the table as CSV.
+field, the observed convergence order between consecutive levels, the
+Newton steps and Jacobian-vector products each solve spent, and its time.
+Optionally writes the table as CSV.
 """
 
 import argparse
@@ -33,17 +34,17 @@ def study(name, expr, resolutions, scale, tol):
         res = (r, r, r)
         v, w = bracket_from_boundary(g, dom, res, scale)
         prob = Problem(OperatorSpec(0.0, 0.0, 0.0), ConeSpec("trace"), g, v, w)
-        t0 = time.time()
+        t0 = time.perf_counter()
         sol = solve(prob, tol=tol)
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         exact = sample(g, dom, res)
         inner = (slice(1, -1),) * 3
         err = float(np.abs(sol.u.values[inner] - exact.values[inner]).max())
         order = math.log2(prev_err / err) if prev_err else float("nan")
         prev_err = err
-        rows.append((name, r, err, order, sol.iterations, elapsed))
+        rows.append((name, r, err, order, sol.iterations, sol.applies, elapsed))
         print(f"{name:9s} {r:3d}^3  err {err:.3e}  order {order:5.2f}  "
-              f"steps {sol.iterations:3d}  {elapsed:6.2f}s")
+              f"steps {sol.iterations:3d}  applies {sol.applies:5d}  {elapsed:6.2f}s")
     return rows
 
 
@@ -64,9 +65,9 @@ def main(argv=None):
 
     if args.csv:
         with open(args.csv, "w", newline="\n") as fh:
-            fh.write("field,res,max_error,order,steps,seconds\n")
-            for name, r, err, order, steps, elapsed in rows:
-                fh.write(f"{name},{r},{err!r},{order!r},{steps},{elapsed:.2f}\n")
+            fh.write("field,res,max_error,order,steps,applies,seconds\n")
+            for name, r, err, order, steps, applies, elapsed in rows:
+                fh.write(f"{name},{r},{err!r},{order!r},{steps},{applies},{elapsed:.2f}\n")
         print(f"wrote {args.csv}")
     return 0
 

@@ -14,7 +14,8 @@ frame contraction: it turns Euclidean derivatives into F and the horizontal
 gradient, and the grid operator (finite differences) and ``eval_F`` (exact
 jets of an analytic field) both call it; ``contract_transpose`` is its
 transpose, which the solver's Jacobian is built from; ``gradient_term`` is
-the one L.
+the one L, and ``gradient_term_transpose`` the transpose of its
+p-derivative.
 The conformal pair: ``eval_A_psi`` is F with alpha = gamma = 1, beta = 1/2,
 and ``eval_A_u`` is the equivalent form in the substitution
 u = exp(-(Q-2) psi / 2), Q = 2n + 2, satisfying A^u = e^{2 psi} A[psi].
@@ -44,6 +45,7 @@ __all__ = [
     "apply_J",
     "coefficient_values",
     "gradient_term",
+    "gradient_term_transpose",
     "frame_terms",
     "contract",
     "contract_transpose",
@@ -129,6 +131,23 @@ def gradient_term(spec, coords, s, p):
             Lij = a * (p[i] * p[j]) - g * (Jp[i] * Jp[j])
             L[i][j] = L[j][i] = Lij - bsq if i == j else Lij
     return L
+
+
+def gradient_term_transpose(spec, coords, s, p, G):
+    """q = d r / d p for a scalar r reading L through dr/dL_ij = ``G[i][j]``.
+
+    The transpose of :func:`gradient_term`'s p-derivative, entry by entry:
+    with G symmetric, q = 2a Gp - 2g J^T G Jp - 2b tr(G) p.  Arguments are
+    as in :func:`gradient_term`; returns the list of 2n arrays q_k.
+    """
+    m, n = len(p), len(p) // 2
+    a, b, g = coefficient_values(spec, coords, s)
+    Jp = list(p[n:]) + [-q for q in p[:n]]
+    Gp = [sum(G[k][j] * p[j] for j in range(m)) for k in range(m)]
+    GJp = [sum(G[k][j] * Jp[j] for j in range(m)) for k in range(m)]
+    JtGJp = [-q for q in GJp[n:]] + GJp[:n]
+    btr = 2.0 * b * sum(G[k][k] for k in range(m))
+    return [2.0 * a * Gp[k] - 2.0 * g * JtGJp[k] - btr * p[k] for k in range(m)]
 
 
 def frame_terms(coords):

@@ -8,10 +8,13 @@ bound, by a primal-dual active-set (semismooth Newton) iteration
 built in closed form from the one stencil
 (:func:`heisvisc.fields.central_differences`) and the transpose of the one
 frame contraction (:func:`heisvisc.operators.contract_transpose`): one row
-of weights per stencil offset that carries weight.  Starting from v and
-from w and comparing is the numerical uniqueness check.  Every iterate is
-evaluated through :class:`heisvisc.viscosity.GridOperator`, the grid
-operator path the classifier uses, for every n.
+of weights per stencil offset that carries weight.  The linear solves are
+inexact: each Newton step's BiCGSTAB tolerance follows the outer progress
+(Eisenstat-Walker forcing terms), and after an active-set update it starts
+from the last solution.  Starting from v and from w and comparing is the
+numerical uniqueness check.  Every iterate is evaluated through
+:class:`heisvisc.viscosity.GridOperator`, the grid operator path the
+classifier uses, for every n.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .cones import ConeSpec, band_from_entries, newton_gradient, newton_values
 from .fields import (AnalyticField, Const, Domain, GridField, central_differences,
                      coordinate_names, parse_field, sample)
 from .operators import (OperatorSpec, SamplePlan, StructuralBounds, check_structural,
-                        contract_transpose, grad_p_L)
+                        contract_transpose, gradient_term_transpose)
 from .viscosity import GridOperator
 
 __all__ = [
@@ -132,11 +135,14 @@ class SolveResult:
     final_residual: float
     held: int
     start: str
+    applies: int    # Jacobian-vector products the solve spent
 
 
 _SHRINKS = 10          # step halvings a Newton step may try before the solve gives up
 _SET_UPDATES = 5       # active-set updates of one Newton step's linearised problem
-_LINEAR_RTOL = 1e-4    # relative residual the inner linear solve asks of each Newton step
+_FORCING_FIRST = 0.1   # relative linear residual the first Newton step asks
+_FORCING_MIN = 1e-4    # the bounds of every later step's forcing term
+_FORCING_MAX = 0.5
 
 
 class _Jacobian(NamedTuple):
@@ -193,18 +199,14 @@ class _Stencil:
 
         ``G`` is d r / d F (:func:`heisvisc.cones.newton_gradient`) and
         ``u``, ``p`` the iterate's interior values and horizontal gradient.
-        When L is not zero, q = d r / d p contracts G with dL/dp
-        (:func:`heisvisc.operators.grad_p_L`).
+        When L is not zero, q = d r / d p is G read through L's p-derivative
+        (:func:`heisvisc.operators.gradient_term_transpose`).
         """
         op = self.op
         m = len(G)
         shape = op.shape
         flat = int(np.prod(shape))
-        q = None
-        if not spec.is_zero:
-            Dp = grad_p_L(spec, op.coords.reshape(flat, -1), u.reshape(flat),
-                          np.stack(p, axis=-1).reshape(flat, m))
-            q = np.einsum("ijn,nkij->kn", np.reshape(G, (m, m, flat)), Dp).reshape((m,) + shape)
+        q = None if spec.is_zero else gradient_term_transpose(spec, op.coords, u, p, G)
         H, grad = contract_transpose(G, op.terms[0], q)
         coeff = [H[a][b] for a, b in self.entries] + (grad or [None] * (m + 1))
         live = [w is not None and bool(w.any()) for w in coeff]
@@ -231,12 +233,23 @@ def _dot(a, b):
     return float(np.einsum("i,i->", a, b))
 
 
-def _bicgstab(apply, b, diag, rtol, maxiter):
-    """Jacobi-preconditioned BiCGSTAB for apply(x) = b, from x = 0, on flat vectors."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    r0 = b.copy()
+def _bicgstab(apply, b, diag, rtol, maxiter, x0=None):
+    """Jacobi-preconditioned BiCGSTAB for apply(x) = b on flat vectors.
+
+    Starts from ``x0`` (zero when None; a given x0 costs the one apply
+    that measures its residual) and stops once the residual is at most
+    ``rtol`` times |b|, returning x0 itself when it already is.
+    """
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = x0.copy()
+        r = b - apply(x)
     goal = rtol * rtol * _dot(b, b)
+    if _dot(r, r) <= goal:
+        return x
+    r0 = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
@@ -264,6 +277,29 @@ def _bicgstab(apply, b, diag, rtol, maxiter):
     return x
 
 
+def _forcing(eta, resid, last, tol, damped):
+    """The next Newton step's linear tolerance (Eisenstat-Walker choice 2).
+
+    The first step (``last`` None) asks 0.1.  Later ones ask
+    0.9 (resid / last)^2, kept at least 0.9 eta^2 when that exceeds 0.1 and
+    clipped to [1e-4, 0.5]; after a step the halving shortened (``damped``)
+    the iteration is not in its local phase, so the tolerance does not
+    loosen.  Every tolerance is raised to 0.5 tol / resid, so that no step
+    is solved past what ``tol`` can see.
+    """
+    if last is None:
+        nxt = _FORCING_FIRST
+    else:
+        # a zero residual that has not converged only happens with tol <= 0
+        nxt = 0.9 * (resid / last) ** 2 if last > 0.0 else 0.0
+        if 0.9 * eta * eta > 0.1:
+            nxt = max(nxt, 0.9 * eta * eta)
+        nxt = min(max(nxt, _FORCING_MIN), _FORCING_MAX)
+        if damped:
+            nxt = min(nxt, eta)
+    return max(nxt, 0.5 * tol / resid) if resid > 0.0 else nxt
+
+
 def solve(problem, tol=1e-10, max_iter=100, start="sub"):
     """Solve rho(F[u]) = 0 between the bracket by semismooth Newton.
 
@@ -273,13 +309,25 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
     zero set (:func:`heisvisc.cones.newton_values`), and J its Jacobian
     in the interior values.  Each step solves the linearised problem by
     active sets, starting from the held sets of the step before (none at
-    the first): J delta = -r on the free nodes (Jacobi-preconditioned
-    BiCGSTAB, the held rows being identity rows), a free node the step
+    the first): J delta = -r on the free nodes, with delta at its bound on
+    the held ones (Jacobi-preconditioned BiCGSTAB), a free node the step
     carries out of the bracket is held at that bound, and a held node whose
     linearised r points back into the bracket is freed, until the sets
     settle (at most five updates).  The step is then halved, at most ten
-    times, until the largest natural residual falls; a step that finds no
-    descent ends the solve unconverged.
+    times, until the largest natural residual falls.
+
+    The linear solves are inexact (Dembo-Eisenstat-Steihaug, SIAM J.
+    Numer. Anal. 19, 1982): BiCGSTAB stops once |r + J delta| on the free
+    nodes is at most eta times |r| there.  The forcing term eta follows the
+    outer progress (Eisenstat-Walker choice 2, SIAM J. Sci. Comput. 17,
+    1996): 0.1 at the first step, then 0.9 (res_k / res_k-1)^2 with their
+    safeguard, clipped to [1e-4, 0.5], held down after a halved step and
+    raised to 0.5 tol / res_k (see ``_forcing``).  After an active-set
+    update BiCGSTAB starts from the last solution, with the newly held
+    nodes moved to their bounds, instead of from zero.  A step that finds
+    no descent is solved again at eta = 1e-4; when that finds none either
+    the solve ends unconverged.  ``applies`` counts the Jacobian-vector
+    products the solve spent.
 
     Every iterate is evaluated through
     :class:`heisvisc.viscosity.GridOperator`, the operator path the
@@ -298,7 +346,8 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
     w = problem.sup.values
     if np.array_equal(v, w):
         return SolveResult(u=problem.sub.copy(), iterations=0, residuals=np.empty(0),
-                           converged=True, final_residual=0.0, held=0, start=start)
+                           converged=True, final_residual=0.0, held=0, start=start,
+                           applies=0)
 
     spec, cone = problem.spec, problem.cone
     op = GridOperator(problem.sub, spec)
@@ -318,24 +367,32 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
         resid = float(excess[~held].max()) if not held.all() else 0.0
         return F, p, r, held, resid
 
-    def direction(u, F, p, r, lo, hi):
+    applies = 0
+
+    def jv(J, x):
+        nonlocal applies
+        applies += 1
+        return stencil.apply(J, x)
+
+    def direction(u, F, p, r, lo, hi, eta):
         """The step of the linearised problem, its held sets and |J_kk|."""
         J = stencil.jacobian(spec, newton_gradient(cone, F), u, p)
         scale = np.abs(J.diagonal)
         scale = np.maximum(scale, 1e-12 * scale.max())
+        delta = np.zeros(u.shape)
         for updates in range(_SET_UPDATES + 1):
             free = ~(lo | hi)
-            delta = np.where(lo, v_int - u, np.where(hi, w_int - u, 0.0)).ravel()
-            rhs = -r.ravel()
-            if not free.all():
-                rhs = np.where(free.ravel(), rhs - stencil.apply(J, delta), 0.0)
-            delta += _bicgstab(lambda x: stencil.apply(J, x) * free.ravel(), rhs,
-                               -scale.ravel(), _LINEAR_RTOL, 10 * max(op.shape))
+            # held nodes go to their bound; free ones start from the last solution
+            delta = np.where(lo, v_int - u, np.where(hi, w_int - u, delta)).ravel()
+            mask = free.ravel()
+            delta = _bicgstab(lambda x: jv(J, x) * mask, np.where(mask, -r.ravel(), 0.0),
+                              -scale.ravel(), eta, 10 * max(op.shape),
+                              delta if delta.any() else None)
             delta = delta.reshape(u.shape)
             if updates == _SET_UPDATES:
                 break
             # the linearised r at held nodes; free nodes need only their target
-            lin = r if free.all() else r + stencil.apply(J, delta).reshape(u.shape)
+            lin = r if free.all() else r + jv(J, delta).reshape(u.shape)
             next_lo = np.where(lo, lin <= 0.0, u + delta < v_int)
             next_hi = np.where(hi, lin >= 0.0, u + delta > w_int)
             if np.array_equal(next_lo, lo) and np.array_equal(next_hi, hi):
@@ -346,15 +403,9 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
     def natural(x, rx, scale):
         return float(np.abs(x - np.clip(x + rx / scale, v_int, w_int)).max())
 
-    u = full[inner].copy()
-    F, p, r, held, resid = evaluate(u)
-    history = []
-    steps = 0
-    converged = resid < tol
-    # the held sets of one step's linearised problem start the next one's
-    lo = hi = np.zeros(u.shape, dtype=bool)
-    while not converged and steps < max_iter:
-        delta, lo, hi, scale = direction(u, F, p, r, lo, hi)
+    def descend(u, F, p, r, lo, hi, eta):
+        """The accepted trial, its held sets, halvings and state, or None."""
+        delta, lo, hi, scale = direction(u, F, p, r, lo, hi, eta)
         merit = natural(u, r, scale)
         for halving in range(_SHRINKS + 1):
             size = 0.5**halving
@@ -363,10 +414,31 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
                                       np.clip(u + size * delta, v_int, w_int)))
             state = evaluate(trial)
             if natural(trial, state[2], scale) < merit:
-                break
-        else:
+                return trial, lo, hi, halving, state
+        return None
+
+    u = full[inner].copy()
+    F, p, r, held, resid = evaluate(u)
+    history = []
+    steps = 0
+    converged = resid < tol
+    # the held sets of one step's linearised problem start the next one's
+    lo = hi = np.zeros(u.shape, dtype=bool)
+    eta = last = None
+    damped = False
+    while not converged and steps < max_iter:
+        eta = _forcing(eta, resid, last, tol, damped)
+        found = descend(u, F, p, r, lo, hi, eta)
+        if found is None and eta > _FORCING_MIN:
+            # a step that finds no descent is solved again at the floor
+            # before the solve gives up
+            eta = _FORCING_MIN
+            found = descend(u, F, p, r, lo, hi, eta)
+        if found is None:
             break
-        u = trial
+        u, lo, hi, halving, state = found
+        damped = halving > 0
+        last = resid
         F, p, r, held, resid = state
         steps += 1
         history.append(resid)
@@ -381,6 +453,7 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
         final_residual=resid,
         held=int(held.sum()),
         start=start,
+        applies=applies,
     )
 
 

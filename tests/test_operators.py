@@ -23,6 +23,7 @@ from heisvisc.operators import (
     grad_xi_L,
     frame_terms,
     gradient_term,
+    gradient_term_transpose,
 )
 from heisvisc.rng import stream
 
@@ -288,6 +289,22 @@ def test_grad_p_l_batch_against_finite_differences():
                 2 * h
             )
             assert np.abs(D[:, k] - fd).max() < 1e-6
+
+
+def test_gradient_term_transpose_contracts_grad_p_l():
+    # q_k = sum_ij G_ij dL_ij/dp_k for a symmetric G, without the 4-tensor
+    gen = stream(11)
+    for n in (1, 2):
+        m = 2 * n
+        spec = OperatorSpec(alpha=parse_field("0.9 + 0.1*x1", n), beta=-0.4, gamma=1.1)
+        coords = gen.uniform(-1, 1, size=(6, m + 1))
+        s = gen.uniform(-1, 1, size=6)
+        p = gen.normal(size=(6, m))
+        G = gen.normal(size=(m, m, 6))
+        G = G + G.transpose(1, 0, 2)
+        q = gradient_term_transpose(spec, coords, s, list(p.T), G)
+        expected = np.einsum("ijn,nkij->kn", G, grad_p_L(spec, coords, s, p))
+        np.testing.assert_allclose(np.array(q), expected, rtol=1e-13, atol=1e-13)
 
 
 def test_grad_xi_l_batch_against_finite_differences():

@@ -14,6 +14,8 @@ from heisvisc.fields import Domain, GridField, parse_field, sample
 from heisvisc.operators import OperatorSpec, conformal_operator_spec
 from heisvisc.perron import (
     Problem,
+    _bicgstab,
+    _forcing,
     _Stencil,
     boundary_bump,
     bracket_from_boundary,
@@ -182,6 +184,37 @@ def test_solve_reports_nonconvergence():
     assert (res.u.values <= p.sup.values).all()
 
 
+def test_bicgstab_returns_a_start_that_already_solves():
+    # only the apply that measures x0's residual is spent, and x0 comes back
+    gen = np.random.default_rng(4)
+    A = np.eye(30) * 3.0 + 0.2 * gen.standard_normal((30, 30))
+    x0 = gen.standard_normal(30)
+    calls = []
+
+    def apply(x):
+        calls.append(x)
+        return A @ x
+
+    x = _bicgstab(apply, A @ x0, np.diag(A).copy(), 1e-4, 100, x0)
+    np.testing.assert_array_equal(x, x0)
+    assert len(calls) == 1
+
+
+def test_forcing_terms_follow_the_outer_progress():
+    tol = 1e-10
+    assert _forcing(None, 1.0, None, tol, False) == 0.1
+    # 0.9 (res_k / res_k-1)^2, clipped to [1e-4, 0.5]
+    assert _forcing(0.1, 0.1, 1.0, tol, False) == pytest.approx(9e-3)
+    assert _forcing(0.1, 2.0, 1.0, tol, False) == 0.5
+    assert _forcing(0.1, 1e-6, 1.0, tol, False) == 1e-4
+    # the safeguard keeps 0.9 eta^2 when that exceeds 0.1
+    assert _forcing(0.5, 1e-3, 1.0, tol, False) == pytest.approx(0.225)
+    # a halved step does not loosen the tolerance
+    assert _forcing(0.1, 2.0, 1.0, tol, True) == 0.1
+    # no step is solved past tol
+    assert _forcing(0.1, 2e-10, 1e-6, tol, False) == pytest.approx(0.25)
+
+
 def test_solve_rejects_bad_arguments():
     p = linear_problem(9)
     with pytest.raises(ValueError, match="start"):
@@ -288,14 +321,17 @@ def _exact_problem(expr, r, spec, cone):
     return Problem(spec=spec, cone=cone, boundary=g, sub=v, sup=w), sample(g, dom, (r, r, r))
 
 
-@pytest.mark.parametrize("r", [11, 21])
-def test_posdef_recovers_degenerate_convex_solution(r):
-    # F[x1^2] = diag(2, 0) exactly: the smallest eigenvalue vanishes
+@pytest.mark.parametrize("r, max_applies", [(11, 300), (21, 600)], ids=["11", "21"])
+def test_posdef_recovers_degenerate_convex_solution(r, max_applies):
+    # F[x1^2] = diag(2, 0) exactly: the smallest eigenvalue vanishes.  The
+    # apply bounds sit far below the ~1,900 Jacobian-vector products a fixed
+    # 1e-4 linear tolerance spends per 21^3 start
     prob, exact = _exact_problem("x1*x1", r, ZERO, ConeSpec("posdef"))
     for start in ("sub", "super"):
         res = solve(prob, start=start)
         assert res.converged, start
         assert np.abs(res.u.values - exact.values).max() <= 1e-9, start
+        assert 0 < res.applies <= max_applies, (start, res.applies)
 
 
 def test_conformal_operator_second_order_on_exact_solution():
