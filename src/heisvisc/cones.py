@@ -27,9 +27,12 @@ shifts, invariance under positive scaling, and the one-sided scaling
 variants) and reports violations with witnesses.  Sampling is batched: all
 starts march to the interior together and each condition is classified in
 one :func:`classify` call.  The seeded stream is still drawn in the
-order of a one-sample-at-a-time loop, which the golden cones reports pin;
-samples that never reach the interior are found by rewinding the stream
-and redrawing up to them.
+order of a one-sample-at-a-time loop, which the golden cones reports pin.
+Each sample takes two generator calls, one normal block (its start, and
+the shift's matrix) and one block of its uniforms; they draw the same
+values as the loop's one call per draw, and the test parameters are built
+from them in array operations.  Samples that never reach the interior are
+found by rewinding the stream and redrawing up to them.
 """
 
 from __future__ import annotations
@@ -63,8 +66,13 @@ def _check_symmetric(M):
     return 0.5 * (M + MT)
 
 
-def _stack(Ms):
-    """Checked (N, d, d) stack as its entry view: ``[i][j]`` is Ms[:, i, j]."""
+def entries(Ms):
+    """Checked (N, d, d) stack as its entry view: ``[i][j]`` is Ms[:, i, j].
+
+    The view is of the exactly symmetrised stack, the layout
+    :func:`spectrum` takes; a linear combination of such views is exactly
+    symmetric too, so it needs no second check.
+    """
     Ms = _check_symmetric(Ms)
     if Ms.ndim != 3:
         raise ValueError(f"expected shape (N, d, d), got {Ms.shape}")
@@ -101,7 +109,7 @@ def spectrum(F, vectors=False):
 
 def eigenvalues(Ms):
     """Eigenvalues of a stack of symmetric matrices, shape (N, d) ascending."""
-    return spectrum(_stack(Ms))
+    return spectrum(entries(Ms))
 
 
 def elementary_symmetric(lams, k):
@@ -314,7 +322,7 @@ def band_from_entries(spec, F):
 def defining_value(spec, Ms):
     """Defining values rho of a stack of symmetric matrices, shape (N,):
     positive inside the set, negative outside."""
-    return values_from_entries(spec, _stack(Ms))
+    return values_from_entries(spec, entries(Ms))
 
 
 def codes_from_values(rho, band):
@@ -337,7 +345,7 @@ def band_from_eigenvalues(spec, lams):
 
 def classify(spec, Ms):
     """Classification codes of a stack of symmetric matrices, int8 shape (N,)."""
-    F = _stack(Ms)
+    F = entries(Ms)
     return codes_from_values(values_from_entries(spec, F), band_from_entries(spec, F))
 
 
@@ -423,65 +431,80 @@ def _march_to_interior(spec, W, scale, margin):
     return A, inside
 
 
-def _draw_tests(gen, enabled, dim, scale):
-    """One interior sample's test parameters, drawn in the fixed order."""
-    tests = {}
-    if _SHIFT in enabled:
-        W = gen.normal(size=(dim, dim))
-        tests[_SHIFT] = W @ W.T + gen.uniform(0.05, 0.5) * scale * np.eye(dim)
-    if _SCALE in enabled:
-        tests[_SCALE] = float(np.exp(gen.uniform(np.log(1e-3), np.log(1e3))))
-    if _SHRINK in enabled:
-        tests[_SHRINK] = float(gen.uniform(0.001, 0.999))
-    if _EXPAND in enabled:
-        tests[_EXPAND] = 1.0 / float(gen.uniform(0.001, 0.999))
-    return tests
-
-
 def _sample_interior(spec, plan, enabled):
     """Interior samples and their test parameters, in the stream's order.
 
     Sample by sample, the stream yields a start W and then, only if W
     marches into the interior, the test parameters of each enabled
-    condition.  Whether a start gets inside is known only after the batched
-    march, so a run of samples is drawn on the guess that every start gets
-    inside.  When sample j does not, the stream is rewound to the start of
-    the run and redrawn exactly through sample j, which draws only its
-    start, and the next run starts again at the first run length.  Run
-    lengths double while the guess holds.
+    condition: W2 for the shift, then one uniform for the shift and one
+    per scaling condition.  A sample is drawn in two calls, one normal
+    block (W, then W2 when the shift is enabled) and one block of its m
+    uniforms.  These give the same values as the one-draw-at-a-time loop:
+    consecutive normal draws are one normal block, and ``uniform(a, b)`` is
+    ``a + (b - a) * random()``.  The parameters are then built from the
+    blocks of the whole run in array operations.
 
-    Returns the (m, d, d) interior matrices, their m parameter dicts, and
-    the number of skipped samples.
+    Whether a start gets inside is known only after the batched march, so
+    a run of samples is drawn on the guess that every start gets inside.
+    When sample j does not, the stream is rewound to the start of the run
+    and redrawn exactly through sample j, which draws only its start, and
+    the next run starts again at the first run length.  Run lengths double
+    while the guess holds.
+
+    Returns the (m, d, d) interior matrices, a dict of their test
+    parameters per enabled condition (shape (m, d, d) for the shift, (m,)
+    for a scaling condition), and the number of skipped samples.
     """
     gen = stream(plan.seed)
-    shape = (plan.dim, plan.dim)
+    dim = plan.dim
+    blocks = 2 if _SHIFT in enabled else 1
+    uniforms = [name for name in _AXIOM_NAMES if name in enabled]
 
     def draw(k):
-        return [(gen.normal(size=shape), _draw_tests(gen, enabled, plan.dim, plan.scale))
-                for _ in range(k)]
+        normals = np.empty((k, blocks, dim, dim))
+        unif = np.empty((k, len(uniforms)))
+        for s in range(k):
+            normals[s] = gen.normal(size=(blocks, dim, dim))
+            unif[s] = gen.random(len(uniforms))
+        return normals, unif
 
-    mats, tests, skipped = [np.empty((0,) + shape)], [], 0
-    chunk, i = _FIRST_CHUNK, 0
+    # per run: the interior matrices, their normal blocks and their uniforms
+    runs = [(np.empty((0, dim, dim)), np.empty((0, blocks, dim, dim)),
+             np.empty((0, len(uniforms))))]
+    chunk, i, skipped = _FIRST_CHUNK, 0, 0
     while i < plan.count:
         k = min(chunk, plan.count - i)
         state = gen.bit_generator.state
-        drawn = draw(k)
-        A, inside = _march_to_interior(spec, np.stack([w for w, _ in drawn]),
-                                       plan.scale, plan.interior_margin)
+        normals, unif = draw(k)
+        A, inside = _march_to_interior(spec, normals[:, 0], plan.scale, plan.interior_margin)
         j = int(np.argmin(inside)) if not inside.all() else k
-        mats.append(A[:j])
-        tests.extend(t for _, t in drawn[:j])
+        runs.append((A[:j], normals[:j], unif[:j]))
         if j == k:
             i += k
             chunk *= 2
             continue
         gen.bit_generator.state = state
         draw(j)
-        gen.normal(size=shape)
+        gen.normal(size=(dim, dim))
         skipped += 1
         i += j + 1
         chunk = _FIRST_CHUNK
-    return np.concatenate(mats), tests, skipped
+
+    A, normals, unif = (np.concatenate(part) for part in zip(*runs))
+    r = dict(zip(uniforms, unif.T))
+    tests = {}
+    if _SHIFT in enabled:
+        W = normals[:, 1]
+        scaled = (0.05 + (0.5 - 0.05) * r[_SHIFT]) * plan.scale
+        tests[_SHIFT] = W @ W.swapaxes(1, 2) + scaled[:, None, None] * np.eye(dim)
+    if _SCALE in enabled:
+        lo, hi = np.log(1e-3), np.log(1e3)
+        tests[_SCALE] = np.exp(lo + (hi - lo) * r[_SCALE])
+    if _SHRINK in enabled:
+        tests[_SHRINK] = 0.001 + (0.999 - 0.001) * r[_SHRINK]
+    if _EXPAND in enabled:
+        tests[_EXPAND] = 1.0 / (0.001 + (0.999 - 0.001) * r[_EXPAND])
+    return A, tests, skipped
 
 
 def check_axioms(spec, plan, conditions=_AXIOM_NAMES):
@@ -505,30 +528,32 @@ def check_axioms(spec, plan, conditions=_AXIOM_NAMES):
     uniform per scaling condition, in the order listed above.  A sample
     whose march fails draws nothing more; such samples are found by
     rewinding the stream and redrawing (see :func:`_sample_interior`).
-    This order is a contract: it fixes every count and witness in the
-    reports, and the golden cones reports pin it.
+    A sample is drawn as one normal block (W, then W2) and one block of
+    its uniforms, ``a + (b - a) * u`` standing for ``uniform(a, b)``: the
+    same stream as the loop's scalar draws, at two generator calls a
+    sample.  This order is a contract: it fixes every count and witness in
+    the reports, and the golden cones reports pin it.
     """
     unknown = set(conditions) - set(_AXIOM_NAMES)
     if unknown:
         raise ValueError(f"unknown axiom conditions: {sorted(unknown)}")
     A, tests, skipped = _sample_interior(spec, plan, set(conditions))
-    checks = {name: AxiomCondition(name, len(tests), 0) for name in conditions}
+    checks = {name: AxiomCondition(name, len(A), 0) for name in conditions}
     for name, cond in checks.items():
-        if not tests:
+        if not len(A):
             break
-        params = [t[name] for t in tests]
+        params = tests[name]
         if name == _SHIFT:
-            key, M = "B", A + np.stack(params)
+            key, M = "B", A + params
         else:
-            key, M = "c", np.array(params)[:, None, None] * A
+            key, M = "c", params[:, None, None] * A
         codes = classify(spec, M)
         bad = np.flatnonzero(codes != 1)
         cond.violations = int(bad.size)
         if bad.size:
             i = int(bad[0])
-            param = params[i].tolist() if name == _SHIFT else params[i]
             cond.witness = {
-                "A": A[i].tolist(), key: param, "tested": M[i].tolist(),
+                "A": A[i].tolist(), key: params[i].tolist(), "tested": M[i].tolist(),
                 "classification": _REGION_NAMES[int(codes[i])],
             }
     ordered = [checks[name] for name in conditions]

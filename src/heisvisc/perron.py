@@ -334,10 +334,14 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
     classifier uses.  A node is held when it sits on its bound with rho
     pointing out of the bracket; the residual is the largest amount by
     which |rho| exceeds the admissible-set boundary band on the other
-    nodes, and the solve has converged when it is below ``tol``.
-    ``max_iter`` counts Newton steps.  Starting from the lower bracket or
-    the upper one and comparing is the numerical uniqueness check.
+    nodes, and the solve has converged when it is below ``tol``.  That
+    residual bottoms out at exactly 0, so ``tol`` must be a positive finite
+    number; any other value raises ``ValueError``.  ``max_iter`` counts
+    Newton steps.  Starting from the lower bracket or the upper one and
+    comparing is the numerical uniqueness check.
     """
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if start not in ("sub", "super"):
         raise ValueError(f"start must be 'sub' or 'super', got {start!r}")
     if any(r < 3 for r in problem.res):

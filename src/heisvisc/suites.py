@@ -116,7 +116,8 @@ def _random_polynomial(gen, n, degree=3, terms=8):
     parts = ["%.6f" % gen.uniform(-1, 1)]
     for _ in range(terms):
         deg = int(gen.integers(1, degree + 1))
-        mono = "*".join(gen.choice(names) for _ in range(deg))
+        # names[integers(len)] draws what gen.choice(names) draws, at a fifth of the cost
+        mono = "*".join(names[gen.integers(len(names))] for _ in range(deg))
         parts.append("%.6f*%s" % (gen.uniform(-1, 1), mono))
     return parse_field(" + ".join(parts), n)
 

@@ -268,6 +268,17 @@ def test_solve_nonconvergence_exits_1(capsys, tmp_path):
     assert (out_dir / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_solve_refuses_a_tolerance_it_could_never_meet(capsys, tmp_path, tol):
+    prob = write_problem(tmp_path)
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "solve", "--problem", str(prob), "--out-dir", str(out_dir),
+                       f"--tol={tol}")
+    assert code == 2
+    assert "tol must be a positive finite number" in err
+    assert not (out_dir / "solution.csv").exists()
+
+
 def test_solve_missing_problem_field_exits_2(capsys, tmp_path):
     data = json.loads(write_problem(tmp_path).read_text())
     del data["cone"]

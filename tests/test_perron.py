@@ -219,6 +219,11 @@ def test_solve_rejects_bad_arguments():
     p = linear_problem(9)
     with pytest.raises(ValueError, match="start"):
         solve(p, start="middle")
+    # the residual bottoms out at exactly 0, so with tol <= 0 even the
+    # exact solution would end unconverged
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            solve(p, tol=tol)
 
 
 # -- uniqueness ----------------------------------------------------------------

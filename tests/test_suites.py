@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from heisvisc import suites
+from heisvisc.fields import coordinate_names
+from heisvisc.rng import stream
 from heisvisc.suites import SUITE_NAMES, report_json, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -86,14 +89,43 @@ def test_tampered_cones_suite_fails():
         ("cones", 42, True, "check_cones_seed42_tamper.json"),
         ("structural", 42, False, "check_structural_seed42.json"),
         ("keylemma", 0, False, "check_keylemma_seed0.json"),
+        ("calculus", 42, False, "check_calculus_seed42.json"),
+        ("lemma35", 42, False, "check_lemma35_seed42.json"),
     ],
-    ids=["plain", "tamper", "structural", "keylemma"],
+    ids=["plain", "tamper", "structural", "keylemma", "calculus", "lemma35"],
 )
 def test_cones_report_matches_golden(suite, seed, tamper, golden):
     # byte for byte: the cones cases pin the axiom sampler's draw order, the
     # structural and keylemma cases the gradient term L and the grid
     # operator that feed their margins (both get their spectra from the
-    # closed form at d = 2, so the files do not depend on LAPACK)
+    # closed form at d = 2, so the files do not depend on LAPACK), the
+    # calculus case the polynomial draws and the exact jets, and the lemma35
+    # case the margin pencil and its bisection
     expected = (GOLDEN / golden).read_bytes()
     text = report_json(run_suite(suite, seed, tamper=tamper))
     assert text.encode() == expected
+
+
+def _choice_polynomial_text(gen, n, degree=3, terms=8):
+    """The polynomial text as the calculus suite drew it with ``gen.choice``."""
+    names = coordinate_names(n)
+    parts = ["%.6f" % gen.uniform(-1, 1)]
+    for _ in range(terms):
+        deg = int(gen.integers(1, degree + 1))
+        mono = "*".join(gen.choice(names) for _ in range(deg))
+        parts.append("%.6f*%s" % (gen.uniform(-1, 1), mono))
+    return " + ".join(parts)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_random_polynomial_draws_what_choice_drew(monkeypatch, n, degree):
+    # the suite's texts, before parsing, against the gen.choice draws; the
+    # next draw shows both consumed the same stretch of the stream
+    monkeypatch.setattr(suites, "parse_field", lambda text, n: text)
+    for seed in range(20):
+        gen, ref = stream(seed, stream_id=21), stream(seed, stream_id=21)
+        for _ in range(3):
+            assert suites._random_polynomial(gen, n, degree=degree) == \
+                _choice_polynomial_text(ref, n, degree=degree)
+        assert gen.random() == ref.random()
