@@ -1,0 +1,69 @@
+"""Layer rows of the envelope search, printed as one JSON object.
+
+    PYTHONPATH=src python3 scripts/envelope_layers.py
+
+Run from the root of a source checkout; it times the ``heisvisc`` on the
+path.  Rows:
+
+- ``search_ms_17``: one upper plus one lower envelope of the benchmark's
+  seeded 17^3 field (``perfbench/workloads.py:envelope_input``), seeds 1-4,
+  at eps 5 (wide) and 0.05 (narrow); best of three, in ms.
+- ``roadmap_field_s``: one upper envelope of x1^2 - 0.5 y1^2 + 0.3 t +
+  0.2 x1 t on [-1, 1]^3 at 21^3 and 41^3, eps 5 and 0.05; one run, in s.
+- ``traced_peak_mb``: the ``tracemalloc`` peak of one upper envelope of the
+  seed-1 field at eps 5, after a warm-up call, in MB.
+"""
+
+import json
+import sys
+import tempfile
+import time
+import tracemalloc
+
+import numpy as np
+
+from heisvisc.envelopes import lower_envelope, upper_envelope
+from heisvisc.fields import Domain, parse_field, sample
+from heisvisc.gridio import read_grid_csv
+
+sys.path.insert(0, "perfbench")
+from workloads import EPS, envelope_input  # noqa: E402
+
+ROADMAP_FIELD = "x1*x1 - 0.5*y1*y1 + 0.3*t + 0.2*x1*t"
+
+
+def _seconds(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def main():
+    rows = {"search_ms_17": {}, "roadmap_field_s": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        fields = {seed: read_grid_csv(envelope_input(seed, tmp)) for seed in (1, 2, 3, 4)}
+    for seed, v in fields.items():
+        rows["search_ms_17"][str(seed)] = {
+            label: round(1e3 * min(
+                _seconds(lambda: (upper_envelope(v, eps), lower_envelope(v, eps)))
+                for _ in range(3)), 1)
+            for label, eps in EPS.items()
+        }
+    f = parse_field(ROADMAP_FIELD, 1)
+    box = Domain(np.array([[-1.0, 1.0]] * 3))
+    for res in (21, 41):
+        g = sample(f, box, res)
+        rows["roadmap_field_s"][str(res)] = {
+            label: round(_seconds(lambda: upper_envelope(g, eps)), 3)
+            for label, eps in EPS.items()
+        }
+    upper_envelope(fields[1], EPS["wide"])
+    tracemalloc.start()
+    upper_envelope(fields[1], EPS["wide"])
+    rows["traced_peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
+    tracemalloc.stop()
+    print(json.dumps(rows, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

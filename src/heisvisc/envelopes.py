@@ -10,16 +10,35 @@ boundary included, and is exact: ties break to the smallest flat node index.
 
 The search is factored over z-rows.  In C order t is the last axis, so node
 ``zrow * T + k`` sits at (z[zrow], t[k]), and d^4 = |dz|^4 + (dt + shear)^2
-where |dz|^2 and the shear depend on the pair of z-rows alone.  For each
-source z-row they are computed once against every target z-row, with the
-same expressions as ``gauge_quartic``, so every d^4 has the same bits as a
-pair-by-pair evaluation.  A target row with |dz|^4 > window lies wholly
-outside the pruning window d^4 <= eps * (max v - min v) and is dropped.  The
-rest are scored together, candidates in ascending flat index, so the first
-best is the smallest index.  A candidate outside the window scores below
-min v, hence below the node itself; only a rounding tie at the window's edge
-can make one win, and then the window is masked and the search repeated.
-The same pass records the kernel constant the curvature check needs.
+where |dz|^2 and the shear depend on the pair of z-rows alone.  They are
+computed for a block of T source rows against every target row at once,
+with the same expressions as ``gauge_quartic``, so every d^4 has the same
+bits as a pair-by-pair evaluation.
+
+Most target rows cannot hold a node's extremum, and a bound proves it.  Work
+in upper orientation, s = v (s = -v for a lower envelope, whose scores are
+minus the upper scores of -v, rounded alike).  No score from target row k at
+a node of source row r exceeds
+
+    bound[r, k] = max_j s[k, j] - |dz|^4 / eps,
+
+and this holds after rounding: with x^2 >= 0, fl(x^2 + |dz|^4) >= |dz|^4,
+and division and subtraction round monotonically.  A row with |dz|^4 >
+window lies wholly outside the pruning window d^4 <= eps * (max v - min v)
+and gets bound -inf.  Stage 1 scores each source row against its own row
+and its in-window row of largest bound, out-of-window candidates masked;
+floor[r] is the least over the row's nodes of each node's best there.
+Stage 2 scores only the rows with bound >= floor[r].  A dropped row scores
+strictly below every node's own best, so it can neither win nor tie, and
+values and witnesses are those of the all-pairs search bit for bit.
+
+The kept rows are scored together, candidates in ascending flat index, so
+the first best is the smallest index.  A candidate outside the window scores
+below min v, hence below the node itself; only a rounding tie at the
+window's edge can make one win, and then that node's out-of-window
+candidates are masked and its search repeated.  The same blocks record the
+kernel constant the curvature check needs, a sup over in-window pairs; a row
+pair's least d^4 sits at one of the two dt values that bracket -shear.
 
 The check_* functions verify the properties the regularization argument
 rests on: monotonicity and pointwise squeezing in eps, one-sided curvature
@@ -120,45 +139,74 @@ def _envelope(v, eps, mode):
     # at most 12 |dz|^2 and the rank-one shear part 2 (1 + 4 |z_eta|^2)
     shear_part = 2.0 * (1.0 + 4.0 * np.square(z).sum(axis=1))
     dt = t[:, None] - t[None, :]
-    # dt once per target row, so that each step below is one pass over a
-    # row's candidates; ``block`` holds them and is reused by every row
-    tiled = np.tile(dt, len(z))
-    block = np.empty(tiled.size)
+    # every dt value, sorted: a row pair's least d^4 sits at the two that
+    # bracket -shear, since d^4 rounds monotonically in |dt + shear|
+    steps = np.sort(dt, axis=None)
+    # the row bounds work in upper orientation; a lower score is minus the
+    # upper score of -v, with the same rounding
+    sv = vals if mode == "upper" else -vals
+    row_best = sv.max(axis=1)
+    # ``block`` holds one source row's candidates and is reused by every row
+    block = np.empty(vals.size * T)
     kernel_sup = 0.0
     out = np.empty(vals.shape)
     wit = np.empty(vals.shape, dtype=np.int64)
     src = np.arange(T)
-    for row in range(len(z)):
-        zs, shear = _z_parts(z[row], z, n)
+    for start in range(0, len(z), T):
+        # a block of source rows against every target row: entry [b, k]
+        rows = np.arange(start, min(start + T, len(z)))
+        zs, shear = _z_parts(z[rows, None], z[None], n)
         zs2 = zs * zs
-        # d^4 >= |dz|^4, so a target row with |dz|^4 > window is all outside
-        keep = np.flatnonzero(zs2 <= window)
-        zs, shear, zs2 = zs[keep], shear[keep], zs2[keep]
-        # d4[i, k * T + j]: node (row, i) against node (keep[k], j)
-        width = len(keep) * T
-        d4 = block[: T * width].reshape(T, width)
-        np.add(tiled[:, :width], np.repeat(shear, T), out=d4)
-        np.square(d4, out=d4)
-        d4 += np.repeat(zs2, T)
-        far = d4 > window
-        near = ~far.all(axis=0).reshape(-1, T).all(axis=1)
-        kernel_sup = max(kernel_sup, float((12.0 * zs + shear_part[keep])[near].max()))
-        d4 /= eps
-        # a candidate outside the window never beats the node itself, save
-        # by rounding at the window's edge; only then is the mask applied
-        if mode == "upper":
-            scores = np.subtract(vals[keep].reshape(-1), d4, out=d4)
-            best, excluded = np.argmax, -np.inf
-        else:
-            scores = np.add(vals[keep].reshape(-1), d4, out=d4)
-            best, excluded = np.argmin, np.inf
-        idx = best(scores, axis=1)
-        if far[src, idx].any():
-            scores[far] = excluded
+        at = np.searchsorted(steps, -shear)
+        least = np.minimum(
+            np.square(steps[np.maximum(at - 1, 0)] + shear),
+            np.square(steps[np.minimum(at, len(steps) - 1)] + shear),
+        ) + zs2
+        kernel_sup = max(kernel_sup, float((12.0 * zs + shear_part)[least <= window].max()))
+        # d^4 >= |dz|^4, so no score from row k beats bound[b, k]; a row with
+        # |dz|^4 > window is all outside the window and gets -inf
+        bound = row_best - np.where(zs2 <= window, zs2, np.inf) / eps
+        # stage 1: each node's best over its own row and the row of largest
+        # bound, out-of-window candidates masked; floor[b] is the least of
+        # those bests over the source row, and no node's best is below it
+        pair = np.stack([rows, bound.argmax(axis=1)], axis=1)
+        d4 = np.square(dt[:, None, :] + np.take_along_axis(shear, pair, 1)[:, None, :, None])
+        d4 += np.take_along_axis(zs2, pair, 1)[:, None, :, None]
+        scores = sv[pair][:, None] - d4 / eps
+        scores[d4 > window] = -np.inf
+        floor = scores.reshape(len(rows), T, -1).max(axis=2).min(axis=1)
+        # stage 2: a row with bound < floor scores strictly below every
+        # node's best; the rest are scored together, candidates in
+        # ascending flat index, so the first best is the smallest index
+        for b, row in enumerate(rows):
+            keep = np.flatnonzero(bound[b] >= floor[b])
+            shear_k, zs2_k = shear[b, keep], zs2[b, keep]
+            # d4[i, k, j]: node (row, i) against node (keep[k], j)
+            d4 = block[: T * len(keep) * T].reshape(T, len(keep), T)
+            np.add(dt[:, None, :], shear_k[:, None], out=d4)
+            np.square(d4, out=d4)
+            d4 += zs2_k[:, None]
+            d4 /= eps
+            if mode == "upper":
+                scores = np.subtract(vals[keep], d4, out=d4).reshape(T, -1)
+                best, excluded = np.argmax, -np.inf
+            else:
+                scores = np.add(vals[keep], d4, out=d4).reshape(T, -1)
+                best, excluded = np.argmin, np.inf
             idx = best(scores, axis=1)
-        k, j = np.divmod(idx, T)
-        out[row] = scores[src, idx]
-        wit[row] = keep[k] * T + j
+            k, j = np.divmod(idx, T)
+            # a candidate outside the window never beats the node itself,
+            # save by rounding at the window's edge; only then are that
+            # node's out-of-window candidates masked and its search repeated
+            far = np.flatnonzero(np.square(dt[src, j] + shear_k[k]) + zs2_k[k] > window)
+            if far.size:
+                d4 = np.square(dt[far, None, :] + shear_k[:, None]) + zs2_k[:, None]
+                again = scores[far]
+                again[d4.reshape(far.size, -1) > window] = excluded
+                idx[far] = best(again, axis=1)
+                k, j = np.divmod(idx, T)
+            out[row] = scores[src, idx]
+            wit[row] = keep[k] * T + j
     field = GridField(n=v.n, box=v.box.copy(), values=out.reshape(v.res))
     return EnvelopeResult(
         out=field,

@@ -2,6 +2,8 @@
 monotonicity/semiconvexity/witness property checks, and the
 group-translation structure of the kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,16 @@ def spike_field(res=9):
 
 def smooth_field(res=9):
     f = parse_field("0.5*x1*x1 - 0.3*y1 + 0.2*t*x1", 1)
+    return sample(f, Domain(BOX1), res)
+
+
+def rough_field(res=9):
+    # a quadratic plus a min(.,.) kink, built like the benchmark's rough field
+    f = parse_field(
+        "0.3 - 0.6*x1 + 0.4*y1 + 0.2*t + 0.7*x1*x1 - 0.5*y1*y1 + 0.3*t*t"
+        " + 0.4*x1*y1 - 0.2*x1*t + 0.6*y1*t + 1.5*min(1.2*x1 + 1.7*y1, 1.4*t)",
+        1,
+    )
     return sample(f, Domain(BOX1), res)
 
 
@@ -143,6 +155,15 @@ def test_search_matches_all_pairs_reference():
         "zero_oscillation": GridField(1, uneven, np.zeros((6, 5, 4))),
     }
     cases = [(name, v, eps) for name, v in fields.items() for eps in (5.0, 0.05, 1e-12)]
+    # kernel_sup here needs a row pair whose closest dt lies below -shear
+    cases += [("non_cubic", fields["non_cubic"], 0.03)]
+    # cases where the row bound drops target rows: values on multiples of
+    # 0.25 and dyadic eps make exact ties that cross z-rows
+    quantised = GridField(1, BOX1, np.round(stream(61).uniform(0, 1, size=(9, 9, 9)) * 4) / 4)
+    n2_quantised = GridField(2, box2, np.round(stream(62).normal(size=(4, 4, 4, 4, 5)) * 4) / 4)
+    cases += [("quantised", quantised, eps) for eps in (4.0, 0.0625)]
+    cases += [("rough", rough_field(), eps) for eps in (5.0, 0.05)]
+    cases += [("n2_quantised", n2_quantised, 5.0)]
     cases += [("edge_tie", _edge_tie_field(1.0), 3999.9999999999995)]
     cases += [("edge_tie_negated", _edge_tie_field(-1.0), 3999.9999999999995)]
     for name, v, eps in cases:
@@ -152,6 +173,21 @@ def test_search_matches_all_pairs_reference():
             assert r.out.values.tobytes() == out.tobytes(), (name, eps, mode)
             np.testing.assert_array_equal(r.witness, wit, err_msg=f"{name} {eps} {mode}")
             assert r.kernel_sup == kernel_sup, (name, eps, mode)
+
+
+def test_search_memory_stays_within_one_row_block():
+    # the search's largest buffer holds one source row's candidates, T * N
+    # floats (0.67 MB at 17^3), and the traced peak is 1.4 MB; the same
+    # search over all R source rows at once, not T at a time, peaks at 9 MB
+    v = rough_field(res=17)
+    upper_envelope(rough_field(res=5), 5.0)  # lazy imports would count otherwise
+    tracemalloc.start()
+    try:
+        upper_envelope(v, 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, peak
 
 
 def test_upper_dominates_and_lower_is_dominated():
