@@ -1,21 +1,26 @@
 """Alternating parent/change runs of the benchmark, written as one summary JSON.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH.json \\
-        --workloads envelope,check --pairs 7 --seed 11 --claim envelope:wall_rel \\
-        --layers scripts/envelope_layers.py --layer-rounds 2
+        --seed 11 --claim envelope:wall_rel --layers scripts/envelope_layers.py
 
-PARENT and CHANGE are source checkouts.  Pair i runs ``perfbench/run.py``
-once in each, the parent first on odd pairs, and keeps the end-to-end
-metrics of the result line.  Per workload and metric the file holds both
-sides' values, medians and quartiles (``statistics.quantiles``, n = 4) and
-the pairs the change won; no pass record is kept.  ``--claim`` names one
-workload metric and records whether the change won at least nine pairs in
-ten and moved the median by more than the parent's interquartile range.
+PARENT and CHANGE are source checkouts.  For every workload of the
+change's ``BENCHMARK.json``, pair i runs ``perfbench/run.py`` for the
+benchmark's ``run_seconds`` once in each, the parent first on odd pairs,
+and keeps the end-to-end metrics of the result line; there are ten pairs,
+as the claim rule counts wins in ten.  Per workload and metric the file
+holds both sides' values, medians and quartiles (``statistics.quantiles``,
+n = 4) and the pairs the change won; no pass record is kept.  ``--claim``
+names one workload metric and records whether the change won at least
+nine pairs in ten and moved the median by more than the parent's
+interquartile range.
+
+``--seed`` is the seed of every run, so that a claim can be confirmed on
+a seed the change was not tuned against.
 
 With ``--layers``, that script runs in each checkout, with its ``src`` on
-the path and the checkout as working directory, for ``--layer-rounds``
-alternating rounds; its last stdout line is a JSON object of named rows,
-kept per side and round.
+the path and the checkout as working directory, for two alternating rounds;
+its last stdout line is a JSON object of named rows, kept per side and
+round.
 """
 
 import argparse
@@ -25,6 +30,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PAIRS = 10
+LAYER_ROUNDS = 2
 
 
 def _run(checkout, argv):
@@ -44,10 +52,10 @@ def _summary(values):
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
-def bench_workload(sides, workload, pairs, seed, seconds, better):
+def bench_workload(sides, workload, seed, seconds, better):
     runs = {side: [] for side in sides}
     environment = None
-    for i in range(1, pairs + 1):
+    for i in range(1, PAIRS + 1):
         for side in _order(i):
             lines = _run(sides[side], ["perfbench/run.py", "--workload", workload, "--seed",
                                        str(seed), "--seconds", str(seconds), "--trace", "0"])
@@ -64,9 +72,9 @@ def bench_workload(sides, workload, pairs, seed, seconds, better):
     return table, environment
 
 
-def bench_layers(sides, script, rounds):
+def bench_layers(sides, script):
     rows = {side: [] for side in sides}
-    for i in range(1, rounds + 1):
+    for i in range(1, LAYER_ROUNDS + 1):
         for side in _order(i):
             rows[side].append(json.loads(_run(sides[side], [str(Path(script).resolve())])[-1]))
     return rows
@@ -77,24 +85,21 @@ def main(argv=None):
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--workloads", default="solve-h1,solve-h2,envelope,check")
-    ap.add_argument("--pairs", type=int, default=7)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--layers", help="script printing a JSON object of layer rows last")
-    ap.add_argument("--layer-rounds", type=int, default=2)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     out = {"command": "python3 perfbench/run.py --workload <workload> --seed "
-                      f"{args.seed} --seconds {args.seconds:g} --trace 0",
+                      f"{args.seed} --seconds {seconds:g} --trace 0",
            "order": "pairs alternate which side runs first, the parent on odd pairs",
-           "pairs": args.pairs, "workloads": {}}
-    for workload in args.workloads.split(","):
+           "pairs": PAIRS, "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
         out["workloads"][workload], out["environment"] = bench_workload(
-            sides, workload, args.pairs, args.seed, args.seconds, better)
+            sides, workload, args.seed, seconds, better)
         print(f"{workload}: done", file=sys.stderr)
     if args.claim:
         workload, metric = args.claim.split(":")
@@ -108,11 +113,11 @@ def main(argv=None):
                     "than the parent's interquartile range",
             "median_change_rel": (change["median"] - parent["median"]) / parent["median"],
             "parent_iqr": parent["q3"] - parent["q1"],
-            "holds": row["change_wins"] >= 0.9 * args.pairs and gain > parent["q3"] - parent["q1"],
+            "holds": row["change_wins"] >= 9 and gain > parent["q3"] - parent["q1"],
         }
     if args.layers:
         out["layers"] = {"script": args.layers,
-                         "rows": bench_layers(sides, args.layers, args.layer_rounds)}
+                         "rows": bench_layers(sides, args.layers)}
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 
 

@@ -168,7 +168,9 @@ def _envelope(v, eps, mode):
         bound = row_best - np.where(zs2 <= window, zs2, np.inf) / eps
         # stage 1: each node's best over its own row and the row of largest
         # bound, out-of-window candidates masked; floor[b] is the least of
-        # those bests over the source row, and no node's best is below it
+        # those bests over the source row, and no node's best is below it;
+        # the own row alone, or min sv[row], gives a floor that keeps two to
+        # five times the rows at eps 5
         pair = np.stack([rows, bound.argmax(axis=1)], axis=1)
         d4 = np.square(dt[:, None, :] + np.take_along_axis(shear, pair, 1)[:, None, :, None])
         d4 += np.take_along_axis(zs2, pair, 1)[:, None, :, None]
