@@ -251,31 +251,45 @@ def eval_F(spec, field, points):
     return _stacked(F), np.stack(p, axis=-1)
 
 
-def eval_A_psi(field, points):
-    """The distinguished conformally covariant operator applied to psi."""
-    return eval_F(conformal_operator_spec(), field, points)[0]
+def eval_A_psi(jets, points):
+    """The distinguished conformally covariant operator applied to psi.
+
+    ``jets`` is psi's (value, gradient, Hessian) at ``points`` as
+    :meth:`~heisvisc.fields.AnalyticField.jets` gives them.
+    """
+    u, grad, H = jets
+    return _stacked(contract(conformal_operator_spec(), np.asarray(points, dtype=float), u, H,
+                             grad)[0])
 
 
-def eval_A_u(field, points):
+def _scalar_power(x, c):
+    """x ** c point by point, each as a numpy scalar: numpy's vectorised power
+    can differ in the last bit, so a batch gets the bits of its points one at
+    a time."""
+    return np.array([v ** c for v in np.ravel(x)]).reshape(np.shape(x))
+
+
+def eval_A_u(jets, points):
     """The conformal operator in the u-variable at ``points``; requires u > 0.
 
-    Satisfies A^u = e^{2 psi} A[psi] for u = exp(-(Q-2) psi / 2), Q = 2n + 2.
-    With q = Q - 2 it is -(2/q) u^{-(Q+2)/q} times the symmetrized Hessian
-    of u plus u^{-2Q/q} times L at the constants alpha = 2Q/q^2,
-    beta = 2/q^2, gamma = 4/q^2.
+    ``jets`` is u's (value, gradient, Hessian) there, as for
+    :func:`eval_A_psi`.  Satisfies A^u = e^{2 psi} A[psi] for
+    u = exp(-(Q-2) psi / 2), Q = 2n + 2.  With q = Q - 2 it is
+    -(2/q) u^{-(Q+2)/q} times the symmetrized Hessian of u plus u^{-2Q/q}
+    times L at the constants alpha = 2Q/q^2, beta = 2/q^2, gamma = 4/q^2.
     """
     points = np.asarray(points, dtype=float)
-    u, grad, H = field.jets(points)
+    u, grad, H = jets
     if np.any(u <= 0):
         raise ValueError("eval_A_u requires a positive function value")
-    q2 = 2.0 * field.n
+    q2 = points.shape[-1] - 1.0
     Q = q2 + 2.0
     hess, g = contract(OperatorSpec(), points, u, H, grad)
     L = gradient_term(
         OperatorSpec(alpha=2.0 * Q / q2**2, beta=2.0 / q2**2, gamma=4.0 / q2**2), points, u, g
     )
-    hess_part = (-(2.0 / q2) * u ** (-(Q + 2.0) / q2))[..., None, None] * _stacked(hess)
-    return hess_part + (u ** (-2.0 * Q / q2))[..., None, None] * _stacked(L)
+    hess_part = (-(2.0 / q2) * _scalar_power(u, -(Q + 2.0) / q2))[..., None, None] * _stacked(hess)
+    return hess_part + _scalar_power(u, -2.0 * Q / q2)[..., None, None] * _stacked(L)
 
 
 # -- structural condition checking -------------------------------------------

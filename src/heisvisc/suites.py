@@ -16,6 +16,7 @@ lemma35 (perturbation margin certificates, both directions), keylemma
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from .envelopes import (
     lower_envelope,
     upper_envelope,
 )
-from .fields import (AnalyticField, Const, Domain, GridField, coordinate_names, exp_of, log_of,
-                     parse_field, sample, z_norm_sq)
+from .fields import (Add, AnalyticField, Const, Domain, GridField, Mul, Neg, Node, Var,
+                     coordinate_names, exp_of, log_of, parse_field, sample, z_norm_sq)
 from .gridio import json_text
 from .operators import (
     OperatorSpec,
@@ -111,15 +112,24 @@ def _random_points(gen, n, count, half=2.0):
     return gen.uniform(-half, half, size=(count, 2 * n + 1))
 
 
+def _coefficient(c):
+    # what parse_field makes of "%.6f" % c: round() rounds as the format does,
+    # and a minus sign parses as Neg
+    magnitude = Const(round(abs(c), 6))
+    return Neg(magnitude) if c < 0 else magnitude
+
+
 def _random_polynomial(gen, n, degree=3, terms=8):
+    """The tree parse_field makes of "c0 + c1*m1 + ... + c8*m8" without the
+    text: each monomial's product and the sum nest to the left."""
     names = coordinate_names(n)
-    parts = ["%.6f" % gen.uniform(-1, 1)]
+    root = _coefficient(gen.uniform(-1, 1))
     for _ in range(terms):
         deg = int(gen.integers(1, degree + 1))
         # names[integers(len)] draws what gen.choice(names) draws, at a fifth of the cost
-        mono = "*".join(names[gen.integers(len(names))] for _ in range(deg))
-        parts.append("%.6f*%s" % (gen.uniform(-1, 1), mono))
-    return parse_field(" + ".join(parts), n)
+        mono = [Var(names[gen.integers(len(names))]) for _ in range(deg)]
+        root = Add(root, reduce(Mul, mono, _coefficient(gen.uniform(-1, 1))))
+    return AnalyticField(root, n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +188,22 @@ def _gauge_power_field(n, power):
     return AnalyticField(exp_of(Const(power / 4.0) * log_of(quartic)), n)
 
 
+def _stacked_jets(draws):
+    """Each (field, point) pair's jets, stacked with the draws on the last axis."""
+    return tuple(np.stack(part, axis=-1) for part in zip(*(f.jets(x) for f, x in draws)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Given(Node):
+    """A leaf whose jets are already taken: psi's, stacked over fields, so a
+    tree over it walks psi once."""
+
+    jet: tuple
+
+    def jets(self, env, axes, shape):
+        return self.jet
+
+
 def suite_calculus(seed, count=100):
     checks = []
 
@@ -193,7 +219,7 @@ def suite_calculus(seed, count=100):
         if not draws:
             continue
         coords = np.array([x for _, x in draws])
-        u, grad, H = (np.stack(part, axis=-1) for part in zip(*(f.jets(x) for f, x in draws)))
+        u, grad, H = _stacked_jets(draws)
         sym, _ = contract(OperatorSpec(), coords, u, H, grad)
         u_t = grad[-1]
         # c is affine in the point, so a unit step gives d_j c_i up to rounding
@@ -218,20 +244,23 @@ def suite_calculus(seed, count=100):
     worst = float(np.abs(np.trace(F, axis1=-2, axis2=-1)).max())
     checks.append(_outcome("gauge_harmonic_trace", pts, worst, 1e-6))
 
-    # conformal change of variables u = exp(-(Q-2) psi / 2)
+    # conformal change of variables u = exp(-(Q-2) psi / 2); each psi tree is
+    # walked once at its point, and both sides are evaluated on the stacked jets
     worst = 0.0
     gen = stream(seed, stream_id=23)
     per_n = max(1, count // 2)
     for n in (1, 2):
         Q = 2 * n + 2
-        for _ in range(per_n):
-            psi = _random_polynomial(gen, n, degree=2)
-            u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * psi.root), n)
-            coords = gen.uniform(-0.8, 0.8, size=2 * n + 1)
-            lhs = eval_A_u(u, coords)
-            rhs = np.exp(2.0 * psi(coords)) * eval_A_psi(psi, coords)
-            scale = 1.0 + float(np.abs(rhs).max())
-            worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
+        draws = [(_random_polynomial(gen, n, degree=2), gen.uniform(-0.8, 0.8, size=2 * n + 1))
+                 for _ in range(per_n)]
+        coords = np.array([x for _, x in draws])
+        psi = _stacked_jets(draws)
+        u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * _Given(psi)), n)
+        lhs = eval_A_u(u.jets(coords), coords)
+        # psi's value from its jets has the bits of psi(coords) on these trees
+        rhs = np.exp(2.0 * psi[0])[:, None, None] * eval_A_psi(psi, coords)
+        scale = 1.0 + np.abs(rhs).max(axis=(-2, -1))
+        worst = max(worst, float((np.abs(lhs - rhs).max(axis=(-2, -1)) / scale).max()))
     checks.append(_outcome("conformal_change_of_variables", 2 * per_n, worst, 1e-8))
 
     return SuiteReport("calculus", seed, all(c.passed for c in checks), checks)

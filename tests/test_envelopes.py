@@ -9,6 +9,7 @@ import pytest
 
 from heisvisc.core import dist
 from heisvisc.envelopes import (
+    _z_parts,
     check_monotone_convergence,
     check_semiconvexity,
     check_witness_bound,
@@ -59,6 +60,26 @@ def test_gauge_quartic_matches_group_distance():
         ref = dist(a, b) ** 4
         np.testing.assert_allclose(d4, ref, rtol=1e-12, atol=1e-14)
         assert d4.min() >= 0
+
+
+def test_z_parts_has_the_bits_of_the_axis_reductions():
+    # per-coordinate sums left to right against the reductions over the last
+    # axis they replaced, on the pair layout of the search and with entries
+    # eight orders apart, where any other summation order rounds differently
+    gen = stream(52)
+    for n in (1, 2, 3):
+        for scale in (1e-8, 1.0, 1e8):
+            z = gen.uniform(-1, 1, size=(60, 2 * n)) * scale
+            z[gen.random(z.shape) < 0.3] *= 1e8
+            a, b = z[:7, None], z[None]
+            dz = a - b
+            zs, shear = _z_parts(a, b, n)
+            np.testing.assert_array_equal(zs, np.square(dz).sum(axis=-1))
+            np.testing.assert_array_equal(shear, 2.0 * (
+                (a[..., n:] * b[..., :n]).sum(axis=-1) - (a[..., :n] * b[..., n:]).sum(axis=-1)))
+    # summed as 2^54 + (1 + 1 + 1) this would be 2^54 + 4
+    z = np.array([[2.0**27, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    assert _z_parts(z[0], z[1], 2)[0] == 2.0**54
 
 
 # -- envelope values ------------------------------------------------------------

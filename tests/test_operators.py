@@ -228,21 +228,34 @@ def test_conformal_change_of_variables(n):
         psi = random_polynomial_field(gen, n, degree=2)
         u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * psi.root), n)
         pts = gen.uniform(-0.8, 0.8, size=(4, 2 * n + 1))
-        lhs = eval_A_u(u, pts)
-        rhs = np.exp(2.0 * psi(pts))[:, None, None] * eval_A_psi(psi, pts)
+        lhs = eval_A_u(u.jets(pts), pts)
+        rhs = np.exp(2.0 * psi(pts))[:, None, None] * eval_A_psi(psi.jets(pts), pts)
         scale = 1.0 + np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-8 * scale
 
 
+def test_eval_a_u_batch_has_the_bits_of_its_points():
+    # u's powers are taken point by point, so a batch gives what its points
+    # give one at a time
+    gen = stream(12)
+    for n in (1, 2):
+        psi = random_polynomial_field(gen, n, degree=2)
+        u = AnalyticField(exp_of(Const(-float(n)) * psi.root), n)
+        pts = gen.uniform(-0.8, 0.8, size=(100, 2 * n + 1))
+        batch = eval_A_u(u.jets(pts), pts)
+        for x, got in zip(pts, batch):
+            np.testing.assert_array_equal(got, eval_A_u(u.jets(x), x))
+
+
 def test_eval_a_u_constant_one_is_zero():
-    np.testing.assert_allclose(eval_A_u(parse_field("1.0", 1), ORIGIN), np.zeros((2, 2)),
-                               atol=1e-15)
+    np.testing.assert_allclose(eval_A_u(parse_field("1.0", 1).jets(ORIGIN), ORIGIN),
+                               np.zeros((2, 2)), atol=1e-15)
 
 
 def test_eval_a_u_requires_positive_value():
-    u = parse_field("x1", 1)
+    pts = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
     with pytest.raises(ValueError, match="positive"):
-        eval_A_u(u, np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]))
+        eval_A_u(parse_field("x1", 1).jets(pts), pts)
 
 
 # -- batched evaluation --------------------------------------------------------

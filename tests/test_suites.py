@@ -3,10 +3,13 @@ the same code through the `check` command)."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heisvisc import suites
-from heisvisc.fields import coordinate_names
+from heisvisc.fields import AnalyticField, Const, coordinate_names, exp_of, parse_field
+from heisvisc.operators import (OperatorSpec, conformal_operator_spec, contract, eval_F,
+                                gradient_term)
 from heisvisc.rng import stream
 from heisvisc.suites import SUITE_NAMES, report_json, run_suite
 
@@ -119,13 +122,55 @@ def _choice_polynomial_text(gen, n, degree=3, terms=8):
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("degree", [2, 3])
-def test_random_polynomial_draws_what_choice_drew(monkeypatch, n, degree):
-    # the suite's texts, before parsing, against the gen.choice draws; the
-    # next draw shows both consumed the same stretch of the stream
-    monkeypatch.setattr(suites, "parse_field", lambda text, n: text)
+def test_random_polynomial_draws_what_choice_drew(n, degree):
+    # the suite's trees against the parse of the gen.choice texts, node for
+    # node; the next draw shows both consumed the same stretch of the stream
     for seed in range(20):
         gen, ref = stream(seed, stream_id=21), stream(seed, stream_id=21)
         for _ in range(3):
             assert suites._random_polynomial(gen, n, degree=degree) == \
-                _choice_polynomial_text(ref, n, degree=degree)
+                parse_field(_choice_polynomial_text(ref, n, degree=degree), n)
         assert gen.random() == ref.random()
+
+
+def _pointwise_A_u(u, coords):
+    """A^u at one point as eval_A_u computed it from a field: u's value is a
+    numpy scalar, so its powers are scalar powers."""
+    value, grad, H = u.jets(coords)
+    q2 = 2.0 * u.n
+    Q = q2 + 2.0
+    hess, g = contract(OperatorSpec(), coords, value, H, grad)
+    L = gradient_term(
+        OperatorSpec(alpha=2.0 * Q / q2**2, beta=2.0 / q2**2, gamma=4.0 / q2**2), coords, value, g
+    )
+    return (-(2.0 / q2) * value ** (-(Q + 2.0) / q2)) * np.array(hess) + \
+        value ** (-2.0 * Q / q2) * np.array(L)
+
+
+def _pointwise_conformal_error(seed, count):
+    """The conformal check one field and one point at a time, the u tree
+    walked whole, on the parsed gen.choice texts."""
+    worst = 0.0
+    gen = stream(seed, stream_id=23)
+    per_n = max(1, count // 2)
+    for n in (1, 2):
+        Q = 2 * n + 2
+        for _ in range(per_n):
+            psi = parse_field(_choice_polynomial_text(gen, n, degree=2), n)
+            u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * psi.root), n)
+            coords = gen.uniform(-0.8, 0.8, size=2 * n + 1)
+            lhs = _pointwise_A_u(u, coords)
+            rhs = np.exp(2.0 * psi(coords)) * eval_F(conformal_operator_spec(), psi, coords)[0]
+            scale = 1.0 + float(np.abs(rhs).max())
+            worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 100])
+def test_batched_conformal_check_matches_pointwise_bits(count):
+    # at count 100, seeds 4, 9 and 123 move (123: 9.108e-16 to 6.965e-16)
+    # when u's powers are numpy array powers instead of scalar ones
+    for seed in [*range(10), 123]:
+        rep = run_suite("calculus", seed, count=count)
+        got = rep.check("conformal_change_of_variables").error
+        assert got == _pointwise_conformal_error(seed, count), seed
