@@ -258,8 +258,8 @@ def eval_A_psi(jets, points):
     :meth:`~heisvisc.fields.AnalyticField.jets` gives them.
     """
     u, grad, H = jets
-    return _stacked(contract(conformal_operator_spec(), np.asarray(points, dtype=float), u, H,
-                             grad)[0])
+    F, _ = contract(conformal_operator_spec(), np.asarray(points, dtype=float), u, H, grad)
+    return _stacked(F)
 
 
 def _scalar_power(x, c):
