@@ -16,7 +16,6 @@ lemma35 (perturbation margin certificates, both directions), keylemma
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
@@ -30,8 +29,8 @@ from .envelopes import (
     lower_envelope,
     upper_envelope,
 )
-from .fields import (Add, AnalyticField, Const, Domain, GridField, Mul, Neg, Node, Var,
-                     coordinate_names, exp_of, log_of, parse_field, sample, z_norm_sq)
+from .fields import (Add, AnalyticField, Const, Domain, GridField, Mul, Node, exp_of, log_of,
+                     parse_field, sample, z_norm_sq)
 from .gridio import json_text
 from .operators import (
     OperatorSpec,
@@ -112,26 +111,6 @@ def _random_points(gen, n, count, half=2.0):
     return gen.uniform(-half, half, size=(count, 2 * n + 1))
 
 
-def _coefficient(c):
-    # what parse_field makes of "%.6f" % c: round() rounds as the format does,
-    # and a minus sign parses as Neg
-    magnitude = Const(round(abs(c), 6))
-    return Neg(magnitude) if c < 0 else magnitude
-
-
-def _random_polynomial(gen, n, degree=3, terms=8):
-    """The tree parse_field makes of "c0 + c1*m1 + ... + c8*m8" without the
-    text: each monomial's product and the sum nest to the left."""
-    names = coordinate_names(n)
-    root = _coefficient(gen.uniform(-1, 1))
-    for _ in range(terms):
-        deg = int(gen.integers(1, degree + 1))
-        # names[integers(len)] draws what gen.choice(names) draws, at a fifth of the cost
-        mono = [Var(names[gen.integers(len(names))]) for _ in range(deg)]
-        root = Add(root, reduce(Mul, mono, _coefficient(gen.uniform(-1, 1))))
-    return AnalyticField(root, n)
-
-
 # ---------------------------------------------------------------------------
 # core: group and gauge algebra
 
@@ -188,20 +167,73 @@ def _gauge_power_field(n, power):
     return AnalyticField(exp_of(Const(power / 4.0) * log_of(quartic)), n)
 
 
-def _stacked_jets(draws):
-    """Each (field, point) pair's jets, stacked with the draws on the last axis."""
-    return tuple(np.stack(part, axis=-1) for part in zip(*(f.jets(x) for f, x in draws)))
-
-
 @dataclass(frozen=True, eq=False)
 class _Given(Node):
-    """A leaf whose jets are already taken: psi's, stacked over fields, so a
-    tree over it walks psi once."""
+    """A leaf whose jets are already taken, stacked over a batch: psi's, so a
+    tree over it walks psi once, and the leaves and partial sums and products
+    of the lockstep polynomial walk."""
 
     jet: tuple
 
     def jets(self, env, axes, shape):
         return self.jet
+
+
+def _random_polynomials(gen, n, count, half, degree, terms=8):
+    """``count`` polynomials "c0 + c1*m1 + ... + c8*m8" and a point for each,
+    drawn as arrays: the signed coefficients parse_field makes of "%.6f" % c
+    (round() rounds as the format does), each term's degree and the
+    coordinate index of each factor (0 past the degree)."""
+    d = 2 * n + 1
+
+    def coefficient():
+        c = gen.uniform(-1, 1)
+        return math.copysign(round(abs(c), 6), c)
+
+    coef, deg, factors, points = [], [], [], []
+    for _ in range(count):
+        coef.append(coefficient())
+        for _ in range(terms):
+            deg.append(int(gen.integers(1, degree + 1)))
+            # integers(d) draws what gen.choice(names) drew, at a fifth of the cost
+            idx = [int(gen.integers(d)) for _ in range(deg[-1])]
+            factors.append(idx + [0] * (degree - deg[-1]))
+            coef.append(coefficient())
+        points.append(gen.uniform(-half, half, size=d))
+    poly = (np.reshape(coef, (count, terms + 1)), np.reshape(deg, (count, terms)),
+            np.reshape(factors, (count, terms, degree)))
+    return poly, np.array(points)
+
+
+def _polynomial_jets(poly, points):
+    """Each polynomial's jets at its point, the batch on the last axis.
+
+    One walk for all of them of the tree parse_field builds of the text:
+    a left-nested product per term, then a left-nested sum.  A term takes
+    its product at its own length, so every lane runs exactly its own
+    tree's elementwise operations and has its bits."""
+    coef, deg, factors = poly
+    count, d = points.shape
+    lanes = np.arange(count)
+    hess0 = np.zeros((d, d, count))
+
+    def constant(c):
+        zero = c * 0.0  # Const's zeros are +0, Neg(Const)'s are -0
+        return _Given((c, np.broadcast_to(zero, (d, count)), np.broadcast_to(zero, (d, d, count))))
+
+    def variable(a):
+        grad = np.zeros((d, count))
+        grad[a, lanes] = 1.0
+        return _Given((points[lanes, a], grad, hess0))
+
+    total = constant(coef[:, 0])
+    for k in range(deg.shape[1]):
+        term = Mul(constant(coef[:, k + 1]), variable(factors[:, k, 0])).jets(None, None, None)
+        for j in range(1, deg[:, k].max()):
+            longer = Mul(_Given(term), variable(factors[:, k, j])).jets(None, None, None)
+            term = tuple(np.where(deg[:, k] > j, a, b) for a, b in zip(longer, term))
+        total = _Given(Add(total, _Given(term)).jets(None, None, None))
+    return total.jet
 
 
 def suite_calculus(seed, count=100):
@@ -214,12 +246,10 @@ def suite_calculus(seed, count=100):
     gen = stream(seed, stream_id=21)
     fields_per_n = {1: count - count // 3, 2: count // 3}
     for n, cnt in fields_per_n.items():
-        draws = [(_random_polynomial(gen, n), gen.uniform(-1.5, 1.5, size=2 * n + 1))
-                 for _ in range(cnt)]
-        if not draws:
+        if not cnt:
             continue
-        coords = np.array([x for _, x in draws])
-        u, grad, H = _stacked_jets(draws)
+        poly, coords = _random_polynomials(gen, n, cnt, 1.5, degree=3)
+        u, grad, H = _polynomial_jets(poly, coords)
         sym, _ = contract(OperatorSpec(), coords, u, H, grad)
         u_t = grad[-1]
         # c is affine in the point, so a unit step gives d_j c_i up to rounding
@@ -244,17 +274,15 @@ def suite_calculus(seed, count=100):
     worst = float(np.abs(np.trace(F, axis1=-2, axis2=-1)).max())
     checks.append(_outcome("gauge_harmonic_trace", pts, worst, 1e-6))
 
-    # conformal change of variables u = exp(-(Q-2) psi / 2); each psi tree is
-    # walked once at its point, and both sides are evaluated on the stacked jets
+    # conformal change of variables u = exp(-(Q-2) psi / 2); psi's jets are
+    # taken in one lockstep walk, and both sides are evaluated on them
     worst = 0.0
     gen = stream(seed, stream_id=23)
     per_n = max(1, count // 2)
     for n in (1, 2):
         Q = 2 * n + 2
-        draws = [(_random_polynomial(gen, n, degree=2), gen.uniform(-0.8, 0.8, size=2 * n + 1))
-                 for _ in range(per_n)]
-        coords = np.array([x for _, x in draws])
-        psi = _stacked_jets(draws)
+        poly, coords = _random_polynomials(gen, n, per_n, 0.8, degree=2)
+        psi = _polynomial_jets(poly, coords)
         u = AnalyticField(exp_of(Const(-(Q - 2.0) / 2.0) * _Given(psi)), n)
         lhs = eval_A_u(u.jets(coords), coords)
         # psi's value from its jets has the bits of psi(coords) on these trees

@@ -1,13 +1,15 @@
 """Direct checks of the packaged verification suites (the CLI tests cover
 the same code through the `check` command)."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heisvisc import suites
-from heisvisc.fields import AnalyticField, Const, coordinate_names, exp_of, parse_field
+from heisvisc.fields import (Add, AnalyticField, Const, Mul, Neg, Var, coordinate_names, exp_of,
+                             parse_field)
 from heisvisc.operators import (OperatorSpec, conformal_operator_spec, contract, eval_F,
                                 gradient_term)
 from heisvisc.rng import stream
@@ -120,17 +122,63 @@ def _choice_polynomial_text(gen, n, degree=3, terms=8):
     return " + ".join(parts)
 
 
+def _polynomial_trees(poly, n):
+    """The trees parse_field builds of the drawn polynomials' texts: a Const
+    coefficient, or Neg(Const) for a negative one, a left-nested Mul per
+    term and a left-nested Add."""
+    names = coordinate_names(n)
+    coef, deg, factors = poly
+
+    def coefficient(c):
+        return Neg(Const(-c)) if math.copysign(1.0, c) < 0 else Const(c)
+
+    trees = []
+    for p in range(len(coef)):
+        root = coefficient(coef[p, 0])
+        for k in range(deg.shape[1]):
+            term = coefficient(coef[p, k + 1])
+            for a in factors[p, k, :deg[p, k]]:
+                term = Mul(term, Var(names[a]))
+            root = Add(root, term)
+        trees.append(AnalyticField(root, n))
+    return trees
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("degree", [2, 3])
 def test_random_polynomial_draws_what_choice_drew(n, degree):
-    # the suite's trees against the parse of the gen.choice texts, node for
-    # node; the next draw shows both consumed the same stretch of the stream
+    # the suite's draws, rebuilt as trees, against the parse of the
+    # gen.choice texts node for node, and its points against the points
+    # drawn after them; the next draw shows both consumed the same stretch
+    # of the stream
     for seed in range(20):
         gen, ref = stream(seed, stream_id=21), stream(seed, stream_id=21)
-        for _ in range(3):
-            assert suites._random_polynomial(gen, n, degree=degree) == \
-                parse_field(_choice_polynomial_text(ref, n, degree=degree), n)
+        poly, points = suites._random_polynomials(gen, n, 3, 1.5, degree)
+        for tree, point in zip(_polynomial_trees(poly, n), points, strict=True):
+            assert tree == parse_field(_choice_polynomial_text(ref, n, degree=degree), n)
+            assert point.tobytes() == ref.uniform(-1.5, 1.5, size=2 * n + 1).tobytes()
         assert gen.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("count", [1, 2, 7, 67])
+def test_polynomial_jets_have_the_bits_of_tree_walks(n, degree, count):
+    # the reference is the walk the suite no longer makes: each parsed
+    # gen.choice text's jets at its own point, stacked on the last axis;
+    # bytes, so signed zeros count
+    for seed in range(20):
+        poly, points = suites._random_polynomials(stream(seed, stream_id=21), n, count, 1.5,
+                                                  degree)
+        ref = stream(seed, stream_id=21)
+        walks = []
+        for _ in range(count):
+            psi = parse_field(_choice_polynomial_text(ref, n, degree=degree), n)
+            walks.append(psi.jets(ref.uniform(-1.5, 1.5, size=2 * n + 1)))
+        got = suites._polynomial_jets(poly, points)
+        for part, want in zip(got, zip(*walks), strict=True):
+            want = np.stack(want, axis=-1)
+            assert part.shape == want.shape and part.tobytes() == want.tobytes(), seed
 
 
 def _pointwise_A_u(u, coords):
