@@ -7,6 +7,17 @@ path.  Rows:
 
 - ``suite_ms``: each member suite of ``all`` run in process at seed 42 with
   its default count, after a warm-up run; best of five, in ms.
+- ``searches``: the three searches inside one in-process ``all`` run, each
+  timed by wrapping the module-level function that does its work, so the
+  same rows read alike on any version of the code that keeps those names;
+  calls and sizes come from one run, ``ms`` is the best of five:
+  - ``lemma35_spectrum``: the eigenvalue calls of the lemma35 gain searches
+    (``comparison.spectrum``), with the matrices they took;
+  - ``keylemma_certificate``: ``key_lemma_certificate`` less its envelope
+    searches, which is mostly its bisection for the smallest sufficient a,
+    with the shifted nodes it classified (``viscosity.values_from_eigenvalues``);
+  - ``envelope_search``: every envelope search of the run
+    (``envelopes._envelope``), keylemma's included.
 - ``cli_s``: the whole CLI process ``python -m heisvisc check --suite all
   --seed 42``, imports included, its report discarded; best of three, in s.
 """
@@ -15,7 +26,9 @@ import json
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 
+from heisvisc import comparison, envelopes, suites, viscosity
 from heisvisc.suites import SUITE_NAMES, run_suite
 
 SEED = 42
@@ -27,6 +40,52 @@ def _seconds(fn):
     return time.perf_counter() - start
 
 
+@contextmanager
+def _timed(module, name, tally, size=None):
+    """Replace ``module.name`` by a wrapper adding its calls, seconds and
+    ``size(result)`` to ``tally``; the original is put back on exit."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        tally["s"] += time.perf_counter() - start
+        tally["calls"] += 1
+        if size is not None:
+            tally["size"] += size(result)
+        return result
+
+    setattr(module, name, wrapper)
+    try:
+        yield
+    finally:
+        setattr(module, name, fn)
+
+
+def _search_tallies():
+    """Tallies of the three searches over one in-process ``all`` run."""
+    lemma35, certificate, shifted, envelope = (
+        {"s": 0.0, "calls": 0, "size": 0} for _ in range(4))
+    with _timed(envelopes, "_envelope", envelope):
+        # the certificate's own envelope searches are taken out of its time
+        with _timed(suites, "key_lemma_certificate", certificate), \
+                _timed(viscosity, "values_from_eigenvalues", shifted, len):
+            run_suite("keylemma", SEED)
+        certificate["s"] -= envelope["s"]
+        with _timed(comparison, "spectrum", lemma35, len):
+            run_suite("lemma35", SEED)
+        for name in SUITE_NAMES:
+            if name not in ("all", "keylemma", "lemma35"):
+                run_suite(name, SEED)
+    return {
+        "lemma35_spectrum": {"calls": lemma35["calls"], "matrices": lemma35["size"],
+                             "s": lemma35["s"]},
+        "keylemma_certificate": {"calls": certificate["calls"],
+                                 "shifted_nodes": shifted["size"], "s": certificate["s"]},
+        "envelope_search": {"calls": envelope["calls"], "s": envelope["s"]},
+    }
+
+
 def main():
     rows = {"suite_ms": {}}
     for name in SUITE_NAMES:
@@ -35,6 +94,12 @@ def main():
         run_suite(name, SEED)
         rows["suite_ms"][name] = round(
             1e3 * min(_seconds(lambda: run_suite(name, SEED)) for _ in range(5)), 1)
+    runs = [_search_tallies() for _ in range(5)]
+    rows["searches"] = {
+        key: {k: v for k, v in runs[0][key].items() if k != "s"}
+        | {"ms": round(1e3 * min(run[key]["s"] for run in runs), 1)}
+        for key in runs[0]
+    }
     argv = [sys.executable, "-m", "heisvisc", "check", "--suite", "all", "--seed", str(SEED)]
     rows["cli_s"] = round(min(
         _seconds(lambda: subprocess.run(argv, stdout=subprocess.DEVNULL, check=True))

@@ -2,15 +2,19 @@
 
 Two ingredients of comparison arguments live here.  The first is a family
 of explicit perturbations that push a candidate solution strictly up or
-down while the operator moves by a controlled amount; ``lemma35_margin``
-certifies that control numerically, node by node, and searches for the
-largest admissible coupling constant.  The second is ``touching_harness``,
-which takes an ordered pair of grid fields and reports whether their
-contact set is confined to the boundary, the discrete shadow of a
-comparison principle.  The contact set splits into components under face
-adjacency (nodes one lattice step apart along one axis); each component is
-named by its smallest flat (C-order) index, and the report lists them in
-that order, the order in which a raster scan first meets them.
+down while the operator moves by a controlled amount; ``margin_pencil``
+builds the numerical certificate of that control, node by node, and
+``largest_couplings`` searches for the largest admissible coupling
+constant of several certificates at once: their gain searches run in
+lockstep, one eigenvalue call per step for all of them, each with its own
+bracket and so its own answer bit for bit.  The second is
+``touching_harness``, which takes an ordered pair of grid fields and
+reports whether their contact set is confined to the boundary, the
+discrete shadow of a comparison principle.  The contact set splits into
+components under face adjacency (nodes one lattice step apart along one
+axis); each component is named by its smallest flat (C-order) index, and
+the report lists them in that order, the order in which a raster scan
+first meets them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ __all__ = [
     "perturb_up",
     "perturb_down",
     "admissible_region_mask",
-    "lemma35_margin",
+    "MarginPencil",
+    "margin_pencil",
+    "largest_couplings",
     "touching_harness",
 ]
 
@@ -149,19 +155,59 @@ def _margin_matrices(psi, p, spec, nodes, mode):
     return A, B
 
 
-def lemma35_margin(psi, p, spec, nodes, mode="up"):
-    """Certify operator control for the perturbed field on sampled nodes.
+@dataclass(frozen=True)
+class MarginPencil:
+    """The operator-control check of one perturbed field, built once.
+
+    ``A`` and ``B`` are the per-node pencil in entry view (entry (i, j) of
+    every node's matrix at once): the margin at coupling constant c is
+    lambda_min(A - mu*c*B), node by node.  ``tol`` is the slack a passing
+    margin may fall below zero.
+    """
+
+    mode: str
+    mu: float
+    A: np.ndarray
+    B: np.ndarray
+    tol: float
+    node_count: int
+    excluded_count: int
+
+    def margins(self, c):
+        """Per-node margins at coupling constant ``c``."""
+        return spectrum(self.A - (self.mu * c) * self.B)[:, 0]
+
+    def report(self, K0, k0_max):
+        """The check at coupling ``K0``, with ``k0_max`` from :func:`largest_couplings`."""
+        at_k0 = self.margins(K0)
+        return PerturbationReport(
+            mode=self.mode,
+            mu=self.mu,
+            k0=float(K0),
+            passed=bool(float(at_k0.min()) >= -self.tol),
+            k0_max=k0_max,
+            min_margin=float(at_k0.min()),
+            max_margin=float(at_k0.max()),
+            tol=self.tol,
+            node_count=self.node_count,
+            excluded_count=self.excluded_count,
+        )
+
+
+def margin_pencil(psi, p, spec, nodes, mode="up"):
+    """Build the operator-control check of the perturbed field on sampled nodes.
 
     For ``mode="up"`` the check is that the operator of the raised field
     dominates (1 - mu*beta*exp(-beta*psi)) times the original operator up
     to the gradient-shaped correction mu*K0*((1+|grad_H psi|^m)I +
     grad_H psi x grad_H psi); ``mode="down"`` mirrors the inequality for
     the lowered field.  Nodes outside the admissible region are dropped;
-    an empty remainder is an error, not a vacuous pass.  The largest
-    passing coupling constant is located by doubling and bisection.
+    an empty remainder is an error, not a vacuous pass.  ``p.K0`` plays no
+    part: the pencil answers for every coupling constant (see
+    :meth:`MarginPencil.report` and :func:`largest_couplings`).
 
-    The symmetry of A and B is checked once, not in each of the about 60
-    bisection steps.  Both are exactly symmetric by construction:
+    The symmetry of A and B is checked once, not at each coupling tried.
+    Both are exactly symmetric by construction:
     :func:`heisvisc.operators.contract` returns one array object for F_ij
     and F_ji, and g_i g_j = g_j g_i.  So every A - mu*c*B is exactly
     symmetric too, and :func:`heisvisc.cones.spectrum` on its entry view
@@ -180,48 +226,49 @@ def lemma35_margin(psi, p, spec, nodes, mode="up"):
 
     A, B = _margin_matrices(psi, p, spec, nodes, mode)
     tol = 1e-8 * (1.0 + float(np.abs(A).max(initial=0.0)))
-    A, B = entries(A), entries(B)
+    return MarginPencil(mode=mode, mu=p.mu, A=entries(A), B=entries(B), tol=float(tol),
+                        node_count=int(nodes.shape[0]), excluded_count=excluded)
 
-    def margins(c):
-        return spectrum(A - (p.mu * c) * B)[:, 0]
 
-    def min_margin(c):
-        return float(margins(c).min())
+def largest_couplings(pencils):
+    """The largest passing coupling constant of each pencil, searched in lockstep.
 
-    at_k0 = margins(p.K0)
-    passed = float(at_k0.min()) >= -tol
+    A pencil with mu == 0 gets None (its margin does not depend on the
+    coupling), one that fails at c = 0 gets 0.0.  Each other pencil doubles
+    c from 1 while its least margin passes (stopping past 1e12), then
+    bisects [0, c] 60 times and gets the last passing midpoint.  Every
+    pencil runs its own search with its own ``lo``/``hi``, so it tries the
+    couplings it would try alone and gets the same value bit for bit; but
+    one step tries each pencil's next coupling in a single
+    :func:`heisvisc.cones.spectrum` call over all their nodes, and a pencil
+    whose search is over keeps riding along until the last one ends.
+    """
+    A = np.concatenate([pc.A for pc in pencils], axis=-1)
+    B = np.concatenate([pc.B for pc in pencils], axis=-1)
+    sizes = [pc.node_count for pc in pencils]
+    case = np.repeat(np.arange(len(pencils)), sizes)
+    starts = np.cumsum([0] + sizes[:-1])
+    mu = np.array([pc.mu for pc in pencils])
+    tol = np.array([pc.tol for pc in pencils])
 
-    if p.mu == 0.0:
-        k0_max = None
-    elif min_margin(0.0) < -tol:
-        k0_max = 0.0
-    else:
-        hi = 1.0
-        while min_margin(hi) >= -tol:
-            hi *= 2.0
-            if hi > 1e12:
-                break
-        lo = 0.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if min_margin(mid) >= -tol:
-                lo = mid
-            else:
-                hi = mid
-        k0_max = lo
+    def least(c):
+        # each pencil's least margin at its own coupling c[i]
+        return np.minimum.reduceat(spectrum(A - (mu * c)[case] * B)[:, 0], starts)
 
-    return PerturbationReport(
-        mode=mode,
-        mu=p.mu,
-        k0=p.K0,
-        passed=bool(passed),
-        k0_max=k0_max,
-        min_margin=float(at_k0.min()),
-        max_margin=float(at_k0.max()),
-        tol=float(tol),
-        node_count=int(nodes.shape[0]),
-        excluded_count=excluded,
-    )
+    searching = (mu != 0.0) & ~(least(np.zeros(len(pencils))) < -tol)
+    lo, hi = np.zeros(len(pencils)), np.ones(len(pencils))
+    doubling = searching.copy()
+    left = np.where(searching, 60, 0)
+    while left.any():
+        bisecting = (left > 0) & ~doubling
+        trial = np.where(doubling, hi, 0.5 * (lo + hi))
+        ok = least(trial) >= -tol
+        lo = np.where(bisecting & ok, trial, lo)
+        hi = np.where(bisecting & ~ok, trial, hi)
+        left -= bisecting
+        hi = np.where(doubling & ok, 2.0 * hi, hi)
+        doubling &= ok & (hi <= 1e12)
+    return [None if m == 0.0 else float(x) for m, x in zip(mu, lo)]
 
 
 @dataclass

@@ -158,6 +158,10 @@ def _envelope(v, eps, mode):
     out = np.empty(vals.shape)
     wit = np.empty(vals.shape, dtype=np.int64)
     src = np.arange(T)
+    if mode == "upper":
+        sign_op, best, excluded = np.subtract, np.ndarray.argmax, -np.inf
+    else:
+        sign_op, best, excluded = np.add, np.ndarray.argmin, np.inf
     for start in range(0, len(z), T):
         # a block of source rows against every target row: entry [b, k]
         rows = np.arange(start, min(start + T, len(z)))
@@ -185,36 +189,41 @@ def _envelope(v, eps, mode):
         floor = scores.reshape(len(rows), T, -1).max(axis=2).min(axis=1)
         # stage 2: a row with bound < floor scores strictly below every
         # node's best; the rest are scored together, candidates in
-        # ascending flat index, so the first best is the smallest index
-        for b, row in enumerate(rows):
-            keep = np.flatnonzero(bound[b] >= floor[b])
-            shear_k, zs2_k = shear[b, keep], zs2[b, keep]
-            # d4[i, k, j]: node (row, i) against node (keep[k], j)
+        # ascending flat index, so the first best is the smallest index.
+        # Each node's winner is kept as its score (written straight into
+        # ``out``), its target row and its index among the row's candidates;
+        # the block's winners are finished together below
+        kept = bound >= floor[:, None]
+        won = out[start : start + len(rows)]
+        won_row = np.empty((len(rows), T), dtype=np.int64)
+        won_at = np.empty((len(rows), T), dtype=np.int64)
+        for b in range(len(rows)):
+            keep = kept[b].nonzero()[0]
+            # d4[i, k, j]: node (rows[b], i) against node (keep[k], j)
             d4 = block[: T * len(keep) * T].reshape(T, len(keep), T)
-            np.add(dt[:, None, :], shear_k[:, None], out=d4)
+            np.add(dt[:, None, :], shear[b, keep, None], out=d4)
             np.square(d4, out=d4)
-            d4 += zs2_k[:, None]
+            d4 += zs2[b, keep, None]
             d4 /= eps
-            if mode == "upper":
-                scores = np.subtract(vals[keep], d4, out=d4).reshape(T, -1)
-                best, excluded = np.argmax, -np.inf
-            else:
-                scores = np.add(vals[keep], d4, out=d4).reshape(T, -1)
-                best, excluded = np.argmin, np.inf
-            idx = best(scores, axis=1)
-            k, j = np.divmod(idx, T)
-            # a candidate outside the window never beats the node itself,
-            # save by rounding at the window's edge; only then are that
-            # node's out-of-window candidates masked and its search repeated
-            far = np.flatnonzero(np.square(dt[src, j] + shear_k[k]) + zs2_k[k] > window)
-            if far.size:
-                d4 = np.square(dt[far, None, :] + shear_k[:, None]) + zs2_k[:, None]
-                again = scores[far]
-                again[d4.reshape(far.size, -1) > window] = excluded
-                idx[far] = best(again, axis=1)
-                k, j = np.divmod(idx, T)
-            out[row] = scores[src, idx]
-            wit[row] = keep[k] * T + j
+            scores = sign_op(vals[keep], d4, out=d4).reshape(T, -1)
+            won_at[b] = idx = best(scores, axis=1)
+            won_row[b] = keep[idx // T]
+            won[b] = scores[src, idx]
+        won_col = won_at % T
+        # a candidate outside the window never beats the node itself, save
+        # by rounding at the window's edge; only then is that node's row
+        # scored again with its out-of-window candidates masked
+        at = np.arange(len(rows))[:, None]
+        far = np.square(dt[src, won_col] + shear[at, won_row]) + zs2[at, won_row] > window
+        for b, i in zip(*np.nonzero(far)):
+            keep = kept[b].nonzero()[0]
+            d4 = np.square(dt[i] + shear[b, keep, None]) + zs2[b, keep, None]
+            scores = sign_op(vals[keep], d4 / eps).reshape(-1)
+            idx = best(np.where(d4.reshape(-1) > window, excluded, scores))
+            k, won_col[b, i] = divmod(int(idx), T)
+            won_row[b, i] = keep[k]
+            won[b, i] = scores[idx]
+        wit[rows] = won_row * T + won_col
     field = GridField(n=v.n, box=v.box.copy(), values=out.reshape(v.res))
     return EnvelopeResult(
         out=field,

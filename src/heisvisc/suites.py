@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .comparison import PerturbParams, lemma35_margin
+from .comparison import PerturbParams, largest_couplings, margin_pencil
 from .cones import AxiomPlan, ConeSpec, check_axioms, shifted_trace_spec
 from .core import dilate, dist, frame_t_coefficients, gauge, group_inv, group_mul, j_matrix
 from .envelopes import (
@@ -434,46 +434,42 @@ def suite_structural(seed, count=2000):
 # lemma35: perturbation margin certificates
 
 
-def _perturb_params(k0):
-    return PerturbParams(
-        mu=0.5 * _PERTURB_MU0, mu0=_PERTURB_MU0, alpha=_PERTURB_ALPHA,
-        beta=_PERTURB_BETA, delta=0.5, K0=k0, tau=1.0, M=_PERTURB_M,
-    )
-
-
 def suite_lemma35(seed, count=400):
-    checks = []
     spec = conformal_operator_spec()
+    p = PerturbParams(
+        mu=0.5 * _PERTURB_MU0, mu0=_PERTURB_MU0, alpha=_PERTURB_ALPHA,
+        beta=_PERTURB_BETA, delta=0.5, K0=0.0, tau=1.0, M=_PERTURB_M,
+    )
     fixtures = [
         ("linear", parse_field("0.4*x1", 1)),
         ("polynomial", parse_field("0.2*x1*x1 - 0.15*y1 + 0.1*x1*t", 1)),
     ]
+    names, pencils = [], []
     for i, (tag, psi) in enumerate(fixtures):
         nodes = stream(seed, stream_id=51 + i).uniform(-1.0, 1.0, size=(count, 3))
         for mode in ("up", "down"):
-            probe = lemma35_margin(psi, _perturb_params(0.0), spec, nodes, mode=mode)
-            k0 = probe.k0_max
-            if k0 is None or k0 <= 0.0:
-                checks.append(
-                    CheckOutcome(
-                        name=f"{tag}_{mode}_gain", passed=False,
-                        checked=int(probe.node_count), error=1.0, tol=0.0,
-                        detail={"k0_max": k0},
-                    )
-                )
-                continue
-            rep = lemma35_margin(
-                psi, _perturb_params(0.5 * k0), spec, nodes, mode=mode
-            )
+            names.append(f"{tag}_{mode}_gain")
+            pencils.append(margin_pencil(psi, p, spec, nodes, mode=mode))
+    checks = []
+    for name, pencil, k0 in zip(names, pencils, largest_couplings(pencils)):
+        if k0 is None or k0 <= 0.0:
             checks.append(
                 CheckOutcome(
-                    name=f"{tag}_{mode}_gain",
-                    passed=rep.passed and rep.min_margin >= -1e-8,
-                    checked=int(rep.node_count),
-                    error=float(max(0.0, -rep.min_margin)), tol=1e-8,
-                    detail={"k0_max": float(k0), "k0_tested": float(0.5 * k0)},
+                    name=name, passed=False, checked=pencil.node_count, error=1.0, tol=0.0,
+                    detail={"k0_max": k0},
                 )
             )
+            continue
+        rep = pencil.report(0.5 * k0, k0)
+        checks.append(
+            CheckOutcome(
+                name=name,
+                passed=rep.passed and rep.min_margin >= -1e-8,
+                checked=int(rep.node_count),
+                error=float(max(0.0, -rep.min_margin)), tol=1e-8,
+                detail={"k0_max": float(k0), "k0_tested": float(0.5 * k0)},
+            )
+        )
     return SuiteReport("lemma35", seed, all(c.passed for c in checks), checks)
 
 

@@ -235,24 +235,24 @@ def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super"):
     lams = spectrum(F).reshape(K, 2 * n)
     sign = -1.0 if mode == "super" else 1.0
 
-    def codes_at(trial):
+    def shifted_ok(trial, lams, shift0):
         shifted = lams + sign * (trial * shift0)[:, None]
         rho = values_from_eigenvalues(cone, shifted)
         band = band_from_eigenvalues(cone, shifted)
-        return codes_from_values(rho, band)
+        c = codes_from_values(rho, band)
+        return (c <= 0) if mode == "super" else (c >= 0)
 
     def passing(trial):
-        c = codes_at(trial)
-        ok = (c <= 0) if mode == "super" else (c >= 0)
-        ok = ok | ~keep                      # excluded nodes do not count
-        return ok
+        return shifted_ok(trial, lams, shift0) | ~keep   # excluded nodes do not count
 
     # testable nodes one cell away from the grid boundary
     collar = boundary_ring(op.shape).reshape(-1)
     body = ~collar & keep
+    # only the body decides the bisection, so only the body is shifted in it
+    body_lams, body_shift0 = lams[body], shift0[body]
 
     def holds(trial):
-        return bool(passing(trial)[body].all()) if body.any() else True
+        return bool(shifted_ok(trial, body_lams, body_shift0).all()) if body.any() else True
 
     # bisection for the smallest sufficient a over the non-collar interior
     min_a = None

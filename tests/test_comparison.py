@@ -10,15 +10,17 @@ import sympy as sp
 from scipy import ndimage
 
 from heisvisc.comparison import (
+    MarginPencil,
     PerturbParams,
     _components,
     admissible_region_mask,
-    lemma35_margin,
+    largest_couplings,
+    margin_pencil,
     perturb_down,
     perturb_up,
     touching_harness,
 )
-from heisvisc.cones import ConeSpec
+from heisvisc.cones import ConeSpec, entries
 from heisvisc.fields import Domain, GridField, parse_field, sample
 from heisvisc.gridio import json_text
 from heisvisc.operators import OperatorSpec, conformal_operator_spec
@@ -166,6 +168,12 @@ def test_admissible_region_cuts_deep_bump_deficit():
 # -- margin certificate ------------------------------------------------------
 
 
+def lemma35_margin(psi, p, spec, nodes, mode="up"):
+    """The margin check at ``p.K0`` with its own largest-coupling search."""
+    pencil = margin_pencil(psi, p, spec, nodes, mode)
+    return pencil.report(p.K0, largest_couplings([pencil])[0])
+
+
 @pytest.fixture(scope="module")
 def margin_nodes():
     return Domain(BOX1).sample_points(stream(7), 400)
@@ -248,6 +256,66 @@ def test_margin_rejects_unknown_mode(margin_nodes):
             margin_nodes,
             mode="sideways",
         )
+
+
+
+def _one_pencil_search(pencil):
+    """(k0_max, doubling steps) of one pencil, searched on its own."""
+    def least(c):
+        return float(pencil.margins(c).min())
+
+    if pencil.mu == 0.0:
+        return None, 0
+    if least(0.0) < -pencil.tol:
+        return 0.0, 0
+    hi, doublings = 1.0, 0
+    while least(hi) >= -pencil.tol:
+        hi *= 2.0
+        doublings += 1
+        if hi > 1e12:
+            break
+    lo = 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if least(mid) >= -pencil.tol:
+            lo = mid
+        else:
+            hi = mid
+    return lo, doublings
+
+
+def _diagonal_pencil(floors, mu, slope=1.0):
+    # A = diag(f, f + 1) and B = slope * I at each node: the margin at c is
+    # f - mu*c*slope, so k0_max is min(floors) / (mu*slope) up to bisection
+    floors = np.asarray(floors, dtype=float)
+    A = np.zeros((floors.size, 2, 2))
+    A[:, 0, 0], A[:, 1, 1] = floors, floors + 1.0
+    B = slope * np.broadcast_to(np.eye(2), A.shape)
+    return MarginPencil(mode="up", mu=mu, A=entries(A), B=entries(B), tol=1e-8,
+                        node_count=floors.size, excluded_count=0)
+
+
+def test_lockstep_search_matches_one_pencil_at_a_time(margin_nodes):
+    spec = conformal_operator_spec()
+    psi = parse_field("0.2*x1*x1 - 0.15*y1 + 0.1*x1*t", 1)
+    pencils = [
+        margin_pencil(psi, good_params(), spec, margin_nodes),
+        _diagonal_pencil([37.5, 40.0], mu=0.25),
+        margin_pencil(psi, good_params(mu=0.0), spec, margin_nodes[:50]),
+        _diagonal_pencil([0.75, 2.0], mu=0.25),
+        _diagonal_pencil([-1.0, 0.5], mu=0.1),
+        _diagonal_pencil([0.3, 2.0, 0.7], mu=0.01, slope=0.0),
+        margin_pencil(psi, good_params(mu=0.1 * MU0), spec, margin_nodes[:120], "down"),
+    ]
+    alone = [_one_pencil_search(pc) for pc in pencils]
+    k0s = [k0 for k0, _ in alone]
+    # the doubling phases end after 0, 8, 2, 40 and 0 steps (the pencil that
+    # never fails stops at the 1e12 ceiling); mu = 0 gives None, and failing
+    # at c = 0 gives 0.0
+    assert [steps for _, steps in alone] == [0, 8, 0, 2, 0, 40, 0]
+    assert k0s[2] is None and k0s[4] == 0.0
+    assert [repr(k) for k in largest_couplings(pencils)] == [repr(k) for k in k0s]
+    assert [repr(k) for k in largest_couplings(pencils[::-1])] == [repr(k) for k in k0s[::-1]]
 
 
 # -- touching harness --------------------------------------------------------

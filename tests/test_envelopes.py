@@ -154,11 +154,15 @@ def _blocked_all_pairs_search(v, eps, mode, block=192):
     return out.reshape(v.res), wit.reshape(v.res), kernel_sup
 
 
-def _edge_tie_field(sign):
-    # eps puts one far pair a rounding step outside the window while its
-    # score ties the node itself: unmasked, the smaller index (the peak) wins
+def _edge_tie_field(sign, peaks=((0, 0, 0),)):
+    # eps puts one far pair per peak a rounding step outside the window
+    # while its score ties the node itself: unmasked, the smaller index (the
+    # peak) wins.  A peak at (a, b, 0) does so for node (a, b, 4), so the
+    # four corner peaks need the repair in z-rows 0 and 4 of the first
+    # block of five rows and in rows 20 and 24 of the last
     vals = np.zeros((5, 5, 5))
-    vals[0, 0, 0] = sign * 0.001
+    for peak in peaks:
+        vals[peak] = sign * 0.001
     return GridField(1, BOX1, vals)
 
 
@@ -187,6 +191,9 @@ def test_search_matches_all_pairs_reference():
     cases += [("n2_quantised", n2_quantised, 5.0)]
     cases += [("edge_tie", _edge_tie_field(1.0), 3999.9999999999995)]
     cases += [("edge_tie_negated", _edge_tie_field(-1.0), 3999.9999999999995)]
+    corners = ((0, 0, 0), (0, 4, 0), (4, 0, 0), (4, 4, 0))
+    cases += [("edge_tie_rows", _edge_tie_field(1.0, corners), 3999.9999999999995)]
+    cases += [("edge_tie_rows_negated", _edge_tie_field(-1.0, corners), 3999.9999999999995)]
     for name, v, eps in cases:
         for mode, build in (("upper", upper_envelope), ("lower", lower_envelope)):
             out, wit, kernel_sup = _blocked_all_pairs_search(v, eps, mode)

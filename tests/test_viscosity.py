@@ -1,5 +1,6 @@
 """Tests for grid classification and the envelope-shift certificate."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -215,6 +216,33 @@ def test_certificate_monotone_in_a(quadratic_supersolution):
     # the bisection minimum does not depend on where the doubling search starts
     for r in reports:
         assert r.min_a == pytest.approx(PINNED_MIN_A[0.5], rel=1e-6)
+
+
+def test_certificate_reports_with_collar_failures_are_pinned():
+    # every field, exactly, of two certificates whose collar fails at the
+    # given a; the bisection decides on the body nodes alone, so neither
+    # min_a nor anything else may move when it stops looking at the collar
+    quadratic = sample(parse_field("0.0 - (x1*x1 + y1*y1 + t*t)", 1), BOX, 13)
+    rep = key_lemma_certificate(quadratic, 0.25, ZERO_SPEC, TRACE, a=20.0, M=10.0)
+    assert dataclasses.asdict(rep) == {
+        "mode": "super", "eps": 0.25, "a": 20.0, "passed": True,
+        "min_a": 11.970415194206835, "testable": 1331, "excluded_bound": 0,
+        "coverage": 0.9218632607062359, "failures": 104, "collar_failures": 104,
+        "interior_failures": 0,
+        "worst": {"node": (11, 2, 10), "rho": 43.544920320411904,
+                  "shift": 2.1534657657200045, "in_collar": True},
+    }
+    tilted = grid_of("x1*x1 - 0.5*y1*y1 + 0.3*t + 0.2*x1*t", res=11)
+    rep = key_lemma_certificate(tilted, 0.5, conformal_operator_spec(), ConeSpec("posdef"),
+                                a=10.0, M=1.0, mode="sub")
+    assert dataclasses.asdict(rep) == {
+        "mode": "sub", "eps": 0.5, "a": 10.0, "passed": False,
+        "min_a": 31.623914308172235, "testable": 729, "excluded_bound": 499,
+        "coverage": 0.8782608695652174, "failures": 28, "collar_failures": 22,
+        "interior_failures": 6,
+        "worst": {"node": (2, 9, 1), "rho": -5.757924015724331,
+                  "shift": 0.5237917506187045, "in_collar": True},
+    }
 
 
 def test_certificate_sub_mode_mirror():
