@@ -7,17 +7,21 @@ path.  Rows:
 
 - ``suite_ms``: each member suite of ``all`` run in process at seed 42 with
   its default count, after a warm-up run; best of five, in ms.
-- ``searches``: the three searches inside one in-process ``all`` run, each
-  timed by wrapping the module-level function that does its work, so the
-  same rows read alike on any version of the code that keeps those names;
-  calls and sizes come from one run, ``ms`` is the best of five:
+- ``searches``: the three searches and the cone-axiom sampler inside one
+  in-process ``all`` run, each timed by wrapping the module-level function
+  that does its work, so the same rows read alike on any version of the
+  code that keeps those names; calls and sizes come from one run, ``ms`` is
+  the best of five:
   - ``lemma35_spectrum``: the eigenvalue calls of the lemma35 gain searches
     (``comparison.spectrum``), with the matrices they took;
   - ``keylemma_certificate``: ``key_lemma_certificate`` less its envelope
     searches, which is mostly its bisection for the smallest sufficient a,
     with the shifted nodes it classified (``viscosity.values_from_eigenvalues``);
   - ``envelope_search``: every envelope search of the run
-    (``envelopes._envelope``), keylemma's included.
+    (``envelopes._envelope``), keylemma's included;
+  - ``cones_sampler``: the axiom sampler's draws and marches to the
+    interior (``cones._sample_interior``), with the samples it drew,
+    interior and skipped.
 - ``cli_s``: the whole CLI process ``python -m heisvisc check --suite all
   --seed 42``, imports included, its report discarded; best of three, in s.
 """
@@ -28,7 +32,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from heisvisc import comparison, envelopes, suites, viscosity
+from heisvisc import comparison, cones, envelopes, suites, viscosity
 from heisvisc.suites import SUITE_NAMES, run_suite
 
 SEED = 42
@@ -63,10 +67,12 @@ def _timed(module, name, tally, size=None):
 
 
 def _search_tallies():
-    """Tallies of the three searches over one in-process ``all`` run."""
-    lemma35, certificate, shifted, envelope = (
-        {"s": 0.0, "calls": 0, "size": 0} for _ in range(4))
-    with _timed(envelopes, "_envelope", envelope):
+    """Tallies of the three searches and the sampler over one in-process
+    ``all`` run."""
+    lemma35, certificate, shifted, envelope, sampler = (
+        {"s": 0.0, "calls": 0, "size": 0} for _ in range(5))
+    with _timed(envelopes, "_envelope", envelope), \
+            _timed(cones, "_sample_interior", sampler, lambda r: len(r[0]) + r[2]):
         # the certificate's own envelope searches are taken out of its time
         with _timed(suites, "key_lemma_certificate", certificate), \
                 _timed(viscosity, "values_from_eigenvalues", shifted, len):
@@ -83,6 +89,8 @@ def _search_tallies():
         "keylemma_certificate": {"calls": certificate["calls"],
                                  "shifted_nodes": shifted["size"], "s": certificate["s"]},
         "envelope_search": {"calls": envelope["calls"], "s": envelope["s"]},
+        "cones_sampler": {"calls": sampler["calls"], "samples": sampler["size"],
+                          "s": sampler["s"]},
     }
 
 

@@ -209,7 +209,7 @@ def values_from_eigenvalues(spec, lams):
     """Defining value(s) from precomputed ascending eigenvalues.
 
     ``lams`` has shape (..., d).  This is the cheap half of
-    :func:`defining_value`; callers that already hold a spectrum (for
+    :func:`values_from_entries`; callers that already hold a spectrum (for
     example to classify many shifts M - a*S of the same matrix) should use
     it directly rather than re-running the eigensolver.
     """
@@ -319,12 +319,6 @@ def band_from_entries(spec, F):
     return spec.tol * (1.0 + np.sqrt(sq))
 
 
-def defining_value(spec, Ms):
-    """Defining values rho of a stack of symmetric matrices, shape (N,):
-    positive inside the set, negative outside."""
-    return values_from_entries(spec, entries(Ms))
-
-
 def codes_from_values(rho, band):
     """Classification codes from defining values and band widths.
 
@@ -423,7 +417,9 @@ def _march_to_interior(spec, W, scale, margin):
             break
         X = A[active]
         frob = np.sqrt(np.sum((X * X).reshape(active.size, -1), axis=1))
-        hit = defining_value(spec, X) > margin * (1.0 + frob)
+        # A, half of W + W^T scaled plus multiples of I, is exactly
+        # symmetric, so its entry view goes to the spectrum unchecked
+        hit = values_from_entries(spec, X.transpose(1, 2, 0)) > margin * (1.0 + frob)
         inside[active[hit]] = True
         active = active[~hit]
         A[active] += step * eye
@@ -437,12 +433,14 @@ def _sample_interior(spec, plan, enabled):
     Sample by sample, the stream yields a start W and then, only if W
     marches into the interior, the test parameters of each enabled
     condition: W2 for the shift, then one uniform for the shift and one
-    per scaling condition.  A sample is drawn in two calls, one normal
-    block (W, then W2 when the shift is enabled) and one block of its m
-    uniforms.  These give the same values as the one-draw-at-a-time loop:
-    consecutive normal draws are one normal block, and ``uniform(a, b)`` is
-    ``a + (b - a) * random()``.  The parameters are then built from the
-    blocks of the whole run in array operations.
+    per scaling condition.  A sample is drawn in two calls straight into
+    the run's arrays, one normal block (W, then W2 when the shift is
+    enabled) and one block of its m uniforms.  These give the same values
+    as the one-draw-at-a-time loop: consecutive normal draws are one normal
+    block, ``standard_normal`` draws what ``normal`` draws at its default
+    mean and scale, and ``uniform(a, b)`` is ``a + (b - a) * random()``.
+    The parameters are then built from the blocks of the whole run in array
+    operations.
 
     Whether a start gets inside is known only after the batched march, so
     a run of samples is drawn on the guess that every start gets inside.
@@ -464,8 +462,8 @@ def _sample_interior(spec, plan, enabled):
         normals = np.empty((k, blocks, dim, dim))
         unif = np.empty((k, len(uniforms)))
         for s in range(k):
-            normals[s] = gen.normal(size=(blocks, dim, dim))
-            unif[s] = gen.random(len(uniforms))
+            gen.standard_normal(out=normals[s])
+            gen.random(out=unif[s])
         return normals, unif
 
     # per run: the interior matrices, their normal blocks and their uniforms

@@ -11,9 +11,11 @@ boundary included, and is exact: ties break to the smallest flat node index.
 The search is factored over z-rows.  In C order t is the last axis, so node
 ``zrow * T + k`` sits at (z[zrow], t[k]), and d^4 = |dz|^4 + (dt + shear)^2
 where |dz|^2 and the shear depend on the pair of z-rows alone.  They are
-computed for a block of T source rows against every target row at once,
+computed for a block of source rows against every target row at once,
 with the same expressions as ``gauge_quartic``, so every d^4 has the same
-bits as a pair-by-pair evaluation.
+bits as a pair-by-pair evaluation.  A block is sized by its work, about
+2^14 row pairs and never fewer than T source rows, so a small grid pays
+its per-block numpy calls a few times, not once per T rows.
 
 Most target rows cannot hold a node's extremum, and a bound proves it.  Work
 in upper orientation, s = v (s = -v for a lower envelope, whose scores are
@@ -33,12 +35,15 @@ strictly below every node's own best, so it can neither win nor tie, and
 values and witnesses are those of the all-pairs search bit for bit.
 
 The kept rows are scored together, candidates in ascending flat index, so
-the first best is the smallest index.  A candidate outside the window scores
-below min v, hence below the node itself; only a rounding tie at the
-window's edge can make one win, and then that node's out-of-window
-candidates are masked and its search repeated.  The same blocks record the
-kernel constant the curvature check needs, a sup over in-window pairs; a row
-pair's least d^4 sits at one of the two dt values that bracket -shear.
+the first best is the smallest index.  Each source row keeps only the
+indices of its winners; the block then maps them to target nodes and
+scores each winner again by the same expression, which gives the same bits.
+A candidate outside the window scores below min v, hence below the node
+itself; only a rounding tie at the window's edge can make one win, and then
+that node's out-of-window candidates are masked and its search repeated.
+The same blocks record the kernel constant the curvature check needs, a sup
+over in-window pairs; a row pair's least d^4 sits at one of the two dt
+values that bracket -shear.
 
 The check_* functions verify the properties the regularization argument
 rests on: monotonicity and pointwise squeezing in eps, one-sided curvature
@@ -64,6 +69,9 @@ __all__ = [
     "check_semiconvexity",
     "check_witness_bound",
 ]
+
+# (source, target) z-row pairs in a block of the search
+_BLOCK_PAIRS = 1 << 14
 
 
 def gauge_quartic(a, b, n):
@@ -158,13 +166,17 @@ def _envelope(v, eps, mode):
     out = np.empty(vals.shape)
     wit = np.empty(vals.shape, dtype=np.int64)
     src = np.arange(T)
+    dt_rows = dt[:, None, :]
     if mode == "upper":
         sign_op, best, excluded = np.subtract, np.ndarray.argmax, -np.inf
     else:
         sign_op, best, excluded = np.add, np.ndarray.argmin, np.inf
-    for start in range(0, len(z), T):
-        # a block of source rows against every target row: entry [b, k]
-        rows = np.arange(start, min(start + T, len(z)))
+    # about _BLOCK_PAIRS row pairs a block, never fewer than T source rows:
+    # from 2^14 nodes (41^3, say) up, a block is exactly T source rows
+    size = max(T, _BLOCK_PAIRS // len(z))
+    for start in range(0, len(z), size):
+        # entry [b, k]: source row rows[b] against target row k
+        rows = np.arange(start, min(start + size, len(z)))
         zs, shear = _z_parts(z[rows, None], z[None], n)
         zs2 = zs * zs
         at = np.searchsorted(steps, -shear)
@@ -182,47 +194,53 @@ def _envelope(v, eps, mode):
         # the own row alone, or min sv[row], gives a floor that keeps two to
         # five times the rows at eps 5
         pair = np.stack([rows, bound.argmax(axis=1)], axis=1)
-        d4 = np.square(dt[:, None, :] + np.take_along_axis(shear, pair, 1)[:, None, :, None])
+        d4 = np.square(dt_rows + np.take_along_axis(shear, pair, 1)[:, None, :, None])
         d4 += np.take_along_axis(zs2, pair, 1)[:, None, :, None]
-        scores = sv[pair][:, None] - d4 / eps
-        scores[d4 > window] = -np.inf
+        far = d4 > window
+        d4 /= eps
+        scores = np.subtract(sv[pair][:, None], d4, out=d4)
+        scores[far] = -np.inf
         floor = scores.reshape(len(rows), T, -1).max(axis=2).min(axis=1)
         # stage 2: a row with bound < floor scores strictly below every
         # node's best; the rest are scored together, candidates in
         # ascending flat index, so the first best is the smallest index.
-        # Each node's winner is kept as its score (written straight into
-        # ``out``), its target row and its index among the row's candidates;
-        # the block's winners are finished together below
+        # Source row b keeps target rows kept_rows[offsets[b]:offsets[b + 1]]
+        # and records only its winners' indices among its candidates; the
+        # block's winners are finished together below
         kept = bound >= floor[:, None]
-        won = out[start : start + len(rows)]
-        won_row = np.empty((len(rows), T), dtype=np.int64)
+        # a boolean index takes the kept pairs in the order of np.nonzero
+        kept_rows = np.nonzero(kept)[1]
+        kept_shear = shear[kept][:, None]
+        kept_zs2 = zs2[kept][:, None]
+        offsets = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
         won_at = np.empty((len(rows), T), dtype=np.int64)
-        for b in range(len(rows)):
-            keep = kept[b].nonzero()[0]
-            # d4[i, k, j]: node (rows[b], i) against node (keep[k], j)
-            d4 = block[: T * len(keep) * T].reshape(T, len(keep), T)
-            np.add(dt[:, None, :], shear[b, keep, None], out=d4)
+        cuts = offsets.tolist()
+        for b, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            # d4[i, k, j]: node (rows[b], i) against node (kept_rows[lo + k], j)
+            d4 = block[: T * (hi - lo) * T].reshape(T, hi - lo, T)
+            np.add(dt_rows, kept_shear[lo:hi], out=d4)
             np.square(d4, out=d4)
-            d4 += zs2[b, keep, None]
+            d4 += kept_zs2[lo:hi]
             d4 /= eps
-            scores = sign_op(vals[keep], d4, out=d4).reshape(T, -1)
-            won_at[b] = idx = best(scores, axis=1)
-            won_row[b] = keep[idx // T]
-            won[b] = scores[src, idx]
-        won_col = won_at % T
+            scores = sign_op(vals[kept_rows[lo:hi]], d4, out=d4).reshape(T, -1)
+            best(scores, axis=1, out=won_at[b])
+        won_k, won_col = np.divmod(won_at, T)
+        won_row = kept_rows[offsets[:-1, None] + won_k]
+        at = np.arange(len(rows))[:, None]
+        d4 = np.square(dt[src, won_col] + shear[at, won_row]) + zs2[at, won_row]
         # a candidate outside the window never beats the node itself, save
         # by rounding at the window's edge; only then is that node's row
         # scored again with its out-of-window candidates masked
-        at = np.arange(len(rows))[:, None]
-        far = np.square(dt[src, won_col] + shear[at, won_row]) + zs2[at, won_row] > window
-        for b, i in zip(*np.nonzero(far)):
-            keep = kept[b].nonzero()[0]
-            d4 = np.square(dt[i] + shear[b, keep, None]) + zs2[b, keep, None]
-            scores = sign_op(vals[keep], d4 / eps).reshape(-1)
-            idx = best(np.where(d4.reshape(-1) > window, excluded, scores))
-            k, won_col[b, i] = divmod(int(idx), T)
+        for b, i in zip(*np.nonzero(d4 > window)):
+            keep = kept_rows[offsets[b] : offsets[b + 1]]
+            cand = (np.square(dt[i] + shear[b, keep, None]) + zs2[b, keep, None]).reshape(-1)
+            scores = sign_op(vals[keep].reshape(-1), cand / eps)
+            idx = int(best(np.where(cand > window, excluded, scores)))
+            k, won_col[b, i] = divmod(idx, T)
             won_row[b, i] = keep[k]
-            won[b, i] = scores[idx]
+            d4[b, i] = cand[idx]
+        # each winner's score again, by the expression that scored it
+        out[rows] = sign_op(vals[won_row, won_col], d4 / eps)
         wit[rows] = won_row * T + won_col
     field = GridField(n=v.n, box=v.box.copy(), values=out.reshape(v.res))
     return EnvelopeResult(

@@ -187,7 +187,8 @@ def _random_polynomials(gen, n, count, half, degree, terms=8):
     d = 2 * n + 1
 
     def coefficient():
-        c = gen.uniform(-1, 1)
+        # exactly what uniform(-1, 1) draws, at about a quarter of its cost
+        c = -1.0 + 2.0 * gen.random()
         return math.copysign(round(abs(c), 6), c)
 
     coef, deg, factors, points = [], [], [], []

@@ -13,12 +13,13 @@ from heisvisc.cones import (
     ConeSpec,
     check_axioms,
     classify,
-    defining_value,
     eigenvalues,
     elementary_symmetric,
+    entries,
     shifted_trace_spec,
     spectrum,
     values_from_eigenvalues,
+    values_from_entries,
 )
 from heisvisc.gridio import problem_from_json
 from heisvisc.rng import stream
@@ -35,7 +36,7 @@ def eigs(M):
 
 
 def rho_of(spec, M):
-    return float(defining_value(spec, np.asarray(M)[None])[0])
+    return float(values_from_entries(spec, entries(np.asarray(M)[None]))[0])
 
 
 def code(spec, M):
@@ -188,7 +189,7 @@ def test_values_from_eigenvalues_matches_defining_value():
     ]:
         spec = ConeSpec(family, **kw)
         Ms = np.stack([random_symmetric(gen, 3) for _ in range(20)])
-        batch = defining_value(spec, Ms)
+        batch = values_from_entries(spec, entries(Ms))
         lams = eigenvalues(Ms)
         np.testing.assert_allclose(values_from_eigenvalues(spec, lams), batch, atol=1e-12)
 
@@ -287,7 +288,7 @@ def test_single_matrix_functions_agree_bit_for_bit_with_the_batch(spec):
     gen = stream(39)
     for d in (2, 3, 4):
         Ms = np.stack([random_symmetric(gen, d, scale=2.0) for _ in range(1000)])
-        rho = defining_value(spec, Ms)
+        rho = values_from_entries(spec, entries(Ms))
         codes = classify(spec, Ms)
         lams = eigenvalues(Ms)
         for i in range(Ms.shape[0]):
@@ -360,6 +361,32 @@ def test_axiom_report_lookup_and_unknown_condition():
         report.condition("nope")
     with pytest.raises(ValueError):
         check_axioms(ConeSpec("trace"), AxiomPlan(seed=44, count=10), conditions=("bogus",))
+
+
+def _state(gen):
+    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def test_sampler_draws_into_its_arrays_what_sized_draws_gave():
+    # the sampler fills each sample's rows with standard_normal(out=) and
+    # random(out=); the sized normal and random calls it replaced give the
+    # same bytes and leave the generator in the same state, also for an
+    # empty block of uniforms
+    for seed in range(10):
+        for d in (1, 2, 3, 4):
+            for blocks in (1, 2):
+                for m in (0, 1, 3, 4):
+                    gen, ref = stream(seed), stream(seed)
+                    normals, unif = np.empty((5, blocks, d, d)), np.empty((5, m))
+                    want_normals, want_unif = np.empty_like(normals), np.empty_like(unif)
+                    for s in range(5):
+                        gen.standard_normal(out=normals[s])
+                        gen.random(out=unif[s])
+                        want_normals[s] = ref.normal(size=(blocks, d, d))
+                        want_unif[s] = ref.random(m)
+                    assert normals.tobytes() == want_normals.tobytes()
+                    assert unif.tobytes() == want_unif.tobytes()
+                    assert _state(gen) == _state(ref)
 
 
 # the one-sample-at-a-time sampler that check_axioms replaced, kept as the
@@ -471,6 +498,15 @@ def test_check_axioms_matches_scalar_sampler_when_every_sample_skips():
     report = check_axioms(spec, plan)
     assert report.skipped == plan.count and not report.passed
     assert _report_dict(report) == _scalar_check_axioms(spec, plan)
+
+
+def test_check_axioms_matches_scalar_sampler_with_no_conditions():
+    # no shift block and no uniforms: each sample draws only its start
+    spec = ConeSpec("spectral", g="l1 - l2 + 1")
+    plan = AxiomPlan(seed=60, count=150, dim=2)
+    report = check_axioms(spec, plan, conditions=())
+    assert 0 < report.skipped < plan.count
+    assert _report_dict(report) == _scalar_check_axioms(spec, plan, conditions=())
 
 
 def test_check_axioms_matches_scalar_sampler_on_condition_subset():

@@ -154,13 +154,13 @@ def _blocked_all_pairs_search(v, eps, mode, block=192):
     return out.reshape(v.res), wit.reshape(v.res), kernel_sup
 
 
-def _edge_tie_field(sign, peaks=((0, 0, 0),)):
+def _edge_tie_field(sign, peaks=((0, 0, 0),), shape=(5, 5, 5)):
     # eps puts one far pair per peak a rounding step outside the window
     # while its score ties the node itself: unmasked, the smaller index (the
     # peak) wins.  A peak at (a, b, 0) does so for node (a, b, 4), so the
-    # four corner peaks need the repair in z-rows 0 and 4 of the first
-    # block of five rows and in rows 20 and 24 of the last
-    vals = np.zeros((5, 5, 5))
+    # four corner peaks of a 5^3 field need the repair in z-rows 0, 4, 20
+    # and 24
+    vals = np.zeros(shape)
     for peak in peaks:
         vals[peak] = sign * 0.001
     return GridField(1, BOX1, vals)
@@ -194,6 +194,16 @@ def test_search_matches_all_pairs_reference():
     corners = ((0, 0, 0), (0, 4, 0), (4, 0, 0), (4, 4, 0))
     cases += [("edge_tie_rows", _edge_tie_field(1.0, corners), 3999.9999999999995)]
     cases += [("edge_tie_rows_negated", _edge_tie_field(-1.0, corners), 3999.9999999999995)]
+    # one block holds all 81 z-rows of a 9 x 9 x 5 field, and these peaks
+    # need the repair in z-rows 0, 8, 24, 40, 72 and 80, five of them past
+    # the block's first T rows
+    spread = ((0, 0, 0), (4, 4, 0), (8, 8, 0), (0, 8, 0), (8, 0, 0), (2, 6, 0))
+    for sign in (1.0, -1.0):
+        tie = _edge_tie_field(sign, spread, shape=(9, 9, 5))
+        cases += [(f"edge_tie_block_{sign:+.0f}", tie, 3999.9999999999995)]
+    # 625 z-rows of five nodes go in blocks of 26 rows, the last of one row
+    n2_random = GridField(2, box2, stream(63).normal(size=(5,) * 5))
+    cases += [("n2_random", n2_random, eps) for eps in (5.0, 0.05)]
     for name, v, eps in cases:
         for mode, build in (("upper", upper_envelope), ("lower", lower_envelope)):
             out, wit, kernel_sup = _blocked_all_pairs_search(v, eps, mode)
@@ -205,8 +215,9 @@ def test_search_matches_all_pairs_reference():
 
 def test_search_memory_stays_within_one_row_block():
     # the search's largest buffer holds one source row's candidates, T * N
-    # floats (0.67 MB at 17^3), and the traced peak is 1.4 MB; the same
-    # search over all R source rows at once, not T at a time, peaks at 9 MB
+    # floats (0.67 MB at 17^3), and the traced peak is 2.4 MB with blocks of
+    # 56 source rows; the same search over all R source rows at once, not a
+    # block at a time, peaks at 9 MB
     v = rough_field(res=17)
     upper_envelope(rough_field(res=5), 5.0)  # lazy imports would count otherwise
     tracemalloc.start()

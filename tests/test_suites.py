@@ -1,6 +1,7 @@
 """Direct checks of the packaged verification suites (the CLI tests cover
 the same code through the `check` command)."""
 
+import json
 import math
 from pathlib import Path
 
@@ -142,6 +143,17 @@ def _polynomial_trees(poly, n):
             root = Add(root, term)
         trees.append(AnalyticField(root, n))
     return trees
+
+
+def test_coefficient_draw_is_what_uniform_drew():
+    # the polynomials' coefficients are drawn as -1 + 2 * random(), which is
+    # how uniform(-1, 1) draws; the generators end in the same state
+    gen, ref = stream(5, stream_id=21), stream(5, stream_id=21)
+    drawn = np.array([-1.0 + 2.0 * gen.random() for _ in range(10_000)])
+    want = np.array([ref.uniform(-1, 1) for _ in range(10_000)])
+    assert drawn.tobytes() == want.tobytes()
+    state = [json.dumps(g.bit_generator.state, default=np.ndarray.tolist) for g in (gen, ref)]
+    assert state[0] == state[1]
 
 
 @pytest.mark.parametrize("n", [1, 2])

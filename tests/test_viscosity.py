@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from heisvisc.cones import ConeSpec, defining_value
+from heisvisc.cones import ConeSpec, entries, values_from_entries
 from heisvisc.fields import Domain, GridField, parse_field, sample
 from heisvisc.operators import OperatorSpec, conformal_operator_spec, eval_F
 from heisvisc.rng import stream
@@ -93,7 +93,7 @@ def test_grid_verdict_matches_exact_jets_on_quadratics():
     cls = classify_grid(g, spec, cone, side="both")
     nodes = [(1, 1, 1), (3, 2, 4), (5, 5, 5), (2, 4, 3)]
     coords = g.coords_full()[tuple(np.array(nodes).T)]
-    rho_exact = defining_value(cone, eval_F(spec, f, coords)[0])
+    rho_exact = values_from_entries(cone, entries(eval_F(spec, f, coords)[0]))
     for node, rho in zip(nodes, rho_exact):
         assert cls.rho[node] == pytest.approx(rho, abs=1e-9)
 
