@@ -7,7 +7,7 @@ Layout:
 - ``operators``   the frame contraction and gradient term, the operator family, conformal variants, structural checks
 - ``cones``       admissible eigenvalue cones; classification of matrix stacks; axiom sampler
 - ``envelopes``   gauge-quartic sup/inf convolutions with witnesses
-- ``viscosity``   the grid operator, grid sub/supersolution classification, envelope-shift certificate
+- ``viscosity``   the lattice scheme (F, rho, band, Jacobian), grid sub/supersolution classification, envelope-shift certificate
 - ``comparison``  strictness perturbations and the touching-point harness
 - ``perron``      semismooth Newton solve between sub- and supersolution data
 - ``gridio``      grid, witness, classification and residuals CSV; every JSON the program reads or writes

@@ -50,9 +50,8 @@ class PerturbParams:
 
     ``mu`` is the actual perturbation size, ``mu0`` its admissible ceiling.
     ``alpha`` shapes the radial factor exp(alpha*|z|^2), ``beta`` the
-    solution-dependent factor exp(-beta*psi), ``tau`` recenters the bump,
-    and ``K0`` is the candidate coupling constant for the margin check.
-    ``M`` bounds |psi| on the working region and ``delta`` widens the
+    solution-dependent factor exp(-beta*psi), and ``tau`` recenters the
+    bump.  ``M`` bounds |psi| on the working region and ``delta`` widens the
     region where the bump is required to stay nonnegative.
     """
 
@@ -61,12 +60,11 @@ class PerturbParams:
     alpha: float
     beta: float
     delta: float
-    K0: float
     tau: float
     M: float
 
     def __post_init__(self):
-        for name in ("mu", "mu0", "alpha", "beta", "delta", "K0", "tau", "M"):
+        for name in ("mu", "mu0", "alpha", "beta", "delta", "tau", "M"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 <= self.mu < self.mu0:
             raise ValueError(f"need 0 <= mu < mu0, got mu={self.mu}, mu0={self.mu0}")
@@ -76,8 +74,6 @@ class PerturbParams:
             raise ValueError(f"need beta > 0, got {self.beta}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"need 0 < delta < 1, got {self.delta}")
-        if self.K0 < 0.0:
-            raise ValueError(f"need K0 >= 0, got {self.K0}")
         if self.M <= 0.0:
             raise ValueError(f"need M > 0, got {self.M}")
         # exp(beta*M) dominates sup exp(-beta*psi) whenever |psi| <= M
@@ -202,9 +198,9 @@ def margin_pencil(psi, p, spec, nodes, mode="up"):
     to the gradient-shaped correction mu*K0*((1+|grad_H psi|^m)I +
     grad_H psi x grad_H psi); ``mode="down"`` mirrors the inequality for
     the lowered field.  Nodes outside the admissible region are dropped;
-    an empty remainder is an error, not a vacuous pass.  ``p.K0`` plays no
-    part: the pencil answers for every coupling constant (see
-    :meth:`MarginPencil.report` and :func:`largest_couplings`).
+    an empty remainder is an error, not a vacuous pass.  The pencil answers
+    for every coupling constant K0 (see :meth:`MarginPencil.report` and
+    :func:`largest_couplings`).
 
     The symmetry of A and B is checked once, not at each coupling tried.
     Both are exactly symmetric by construction:

@@ -209,7 +209,7 @@ def values_from_eigenvalues(spec, lams):
     """Defining value(s) from precomputed ascending eigenvalues.
 
     ``lams`` has shape (..., d).  This is the cheap half of
-    :func:`values_from_entries`; callers that already hold a spectrum (for
+    :func:`newton_values`; callers that already hold a spectrum (for
     example to classify many shifts M - a*S of the same matrix) should use
     it directly rather than re-running the eigensolver.
     """
@@ -231,28 +231,18 @@ def values_from_eigenvalues(spec, lams):
     return np.broadcast_to(np.asarray(out, dtype=float), lams.shape[:-1]).copy()
 
 
-def values_from_entries(spec, F):
-    """Defining values of symmetric matrices held entry by entry.
-
-    ``F`` is laid out as for :func:`spectrum`.  The trace family sums the
-    diagonal; the other families go through the spectrum.
-    """
-    if spec.family == "trace":
-        return functools.reduce(np.add, [F[i][i] for i in range(len(F))])
-    return values_from_eigenvalues(spec, spectrum(F))
-
-
 def newton_values(spec, F):
     """The defining value rho and the value r a Newton iteration linearises.
 
-    ``F`` is laid out as for :func:`spectrum`.  r has the sign and the zero
-    set of rho.  It is rho itself except for ``sigma_k``, where it is the
-    active e_j, the one :func:`values_from_eigenvalues` takes the j-th root
-    of: the root's derivative blows up on the cone boundary, where the
-    solutions of rho = 0 lie.
+    ``F`` is laid out as for :func:`spectrum`.  The trace family sums the
+    diagonal; the other families go through the spectrum.  r has the sign
+    and the zero set of rho.  It is rho itself except for ``sigma_k``, where
+    it is the active e_j, the one :func:`values_from_eigenvalues` takes the
+    j-th root of: the root's derivative blows up on the cone boundary, where
+    the solutions of rho = 0 lie.
     """
     if spec.family == "trace":
-        rho = values_from_entries(spec, F)
+        rho = functools.reduce(np.add, [F[i][i] for i in range(len(F))])
         return rho, rho
     lams = spectrum(F)
     if spec.family != "sigma_k":
@@ -340,7 +330,7 @@ def band_from_eigenvalues(spec, lams):
 def classify(spec, Ms):
     """Classification codes of a stack of symmetric matrices, int8 shape (N,)."""
     F = entries(Ms)
-    return codes_from_values(values_from_entries(spec, F), band_from_entries(spec, F))
+    return codes_from_values(newton_values(spec, F)[0], band_from_entries(spec, F))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +409,7 @@ def _march_to_interior(spec, W, scale, margin):
         frob = np.sqrt(np.sum((X * X).reshape(active.size, -1), axis=1))
         # A, half of W + W^T scaled plus multiples of I, is exactly
         # symmetric, so its entry view goes to the spectrum unchecked
-        hit = values_from_entries(spec, X.transpose(1, 2, 0)) > margin * (1.0 + frob)
+        hit = newton_values(spec, X.transpose(1, 2, 0))[0] > margin * (1.0 + frob)
         inside[active[hit]] = True
         active = active[~hit]
         A[active] += step * eye

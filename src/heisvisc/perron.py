@@ -4,31 +4,27 @@ Given grid fields v <= w that agree on the boundary, the solver looks for
 a field u with v <= u <= w whose operator matrix sits on the admissible-set
 boundary (rho(F[u]) = 0) at every interior node it does not hold at a
 bound, by a primal-dual active-set (semismooth Newton) iteration
-(Hintermueller-Ito-Kunisch, SIAM J. Optim. 13, 2002).  Its Jacobian is
-built in closed form from the one stencil
-(:func:`heisvisc.fields.central_differences`) and the transpose of the one
-frame contraction (:func:`heisvisc.operators.contract_transpose`): one row
-of weights per stencil offset that carries weight.  The linear solves are
-inexact: each Newton step's BiCGSTAB tolerance follows the outer progress
+(Hintermueller-Ito-Kunisch, SIAM J. Optim. 13, 2002).  Every iterate's
+rho, Newton value and band, its Jacobian (closed form, one row of weights
+per stencil offset that carries weight) and the Jacobian's apply come from
+:class:`heisvisc.viscosity.GridOperator`, the one lattice scheme, which
+the classifier also uses, for every n.  The linear solves are inexact:
+each Newton step's BiCGSTAB tolerance follows the outer progress
 (Eisenstat-Walker forcing terms), and after an active-set update it starts
 from the last solution.  Starting from v and from w and comparing is the
-numerical uniqueness check.  Every iterate is evaluated through
-:class:`heisvisc.viscosity.GridOperator`, the grid operator path the
-classifier uses, for every n.
+numerical uniqueness check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .cones import ConeSpec, band_from_entries, newton_gradient, newton_values
-from .fields import (AnalyticField, Const, Domain, GridField, central_differences,
-                     coordinate_names, parse_field, sample)
-from .operators import (OperatorSpec, SamplePlan, StructuralBounds, check_structural,
-                        contract_transpose, gradient_term_transpose)
+from .cones import ConeSpec
+from .fields import (AnalyticField, Const, Domain, GridField, coordinate_names, parse_field,
+                     sample)
+from .operators import OperatorSpec, SamplePlan, StructuralBounds, check_structural
 from .viscosity import GridOperator
 
 __all__ = [
@@ -145,89 +141,6 @@ _FORCING_MIN = 1e-4    # the bounds of every later step's forcing term
 _FORCING_MAX = 0.5
 
 
-class _Jacobian(NamedTuple):
-    """d r / d u on the offsets that carry weight, and the table to apply it."""
-
-    rows: np.ndarray          # one flat row of weights per kept offset
-    neighbours: np.ndarray    # the flat padded index each node reads at that offset
-    diagonal: np.ndarray      # the centre offset's row, shaped as the interior
-
-
-class _Stencil:
-    """The one stencil's offsets and weights, and the Jacobian of r built on it.
-
-    ``central_differences`` of a unit impulse at the centre of a 5^d patch
-    gives, on the patch's 3^d interior block, the weight with which each
-    second and first Euclidean derivative at a node reads the value at
-    each offset (the block is the offset table flipped).  The 19 offsets
-    at n = 1 and 51 at n = 2 with a nonzero weight are kept in ``pairs``,
-    each with its (derivative, weight) pairs: 27 and 65 in all, numbering
-    the Hessian entries a <= b, then the gradient.  The Jacobian's row at an
-    offset sums its pairs' weights times the coefficients
-    :func:`heisvisc.operators.contract_transpose` gives the derivatives; an
-    offset whose derivatives have zero coefficients at every node is left
-    out (under ``trace`` the mixed horizontal entries, leaving 15 and 27).
-    J is applied by one gather from the flat padded lattice, each node
-    reading its neighbour at every kept offset: on the 5^5 grids of a
-    warm-up a slice per offset costs 7 times more in call overhead, and at
-    21^3 the two take about the same time.
-    """
-
-    def __init__(self, op):
-        self.op = op
-        d = len(op.spacing)
-        patch = np.zeros((5,) * d)
-        patch[(2,) * d] = 1.0
-        H, g = central_differences(patch, op.spacing, gradient=True)
-        flip = (slice(None, None, -1),) * d
-        self.entries = [(a, b) for a in range(d) for b in range(a, d)]
-        columns = [H[a][b][flip] for a, b in self.entries] + [g[a][flip] for a in range(d)]
-        used = np.any([c != 0.0 for c in columns], axis=0)
-        weights = np.stack([c[used] for c in columns], axis=1)
-        self.pairs = [[(c, w) for c, w in enumerate(row.tolist()) if w != 0.0]
-                      for row in weights]
-        offsets = np.argwhere(used) - 1
-        self.centre = int(np.flatnonzero(~offsets.any(axis=1))[0])
-        res = tuple(n + 2 for n in op.shape)
-        nodes = np.ravel_multi_index(np.indices(op.shape).reshape(d, -1) + 1, res)
-        shifts = np.ravel_multi_index(offsets.T + 1, res) - np.ravel_multi_index((1,) * d, res)
-        self.neighbours = nodes + shifts[:, None]
-        self.pad = np.zeros(res)
-
-    def jacobian(self, spec, G, u, p):
-        """d r / d u on the kept offsets, per interior node, as a ``_Jacobian``.
-
-        ``G`` is d r / d F (:func:`heisvisc.cones.newton_gradient`) and
-        ``u``, ``p`` the iterate's interior values and horizontal gradient.
-        When L is not zero, q = d r / d p is G read through L's p-derivative
-        (:func:`heisvisc.operators.gradient_term_transpose`).
-        """
-        op = self.op
-        m = len(G)
-        shape = op.shape
-        flat = int(np.prod(shape))
-        q = None if spec.is_zero else gradient_term_transpose(spec, op.coords, u, p, G)
-        H, grad = contract_transpose(G, op.terms[0], q)
-        coeff = [H[a][b] for a, b in self.entries] + (grad or [None] * (m + 1))
-        live = [w is not None and bool(w.any()) for w in coeff]
-        # the centre row stays for the Jacobi scale even where G vanishes
-        kept = [k for k, pairs in enumerate(self.pairs)
-                if k == self.centre or any(live[c] for c, _ in pairs)]
-        rows = np.zeros((len(kept),) + shape)
-        for row, k in zip(rows, kept):
-            for c, w in self.pairs[k]:
-                if live[c]:
-                    row += w * coeff[c]
-        return _Jacobian(rows.reshape(len(kept), flat), self.neighbours[kept],
-                         rows[kept.index(self.centre)])
-
-    def apply(self, J, x):
-        """J x over the interior, flat, with x flat and zero on the boundary ring."""
-        self.pad[self.op.inner] = x.reshape(self.op.shape)
-        near = self.pad.ravel()[J.neighbours]
-        return np.einsum("kn,kn->n", J.rows, near)
-
-
 def _dot(a, b):
     # numpy's own loop: a BLAS dot can wait milliseconds on its threads
     return float(np.einsum("i,i->", a, b))
@@ -329,9 +242,9 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
     the solve ends unconverged.  ``applies`` counts the Jacobian-vector
     products the solve spent.
 
-    Every iterate is evaluated through
-    :class:`heisvisc.viscosity.GridOperator`, the operator path the
-    classifier uses.  A node is held when it sits on its bound with rho
+    Every iterate is evaluated by
+    :class:`heisvisc.viscosity.GridOperator`, the scheme the classifier
+    uses.  A node is held when it sits on its bound with rho
     pointing out of the bracket; the residual is the largest amount by
     which |rho| exceeds the admissible-set boundary band on the other
     nodes, and the solve has converged when it is below ``tol``.  That
@@ -353,9 +266,7 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
                            converged=True, final_residual=0.0, held=0, start=start,
                            applies=0)
 
-    spec, cone = problem.spec, problem.cone
-    op = GridOperator(problem.sub, spec)
-    stencil = _Stencil(op)
+    op = GridOperator(problem.sub, problem.spec, problem.cone)
     inner = op.inner
     v_int, w_int = v[inner], w[inner]
     full = (v if start == "sub" else w).copy()
@@ -364,10 +275,9 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
 
     def evaluate(u):
         full[inner] = u
-        F, p = op(full)
-        rho, r = newton_values(cone, F)
+        F, p, rho, r, band = op.evaluate(full)
         held = ((u == v_int) & (rho < 0.0)) | ((u == w_int) & (rho > 0.0))
-        excess = np.maximum(np.abs(rho) - band_from_entries(cone, F), 0.0)
+        excess = np.maximum(np.abs(rho) - band, 0.0)
         resid = float(excess[~held].max()) if not held.all() else 0.0
         return F, p, r, held, resid
 
@@ -376,12 +286,12 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
     def jv(J, x):
         nonlocal applies
         applies += 1
-        return stencil.apply(J, x)
+        return op.apply(J, x)
 
     def direction(u, F, p, r, lo, hi, eta):
         """The step of the linearised problem, its held sets and |J_kk|."""
-        J = stencil.jacobian(spec, newton_gradient(cone, F), u, p)
-        scale = np.abs(J.diagonal)
+        J, diagonal = op.jacobian(F, u, p)
+        scale = np.abs(diagonal)
         scale = np.maximum(scale, 1e-12 * scale.max())
         delta = np.zeros(u.shape)
         for updates in range(_SET_UPDATES + 1):

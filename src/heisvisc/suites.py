@@ -439,7 +439,7 @@ def suite_lemma35(seed, count=400):
     spec = conformal_operator_spec()
     p = PerturbParams(
         mu=0.5 * _PERTURB_MU0, mu0=_PERTURB_MU0, alpha=_PERTURB_ALPHA,
-        beta=_PERTURB_BETA, delta=0.5, K0=0.0, tau=1.0, M=_PERTURB_M,
+        beta=_PERTURB_BETA, delta=0.5, tau=1.0, M=_PERTURB_M,
     )
     fixtures = [
         ("linear", parse_field("0.4*x1", 1)),

@@ -1,13 +1,17 @@
 """Grid classification of sub/supersolutions and the envelope-shift certificate.
 
+:class:`GridOperator` is the one lattice scheme: per (lattice, spec,
+cone) it turns grid values into the operator matrix F (central differences
+through the one frame contraction of :mod:`heisvisc.operators`), the
+defining value rho, the Newton value r and the boundary band, and gives
+the solver r's Jacobian and its apply.
+
 A grid field is tested node by node: at every interior node with a full
 finite-difference stencil (and no kink flag in a 3^d neighborhood) the
-discrete second-order jet stands in for the touching test function, the
-operator matrix F is assembled (by :class:`GridOperator`, the grid operator
-path the solver shares, through the one frame contraction of
-:mod:`heisvisc.operators`), and its position relative to the admissible set
-decides the verdict.  Subsolutions need F in the closed set (Interior or
-Boundary), supersolutions need the closed complement (Exterior or Boundary).
+discrete second-order jet stands in for the touching test function, and
+the position of F relative to the admissible set decides the verdict.
+Subsolutions need F in the closed set (Interior or Boundary),
+supersolutions need the closed complement (Exterior or Boundary).
 
 ``key_lemma_certificate`` checks the quantitative version for envelope
 regularizations: after shifting F by
@@ -31,13 +35,14 @@ from .cones import (
     band_from_eigenvalues,
     band_from_entries,
     codes_from_values,
+    newton_gradient,
+    newton_values,
     spectrum,
     values_from_eigenvalues,
-    values_from_entries,
 )
 from .envelopes import gauge_quartic, lower_envelope, upper_envelope
 from .fields import boundary_ring, central_differences
-from .operators import contract, frame_terms
+from .operators import contract, contract_transpose, frame_terms, gradient_term_transpose
 
 __all__ = [
     "TAG_NAMES",
@@ -60,23 +65,44 @@ _TAG_CODE = {name: i for i, name in enumerate(TAG_NAMES)}
 
 
 class GridOperator:
-    """The operator matrix F on the interior block of one lattice, for any n.
+    """The lattice scheme of one (lattice, spec, cone), on the interior block.
 
     Central differences give the Euclidean second derivatives, and the
     first derivatives only when L is not identically zero or ``gradient``
     is set; :func:`heisvisc.operators.contract` turns them into F and the
-    horizontal gradient.  The frame terms of the lattice are cached, so one
-    instance serves every sweep of a solve.
+    horizontal gradient, and :func:`heisvisc.cones.newton_values` F into
+    rho and the Newton value r.  The frame terms of the lattice are cached,
+    so one instance serves every sweep of a solve.
+
+    The Jacobian of r comes from the same stencil.  ``central_differences``
+    of a unit impulse at the centre of a 5^d patch gives, on the patch's 3^d
+    interior block, the weight with which each second and first Euclidean
+    derivative at a node reads the value at each offset (the block is the
+    offset table flipped).  The 19 offsets at n = 1 and 51 at n = 2 with a
+    nonzero weight are kept in ``pairs``, each with its (derivative, weight)
+    pairs: 27 and 65 in all, numbering the Hessian entries a <= b, then the
+    gradient.  The Jacobian's row at an offset sums its pairs' weights times
+    the coefficients :func:`heisvisc.operators.contract_transpose` gives the
+    derivatives; an offset whose derivatives have zero coefficients at every
+    node is left out (under ``trace`` the mixed horizontal entries, leaving
+    15 and 27).  J is applied by one gather from the flat padded lattice,
+    each node reading its neighbour at every kept offset: on the 5^5 grids
+    of a warm-up a slice per offset costs 7 times more in call overhead, and
+    at 21^3 the two take about the same time.  The offset table and the
+    gather indices are built by the first :meth:`jacobian`, so
+    classification never pays for them.
     """
 
-    def __init__(self, template, spec, gradient=False):
+    def __init__(self, template, spec, cone, gradient=False):
         self.spec = spec
+        self.cone = cone
         self.spacing = template.spacing
         self.inner = (slice(1, -1),) * (2 * template.n + 1)
         self.coords = coords = template.coords_full()[self.inner].copy()
         self.shape = coords.shape[:-1]
         self.terms = frame_terms(coords)
         self.gradient = gradient or not spec.is_zero
+        self.pairs = None
 
     def __call__(self, values):
         """Entry arrays ``F[i][j]`` over the interior block, and ``p``.
@@ -86,6 +112,72 @@ class GridOperator:
         """
         H, grad = central_differences(values, self.spacing, self.gradient)
         return contract(self.spec, self.coords, values[self.inner], H, grad, self.terms)
+
+    def evaluate(self, values):
+        """F, p, the defining value rho, the Newton value r and the band."""
+        F, p = self(values)
+        rho, r = newton_values(self.cone, F)
+        return F, p, rho, r, band_from_entries(self.cone, F)
+
+    def _build_table(self):
+        """The kept offsets with their (derivative, weight) pairs, and the gather."""
+        d = len(self.spacing)
+        patch = np.zeros((5,) * d)
+        patch[(2,) * d] = 1.0
+        H, g = central_differences(patch, self.spacing, gradient=True)
+        flip = (slice(None, None, -1),) * d
+        self.entries = [(a, b) for a in range(d) for b in range(a, d)]
+        columns = [H[a][b][flip] for a, b in self.entries] + [g[a][flip] for a in range(d)]
+        used = np.any([c != 0.0 for c in columns], axis=0)
+        weights = np.stack([c[used] for c in columns], axis=1)
+        self.pairs = [[(c, w) for c, w in enumerate(row.tolist()) if w != 0.0]
+                      for row in weights]
+        offsets = np.argwhere(used) - 1
+        self.centre = int(np.flatnonzero(~offsets.any(axis=1))[0])
+        res = tuple(n + 2 for n in self.shape)
+        nodes = np.ravel_multi_index(np.indices(self.shape).reshape(d, -1) + 1, res)
+        shifts = np.ravel_multi_index(offsets.T + 1, res) - np.ravel_multi_index((1,) * d, res)
+        self.neighbours = nodes + shifts[:, None]
+        self.pad = np.zeros(res)
+
+    def jacobian(self, F, u, p):
+        """d r / d u on the kept offsets, per interior node.
+
+        ``u`` and ``p`` are the iterate's interior values and horizontal
+        gradient, F its operator matrix.  d r / d F is
+        :func:`heisvisc.cones.newton_gradient`; when L is not zero, d r / d p
+        is that read through L's p-derivative
+        (:func:`heisvisc.operators.gradient_term_transpose`).  Returns J,
+        one flat row of weights per kept offset with the flat padded index
+        each node reads there, for :meth:`apply`, and the centre offset's
+        row shaped as the interior.
+        """
+        if self.pairs is None:
+            self._build_table()
+        G = newton_gradient(self.cone, F)
+        m = len(G)
+        flat = int(np.prod(self.shape))
+        q = (None if self.spec.is_zero
+             else gradient_term_transpose(self.spec, self.coords, u, p, G))
+        H, grad = contract_transpose(G, self.terms[0], q)
+        coeff = [H[a][b] for a, b in self.entries] + (grad or [None] * (m + 1))
+        live = [w is not None and bool(w.any()) for w in coeff]
+        # the centre row stays for the Jacobi scale even where G vanishes
+        kept = [k for k, pairs in enumerate(self.pairs)
+                if k == self.centre or any(live[c] for c, _ in pairs)]
+        rows = np.zeros((len(kept),) + self.shape)
+        for row, k in zip(rows, kept):
+            for c, w in self.pairs[k]:
+                if live[c]:
+                    row += w * coeff[c]
+        diagonal = rows[kept.index(self.centre)]
+        return (rows.reshape(len(kept), flat), self.neighbours[kept]), diagonal
+
+    def apply(self, J, x):
+        """J x over the interior, flat, with x flat and zero on the boundary ring."""
+        rows, neighbours = J
+        self.pad[self.inner] = x.reshape(self.shape)
+        return np.einsum("kn,kn->n", rows, self.pad.ravel()[neighbours])
 
 
 def _untestable_mask(g):
@@ -131,10 +223,9 @@ def classify_grid(g, spec, cone, side="both"):
     rho_full = np.full(res, np.nan)
     untestable = _untestable_mask(g)
 
-    op = GridOperator(g, spec)
-    F, _ = op(g.values)
-    rho = values_from_entries(cone, F)
-    c = codes_from_values(rho, band_from_entries(cone, F))
+    op = GridOperator(g, spec, cone)
+    _, _, rho, _, band = op.evaluate(g.values)
+    c = codes_from_values(rho, band)
     tag_inner = np.empty(op.shape, dtype=np.int8)
     tag_inner[c == 0] = _TAG_CODE["OnBoundary"]
     tag_inner[c == 1] = _TAG_CODE[
@@ -210,7 +301,7 @@ def key_lemma_certificate(w, eps, spec, cone, a, M, mode="super"):
     g = env.out
     n = g.n
 
-    op = GridOperator(g, spec, gradient=True)
+    op = GridOperator(g, spec, cone, gradient=True)
     coords = op.coords.reshape(-1, 2 * n + 1)
     K = coords.shape[0]
     if K == 0:

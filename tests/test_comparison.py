@@ -34,9 +34,12 @@ ALPHA, BETA, M_BOUND = 0.1, 3.0, 0.5
 MU0 = 0.45 / (BETA * math.exp(BETA * M_BOUND))
 
 
-def good_params(mu=0.5 * MU0, k0=0.05, tau=1.0):
+K0 = 0.05   # the coupling constant the margin checks are taken at
+
+
+def good_params(mu=0.5 * MU0, tau=1.0):
     return PerturbParams(
-        mu=mu, mu0=MU0, alpha=ALPHA, beta=BETA, delta=0.5, K0=k0, tau=tau, M=M_BOUND
+        mu=mu, mu0=MU0, alpha=ALPHA, beta=BETA, delta=0.5, tau=tau, M=M_BOUND
     )
 
 
@@ -71,7 +74,7 @@ def test_params_rejects_uncontrolled_damping():
     # mu0*beta*exp(beta*M) must stay at or below one half
     with pytest.raises(ValueError):
         PerturbParams(
-            mu=0.1, mu0=0.2, alpha=0.5, beta=1.0, delta=0.5, K0=0.1, tau=1.0, M=2.0
+            mu=0.1, mu0=0.2, alpha=0.5, beta=1.0, delta=0.5, tau=1.0, M=2.0
         )
 
 
@@ -168,10 +171,10 @@ def test_admissible_region_cuts_deep_bump_deficit():
 # -- margin certificate ------------------------------------------------------
 
 
-def lemma35_margin(psi, p, spec, nodes, mode="up"):
-    """The margin check at ``p.K0`` with its own largest-coupling search."""
+def lemma35_margin(psi, p, spec, nodes, mode="up", k0=K0):
+    """The margin check at coupling ``k0`` with its own largest-coupling search."""
     pencil = margin_pencil(psi, p, spec, nodes, mode)
-    return pencil.report(p.K0, largest_couplings([pencil])[0])
+    return pencil.report(k0, largest_couplings([pencil])[0])
 
 
 @pytest.fixture(scope="module")
@@ -181,8 +184,8 @@ def margin_nodes():
 
 def test_margin_zero_mu_passes_exactly(margin_nodes):
     psi = parse_field("x1", 1)
-    p = good_params(mu=0.0, k0=0.0)
-    rep = lemma35_margin(psi, p, conformal_operator_spec(), margin_nodes)
+    p = good_params(mu=0.0)
+    rep = lemma35_margin(psi, p, conformal_operator_spec(), margin_nodes, k0=0.0)
     assert rep.passed
     assert rep.min_margin == 0.0
     assert rep.max_margin == 0.0
@@ -198,13 +201,11 @@ def test_margin_linear_field_yields_positive_coupling(margin_nodes):
     assert 0.35 < rep.k0_max < 0.45
     assert rep.node_count + rep.excluded_count == 400
 
-    at_max = dataclasses.replace(p, K0=0.9 * rep.k0_max)
     assert lemma35_margin(
-        psi, at_max, conformal_operator_spec(), margin_nodes
+        psi, p, conformal_operator_spec(), margin_nodes, k0=0.9 * rep.k0_max
     ).passed
-    beyond = dataclasses.replace(p, K0=1.1 * rep.k0_max)
     assert not lemma35_margin(
-        psi, beyond, conformal_operator_spec(), margin_nodes
+        psi, p, conformal_operator_spec(), margin_nodes, k0=1.1 * rep.k0_max
     ).passed
 
 

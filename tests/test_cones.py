@@ -16,10 +16,10 @@ from heisvisc.cones import (
     eigenvalues,
     elementary_symmetric,
     entries,
+    newton_values,
     shifted_trace_spec,
     spectrum,
     values_from_eigenvalues,
-    values_from_entries,
 )
 from heisvisc.gridio import problem_from_json
 from heisvisc.rng import stream
@@ -36,7 +36,7 @@ def eigs(M):
 
 
 def rho_of(spec, M):
-    return float(values_from_entries(spec, entries(np.asarray(M)[None]))[0])
+    return float(newton_values(spec, entries(np.asarray(M)[None]))[0][0])
 
 
 def code(spec, M):
@@ -189,7 +189,7 @@ def test_values_from_eigenvalues_matches_defining_value():
     ]:
         spec = ConeSpec(family, **kw)
         Ms = np.stack([random_symmetric(gen, 3) for _ in range(20)])
-        batch = values_from_entries(spec, entries(Ms))
+        batch = newton_values(spec, entries(Ms))[0]
         lams = eigenvalues(Ms)
         np.testing.assert_allclose(values_from_eigenvalues(spec, lams), batch, atol=1e-12)
 
@@ -288,7 +288,7 @@ def test_single_matrix_functions_agree_bit_for_bit_with_the_batch(spec):
     gen = stream(39)
     for d in (2, 3, 4):
         Ms = np.stack([random_symmetric(gen, d, scale=2.0) for _ in range(1000)])
-        rho = values_from_entries(spec, entries(Ms))
+        rho = newton_values(spec, entries(Ms))[0]
         codes = classify(spec, Ms)
         lams = eigenvalues(Ms)
         for i in range(Ms.shape[0]):

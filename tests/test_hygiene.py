@@ -1,9 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no function
 keeps a local or (at module level) a parameter it never reads, no public
 function or class of the package is there only for the tests, every
-eigenvalue the program computes and every JSON text it reads or writes
-comes from one place, the package runs on numpy alone, and the
-golden-file script still writes the goldens."""
+eigenvalue the program computes, every JSON text it reads or writes and
+the lattice discretisation come from one place each, the package runs on
+numpy alone, and the golden-file script still writes the goldens."""
 
 import ast
 import os
@@ -24,6 +24,18 @@ EIGEN_HOME = "src/heisvisc/cones.py"
 # the one JSON codec; the tests and perfbench encode and decode JSON freely
 JSON_HOME = "src/heisvisc/gridio.py"
 _JSON_CODEC = {"dump", "dumps", "load", "loads"}
+# the one lattice scheme (viscosity.GridOperator): these names are read
+# there and in the modules listed with them only; envelopes takes the
+# stencil for check_semiconvexity's Euclidean Hessian
+SCHEME_HOME = "viscosity"
+SCHEME_NAMES = {
+    "central_differences": {"fields", "envelopes"},
+    "contract_transpose": {"operators"},
+    "gradient_term_transpose": {"operators"},
+    "newton_gradient": {"cones"},
+    "newton_values": {"cones"},
+    "band_from_entries": {"cones"},
+}
 # gate 12 reads it; ROADMAP item 6 moves it into `heisvisc solve`
 TEST_ONLY_EXEMPT = {"perron.uniqueness_gap"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -268,6 +280,43 @@ def test_scan_sees_eigen_calls(tmp_path):
         "np.linalg.eigvalsh(a)\nscipy.linalg.eig(a)\nlinalg.eigvals(a)\nnp.linalg.norm(a)\n"
     )
     assert eigen_calls(src) == [(4, "eigh"), (5, "eigvalsh"), (6, "eig"), (7, "eigvals")]
+
+
+def scheme_reads(path):
+    """(line, name) of each name in ``SCHEME_NAMES`` a module reads by
+    import or as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SCHEME_NAMES:
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found |= {(node.lineno, a.name) for a in node.names if a.name in SCHEME_NAMES}
+    return sorted(found)
+
+
+def test_discretisation_lives_in_the_scheme_only():
+    package = ROOT / "src/heisvisc"
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for top in PROGRAM
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for line, name in scheme_reads(path)
+        if path.parent != package or path.stem not in {SCHEME_HOME} | SCHEME_NAMES[name]
+    ]
+    assert not found, "discretisation read outside viscosity.GridOperator:\n" + "\n".join(found)
+
+
+def test_scan_sees_scheme_reads(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from .cones import ConeSpec, newton_values\nfrom . import operators as ops\n"
+        "from .fields import (central_differences,\n    sample)\n"
+        "ops.contract_transpose(G)\nops.contract(G)\nnewton_gradient = 1\n"
+        "x.band_from_entries\n"
+    )
+    assert scheme_reads(src) == [(1, "newton_values"), (3, "central_differences"),
+                                 (5, "contract_transpose"), (8, "band_from_entries")]
 
 
 def json_calls(path):

@@ -3,20 +3,13 @@
 import numpy as np
 import pytest
 
-from heisvisc.cones import (
-    ConeSpec,
-    newton_gradient,
-    newton_values,
-    spectrum,
-    values_from_entries,
-)
+from heisvisc.cones import ConeSpec, newton_values, spectrum, values_from_eigenvalues
 from heisvisc.fields import Domain, GridField, parse_field, sample
 from heisvisc.operators import OperatorSpec, conformal_operator_spec
 from heisvisc.perron import (
     Problem,
     _bicgstab,
     _forcing,
-    _Stencil,
     boundary_bump,
     bracket_from_boundary,
     solve,
@@ -268,16 +261,14 @@ JACOBIAN_FIELDS = {
 def test_jacobian_matches_finite_differences(n, r, spec, cone):
     dom = Domain(np.array([[-0.5, 0.5]] * (2 * n + 1)))
     g = sample(parse_field(JACOBIAN_FIELDS[n], n), dom, (r,) * (2 * n + 1))
-    op = GridOperator(g, spec)
-    stencil = _Stencil(op)
-    F, p = op(g.values)
+    op = GridOperator(g, spec, cone)
+    F, p, rho, r0, _ = op.evaluate(g.values)
     # away from eigenvalue crossings, and inside the sigma_2 cone, where its
     # linearisation is the exact derivative of e_2
     lams = spectrum(F)
     assert np.diff(lams, axis=-1).min() > 0.1
     assert lams.min() > 0.1
-    rho, r0 = newton_values(cone, F)
-    J = stencil.jacobian(spec, newton_gradient(cone, F), g.values[op.inner], p)
+    J, _ = op.jacobian(F, g.values[op.inner], p)
     gen = np.random.default_rng(7)
     eps = 1e-6
     for _ in range(3):
@@ -288,10 +279,13 @@ def test_jacobian_matches_finite_differences(n, r, spec, cone):
             values[op.inner] += sign * eps * d
             moved.append(newton_values(cone, op(values)[0])[1])
         fd = (moved[0] - moved[1]) / (2.0 * eps)
-        err = np.abs(stencil.apply(J, d).reshape(d.shape) - fd).max()
+        err = np.abs(op.apply(J, d).reshape(d.shape) - fd).max()
         assert err <= 1e-6 * (1.0 + np.abs(fd).max())
     # rho is the defining value, and except for sigma_k r is rho itself
-    np.testing.assert_array_equal(rho, values_from_entries(cone, F))
+    if cone.family == "trace":
+        np.testing.assert_array_equal(rho, sum(F[i][i] for i in range(len(F))))
+    else:
+        np.testing.assert_array_equal(rho, values_from_eigenvalues(cone, lams))
     if cone.family != "sigma_k":
         np.testing.assert_array_equal(r0, rho)
 
@@ -304,16 +298,28 @@ def test_jacobian_keeps_only_offsets_that_carry_weight(n, r, offsets, pairs, tra
     # so their diagonal offsets drop; posdef weights every offset
     dom = Domain(np.array([[-0.5, 0.5]] * (2 * n + 1)))
     g = sample(parse_field(JACOBIAN_FIELDS[n], n), dom, (r,) * (2 * n + 1))
-    op = GridOperator(g, spec)
-    stencil = _Stencil(op)
-    assert len(stencil.pairs) == offsets
-    assert sum(map(len, stencil.pairs)) == pairs
-    F, p = op(g.values)
     for cone, kept in ((TRACE, trace_kept), (ConeSpec("posdef"), offsets)):
-        J = stencil.jacobian(spec, newton_gradient(cone, F), g.values[op.inner], p)
-        assert J.rows.shape == (kept, np.prod(op.shape))
-        assert J.neighbours.shape == J.rows.shape
-        assert np.abs(J.rows).max(axis=1).min() > 0.0
+        op = GridOperator(g, spec, cone)
+        F, p = op(g.values)
+        (rows, neighbours), _ = op.jacobian(F, g.values[op.inner], p)
+        assert len(op.pairs) == offsets
+        assert sum(map(len, op.pairs)) == pairs
+        assert rows.shape == (kept, np.prod(op.shape))
+        assert neighbours.shape == rows.shape
+        assert np.abs(rows).max(axis=1).min() > 0.0
+
+
+def test_classification_builds_no_gather_table(monkeypatch):
+    def refuse(op):
+        raise AssertionError("the offset table was built")
+
+    monkeypatch.setattr(GridOperator, "_build_table", refuse)
+    p = linear_problem(9)
+    c = classify_grid(p.sub, p.spec, p.cone)
+    assert c.count("Untestable") < p.sub.values.size
+    # a solve does build it
+    with pytest.raises(AssertionError, match="offset table"):
+        solve(p)
 
 
 # -- exact solutions beyond the linear trace problem ----------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from heisvisc.cones import ConeSpec, entries, values_from_entries
+from heisvisc.cones import ConeSpec, entries, newton_values
 from heisvisc.fields import Domain, GridField, parse_field, sample
 from heisvisc.operators import OperatorSpec, conformal_operator_spec, eval_F
 from heisvisc.rng import stream
@@ -93,7 +93,7 @@ def test_grid_verdict_matches_exact_jets_on_quadratics():
     cls = classify_grid(g, spec, cone, side="both")
     nodes = [(1, 1, 1), (3, 2, 4), (5, 5, 5), (2, 4, 3)]
     coords = g.coords_full()[tuple(np.array(nodes).T)]
-    rho_exact = values_from_entries(cone, entries(eval_F(spec, f, coords)[0]))
+    rho_exact = newton_values(cone, entries(eval_F(spec, f, coords)[0]))[0]
     for node, rho in zip(nodes, rho_exact):
         assert cls.rho[node] == pytest.approx(rho, abs=1e-9)
 
@@ -122,7 +122,7 @@ def test_grid_operator_matches_exact_frame_calculus(n, res, coefficients):
     }[coefficients]
     f = random_quadratic(stream(62, n), n)
     g = sample(f, Domain(np.array([[-1.0, 1.0]] * (2 * n + 1))), res)
-    op = GridOperator(g, spec, gradient=True)
+    op = GridOperator(g, spec, TRACE, gradient=True)
     F, p = op(g.values)
     m = 2 * n
     exact_F, exact_p = eval_F(spec, f, op.coords)
