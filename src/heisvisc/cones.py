@@ -344,8 +344,6 @@ class AxiomPlan:
     seed: int
     count: int = 1000
     dim: int = 2
-    scale: float = 2.0
-    interior_margin: float = 1e-3
 
 
 @dataclass
@@ -385,22 +383,28 @@ _SHIFT, _SCALE, _SHRINK, _EXPAND = _AXIOM_NAMES
 _REGION_NAMES = {1: "Interior", -1: "Exterior", 0: "Boundary"}
 _INTERIOR_TRIES = 80
 _FIRST_CHUNK = 64
+# a start is half of W + W^T times _SPREAD, its march along +I first steps
+# by _SPREAD, and the shift adds W2 W2^T plus a multiple of I in
+# [0.05, 0.5] * _SPREAD; a start is interior once
+# rho(A) > _INTERIOR_MARGIN * (1 + ||A||_F)
+_SPREAD = 2.0
+_INTERIOR_MARGIN = 1e-3
 
 
-def _march_to_interior(spec, W, scale, margin):
+def _march_to_interior(spec, W):
     """March a stack of random symmetric starts along +I into the interior.
 
     ``W`` holds the (n, d, d) normal draws of n starts.  Each start steps by
-    a growing multiple of I until rho(A) > margin * (1 + ||A||_F), at most
+    a growing multiple of I until rho(A) > _INTERIOR_MARGIN * (1 + ||A||_F), at most
     ``_INTERIOR_TRIES`` times.  The step sequence is shared, so every row
     ends where a march of that start alone would.  Returns the marched
     matrices and the mask of starts that got inside.
     """
     n, dim, _ = W.shape
-    A = 0.5 * (W + np.swapaxes(W, 1, 2)) * scale
+    A = 0.5 * (W + np.swapaxes(W, 1, 2)) * _SPREAD
     inside = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    step = max(1.0, scale)
+    step = _SPREAD
     eye = np.eye(dim)
     for _ in range(_INTERIOR_TRIES):
         if active.size == 0:
@@ -409,7 +413,7 @@ def _march_to_interior(spec, W, scale, margin):
         frob = np.sqrt(np.sum((X * X).reshape(active.size, -1), axis=1))
         # A, half of W + W^T scaled plus multiples of I, is exactly
         # symmetric, so its entry view goes to the spectrum unchecked
-        hit = newton_values(spec, X.transpose(1, 2, 0))[0] > margin * (1.0 + frob)
+        hit = newton_values(spec, X.transpose(1, 2, 0))[0] > _INTERIOR_MARGIN * (1.0 + frob)
         inside[active[hit]] = True
         active = active[~hit]
         A[active] += step * eye
@@ -417,16 +421,15 @@ def _march_to_interior(spec, W, scale, margin):
     return A, inside
 
 
-def _sample_interior(spec, plan, enabled):
+def _sample_interior(spec, plan):
     """Interior samples and their test parameters, in the stream's order.
 
     Sample by sample, the stream yields a start W and then, only if W
-    marches into the interior, the test parameters of each enabled
-    condition: W2 for the shift, then one uniform for the shift and one
-    per scaling condition.  A sample is drawn in two calls straight into
-    the run's arrays, one normal block (W, then W2 when the shift is
-    enabled) and one block of its m uniforms.  These give the same values
-    as the one-draw-at-a-time loop: consecutive normal draws are one normal
+    marches into the interior, W2 for the shift, one uniform for the shift
+    and one per scaling condition.  A sample is drawn in two calls straight
+    into the run's arrays, one normal block (W, then W2) and one block of
+    its four uniforms.  These give the same values as the
+    one-draw-at-a-time loop: consecutive normal draws are one normal
     block, ``standard_normal`` draws what ``normal`` draws at its default
     mean and scale, and ``uniform(a, b)`` is ``a + (b - a) * random()``.
     The parameters are then built from the blocks of the whole run in array
@@ -440,31 +443,29 @@ def _sample_interior(spec, plan, enabled):
     while the guess holds.
 
     Returns the (m, d, d) interior matrices, a dict of their test
-    parameters per enabled condition (shape (m, d, d) for the shift, (m,)
-    for a scaling condition), and the number of skipped samples.
+    parameters per condition (shape (m, d, d) for the shift, (m,) for a
+    scaling condition), and the number of skipped samples.
     """
     gen = stream(plan.seed)
     dim = plan.dim
-    blocks = 2 if _SHIFT in enabled else 1
-    uniforms = [name for name in _AXIOM_NAMES if name in enabled]
+    width = len(_AXIOM_NAMES)
 
     def draw(k):
-        normals = np.empty((k, blocks, dim, dim))
-        unif = np.empty((k, len(uniforms)))
+        normals = np.empty((k, 2, dim, dim))
+        unif = np.empty((k, width))
         for s in range(k):
             gen.standard_normal(out=normals[s])
             gen.random(out=unif[s])
         return normals, unif
 
     # per run: the interior matrices, their normal blocks and their uniforms
-    runs = [(np.empty((0, dim, dim)), np.empty((0, blocks, dim, dim)),
-             np.empty((0, len(uniforms))))]
+    runs = [(np.empty((0, dim, dim)), np.empty((0, 2, dim, dim)), np.empty((0, width)))]
     chunk, i, skipped = _FIRST_CHUNK, 0, 0
     while i < plan.count:
         k = min(chunk, plan.count - i)
         state = gen.bit_generator.state
         normals, unif = draw(k)
-        A, inside = _march_to_interior(spec, normals[:, 0], plan.scale, plan.interior_margin)
+        A, inside = _march_to_interior(spec, normals[:, 0])
         j = int(np.argmin(inside)) if not inside.all() else k
         runs.append((A[:j], normals[:j], unif[:j]))
         if j == k:
@@ -479,30 +480,28 @@ def _sample_interior(spec, plan, enabled):
         chunk = _FIRST_CHUNK
 
     A, normals, unif = (np.concatenate(part) for part in zip(*runs))
-    r = dict(zip(uniforms, unif.T))
-    tests = {}
-    if _SHIFT in enabled:
-        W = normals[:, 1]
-        scaled = (0.05 + (0.5 - 0.05) * r[_SHIFT]) * plan.scale
-        tests[_SHIFT] = W @ W.swapaxes(1, 2) + scaled[:, None, None] * np.eye(dim)
-    if _SCALE in enabled:
-        lo, hi = np.log(1e-3), np.log(1e3)
-        tests[_SCALE] = np.exp(lo + (hi - lo) * r[_SCALE])
-    if _SHRINK in enabled:
-        tests[_SHRINK] = 0.001 + (0.999 - 0.001) * r[_SHRINK]
-    if _EXPAND in enabled:
-        tests[_EXPAND] = 1.0 / (0.001 + (0.999 - 0.001) * r[_EXPAND])
+    r = dict(zip(_AXIOM_NAMES, unif.T))
+    W = normals[:, 1]
+    scaled = (0.05 + (0.5 - 0.05) * r[_SHIFT]) * _SPREAD
+    lo, hi = np.log(1e-3), np.log(1e3)
+    tests = {
+        _SHIFT: W @ W.swapaxes(1, 2) + scaled[:, None, None] * np.eye(dim),
+        _SCALE: np.exp(lo + (hi - lo) * r[_SCALE]),
+        _SHRINK: 0.001 + (0.999 - 0.001) * r[_SHRINK],
+        _EXPAND: 1.0 / (0.001 + (0.999 - 0.001) * r[_EXPAND]),
+    }
     return A, tests, skipped
 
 
-def check_axioms(spec, plan, conditions=_AXIOM_NAMES):
+def check_axioms(spec, plan):
     """Sample the structural axioms of an admissible set.
 
-    For matrices A strictly inside the set (sampled with a relative interior
-    margin so that boundary-band effects cannot contaminate the verdict):
+    For matrices A strictly inside the set (random symmetric starts of
+    spread 2 marched along +I until rho(A) > 1e-3 * (1 + ||A||_F), a
+    relative margin that keeps boundary-band effects out of the verdict):
 
     * stable_under_definite_shift : A + B stays interior for positive
-      definite B,
+      definite B = W2 W2^T + c I, c in [0.1, 1],
     * scale_invariant             : c*A stays interior for c in [1e-3, 1e3],
     * scale_invariant_shrink      : c*A stays interior for c in (0, 1),
     * scale_invariant_expand      : c*A stays interior for c > 1.
@@ -522,11 +521,8 @@ def check_axioms(spec, plan, conditions=_AXIOM_NAMES):
     sample.  This order is a contract: it fixes every count and witness in
     the reports, and the golden cones reports pin it.
     """
-    unknown = set(conditions) - set(_AXIOM_NAMES)
-    if unknown:
-        raise ValueError(f"unknown axiom conditions: {sorted(unknown)}")
-    A, tests, skipped = _sample_interior(spec, plan, set(conditions))
-    checks = {name: AxiomCondition(name, len(A), 0) for name in conditions}
+    A, tests, skipped = _sample_interior(spec, plan)
+    checks = {name: AxiomCondition(name, len(A), 0) for name in _AXIOM_NAMES}
     for name, cond in checks.items():
         if not len(A):
             break
@@ -544,12 +540,12 @@ def check_axioms(spec, plan, conditions=_AXIOM_NAMES):
                 "A": A[i].tolist(), key: params[i].tolist(), "tested": M[i].tolist(),
                 "classification": _REGION_NAMES[int(codes[i])],
             }
-    ordered = [checks[name] for name in conditions]
-    passed = all(c.passed for c in ordered) and skipped < plan.count
-    return AxiomReport(passed=passed, conditions=ordered, skipped=skipped)
+    conditions = list(checks.values())
+    passed = all(c.passed for c in conditions) and skipped < plan.count
+    return AxiomReport(passed=passed, conditions=conditions, skipped=skipped)
 
 
-def shifted_trace_spec(dim, offset=1.0):
-    """A deliberately non-conical set {tr M >= offset} for negative testing."""
-    expr = " + ".join(f"l{i + 1}" for i in range(dim)) + f" - {offset!r}"
+def shifted_trace_spec(dim):
+    """A deliberately non-conical set {tr M >= 1} for negative testing."""
+    expr = " + ".join(f"l{i + 1}" for i in range(dim)) + " - 1.0"
     return ConeSpec(family="spectral", g=expr)

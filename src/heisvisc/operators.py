@@ -15,7 +15,7 @@ gradient, and the grid operator (finite differences) and ``eval_F`` (exact
 jets of an analytic field) both call it; ``contract_transpose`` is its
 transpose, which the solver's Jacobian is built from; ``gradient_term`` is
 the one L, and ``gradient_term_transpose`` the transpose of its
-p-derivative.
+p-derivative, which both the solver's Jacobian and the structural gate read.
 The conformal pair: ``eval_A_psi`` is F with alpha = gamma = 1, beta = 1/2,
 and ``eval_A_u`` is the equivalent form in the substitution
 u = exp(-(Q-2) psi / 2), Q = 2n + 2, satisfying A^u = e^{2 psi} A[psi].
@@ -32,17 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import eigenvalues
-from .core import frame_t_coefficients, j_matrix
+from .core import frame_t_coefficients
 from .fields import AnalyticField
 from .rng import stream
 
 __all__ = [
     "OperatorSpec",
-    "StructuralBounds",
     "SamplePlan",
     "ConditionCheck",
     "StructuralReport",
-    "apply_J",
     "coefficient_values",
     "gradient_term",
     "gradient_term_transpose",
@@ -229,15 +227,6 @@ def _stacked(M):
     return np.stack([np.stack(row, axis=-1) for row in M], axis=-2)
 
 
-def apply_J(p):
-    """Rotate a horizontal vector by J: (p_x, p_y) -> (p_y, -p_x) blockwise."""
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1] % 2 != 0:
-        raise ValueError("horizontal vectors have even length 2n")
-    n = p.shape[-1] // 2
-    return np.concatenate([p[..., n:], -p[..., :n]], axis=-1)
-
-
 def eval_F(spec, field, points):
     """F[psi] and the horizontal gradient of an analytic field at ``points``.
 
@@ -296,38 +285,15 @@ def eval_A_u(jets, points):
 
 
 @dataclass(frozen=True)
-class StructuralBounds:
-    """Claimed constants for the growth/monotonicity/sign conditions."""
-
-    R: float
-    Lambda: float
-    theta_bar: float
-    C: float
-    m: float
-    beta0: float
-
-    def __post_init__(self):
-        for name in ("R", "Lambda", "theta_bar", "C", "beta0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SamplePlan:
     """Seeded sampling plan covering (xi, s-pair, p-annulus, theta)."""
 
     seed: int
     count: int = 2000
-    p_lo: float = 1e-3
-    p_hi: float = 10.0
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        if not (0 < self.p_lo < self.p_hi):
-            raise ValueError("need 0 < p_lo < p_hi")
 
 
 @dataclass
@@ -359,21 +325,20 @@ def _stacked_gradient_term(spec, coords, s, p):
     return _stacked(gradient_term(spec, coords, s, list(p.T)))
 
 
-def grad_p_L(spec, coords, s, p):
-    """Gradient of L in p as a (N, 2n, 2n, 2n) tensor, D[:, k] = dL/dp_k."""
-    a, b, g = coefficient_values(spec, coords, s)
-    nn = p.shape[-1]
-    E = np.eye(nn)
-    J = j_matrix(nn // 2)
-    Jp = apply_J(p)
-    term_a = np.einsum("ki,nj->nkij", E, p) + np.einsum("ni,kj->nkij", p, E)
-    term_g = np.einsum("ik,nj->nkij", J, Jp) + np.einsum("ni,jk->nkij", Jp, J)
-    term_b = np.einsum("nk,ij->nkij", p, E)
-    return (
-        a[:, None, None, None] * term_a
-        - g[:, None, None, None] * term_g
-        - 2.0 * b[:, None, None, None] * term_b
-    )
+def _p_gradient_norm(spec, coords, s, p):
+    """Frobenius norm of dL/dp at samples p (N, 2n), shape (N,).
+
+    Read from :func:`gradient_term_transpose`: with G the unit symmetric
+    matrix of the pair i <= j, q = dL_ij/dp, doubled when i != j.  Each
+    pair is one row of G's leading axis, so one call reads them all.
+    """
+    m = p.shape[-1]
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    G = [[np.array([[float({a, b} == {i, j})] for i, j in pairs]) for b in range(m)]
+         for a in range(m)]
+    weight = np.array([[1.0 if i == j else 0.5] for i, j in pairs])
+    q = gradient_term_transpose(spec, coords, s, list(p.T), G)
+    return np.sqrt(sum((weight * qk * qk).sum(axis=0) for qk in q))
 
 
 def grad_xi_L(spec, coords, s, p):
@@ -408,12 +373,19 @@ def _witness(idx, coords, s1, s2, p, theta, margin):
     }
 
 
-def check_structural(spec, bounds, box, plan):
+# the gate's constants (check_structural gives their roles), met by the
+# constant-coefficient specs the solver accepts on boxes of radius up to two
+_R, _P_LO, _P_HI, _THETA_BAR = 2.0, 1e-3, 10.0, 0.04
+_C, _M, _LAMBDA, _BETA0 = 6.0, 2.0, 1.0, 0.25
+
+
+def check_structural(spec, box, plan):
     """Sample the structural conditions on a box and report margins.
 
     Conditions checked (matrix inequalities as smallest-eigenvalue margins,
     scalar inequalities as slacks; a sample passes when margin >= -tol with
-    tol = 1e-8 * (1 + magnitude scale)):
+    tol = 1e-8 * (1 + magnitude scale)), with C = 6, m = 2, Lambda = 1 and
+    theta in [0, 0.04]:
 
     - xi_gradient_bound:   |grad_xi L| <= C |p|^m
     - p_gradient_bound:    |grad_p L| <= C |p|
@@ -425,36 +397,38 @@ def check_structural(spec, bounds, box, plan):
     - euler_excess_lower_bound (mirror with >= and flipped theta signs)
     - coefficient_sign_structure: one of the three sign branches holds
 
-    Which euler-excess side is required follows the sign branch: positive
-    beta requires the upper bound, negative beta the lower, and the
-    constant-coefficient gamma == 0 branch requires neither.
+    |grad_p L| is read from :func:`gradient_term_transpose`, the
+    p-derivative the solver's Jacobian uses, and the Euler excess
+    p.grad_p L - L is L itself, L being 2-homogeneous in p.  Samples take
+    s <= s' in [-2, 2] and |p| log-uniform in [1e-3, 10].  Which
+    euler-excess side is required follows the sign branch: beta >= 0.25
+    (and gamma >= 0) requires the upper bound, beta <= -0.25 (and
+    gamma <= 0) the lower, and the constant-coefficient gamma == 0 branch
+    neither.
     """
     gen = stream(plan.seed, 101)
     N = plan.count
     nn = 2 * box.n
-    C, m = bounds.C, bounds.m
 
     coords = box.sample_points(gen, N)
-    s_pair = np.sort(gen.uniform(-bounds.R, bounds.R, size=(N, 2)), axis=1)
+    s_pair = np.sort(gen.uniform(-_R, _R, size=(N, 2)), axis=1)
     s1, s2 = s_pair[:, 0], s_pair[:, 1]
     direction = gen.normal(size=(N, nn))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    radius = np.exp(gen.uniform(np.log(plan.p_lo), np.log(plan.p_hi), size=N))
+    radius = np.exp(gen.uniform(np.log(_P_LO), np.log(_P_HI), size=N))
     p = direction * radius[:, None]
-    theta = gen.uniform(0.0, bounds.theta_bar, size=N)
+    theta = gen.uniform(0.0, _THETA_BAR, size=N)
 
     pn = np.linalg.norm(p, axis=1)
-    pm = pn**m
+    pm = pn**_M
     eye = np.eye(nn)
     pp = np.einsum("ni,nj->nij", p, p)
 
     L1 = _stacked_gradient_term(spec, coords, s1, p)
     L2 = _stacked_gradient_term(spec, coords, s2, p)
-    Dp = grad_p_L(spec, coords, s1, p)
+    norm_Dp = _p_gradient_norm(spec, coords, s1, p)
     Dxi = grad_xi_L(spec, coords, s1, p)
-    norm_Dp = np.sqrt(np.einsum("nkij->n", Dp**2))
     norm_Dxi = np.sqrt(np.einsum("naij->n", Dxi**2))
-    pDp = np.einsum("nk,nkij->nij", p, Dp)
 
     conditions = []
 
@@ -476,18 +450,18 @@ def check_structural(spec, bounds, box, plan):
         )
 
     # scalar growth bounds
-    add("xi_gradient_bound", C * pm - norm_Dxi, pm + norm_Dxi, True)
-    add("p_gradient_bound", C * pn - norm_Dp, pn + norm_Dp, True)
+    add("xi_gradient_bound", _C * pm - norm_Dxi, pm + norm_Dxi, True)
+    add("p_gradient_bound", _C * pn - norm_Dp, pn + norm_Dp, True)
 
     # monotonicity and growth in s
     diff = L2 - L1
     diff_scale = np.abs(diff).reshape(N, -1).max(axis=1)
     add("monotone_in_s", _min_eig(diff), diff_scale, True)
-    upper = (C * (s2 - s1) * pm)[:, None, None] * eye - diff
+    upper = (_C * (s2 - s1) * pm)[:, None, None] * eye - diff
     add(
         "s_growth_bound",
         _min_eig(upper),
-        diff_scale + C * (s2 - s1) * pm,
+        diff_scale + _C * (s2 - s1) * pm,
         True,
     )
 
@@ -496,8 +470,8 @@ def check_structural(spec, bounds, box, plan):
     _, b2, g2 = coefficient_values(spec, coords, s2)
     balls = np.concatenate([b1, b2])
     galls = np.concatenate([g1, g2])
-    branch_pos = min(balls.min() - bounds.beta0, galls.min())
-    branch_neg = min(-balls.max() - bounds.beta0, -galls.max())
+    branch_pos = min(balls.min() - _BETA0, galls.min())
+    branch_neg = min(-balls.max() - _BETA0, -galls.max())
     const_ab = isinstance(spec.alpha, float) and isinstance(spec.beta, float)
     branch_zero = 0.0 if (const_ab and np.abs(galls).max() == 0.0) else -np.inf
     branches = {"positive": branch_pos, "negative": branch_neg, "constant": branch_zero}
@@ -510,10 +484,10 @@ def check_structural(spec, bounds, box, plan):
     )
 
     # euler excess bounds; the required side follows the branch
-    excess = pDp - L1
-    theta_term = (theta * bounds.Lambda * norm_Dp)[:, None, None] * eye
+    excess = L1   # p.grad_p L - L, as L is 2-homogeneous in p
+    theta_term = (theta * _LAMBDA * norm_Dp)[:, None, None] * eye
     theta_eye = theta[:, None, None] * eye
-    rhs_up = C * pp - (pm / C)[:, None, None] * eye
+    rhs_up = _C * pp - (pm / _C)[:, None, None] * eye
     up_scale = np.abs(rhs_up).reshape(N, -1).max(axis=1) + np.abs(excess).reshape(
         N, -1
     ).max(axis=1)

@@ -24,11 +24,10 @@ import numpy as np
 from .cones import ConeSpec
 from .fields import (AnalyticField, Const, Domain, GridField, coordinate_names, parse_field,
                      sample)
-from .operators import OperatorSpec, SamplePlan, StructuralBounds, check_structural
+from .operators import OperatorSpec, SamplePlan, check_structural
 from .viscosity import GridOperator
 
 __all__ = [
-    "DEFAULT_BOUNDS",
     "Problem",
     "SolveResult",
     "UniquenessReport",
@@ -37,12 +36,6 @@ __all__ = [
     "solve",
     "uniqueness_gap",
 ]
-
-# growth/sign constants satisfied by the constant-coefficient specs the
-# solver accepts, on boxes of radius up to two
-DEFAULT_BOUNDS = StructuralBounds(
-    R=2.0, Lambda=1.0, theta_bar=0.04, C=6.0, m=2.0, beta0=0.25
-)
 
 _GATE_PLAN = SamplePlan(seed=2357, count=400)
 _BOUNDARY_AGREE_TOL = 1e-10
@@ -78,10 +71,13 @@ def bracket_from_boundary(g, domain, res, scale):
 class Problem:
     """A solver instance: operator, admissible set, boundary data, bracket.
 
-    Validated at construction: the bracket is ordered and agrees with the
-    boundary data on the boundary ring, the coefficients are constant
-    (the solver path does not handle coefficient fields), and the
-    operator passes the structural gate for ``DEFAULT_BOUNDS``.
+    Validated at construction, each failure refused with a ValueError
+    that names it: both bracket fields are finite (the first non-finite
+    node is named), the bracket is ordered, it agrees with the boundary
+    data on the boundary ring to 1e-10 (a NaN gap is refused too), the
+    coefficients are constant (the solver path does not handle coefficient
+    fields), and the operator passes the structural gate
+    (:func:`~heisvisc.operators.check_structural`, 400 samples).
     """
 
     spec: OperatorSpec
@@ -94,21 +90,27 @@ class Problem:
         sub, sup = self.sub, self.sup
         if sub.n != sup.n or sub.res != sup.res or not np.array_equal(sub.box, sup.box):
             raise ValueError("fields live on different lattices")
+        for side, g in (("lower", sub), ("upper", sup)):
+            bad = ~np.isfinite(g.values)
+            if bad.any():
+                node = np.unravel_index(np.argmax(bad), bad.shape)
+                raise ValueError(f"{side} bracket is not finite at node "
+                                 f"{tuple(map(int, node))}: {float(g.values[node])}")
         if not (self.sub.values <= self.sup.values).all():
             raise ValueError("lower bracket exceeds upper bracket at some node")
         bmask = self.sub.boundary_mask()
         gap = np.abs(self.sub.values[bmask] - self.sup.values[bmask]).max()
-        if gap > _BOUNDARY_AGREE_TOL:
+        if not gap <= _BOUNDARY_AGREE_TOL:
             raise ValueError(f"bracket fields differ by {gap:.3e} on the boundary")
         bdata = self.boundary(self.sub.coords_full()[bmask])
         data_gap = np.abs(bdata - self.sub.values[bmask]).max()
-        if data_gap > _BOUNDARY_AGREE_TOL:
+        if not data_gap <= _BOUNDARY_AGREE_TOL:
             raise ValueError(
                 f"boundary data differs from the bracket by {data_gap:.3e} on the boundary"
             )
         if not self.spec.is_constant:
             raise ValueError("the solver path requires constant coefficients")
-        report = check_structural(self.spec, DEFAULT_BOUNDS, self.domain, _GATE_PLAN)
+        report = check_structural(self.spec, self.domain, _GATE_PLAN)
         if not report.passed:
             failing = [c.name for c in report.conditions if c.required and not c.passed]
             raise ValueError(f"operator fails the structural gate: {failing}")

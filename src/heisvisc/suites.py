@@ -42,7 +42,6 @@ from .operators import (
     eval_A_u,
     eval_F,
 )
-from .perron import DEFAULT_BOUNDS
 from .rng import stream
 from .viscosity import key_lemma_certificate
 
@@ -403,9 +402,7 @@ def suite_structural(seed, count=2000):
     checks = []
     dom = Domain(_BOX1.copy())
 
-    rep = check_structural(
-        conformal_operator_spec(), DEFAULT_BOUNDS, dom, SamplePlan(seed=seed + 41, count=count)
-    )
+    rep = check_structural(conformal_operator_spec(), dom, SamplePlan(seed=seed + 41, count=count))
     bad = sum(1 for c in rep.conditions if c.required and not c.passed)
     checks.append(
         CheckOutcome(
@@ -417,7 +414,7 @@ def suite_structural(seed, count=2000):
     falling = OperatorSpec(
         alpha=parse_field("0.0 - s", 1, extra_vars=("s",)), beta=0.5, gamma=1.0
     )
-    rep = check_structural(falling, DEFAULT_BOUNDS, dom, SamplePlan(seed=seed + 42, count=count))
+    rep = check_structural(falling, dom, SamplePlan(seed=seed + 42, count=count))
     witness = next((c.witness for c in rep.conditions if not c.passed and c.witness), None)
     caught = (not rep.passed) and witness is not None
     failing = [c.name for c in rep.conditions if c.required and not c.passed]

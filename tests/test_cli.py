@@ -279,6 +279,21 @@ def test_solve_refuses_a_tolerance_it_could_never_meet(capsys, tmp_path, tol):
     assert not (out_dir / "solution.csv").exists()
 
 
+def test_solve_refuses_a_bracket_that_overflows(capsys, tmp_path):
+    # exp(800) is inf, so the bracket is inf on the face x1 = 1
+    data = json.loads(write_problem(tmp_path, boundary="exp(800*x1)").read_text())
+    data["resolution"] = [5, 5, 5]
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(data))
+    out_dir = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, "solve", "--problem", str(p), "--out-dir", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == "error: lower bracket is not finite at node (4, 0, 0): inf\n"
+    assert not out_dir.exists()
+
+
 def test_solve_missing_problem_field_exits_2(capsys, tmp_path):
     data = json.loads(write_problem(tmp_path).read_text())
     del data["cone"]

@@ -341,7 +341,7 @@ def test_axioms_dimension_three():
 
 
 def test_shifted_trace_set_is_not_a_cone():
-    spec = shifted_trace_spec(2, offset=1.0)
+    spec = shifted_trace_spec(2)
     report = check_axioms(spec, AxiomPlan(seed=43, count=400, dim=2))
     assert not report.passed
     shrink = report.condition("scale_invariant_shrink")
@@ -359,8 +359,6 @@ def test_axiom_report_lookup_and_unknown_condition():
     assert report.condition("scale_invariant").passed
     with pytest.raises(KeyError):
         report.condition("nope")
-    with pytest.raises(ValueError):
-        check_axioms(ConeSpec("trace"), AxiomPlan(seed=44, count=10), conditions=("bogus",))
 
 
 def _state(gen):
@@ -435,30 +433,26 @@ def _report_dict(report):
                            for c in report.conditions]}
 
 
-def _scalar_check_axioms(spec, plan, conditions=_CONDITIONS):
+def _scalar_check_axioms(spec, plan):
     gen = stream(plan.seed)
     checks = {name: {"name": name, "checked": 0, "violations": 0, "witness": None}
-              for name in conditions}
+              for name in _CONDITIONS}
     skipped = 0
     for _ in range(plan.count):
-        A = _scalar_interior(spec, gen, plan.dim, plan.scale, plan.interior_margin)
+        A = _scalar_interior(spec, gen, plan.dim, 2.0, 1e-3)
         if A is None:
             skipped += 1
             continue
-        if "stable_under_definite_shift" in checks:
-            W = gen.normal(size=(plan.dim, plan.dim))
-            B = W @ W.T + gen.uniform(0.05, 0.5) * plan.scale * np.eye(plan.dim)
-            _scalar_record(checks["stable_under_definite_shift"], spec, A + B, {"A": A, "B": B})
-        if "scale_invariant" in checks:
-            c = float(np.exp(gen.uniform(np.log(1e-3), np.log(1e3))))
-            _scalar_record(checks["scale_invariant"], spec, c * A, {"A": A, "c": c})
-        if "scale_invariant_shrink" in checks:
-            c = float(gen.uniform(0.001, 0.999))
-            _scalar_record(checks["scale_invariant_shrink"], spec, c * A, {"A": A, "c": c})
-        if "scale_invariant_expand" in checks:
-            c = 1.0 / float(gen.uniform(0.001, 0.999))
-            _scalar_record(checks["scale_invariant_expand"], spec, c * A, {"A": A, "c": c})
-    ordered = [checks[name] for name in conditions]
+        W = gen.normal(size=(plan.dim, plan.dim))
+        B = W @ W.T + gen.uniform(0.05, 0.5) * 2.0 * np.eye(plan.dim)
+        _scalar_record(checks["stable_under_definite_shift"], spec, A + B, {"A": A, "B": B})
+        c = float(np.exp(gen.uniform(np.log(1e-3), np.log(1e3))))
+        _scalar_record(checks["scale_invariant"], spec, c * A, {"A": A, "c": c})
+        c = float(gen.uniform(0.001, 0.999))
+        _scalar_record(checks["scale_invariant_shrink"], spec, c * A, {"A": A, "c": c})
+        c = 1.0 / float(gen.uniform(0.001, 0.999))
+        _scalar_record(checks["scale_invariant_expand"], spec, c * A, {"A": A, "c": c})
+    ordered = list(checks.values())
     for c in ordered:
         c["passed"] = c["violations"] == 0
     passed = all(c["passed"] for c in ordered) and skipped < plan.count
@@ -498,24 +492,6 @@ def test_check_axioms_matches_scalar_sampler_when_every_sample_skips():
     report = check_axioms(spec, plan)
     assert report.skipped == plan.count and not report.passed
     assert _report_dict(report) == _scalar_check_axioms(spec, plan)
-
-
-def test_check_axioms_matches_scalar_sampler_with_no_conditions():
-    # no shift block and no uniforms: each sample draws only its start
-    spec = ConeSpec("spectral", g="l1 - l2 + 1")
-    plan = AxiomPlan(seed=60, count=150, dim=2)
-    report = check_axioms(spec, plan, conditions=())
-    assert 0 < report.skipped < plan.count
-    assert _report_dict(report) == _scalar_check_axioms(spec, plan, conditions=())
-
-
-def test_check_axioms_matches_scalar_sampler_on_condition_subset():
-    spec = shifted_trace_spec(2)
-    plan = AxiomPlan(seed=59, count=200, dim=2)
-    subset = ("scale_invariant_expand", "scale_invariant_shrink")
-    report = check_axioms(spec, plan, conditions=subset)
-    assert [c.name for c in report.conditions] == list(subset)
-    assert _report_dict(report) == _scalar_check_axioms(spec, plan, conditions=subset)
 
 
 # -- spec validation and JSON --------------------------------------------------------

@@ -4,13 +4,11 @@ conformal covariance, and the structural-condition sampler."""
 import numpy as np
 import pytest
 
-from heisvisc.core import j_matrix
 from heisvisc.fields import AnalyticField, Const, Domain, exp_of, parse_field
 from heisvisc.operators import (
     OperatorSpec,
     SamplePlan,
-    StructuralBounds,
-    apply_J,
+    _p_gradient_norm,
     check_structural,
     coefficient_values,
     conformal_operator_spec,
@@ -19,7 +17,6 @@ from heisvisc.operators import (
     eval_A_psi,
     eval_A_u,
     eval_F,
-    grad_p_L,
     grad_xi_L,
     frame_terms,
     gradient_term,
@@ -80,32 +77,6 @@ def test_contract_transpose_is_the_adjoint_of_contract(n):
     rhs = rhs + sum(cg[a] * grad[a] for a in range(d))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.abs(lhs).max())
     assert contract_transpose(G, frame_terms(coords)[0])[1] is None
-
-
-# -- apply_J ------------------------------------------------------------------
-
-
-def test_apply_j_examples():
-    np.testing.assert_allclose(apply_J([1.0, 0.0]), [0.0, -1.0])
-    np.testing.assert_allclose(apply_J([0.0, 1.0]), [1.0, 0.0])
-    np.testing.assert_allclose(apply_J([1.0, 2.0, 3.0, 4.0]), [3.0, 4.0, -1.0, -2.0])
-
-
-def test_apply_j_matches_matrix_and_is_rotation():
-    gen = stream(11)
-    for n in (1, 2, 3):
-        J = j_matrix(n)
-        for _ in range(20):
-            p = gen.normal(size=2 * n)
-            Jp = apply_J(p)
-            np.testing.assert_allclose(Jp, J @ p, atol=1e-15)
-            assert abs(p @ Jp) < 1e-12  # J rotates out of the p direction
-            np.testing.assert_allclose(apply_J(Jp), -p, atol=1e-15)
-
-
-def test_apply_j_rejects_odd_length():
-    with pytest.raises(ValueError):
-        apply_J([1.0, 2.0, 3.0])
 
 
 # -- the gradient term L ------------------------------------------------------
@@ -286,38 +257,41 @@ def test_coeff_values_batch_broadcasts_constants():
     np.testing.assert_allclose(b, -1.0)
 
 
-def test_grad_p_l_batch_against_finite_differences():
-    gen = stream(10)
-    for n in (1, 2):
-        spec = OperatorSpec(alpha=0.9, beta=-0.4, gamma=1.1)
-        coords = gen.uniform(-1, 1, size=(6, 2 * n + 1))
-        s = gen.uniform(-1, 1, size=6)
-        p = gen.normal(size=(6, 2 * n))
-        D = grad_p_L(spec, coords, s, p)
-        h = 1e-6
-        for k in range(2 * n):
-            e = np.zeros(2 * n)
-            e[k] = h
-            fd = (L_stack(spec, coords, s, p + e) - L_stack(spec, coords, s, p - e)) / (
-                2 * h
-            )
-            assert np.abs(D[:, k] - fd).max() < 1e-6
+def fd_grad_p_L(spec, coords, s, p, h=1e-6):
+    """dL/dp_k by central differences, as an (N, 2n, 2n, 2n) stack indexed [:, k]."""
+    m = p.shape[-1]
+    return np.stack([(L_stack(spec, coords, s, p + h * e) - L_stack(spec, coords, s, p - h * e))
+                     / (2 * h) for e in np.eye(m)], axis=1)
 
 
-def test_gradient_term_transpose_contracts_grad_p_l():
-    # q_k = sum_ij G_ij dL_ij/dp_k for a symmetric G, without the 4-tensor
-    gen = stream(11)
-    for n in (1, 2):
-        m = 2 * n
-        spec = OperatorSpec(alpha=parse_field("0.9 + 0.1*x1", n), beta=-0.4, gamma=1.1)
-        coords = gen.uniform(-1, 1, size=(6, m + 1))
-        s = gen.uniform(-1, 1, size=6)
-        p = gen.normal(size=(6, m))
-        G = gen.normal(size=(m, m, 6))
-        G = G + G.transpose(1, 0, 2)
-        q = gradient_term_transpose(spec, coords, s, list(p.T), G)
-        expected = np.einsum("ijn,nkij->kn", G, grad_p_L(spec, coords, s, p))
-        np.testing.assert_allclose(np.array(q), expected, rtol=1e-13, atol=1e-13)
+def field_spec(n):
+    return OperatorSpec(alpha=parse_field("0.9 + 0.1*x1", n), beta=-0.4, gamma=1.1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gradient_term_transpose_against_finite_differences(n):
+    # q_k = sum_ij G_ij dL_ij/dp_k for a symmetric G
+    gen = stream(11, n)
+    m = 2 * n
+    coords = gen.uniform(-1, 1, size=(6, m + 1))
+    s = gen.uniform(-1, 1, size=6)
+    p = gen.normal(size=(6, m))
+    G = gen.normal(size=(m, m, 6))
+    G = G + G.transpose(1, 0, 2)
+    q = gradient_term_transpose(field_spec(n), coords, s, list(p.T), G)
+    fd = np.einsum("ijn,nkij->kn", G, fd_grad_p_L(field_spec(n), coords, s, p))
+    np.testing.assert_allclose(np.array(q), fd, rtol=1e-7, atol=1e-7)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_p_gradient_norm_against_finite_differences(n):
+    gen = stream(10, n)
+    coords = gen.uniform(-1, 1, size=(6, 2 * n + 1))
+    s = gen.uniform(-1, 1, size=6)
+    p = gen.normal(size=(6, 2 * n))
+    fd = fd_grad_p_L(field_spec(n), coords, s, p)
+    np.testing.assert_allclose(_p_gradient_norm(field_spec(n), coords, s, p),
+                               np.sqrt((fd**2).sum(axis=(1, 2, 3))), rtol=1e-7)
 
 
 def test_grad_xi_l_batch_against_finite_differences():
@@ -342,27 +316,26 @@ def test_grad_xi_l_batch_against_finite_differences():
 
 
 def test_euler_identity_for_quadratic_family():
-    # L is 2-homogeneous in p, so p . grad_p L = 2 L
+    # L is 2-homogeneous in p, so p . grad_p L = 2 L: on the transpose,
+    # p . q(G) = 2 <G, L> for every symmetric G
     gen = stream(13)
     spec = OperatorSpec(alpha=1.3, beta=0.7, gamma=-0.2)
     coords = gen.uniform(-1, 1, size=(30, 5))
     s = gen.uniform(-1, 1, size=30)
     p = gen.normal(size=(30, 4))
-    D = grad_p_L(spec, coords, s, p)
-    pDp = np.einsum("nk,nkij->nij", p, D)
-    np.testing.assert_allclose(pDp, 2.0 * L_stack(spec, coords, s, p), atol=1e-12)
+    G = gen.normal(size=(4, 4, 30))
+    G = G + G.transpose(1, 0, 2)
+    q = np.array(gradient_term_transpose(spec, coords, s, list(p.T), G))
+    GL = np.einsum("ijn,nij->n", G, L_stack(spec, coords, s, p))
+    np.testing.assert_allclose(np.einsum("kn,nk->n", q, p), 2.0 * GL, atol=1e-12)
 
 
 # -- structural conditions -----------------------------------------------------
 
-BOUNDS = StructuralBounds(R=2.0, Lambda=1.0, theta_bar=0.04, C=6.0, m=2.0, beta0=0.25)
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_structural_conformal_spec_passes(n):
-    report = check_structural(
-        conformal_operator_spec(), BOUNDS, box_domain(n), SamplePlan(seed=21, count=1500)
-    )
+    report = check_structural(conformal_operator_spec(), box_domain(n),
+                              SamplePlan(seed=21, count=1500))
     assert report.passed
     assert report.branch == "positive"
     assert report.condition("euler_excess_upper_bound").required
@@ -375,7 +348,7 @@ def test_structural_decreasing_alpha_fails_monotonicity():
     spec = OperatorSpec(
         alpha=parse_field("0.0 - s", 1, extra_vars=("s",)), beta=0.5, gamma=1.0
     )
-    report = check_structural(spec, BOUNDS, box_domain(1), SamplePlan(seed=22, count=800))
+    report = check_structural(spec, box_domain(1), SamplePlan(seed=22, count=800))
     assert not report.passed
     cond = report.condition("monotone_in_s")
     assert not cond.passed
@@ -395,7 +368,7 @@ def test_structural_decreasing_alpha_fails_monotonicity():
 
 def test_structural_negative_branch():
     spec = OperatorSpec(alpha=0.0, beta=-1.0, gamma=0.0)
-    report = check_structural(spec, BOUNDS, box_domain(1), SamplePlan(seed=23, count=1000))
+    report = check_structural(spec, box_domain(1), SamplePlan(seed=23, count=1000))
     assert report.passed
     assert report.branch == "negative"
     assert report.condition("euler_excess_lower_bound").required
@@ -404,7 +377,7 @@ def test_structural_negative_branch():
 
 def test_structural_constant_branch_zero_gamma():
     spec = OperatorSpec(alpha=1.0, beta=0.05, gamma=0.0)
-    report = check_structural(spec, BOUNDS, box_domain(1), SamplePlan(seed=24, count=500))
+    report = check_structural(spec, box_domain(1), SamplePlan(seed=24, count=500))
     # beta below beta0 on both sides, so only the constant-coefficient branch fits
     assert report.branch == "constant"
     assert not report.condition("euler_excess_upper_bound").required

@@ -94,6 +94,29 @@ def test_problem_rejects_wrong_boundary_data():
         Problem(spec=ZERO, cone=TRACE, boundary=other, sub=p.sub, sup=p.sup)
 
 
+@pytest.mark.parametrize("bad", [-np.inf, np.nan], ids=["minus_inf", "nan"])
+def test_problem_rejects_non_finite_interior_node(bad):
+    # -inf keeps the bracket ordered and NaN fails the order test, so each
+    # must be refused for what it is before either ordering check
+    p = linear_problem(r=5)
+    low = p.sub.copy()
+    low.values[2, 1, 3] = bad
+    with pytest.raises(ValueError, match=r"lower bracket is not finite at node \(2, 1, 3\)"):
+        Problem(spec=ZERO, cone=TRACE, boundary=X1, sub=low, sup=p.sup)
+    with pytest.raises(ValueError, match=r"upper bracket is not finite at node \(2, 1, 3\)"):
+        Problem(spec=ZERO, cone=TRACE, boundary=X1, sub=p.sub, sup=low)
+
+
+def test_problem_rejects_boundary_data_that_is_nan():
+    # inf - inf on the face x1 = 1: the ring gap is NaN, which compares
+    # false against any tolerance
+    zero = sample(parse_field("0.0", 1), Domain(BOX1), (5, 5, 5))
+    nan_data = parse_field("exp(800*x1) - exp(800*x1)", 1)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="boundary data differs from the bracket by nan"):
+        Problem(spec=ZERO, cone=TRACE, boundary=nan_data, sub=zero, sup=zero.copy())
+
+
 def test_problem_rejects_coefficient_fields():
     p = linear_problem()
     varying = OperatorSpec(alpha=parse_field("x1", 1), beta=0.0, gamma=0.0)
