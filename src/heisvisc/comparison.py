@@ -15,6 +15,16 @@ components under face adjacency (nodes one lattice step apart along one
 axis); each component is named by its smallest flat (C-order) index, and
 the report lists them in that order, the order in which a raster scan
 first meets them.
+
+The perturbation is the one of the paper's Lemma 3.5,
+psi +- mu*(exp(alpha*|z|^2) + exp(-beta*psi) - tau), under fixed
+constants: alpha = 0.1, beta = 3, M = 1/2 (the bound on |psi|),
+mu0 = 0.45/(beta*exp(beta*M)), mu = mu0/2, delta = 1/2 and tau = 1.  They
+were found by a parameter search on [-1, 1]^3 and meet the lemma's
+hypotheses 0 < mu < mu0, 0 < alpha < 1, beta > 0, 0 < delta < 1, M > 0 and
+mu0*beta*exp(beta*M) <= 1/2.  The lemma35 suite, the one program that
+builds the perturbation, certifies it at these values and no other, so
+they are module constants rather than settings.
 """
 
 from __future__ import annotations
@@ -30,8 +40,6 @@ from .operators import eval_F
 from .viscosity import classify_grid
 
 __all__ = [
-    "PerturbParams",
-    "PerturbationReport",
     "TouchingComponent",
     "TouchingReport",
     "perturb_up",
@@ -44,66 +52,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PerturbParams:
-    """Constants steering the exponential perturbation family.
-
-    ``mu`` is the actual perturbation size, ``mu0`` its admissible ceiling.
-    ``alpha`` shapes the radial factor exp(alpha*|z|^2), ``beta`` the
-    solution-dependent factor exp(-beta*psi), and ``tau`` recenters the
-    bump.  ``M`` bounds |psi| on the working region and ``delta`` widens the
-    region where the bump is required to stay nonnegative.
-    """
-
-    mu: float
-    mu0: float
-    alpha: float
-    beta: float
-    delta: float
-    tau: float
-    M: float
-
-    def __post_init__(self):
-        for name in ("mu", "mu0", "alpha", "beta", "delta", "tau", "M"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not 0.0 <= self.mu < self.mu0:
-            raise ValueError(f"need 0 <= mu < mu0, got mu={self.mu}, mu0={self.mu0}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"need 0 < alpha < 1, got {self.alpha}")
-        if self.beta <= 0.0:
-            raise ValueError(f"need beta > 0, got {self.beta}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"need 0 < delta < 1, got {self.delta}")
-        if self.M <= 0.0:
-            raise ValueError(f"need M > 0, got {self.M}")
-        # exp(beta*M) dominates sup exp(-beta*psi) whenever |psi| <= M
-        cap = self.mu0 * self.beta * math.exp(self.beta * self.M)
-        if cap > 0.5:
-            raise ValueError(
-                f"mu0*beta*exp(beta*M) = {cap:.6g} exceeds 1/2; shrink mu0 or beta"
-            )
+# the Lemma 3.5 constants (see the module docstring)
+_ALPHA, _BETA, _M = 0.1, 3.0, 0.5
+_MU0 = 0.45 / (_BETA * math.exp(_BETA * _M))
+_MU = 0.5 * _MU0
+_DELTA, _TAU = 0.5, 1.0
 
 
-def _bump_node(psi, p):
+def _bump_node(psi):
     # exp(alpha*|z|^2) + exp(-beta*psi) - tau as a syntax tree over psi's vars
-    radial = exp_of(Const(p.alpha) * z_norm_sq(psi.n))
-    damped = exp_of(Const(-p.beta) * psi.root)
-    return radial + damped - Const(p.tau)
+    radial = exp_of(Const(_ALPHA) * z_norm_sq(psi.n))
+    damped = exp_of(Const(-_BETA) * psi.root)
+    return radial + damped - Const(_TAU)
 
 
-def perturb_up(psi, p):
+def perturb_up(psi):
     """psi + mu*(exp(alpha*|z|^2) + exp(-beta*psi) - tau) as an exact field."""
-    root = psi.root + Const(p.mu) * _bump_node(psi, p)
+    root = psi.root + Const(_MU) * _bump_node(psi)
     return AnalyticField(root, psi.n, psi.extra_vars)
 
 
-def perturb_down(psi, p):
+def perturb_down(psi):
     """Mirror of :func:`perturb_up`: the bump is subtracted instead."""
-    root = psi.root - Const(p.mu) * _bump_node(psi, p)
+    root = psi.root - Const(_MU) * _bump_node(psi)
     return AnalyticField(root, psi.n, psi.extra_vars)
 
 
-def admissible_region_mask(psi, p, nodes):
+def admissible_region_mask(psi, nodes):
     """Boolean mask of nodes where the margin check applies.
 
     Keeps the nodes with |psi| <= M whose bump value sits above -delta;
@@ -113,38 +88,17 @@ def admissible_region_mask(psi, p, nodes):
     vals = np.atleast_1d(np.asarray(psi(nodes), dtype=float))
     n = psi.n
     z_sq = np.square(nodes[..., : 2 * n]).sum(axis=-1)
-    bump = np.exp(p.alpha * z_sq) + np.exp(-p.beta * vals) - p.tau
-    return (np.abs(vals) <= p.M) & (bump >= -p.delta)
+    bump = np.exp(_ALPHA * z_sq) + np.exp(-_BETA * vals) - _TAU
+    return (np.abs(vals) <= _M) & (bump >= -_DELTA)
 
 
-@dataclass
-class PerturbationReport:
-    """Outcome of the node-wise operator-control check.
-
-    ``passed`` refers to the caller's K0; ``k0_max`` is the largest
-    coupling constant that still passes (None when mu == 0 makes the
-    margin independent of it).
-    """
-
-    mode: str
-    mu: float
-    k0: float
-    passed: bool
-    k0_max: float | None
-    min_margin: float
-    max_margin: float
-    tol: float
-    node_count: int
-    excluded_count: int
-
-
-def _margin_matrices(psi, p, spec, nodes, mode):
+def _margin_matrices(psi, spec, nodes, mode):
     """Per-node pencil (A, B): the margin at coupling c is lambda_min(A - mu*c*B)."""
-    tilde = perturb_up(psi, p) if mode == "up" else perturb_down(psi, p)
+    tilde = perturb_up(psi) if mode == "up" else perturb_down(psi)
     sign = 1.0 if mode == "up" else -1.0
     F, g = eval_F(spec, psi, nodes)
     F_tilde, _ = eval_F(spec, tilde, nodes)
-    weight = 1.0 - sign * p.mu * p.beta * np.exp(-p.beta * psi(nodes))
+    weight = 1.0 - sign * _MU * _BETA * np.exp(-_BETA * psi(nodes))
     A = sign * (F_tilde - weight[..., None, None] * F)
     growth = 1.0 + np.sum(g * g, axis=-1) ** (spec.m / 2.0)
     B = growth[:, None, None] * np.eye(g.shape[-1]) + g[:, :, None] * g[:, None, :]
@@ -157,12 +111,11 @@ class MarginPencil:
 
     ``A`` and ``B`` are the per-node pencil in entry view (entry (i, j) of
     every node's matrix at once): the margin at coupling constant c is
-    lambda_min(A - mu*c*B), node by node.  ``tol`` is the slack a passing
-    margin may fall below zero.
+    lambda_min(A - mu*c*B), node by node, with mu the module's perturbation
+    size.  ``tol`` is the slack a passing margin may fall below zero.
     """
 
     mode: str
-    mu: float
     A: np.ndarray
     B: np.ndarray
     tol: float
@@ -171,26 +124,10 @@ class MarginPencil:
 
     def margins(self, c):
         """Per-node margins at coupling constant ``c``."""
-        return spectrum(self.A - (self.mu * c) * self.B)[:, 0]
-
-    def report(self, K0, k0_max):
-        """The check at coupling ``K0``, with ``k0_max`` from :func:`largest_couplings`."""
-        at_k0 = self.margins(K0)
-        return PerturbationReport(
-            mode=self.mode,
-            mu=self.mu,
-            k0=float(K0),
-            passed=bool(float(at_k0.min()) >= -self.tol),
-            k0_max=k0_max,
-            min_margin=float(at_k0.min()),
-            max_margin=float(at_k0.max()),
-            tol=self.tol,
-            node_count=self.node_count,
-            excluded_count=self.excluded_count,
-        )
+        return spectrum(self.A - (_MU * c) * self.B)[:, 0]
 
 
-def margin_pencil(psi, p, spec, nodes, mode="up"):
+def margin_pencil(psi, spec, nodes, mode="up"):
     """Build the operator-control check of the perturbed field on sampled nodes.
 
     For ``mode="up"`` the check is that the operator of the raised field
@@ -199,7 +136,7 @@ def margin_pencil(psi, p, spec, nodes, mode="up"):
     grad_H psi x grad_H psi); ``mode="down"`` mirrors the inequality for
     the lowered field.  Nodes outside the admissible region are dropped;
     an empty remainder is an error, not a vacuous pass.  The pencil answers
-    for every coupling constant K0 (see :meth:`MarginPencil.report` and
+    for every coupling constant K0 (see :meth:`MarginPencil.margins` and
     :func:`largest_couplings`).
 
     The symmetry of A and B is checked once, not at each coupling tried.
@@ -214,44 +151,42 @@ def margin_pencil(psi, p, spec, nodes, mode="up"):
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim == 1:
         nodes = nodes[None, :]
-    keep = admissible_region_mask(psi, p, nodes)
+    keep = admissible_region_mask(psi, nodes)
     excluded = int((~keep).sum())
     nodes = nodes[keep]
     if nodes.shape[0] == 0:
         raise ValueError("no nodes fall in the admissible region {|psi|<=M, bump>=-delta}")
 
-    A, B = _margin_matrices(psi, p, spec, nodes, mode)
+    A, B = _margin_matrices(psi, spec, nodes, mode)
     tol = 1e-8 * (1.0 + float(np.abs(A).max(initial=0.0)))
-    return MarginPencil(mode=mode, mu=p.mu, A=entries(A), B=entries(B), tol=float(tol),
+    return MarginPencil(mode=mode, A=entries(A), B=entries(B), tol=float(tol),
                         node_count=int(nodes.shape[0]), excluded_count=excluded)
 
 
 def largest_couplings(pencils):
     """The largest passing coupling constant of each pencil, searched in lockstep.
 
-    A pencil with mu == 0 gets None (its margin does not depend on the
-    coupling), one that fails at c = 0 gets 0.0.  Each other pencil doubles
-    c from 1 while its least margin passes (stopping past 1e12), then
-    bisects [0, c] 60 times and gets the last passing midpoint.  Every
-    pencil runs its own search with its own ``lo``/``hi``, so it tries the
-    couplings it would try alone and gets the same value bit for bit; but
-    one step tries each pencil's next coupling in a single
-    :func:`heisvisc.cones.spectrum` call over all their nodes, and a pencil
-    whose search is over keeps riding along until the last one ends.
+    A pencil that fails at c = 0 gets 0.0.  Each other pencil doubles c
+    from 1 while its least margin passes (stopping past 1e12), then bisects
+    [0, c] 60 times and gets the last passing midpoint.  Every pencil runs
+    its own search with its own ``lo``/``hi``, so it tries the couplings it
+    would try alone and gets the same value bit for bit; but one step tries
+    each pencil's next coupling in a single :func:`heisvisc.cones.spectrum`
+    call over all their nodes, and a pencil whose search is over keeps
+    riding along until the last one ends.
     """
     A = np.concatenate([pc.A for pc in pencils], axis=-1)
     B = np.concatenate([pc.B for pc in pencils], axis=-1)
     sizes = [pc.node_count for pc in pencils]
     case = np.repeat(np.arange(len(pencils)), sizes)
     starts = np.cumsum([0] + sizes[:-1])
-    mu = np.array([pc.mu for pc in pencils])
     tol = np.array([pc.tol for pc in pencils])
 
     def least(c):
         # each pencil's least margin at its own coupling c[i]
-        return np.minimum.reduceat(spectrum(A - (mu * c)[case] * B)[:, 0], starts)
+        return np.minimum.reduceat(spectrum(A - (_MU * c)[case] * B)[:, 0], starts)
 
-    searching = (mu != 0.0) & ~(least(np.zeros(len(pencils))) < -tol)
+    searching = ~(least(np.zeros(len(pencils))) < -tol)
     lo, hi = np.zeros(len(pencils)), np.ones(len(pencils))
     doubling = searching.copy()
     left = np.where(searching, 60, 0)
@@ -264,7 +199,7 @@ def largest_couplings(pencils):
         left -= bisecting
         hi = np.where(doubling & ok, 2.0 * hi, hi)
         doubling &= ok & (hi <= 1e12)
-    return [None if m == 0.0 else float(x) for m, x in zip(mu, lo)]
+    return [float(x) for x in lo]
 
 
 @dataclass

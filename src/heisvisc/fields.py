@@ -504,7 +504,9 @@ class AnalyticField:
         return env
 
     def __call__(self, at, **extra):
-        out = self.root.evaluate(self._env_from_coords(at, extra))
+        # an overflow gives inf (or NaN), which the callers refuse by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.root.evaluate(self._env_from_coords(at, extra))
         out = np.asarray(out, dtype=float)
         return float(out) if out.ndim == 0 else out
 
@@ -687,8 +689,10 @@ def sample(f, domain, res, **extra):
         if name not in extra:
             raise ValueError(f"missing value for extra variable {name!r}")
         env[name] = extra[name]
-    values = np.broadcast_to(np.asarray(f.root.evaluate(env), dtype=float), res).copy()
-    mask = _kink_mask(f.root, env, res)
+    # an overflow gives inf (or NaN), which the callers refuse by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.broadcast_to(np.asarray(f.root.evaluate(env), dtype=float), res).copy()
+        mask = _kink_mask(f.root, env, res)
     return GridField(f.n, domain.box.copy(), values, mask)
 
 

@@ -8,8 +8,9 @@ The four formats differ only in their comments and columns:
 
 - grid: `# n=`, `# box=`, `# res=`; indices, coordinates, value; one row per
   node in C order.  `read_grid_csv(write_grid_csv(g)) == g` exactly.  The
-  reader refuses, naming the data row, an index outside the lattice, a
-  repeated node, and coordinates off the header's lattice node.
+  reader refuses, naming the data row, a cell that is not a number, an
+  index outside the lattice, a repeated node, and coordinates off the
+  header's lattice node; a header that does not parse is refused by name.
 - witness: `# res=`, `# eps=`, `# mode=`; `node,witness` as flat C-order
   indices.
 - classification: `# side=`, `# res=`; `node,tag,margin`.
@@ -80,22 +81,24 @@ def write_grid_csv(g, path):
     _write_csv(path, comments, _grid_columns(g.n), rows)
 
 
-def _parse_header(lines, name):
+def _parse_header(lines, name, convert):
     prefix = f"# {name}="
     for ln in lines:
         if ln.startswith(prefix):
-            return ln[len(prefix):].strip()
+            try:
+                return convert(ln[len(prefix):].strip())
+            except ValueError as e:
+                raise ValueError(f"grid CSV: '{prefix}' header: {e}") from None
     raise ValueError(f"grid CSV: missing '{prefix}' header")
 
 
 def read_grid_csv(path):
     """Rebuild the GridField written by write_grid_csv (bit-exact)."""
     lines = Path(path).read_text().splitlines()
-    n = int(_parse_header(lines, "n"))
-    box = np.array(
-        [[float(e) for e in span.split("..")] for span in _parse_header(lines, "box").split(",")]
-    )
-    res = tuple(int(r) for r in _parse_header(lines, "res").split(","))
+    n = _parse_header(lines, "n", int)
+    box = _parse_header(lines, "box", lambda text: np.array(
+        [[float(e) for e in span.split("..")] for span in text.split(",")]))
+    res = _parse_header(lines, "res", lambda text: tuple(int(r) for r in text.split(",")))
     d = 2 * n + 1
     if box.shape != (d, 2) or len(res) != d:
         raise ValueError("grid CSV: box/res headers inconsistent with n")
@@ -112,9 +115,12 @@ def read_grid_csv(path):
         parts = ln.split(",")
         if len(parts) != len(expected):
             raise ValueError(f"grid CSV: data row {k + 1}: expected {len(expected)} columns")
-        index.extend(map(int, parts[:d]))
-        coords[k] = list(map(float, parts[d:2 * d]))
-        flat[k] = float(parts[-1])
+        try:
+            index.extend(map(int, parts[:d]))
+            coords[k] = list(map(float, parts[d:2 * d]))
+            flat[k] = float(parts[-1])
+        except ValueError as e:
+            raise ValueError(f"grid CSV: data row {k + 1}: {e}") from None
     index = np.array(index, dtype=np.int64).reshape(count, d)
     # every node exactly once: an unchecked index would wrap (-1), raise
     # IndexError (>= res) or leave another node unset (a repeat)

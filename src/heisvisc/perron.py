@@ -252,11 +252,15 @@ def solve(problem, tol=1e-10, max_iter=100, start="sub"):
     nodes, and the solve has converged when it is below ``tol``.  That
     residual bottoms out at exactly 0, so ``tol`` must be a positive finite
     number; any other value raises ``ValueError``.  ``max_iter`` counts
-    Newton steps.  Starting from the lower bracket or the upper one and
-    comparing is the numerical uniqueness check.
+    Newton steps and must not be negative (0 evaluates the start only).
+    Starting from the lower bracket or the upper one and comparing is the
+    numerical uniqueness check.
     """
     if not (tol > 0.0 and np.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be a non-negative number of Newton steps, "
+                         f"got {max_iter!r}")
     if start not in ("sub", "super"):
         raise ValueError(f"start must be 'sub' or 'super', got {start!r}")
     if any(r < 3 for r in problem.res):

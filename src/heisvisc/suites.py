@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .comparison import PerturbParams, largest_couplings, margin_pencil
+from .comparison import largest_couplings, margin_pencil
 from .cones import AxiomPlan, ConeSpec, check_axioms, shifted_trace_spec
 from .core import dilate, dist, frame_t_coefficients, gauge, group_inv, group_mul, j_matrix
 from .envelopes import (
@@ -49,10 +49,6 @@ __all__ = ["CheckOutcome", "SuiteReport", "SUITE_NAMES", "envelope_fixtures", "r
            "report_json"]
 
 _BOX1 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
-
-# per-check constants shared with the test suite
-_PERTURB_ALPHA, _PERTURB_BETA, _PERTURB_M = 0.1, 3.0, 0.5
-_PERTURB_MU0 = 0.45 / (_PERTURB_BETA * math.exp(_PERTURB_BETA * _PERTURB_M))
 
 
 @dataclass
@@ -434,10 +430,6 @@ def suite_structural(seed, count=2000):
 
 def suite_lemma35(seed, count=400):
     spec = conformal_operator_spec()
-    p = PerturbParams(
-        mu=0.5 * _PERTURB_MU0, mu0=_PERTURB_MU0, alpha=_PERTURB_ALPHA,
-        beta=_PERTURB_BETA, delta=0.5, tau=1.0, M=_PERTURB_M,
-    )
     fixtures = [
         ("linear", parse_field("0.4*x1", 1)),
         ("polynomial", parse_field("0.2*x1*x1 - 0.15*y1 + 0.1*x1*t", 1)),
@@ -447,10 +439,10 @@ def suite_lemma35(seed, count=400):
         nodes = stream(seed, stream_id=51 + i).uniform(-1.0, 1.0, size=(count, 3))
         for mode in ("up", "down"):
             names.append(f"{tag}_{mode}_gain")
-            pencils.append(margin_pencil(psi, p, spec, nodes, mode=mode))
+            pencils.append(margin_pencil(psi, spec, nodes, mode=mode))
     checks = []
     for name, pencil, k0 in zip(names, pencils, largest_couplings(pencils)):
-        if k0 is None or k0 <= 0.0:
+        if k0 <= 0.0:
             checks.append(
                 CheckOutcome(
                     name=name, passed=False, checked=pencil.node_count, error=1.0, tol=0.0,
@@ -458,16 +450,9 @@ def suite_lemma35(seed, count=400):
                 )
             )
             continue
-        rep = pencil.report(0.5 * k0, k0)
-        checks.append(
-            CheckOutcome(
-                name=name,
-                passed=rep.passed and rep.min_margin >= -1e-8,
-                checked=int(rep.node_count),
-                error=float(max(0.0, -rep.min_margin)), tol=1e-8,
-                detail={"k0_max": float(k0), "k0_tested": float(0.5 * k0)},
-            )
-        )
+        least = float(pencil.margins(0.5 * k0).min())
+        checks.append(_outcome(name, pencil.node_count, max(0.0, -least), 1e-8,
+                               detail={"k0_max": k0, "k0_tested": 0.5 * k0}))
     return SuiteReport("lemma35", seed, all(c.passed for c in checks), checks)
 
 

@@ -2,6 +2,10 @@
 outputs, determinism, and the config plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from heisvisc.fields import Domain, parse_field, sample
 from heisvisc.gridio import read_grid_csv, write_grid_csv
 
 BOX1 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -279,18 +284,33 @@ def test_solve_refuses_a_tolerance_it_could_never_meet(capsys, tmp_path, tol):
     assert not (out_dir / "solution.csv").exists()
 
 
-def test_solve_refuses_a_bracket_that_overflows(capsys, tmp_path):
+def test_solve_refuses_a_negative_step_count(capsys, tmp_path):
+    prob = write_problem(tmp_path)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "solve", "--problem", str(prob), "--out-dir", str(out_dir),
+                         "--max-iter", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_iter must be a non-negative number of Newton steps, got -1\n"
+    assert not (out_dir / "solution.csv").exists()
+
+
+def test_solve_refuses_a_bracket_that_overflows(tmp_path):
     # exp(800) is inf, so the bracket is inf on the face x1 = 1
     data = json.loads(write_problem(tmp_path, boundary="exp(800*x1)").read_text())
     data["resolution"] = [5, 5, 5]
     p = tmp_path / "overflow.json"
     p.write_text(json.dumps(data))
     out_dir = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        code, out, err = run(capsys, "solve", "--problem", str(p), "--out-dir", str(out_dir))
-    assert code == 2
-    assert out == ""
-    assert err == "error: lower bracket is not finite at node (4, 0, 0): inf\n"
+    # numpy's overflow warning goes to the real stderr, which capsys does
+    # not see once pytest has taken the warning, so the CLI runs on its own
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "heisvisc", "solve", "--problem", str(p),
+                           "--out-dir", str(out_dir)], capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: lower bracket is not finite at node (4, 0, 0): inf\n"
     assert not out_dir.exists()
 
 

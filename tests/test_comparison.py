@@ -1,7 +1,6 @@
 """Tests for the perturbation family, its margin certificate, and the
 touching harness."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +9,14 @@ import sympy as sp
 from scipy import ndimage
 
 from heisvisc.comparison import (
+    _ALPHA,
+    _BETA,
+    _DELTA,
+    _M,
+    _MU,
+    _MU0,
+    _TAU,
     MarginPencil,
-    PerturbParams,
     _components,
     admissible_region_mask,
     largest_couplings,
@@ -28,82 +33,39 @@ from heisvisc.rng import stream
 
 BOX1 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
 
-# constants found by parameter search; the gain inequality holds on
-# [-1,1]^3 for |psi| <= 1/2 with margin to spare
-ALPHA, BETA, M_BOUND = 0.1, 3.0, 0.5
-MU0 = 0.45 / (BETA * math.exp(BETA * M_BOUND))
-
-
 K0 = 0.05   # the coupling constant the margin checks are taken at
 
 
-def good_params(mu=0.5 * MU0, tau=1.0):
-    return PerturbParams(
-        mu=mu, mu0=MU0, alpha=ALPHA, beta=BETA, delta=0.5, tau=tau, M=M_BOUND
-    )
+# -- the Lemma 3.5 constants -------------------------------------------------
 
 
-# -- parameter validation ----------------------------------------------------
-
-
-def test_params_accepts_valid_and_zero_mu():
-    good_params()
-    good_params(mu=0.0)
-
-
-def test_params_rejects_mu_at_or_above_ceiling():
-    with pytest.raises(ValueError):
-        good_params(mu=MU0)
-    with pytest.raises(ValueError):
-        good_params(mu=-0.01)
-
-
-def test_params_rejects_flat_or_steep_radial_shape():
-    with pytest.raises(ValueError):
-        dataclasses.replace(good_params(), alpha=1.0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(good_params(), alpha=0.0)
-
-
-def test_params_rejects_wide_region_slack():
-    with pytest.raises(ValueError):
-        dataclasses.replace(good_params(), delta=1.0)
-
-
-def test_params_rejects_uncontrolled_damping():
-    # mu0*beta*exp(beta*M) must stay at or below one half
-    with pytest.raises(ValueError):
-        PerturbParams(
-            mu=0.1, mu0=0.2, alpha=0.5, beta=1.0, delta=0.5, tau=1.0, M=2.0
-        )
+def test_constants_meet_the_lemma_hypotheses():
+    assert 0.0 < _MU < _MU0
+    assert 0.0 < _ALPHA < 1.0
+    assert _BETA > 0.0
+    assert 0.0 < _DELTA < 1.0
+    assert _M > 0.0
+    # exp(beta*M) dominates sup exp(-beta*psi) whenever |psi| <= M
+    assert _MU0 * _BETA * math.exp(_BETA * _M) <= 0.5
+    assert _MU == 0.5 * 0.45 / (3.0 * math.exp(3.0 * 0.5))
 
 
 # -- the perturbation family -------------------------------------------------
 
 
-def test_zero_mu_leaves_field_unchanged():
-    psi = parse_field("0.3*x1*x1 - y1 + 0.2*t", 1)
-    p = good_params(mu=0.0)
-    up = perturb_up(psi, p)
-    pts = Domain(BOX1).sample_points(stream(3), 50)
-    np.testing.assert_array_equal(up(pts), psi(pts))
-
-
-def test_zero_field_with_tau_two_gives_centered_bump():
+def test_zero_field_gives_radial_bump():
+    # exp(-beta*0) = 1 = tau, so only the radial factor is left
     psi = parse_field("0.0", 1)
-    p = good_params(tau=2.0)
-    up = perturb_up(psi, p)
+    up = perturb_up(psi)
     pts = Domain(BOX1).sample_points(stream(4), 60)
     z_sq = np.square(pts[:, :2]).sum(axis=1)
-    expected = p.mu * (np.exp(p.alpha * z_sq) - 1.0)
-    np.testing.assert_allclose(up(pts), expected, rtol=1e-14, atol=1e-16)
+    np.testing.assert_allclose(up(pts), _MU * np.exp(_ALPHA * z_sq), rtol=1e-14, atol=1e-16)
 
 
 def test_lowered_field_is_reflection_through_original():
     psi = parse_field("x1*y1 + 0.5*t", 1)
-    p = good_params()
-    up = perturb_up(psi, p)
-    down = perturb_down(psi, p)
+    up = perturb_up(psi)
+    down = perturb_down(psi)
     pts = Domain(BOX1).sample_points(stream(5), 60)
     np.testing.assert_allclose(
         down(pts), 2.0 * psi(pts) - up(pts), rtol=1e-13, atol=1e-15
@@ -112,30 +74,28 @@ def test_lowered_field_is_reflection_through_original():
 
 def test_lowered_field_sits_below_where_bump_positive():
     psi = parse_field("x1", 1)
-    p = good_params(tau=1.0)
-    down = perturb_down(psi, p)
+    down = perturb_down(psi)
     pts = Domain(BOX1).sample_points(stream(6), 60)
     # exp(alpha|z|^2) >= 1 and exp(-beta x1) > 0, so the bump beats tau = 1
     assert np.all(down(pts) < psi(pts))
 
 
 def test_raised_field_dominates_when_tau_small_enough():
+    # tau = 1 is small enough: the bump beats it wherever exp(alpha|z|^2) >= 1
     psi = parse_field("0.2*x1 - 0.1*y1", 1)
-    p = good_params(tau=0.0)
-    up = perturb_up(psi, p)
+    up = perturb_up(psi)
     pts = Domain(BOX1).sample_points(stream(7), 60)
     assert np.all(up(pts) > psi(pts))
 
 
 def test_perturbed_jets_match_symbolic_oracle():
-    p = good_params()
     psi = parse_field("0.4*x1*x1 - 0.3*y1*t", 1)
-    up = perturb_up(psi, p)
+    up = perturb_up(psi)
 
     x1, y1, t = sp.symbols("x1 y1 t")
     base = sp.Rational(2, 5) * x1**2 - sp.Rational(3, 10) * y1 * t
-    expr = base + p.mu * (
-        sp.exp(p.alpha * (x1**2 + y1**2)) + sp.exp(-p.beta * base) - p.tau
+    expr = base + _MU * (
+        sp.exp(_ALPHA * (x1**2 + y1**2)) + sp.exp(-_BETA * base) - _TAU
     )
     syms = (x1, y1, t)
     at = np.array([0.4, -0.7, 0.3])
@@ -154,27 +114,22 @@ def test_perturbed_jets_match_symbolic_oracle():
 
 def test_admissible_region_cuts_large_values():
     psi = parse_field("x1", 1)
-    p = good_params()
     pts = Domain(BOX1).sample_points(stream(8), 200)
-    mask = admissible_region_mask(psi, p, pts)
-    np.testing.assert_array_equal(mask, np.abs(pts[:, 0]) <= p.M)
-
-
-def test_admissible_region_cuts_deep_bump_deficit():
-    # tau far above the bump's range pushes every node out of the region
-    psi = parse_field("0.0", 1)
-    p = good_params(tau=1e6)
-    pts = Domain(BOX1).sample_points(stream(9), 50)
-    assert not admissible_region_mask(psi, p, pts).any()
+    mask = admissible_region_mask(psi, pts)
+    np.testing.assert_array_equal(mask, np.abs(pts[:, 0]) <= _M)
 
 
 # -- margin certificate ------------------------------------------------------
 
 
-def lemma35_margin(psi, p, spec, nodes, mode="up", k0=K0):
-    """The margin check at coupling ``k0`` with its own largest-coupling search."""
-    pencil = margin_pencil(psi, p, spec, nodes, mode)
-    return pencil.report(k0, largest_couplings([pencil])[0])
+def lemma35_margin(psi, spec, nodes, mode="up"):
+    """The pencil and its largest passing coupling, searched on its own."""
+    pencil = margin_pencil(psi, spec, nodes, mode)
+    return pencil, largest_couplings([pencil])[0]
+
+
+def passes(pencil, k0):
+    return float(pencil.margins(k0).min()) >= -pencil.tol
 
 
 @pytest.fixture(scope="module")
@@ -182,82 +137,45 @@ def margin_nodes():
     return Domain(BOX1).sample_points(stream(7), 400)
 
 
-def test_margin_zero_mu_passes_exactly(margin_nodes):
-    psi = parse_field("x1", 1)
-    p = good_params(mu=0.0)
-    rep = lemma35_margin(psi, p, conformal_operator_spec(), margin_nodes, k0=0.0)
-    assert rep.passed
-    assert rep.min_margin == 0.0
-    assert rep.max_margin == 0.0
-    assert rep.k0_max is None
-
-
 def test_margin_linear_field_yields_positive_coupling(margin_nodes):
     psi = parse_field("x1", 1)
-    p = good_params()
-    rep = lemma35_margin(psi, p, conformal_operator_spec(), margin_nodes)
-    assert rep.passed
-    assert rep.min_margin > 0.0
-    assert 0.35 < rep.k0_max < 0.45
-    assert rep.node_count + rep.excluded_count == 400
+    pencil, k0_max = lemma35_margin(psi, conformal_operator_spec(), margin_nodes)
+    assert passes(pencil, K0)
+    assert pencil.margins(K0).min() > 0.0
+    assert 0.35 < k0_max < 0.45
+    assert pencil.node_count + pencil.excluded_count == 400
 
-    assert lemma35_margin(
-        psi, p, conformal_operator_spec(), margin_nodes, k0=0.9 * rep.k0_max
-    ).passed
-    assert not lemma35_margin(
-        psi, p, conformal_operator_spec(), margin_nodes, k0=1.1 * rep.k0_max
-    ).passed
+    assert passes(pencil, 0.9 * k0_max)
+    assert not passes(pencil, 1.1 * k0_max)
 
 
 def test_margin_mirrored_for_lowered_field(margin_nodes):
     psi = parse_field("x1", 1)
-    p = good_params()
-    rep = lemma35_margin(
-        psi, p, conformal_operator_spec(), margin_nodes, mode="down"
-    )
-    assert rep.passed
-    assert rep.min_margin > 0.0
-    assert rep.k0_max > 0.35
+    pencil, k0_max = lemma35_margin(psi, conformal_operator_spec(), margin_nodes, mode="down")
+    assert passes(pencil, K0)
+    assert pencil.margins(K0).min() > 0.0
+    assert k0_max > 0.35
 
 
 def test_margin_polynomial_field(margin_nodes):
     psi = parse_field("0.2*x1*x1 - 0.15*y1 + 0.1*x1*t", 1)
-    p = good_params()
-    rep = lemma35_margin(psi, p, conformal_operator_spec(), margin_nodes)
-    assert rep.passed
-    assert rep.k0_max > 0.1
-    assert rep.excluded_count == 0
-
-
-def test_margin_coupling_grows_as_mu_shrinks(margin_nodes):
-    psi = parse_field("0.2*x1*x1 - 0.15*y1 + 0.1*x1*t", 1)
-    spec = conformal_operator_spec()
-    nodes = margin_nodes[:150]
-    k0s = []
-    for frac in (0.9, 0.45, 0.1):
-        p = good_params(mu=frac * MU0)
-        k0s.append(lemma35_margin(psi, p, spec, nodes).k0_max)
-    assert k0s[0] <= k0s[1] + 1e-12 <= k0s[2] + 2e-12
+    pencil, k0_max = lemma35_margin(psi, conformal_operator_spec(), margin_nodes)
+    assert passes(pencil, K0)
+    assert k0_max > 0.1
+    assert pencil.excluded_count == 0
 
 
 def test_margin_empty_region_is_an_error():
     psi = parse_field("x1", 1)
-    p = good_params()
     far = np.array([[0.9, 0.0, 0.0], [0.95, 0.2, -0.1]])
     with pytest.raises(ValueError, match="admissible"):
-        lemma35_margin(psi, p, conformal_operator_spec(), far)
+        margin_pencil(psi, conformal_operator_spec(), far)
 
 
 def test_margin_rejects_unknown_mode(margin_nodes):
     with pytest.raises(ValueError, match="mode"):
-        lemma35_margin(
-            parse_field("x1", 1),
-            good_params(),
-            conformal_operator_spec(),
-            margin_nodes,
-            mode="sideways",
-        )
-
+        margin_pencil(parse_field("x1", 1), conformal_operator_spec(), margin_nodes,
+                      mode="sideways")
 
 
 def _one_pencil_search(pencil):
@@ -265,8 +183,6 @@ def _one_pencil_search(pencil):
     def least(c):
         return float(pencil.margins(c).min())
 
-    if pencil.mu == 0.0:
-        return None, 0
     if least(0.0) < -pencil.tol:
         return 0.0, 0
     hi, doublings = 1.0, 0
@@ -285,14 +201,14 @@ def _one_pencil_search(pencil):
     return lo, doublings
 
 
-def _diagonal_pencil(floors, mu, slope=1.0):
-    # A = diag(f, f + 1) and B = slope * I at each node: the margin at c is
-    # f - mu*c*slope, so k0_max is min(floors) / (mu*slope) up to bisection
+def _diagonal_pencil(floors, slope=1.0):
+    # A = diag(f, f + 1) and B = (slope/mu) * I at each node: the margin at
+    # c is f - c*slope, so k0_max is min(floors) / slope up to bisection
     floors = np.asarray(floors, dtype=float)
     A = np.zeros((floors.size, 2, 2))
     A[:, 0, 0], A[:, 1, 1] = floors, floors + 1.0
-    B = slope * np.broadcast_to(np.eye(2), A.shape)
-    return MarginPencil(mode="up", mu=mu, A=entries(A), B=entries(B), tol=1e-8,
+    B = (slope / _MU) * np.broadcast_to(np.eye(2), A.shape)
+    return MarginPencil(mode="up", A=entries(A), B=entries(B), tol=1e-8,
                         node_count=floors.size, excluded_count=0)
 
 
@@ -300,21 +216,19 @@ def test_lockstep_search_matches_one_pencil_at_a_time(margin_nodes):
     spec = conformal_operator_spec()
     psi = parse_field("0.2*x1*x1 - 0.15*y1 + 0.1*x1*t", 1)
     pencils = [
-        margin_pencil(psi, good_params(), spec, margin_nodes),
-        _diagonal_pencil([37.5, 40.0], mu=0.25),
-        margin_pencil(psi, good_params(mu=0.0), spec, margin_nodes[:50]),
-        _diagonal_pencil([0.75, 2.0], mu=0.25),
-        _diagonal_pencil([-1.0, 0.5], mu=0.1),
-        _diagonal_pencil([0.3, 2.0, 0.7], mu=0.01, slope=0.0),
-        margin_pencil(psi, good_params(mu=0.1 * MU0), spec, margin_nodes[:120], "down"),
+        margin_pencil(psi, spec, margin_nodes),
+        _diagonal_pencil([37.5, 40.0], slope=0.25),
+        _diagonal_pencil([0.75, 2.0], slope=0.25),
+        _diagonal_pencil([-1.0, 0.5], slope=0.1),
+        _diagonal_pencil([0.3, 2.0, 0.7], slope=0.0),
+        margin_pencil(psi, spec, margin_nodes[:120], "down"),
     ]
     alone = [_one_pencil_search(pc) for pc in pencils]
     k0s = [k0 for k0, _ in alone]
     # the doubling phases end after 0, 8, 2, 40 and 0 steps (the pencil that
-    # never fails stops at the 1e12 ceiling); mu = 0 gives None, and failing
-    # at c = 0 gives 0.0
-    assert [steps for _, steps in alone] == [0, 8, 0, 2, 0, 40, 0]
-    assert k0s[2] is None and k0s[4] == 0.0
+    # never fails stops at the 1e12 ceiling), and failing at c = 0 gives 0.0
+    assert [steps for _, steps in alone] == [0, 8, 2, 0, 40, 0]
+    assert k0s[3] == 0.0
     assert [repr(k) for k in largest_couplings(pencils)] == [repr(k) for k in k0s]
     assert [repr(k) for k in largest_couplings(pencils[::-1])] == [repr(k) for k in k0s[::-1]]
 

@@ -173,6 +173,39 @@ def test_grid_csv_rejects_bad_index(tmp_path, index, message):
         read_grid_csv(csv_with_index(index, tmp_path))
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("0,x,1,-1.0,-1.0,0.0,0.5", "invalid literal for int() with base 10: 'x'"),
+     ("0,0,1,-1.0,-1.0,0.0,abc", "could not convert string to float: 'abc'")],
+    ids=["index", "value"],
+)
+def test_grid_csv_names_the_row_of_a_cell_that_is_not_a_number(tmp_path, row, message):
+    lines = written(write_grid_csv, random_grid(res=(3, 3, 3)), tmp_path / "g.csv").splitlines()
+    assert lines[5].startswith("0,0,1,-1.0,-1.0,0.0,")
+    lines[5] = row
+    p = tmp_path / "bad_cell.csv"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"grid CSV: data row 2: {message}")):
+        read_grid_csv(p)
+
+
+@pytest.mark.parametrize(
+    "header, bad, message",
+    [("# n=1", "# n=one", "invalid literal for int() with base 10: 'one'"),
+     ("# box=-1.0..1.0,", "# box=-1.0..a,", "could not convert string to float: 'a'"),
+     ("# res=3,3,3", "# res=3,3.5,3", "invalid literal for int() with base 10: '3.5'")],
+    ids=["n", "box", "res"],
+)
+def test_grid_csv_names_a_malformed_header(tmp_path, header, bad, message):
+    text = written(write_grid_csv, random_grid(res=(3, 3, 3)), tmp_path / "g.csv")
+    assert header in text
+    p = tmp_path / "bad_header.csv"
+    p.write_text(text.replace(header, bad, 1))
+    prefix = bad.split("=")[0] + "="
+    with pytest.raises(ValueError, match="^" + re.escape(f"grid CSV: '{prefix}' header: {message}")):
+        read_grid_csv(p)
+
+
 def test_witness_csv_matches_envelope(tmp_path):
     v = sample(parse_field("x1*x1 - y1", 1), Domain(BOX1), (5, 5, 5))
     r = upper_envelope(v, 0.5)

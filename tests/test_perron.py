@@ -240,6 +240,10 @@ def test_solve_rejects_bad_arguments():
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
             solve(p, tol=tol)
+    # a negative step count is a usage error, not a convergence failure
+    with pytest.raises(ValueError, match="max_iter must be a non-negative"):
+        solve(p, max_iter=-1)
+    assert solve(p, max_iter=0).iterations == 0
 
 
 # -- uniqueness ----------------------------------------------------------------
