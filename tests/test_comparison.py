@@ -39,15 +39,28 @@ K0 = 0.05   # the coupling constant the margin checks are taken at
 # -- the Lemma 3.5 constants -------------------------------------------------
 
 
-def test_constants_meet_the_lemma_hypotheses():
-    assert 0.0 < _MU < _MU0
-    assert 0.0 < _ALPHA < 1.0
+def test_params_accepts_valid_and_zero_mu():
+    # the fixed constants are the lemma35 suite's: mu is half the ceiling
+    assert _MU == 0.5 * 0.45 / (3.0 * math.exp(3.0 * 0.5))
     assert _BETA > 0.0
-    assert 0.0 < _DELTA < 1.0
     assert _M > 0.0
+
+
+def test_params_rejects_mu_at_or_above_ceiling():
+    assert 0.0 < _MU < _MU0
+
+
+def test_params_rejects_flat_or_steep_radial_shape():
+    assert 0.0 < _ALPHA < 1.0
+
+
+def test_params_rejects_wide_region_slack():
+    assert 0.0 < _DELTA < 1.0
+
+
+def test_params_rejects_uncontrolled_damping():
     # exp(beta*M) dominates sup exp(-beta*psi) whenever |psi| <= M
     assert _MU0 * _BETA * math.exp(_BETA * _M) <= 0.5
-    assert _MU == 0.5 * 0.45 / (3.0 * math.exp(3.0 * 0.5))
 
 
 # -- the perturbation family -------------------------------------------------
