@@ -20,7 +20,8 @@ a seed the change was not tuned against.
 With ``--layers``, that script runs in each checkout, with its ``src`` on
 the path and the checkout as working directory, for two alternating rounds;
 its last stdout line is a JSON object of named rows, kept per side and
-round.
+round.  Its path is resolved against the working directory the command
+runs in, and a path naming no file is refused before any run.
 """
 
 import argparse
@@ -76,7 +77,7 @@ def bench_layers(sides, script):
     rows = {side: [] for side in sides}
     for i in range(1, LAYER_ROUNDS + 1):
         for side in _order(i):
-            rows[side].append(json.loads(_run(sides[side], [str(Path(script).resolve())])[-1]))
+            rows[side].append(json.loads(_run(sides[side], [str(script)])[-1]))
     return rows
 
 
@@ -89,6 +90,9 @@ def main(argv=None):
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--layers", help="script printing a JSON object of layer rows last")
     args = ap.parse_args(argv)
+    layers = Path(args.layers).resolve() if args.layers else None
+    if layers is not None and not layers.is_file():
+        ap.error(f"--layers: no such file: {layers}")
     sides = {"parent": args.parent, "change": args.change}
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -117,7 +121,7 @@ def main(argv=None):
         }
     if args.layers:
         out["layers"] = {"script": args.layers,
-                         "rows": bench_layers(sides, args.layers)}
+                         "rows": bench_layers(sides, layers)}
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 
 

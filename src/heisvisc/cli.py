@@ -183,8 +183,8 @@ def cmd_compare(args):
 
 def cmd_solve(args):
     prob = load_problem(args.problem)
-    out = _out_dir(args)
     res = solve(prob, tol=args.tol, max_iter=args.max_iter, start=args.start)
+    out = _out_dir(args)
     write_grid_csv(res.u, out / "solution.csv")
     write_residuals_csv(res.residuals, out / "residuals.csv")
     report = {

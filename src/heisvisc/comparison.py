@@ -19,9 +19,9 @@ first meets them.
 The perturbation is the one of the paper's Lemma 3.5,
 psi +- mu*(exp(alpha*|z|^2) + exp(-beta*psi) - tau), under fixed
 constants: alpha = 0.1, beta = 3, M = 1/2 (the bound on |psi|),
-mu0 = 0.45/(beta*exp(beta*M)), mu = mu0/2, delta = 1/2 and tau = 1.  They
-were found by a parameter search on [-1, 1]^3 and meet the lemma's
-hypotheses 0 < mu < mu0, 0 < alpha < 1, beta > 0, 0 < delta < 1, M > 0 and
+mu0 = 0.45/(beta*exp(beta*M)), mu = mu0/2 and tau = 1.  They were found
+by a parameter search on [-1, 1]^3 and meet the lemma's hypotheses
+0 < mu < mu0, 0 < alpha < 1, beta > 0, M > 0 and
 mu0*beta*exp(beta*M) <= 1/2.  The lemma35 suite, the one program that
 builds the perturbation, certifies it at these values and no other, so
 they are module constants rather than settings.
@@ -56,7 +56,7 @@ __all__ = [
 _ALPHA, _BETA, _M = 0.1, 3.0, 0.5
 _MU0 = 0.45 / (_BETA * math.exp(_BETA * _M))
 _MU = 0.5 * _MU0
-_DELTA, _TAU = 0.5, 1.0
+_TAU = 1.0
 
 
 def _bump_node(psi):
@@ -81,15 +81,12 @@ def perturb_down(psi):
 def admissible_region_mask(psi, nodes):
     """Boolean mask of nodes where the margin check applies.
 
-    Keeps the nodes with |psi| <= M whose bump value sits above -delta;
-    outside that region the perturbation family makes no promises.
+    Keeps the nodes with |psi| <= M; outside that region the perturbation
+    family makes no promises.  The bump needs no bound of its own: with
+    tau = 1 it is at least exp(-beta*psi) > 0 at every node.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    vals = np.atleast_1d(np.asarray(psi(nodes), dtype=float))
-    n = psi.n
-    z_sq = np.square(nodes[..., : 2 * n]).sum(axis=-1)
-    bump = np.exp(_ALPHA * z_sq) + np.exp(-_BETA * vals) - _TAU
-    return (np.abs(vals) <= _M) & (bump >= -_DELTA)
+    vals = np.atleast_1d(np.asarray(psi(np.asarray(nodes, dtype=float)), dtype=float))
+    return np.abs(vals) <= _M
 
 
 def _margin_matrices(psi, spec, nodes, mode):
@@ -115,12 +112,10 @@ class MarginPencil:
     size.  ``tol`` is the slack a passing margin may fall below zero.
     """
 
-    mode: str
     A: np.ndarray
     B: np.ndarray
     tol: float
     node_count: int
-    excluded_count: int
 
     def margins(self, c):
         """Per-node margins at coupling constant ``c``."""
@@ -151,16 +146,14 @@ def margin_pencil(psi, spec, nodes, mode="up"):
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim == 1:
         nodes = nodes[None, :]
-    keep = admissible_region_mask(psi, nodes)
-    excluded = int((~keep).sum())
-    nodes = nodes[keep]
+    nodes = nodes[admissible_region_mask(psi, nodes)]
     if nodes.shape[0] == 0:
-        raise ValueError("no nodes fall in the admissible region {|psi|<=M, bump>=-delta}")
+        raise ValueError("no nodes fall in the admissible region {|psi|<=M}")
 
     A, B = _margin_matrices(psi, spec, nodes, mode)
     tol = 1e-8 * (1.0 + float(np.abs(A).max(initial=0.0)))
-    return MarginPencil(mode=mode, A=entries(A), B=entries(B), tol=float(tol),
-                        node_count=int(nodes.shape[0]), excluded_count=excluded)
+    return MarginPencil(A=entries(A), B=entries(B), tol=float(tol),
+                        node_count=int(nodes.shape[0]))
 
 
 def largest_couplings(pencils):

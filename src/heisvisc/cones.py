@@ -26,13 +26,7 @@ satisfy for the comparison machinery (stability under positive-definite
 shifts, invariance under positive scaling, and the one-sided scaling
 variants) and reports violations with witnesses.  Sampling is batched: all
 starts march to the interior together and each condition is classified in
-one :func:`classify` call.  The seeded stream is still drawn in the
-order of a one-sample-at-a-time loop, which the golden cones reports pin.
-Each sample takes two generator calls, one normal block (its start, and
-the shift's matrix) and one block of its uniforms; they draw the same
-values as the loop's one call per draw, and the test parameters are built
-from them in array operations.  Samples that never reach the interior are
-found by rewinding the stream and redrawing up to them.
+one :func:`classify` call.
 """
 
 from __future__ import annotations
@@ -337,15 +331,6 @@ def classify(spec, Ms):
 # axiom checking
 
 
-@dataclass(frozen=True)
-class AxiomPlan:
-    """Sampling plan for :func:`check_axioms`."""
-
-    seed: int
-    count: int = 1000
-    dim: int = 2
-
-
 @dataclass
 class AxiomCondition:
     name: str
@@ -382,7 +367,6 @@ _AXIOM_NAMES = (
 _SHIFT, _SCALE, _SHRINK, _EXPAND = _AXIOM_NAMES
 _REGION_NAMES = {1: "Interior", -1: "Exterior", 0: "Boundary"}
 _INTERIOR_TRIES = 80
-_FIRST_CHUNK = 64
 # a start is half of W + W^T times _SPREAD, its march along +I first steps
 # by _SPREAD, and the shift adds W2 W2^T plus a multiple of I in
 # [0.05, 0.5] * _SPREAD; a start is interior once
@@ -421,65 +405,33 @@ def _march_to_interior(spec, W):
     return A, inside
 
 
-def _sample_interior(spec, plan):
+def _sample_interior(spec, seed, count, dim):
     """Interior samples and their test parameters, in the stream's order.
 
-    Sample by sample, the stream yields a start W and then, only if W
-    marches into the interior, W2 for the shift, one uniform for the shift
-    and one per scaling condition.  A sample is drawn in two calls straight
+    Sample by sample, the stream yields a start W, W2 for the shift, one
+    uniform for the shift and one per scaling condition, whether or not W
+    marches into the interior.  A sample is drawn in two calls straight
     into the run's arrays, one normal block (W, then W2) and one block of
-    its four uniforms.  These give the same values as the
-    one-draw-at-a-time loop: consecutive normal draws are one normal
-    block, ``standard_normal`` draws what ``normal`` draws at its default
-    mean and scale, and ``uniform(a, b)`` is ``a + (b - a) * random()``.
-    The parameters are then built from the blocks of the whole run in array
-    operations.
-
-    Whether a start gets inside is known only after the batched march, so
-    a run of samples is drawn on the guess that every start gets inside.
-    When sample j does not, the stream is rewound to the start of the run
-    and redrawn exactly through sample j, which draws only its start, and
-    the next run starts again at the first run length.  Run lengths double
-    while the guess holds.
+    its four uniforms.  These give the same values as a one-draw-at-a-time
+    loop: consecutive normal draws are one normal block,
+    ``standard_normal`` draws what ``normal`` draws at its default mean
+    and scale, and ``uniform(a, b)`` is ``a + (b - a) * random()``.  All
+    starts then march in one :func:`_march_to_interior` call, and the
+    parameters are built from the blocks of the samples that got inside in
+    array operations.
 
     Returns the (m, d, d) interior matrices, a dict of their test
     parameters per condition (shape (m, d, d) for the shift, (m,) for a
     scaling condition), and the number of skipped samples.
     """
-    gen = stream(plan.seed)
-    dim = plan.dim
-    width = len(_AXIOM_NAMES)
-
-    def draw(k):
-        normals = np.empty((k, 2, dim, dim))
-        unif = np.empty((k, width))
-        for s in range(k):
-            gen.standard_normal(out=normals[s])
-            gen.random(out=unif[s])
-        return normals, unif
-
-    # per run: the interior matrices, their normal blocks and their uniforms
-    runs = [(np.empty((0, dim, dim)), np.empty((0, 2, dim, dim)), np.empty((0, width)))]
-    chunk, i, skipped = _FIRST_CHUNK, 0, 0
-    while i < plan.count:
-        k = min(chunk, plan.count - i)
-        state = gen.bit_generator.state
-        normals, unif = draw(k)
-        A, inside = _march_to_interior(spec, normals[:, 0])
-        j = int(np.argmin(inside)) if not inside.all() else k
-        runs.append((A[:j], normals[:j], unif[:j]))
-        if j == k:
-            i += k
-            chunk *= 2
-            continue
-        gen.bit_generator.state = state
-        draw(j)
-        gen.normal(size=(dim, dim))
-        skipped += 1
-        i += j + 1
-        chunk = _FIRST_CHUNK
-
-    A, normals, unif = (np.concatenate(part) for part in zip(*runs))
+    gen = stream(seed)
+    normals = np.empty((count, 2, dim, dim))
+    unif = np.empty((count, len(_AXIOM_NAMES)))
+    for s in range(count):
+        gen.standard_normal(out=normals[s])
+        gen.random(out=unif[s])
+    A, inside = _march_to_interior(spec, normals[:, 0])
+    A, normals, unif = A[inside], normals[inside], unif[inside]
     r = dict(zip(_AXIOM_NAMES, unif.T))
     W = normals[:, 1]
     scaled = (0.05 + (0.5 - 0.05) * r[_SHIFT]) * _SPREAD
@@ -490,10 +442,10 @@ def _sample_interior(spec, plan):
         _SHRINK: 0.001 + (0.999 - 0.001) * r[_SHRINK],
         _EXPAND: 1.0 / (0.001 + (0.999 - 0.001) * r[_EXPAND]),
     }
-    return A, tests, skipped
+    return A, tests, count - len(A)
 
 
-def check_axioms(spec, plan):
+def check_axioms(spec, seed, count, dim):
     """Sample the structural axioms of an admissible set.
 
     For matrices A strictly inside the set (random symmetric starts of
@@ -509,19 +461,15 @@ def check_axioms(spec, plan):
     Every violation is counted and the first one per condition is kept as a
     witness.  A set that fails ``scale_invariant`` is not a cone.
 
-    Sampling is batched, but the draws from the seeded stream keep the
-    order of a one-sample-at-a-time loop: per sample a start W, then, if W
-    marches into the interior, W2 and a uniform for the shift and one
-    uniform per scaling condition, in the order listed above.  A sample
-    whose march fails draws nothing more; such samples are found by
-    rewinding the stream and redrawing (see :func:`_sample_interior`).
-    A sample is drawn as one normal block (W, then W2) and one block of
-    its uniforms, ``a + (b - a) * u`` standing for ``uniform(a, b)``: the
-    same stream as the loop's scalar draws, at two generator calls a
-    sample.  This order is a contract: it fixes every count and witness in
-    the reports, and the golden cones reports pin it.
+    ``count`` samples are drawn from the stream of ``seed`` in the order
+    of a one-sample-at-a-time loop: per sample a start W, W2 and a uniform
+    for the shift and one uniform per scaling condition, in the order
+    listed above (see :func:`_sample_interior`).  A sample whose start
+    never gets inside is skipped after its draws.  This order is a
+    contract: it fixes every count and witness in the reports, and the
+    golden cones reports pin it.
     """
-    A, tests, skipped = _sample_interior(spec, plan)
+    A, tests, skipped = _sample_interior(spec, seed, count, dim)
     checks = {name: AxiomCondition(name, len(A), 0) for name in _AXIOM_NAMES}
     for name, cond in checks.items():
         if not len(A):
@@ -541,7 +489,7 @@ def check_axioms(spec, plan):
                 "classification": _REGION_NAMES[int(codes[i])],
             }
     conditions = list(checks.values())
-    passed = all(c.passed for c in conditions) and skipped < plan.count
+    passed = all(c.passed for c in conditions) and skipped < count
     return AxiomReport(passed=passed, conditions=conditions, skipped=skipped)
 
 

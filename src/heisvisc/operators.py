@@ -38,7 +38,6 @@ from .rng import stream
 
 __all__ = [
     "OperatorSpec",
-    "SamplePlan",
     "ConditionCheck",
     "StructuralReport",
     "coefficient_values",
@@ -284,18 +283,6 @@ def eval_A_u(jets, points):
 # -- structural condition checking -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """Seeded sampling plan covering (xi, s-pair, p-annulus, theta)."""
-
-    seed: int
-    count: int = 2000
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-
-
 @dataclass
 class ConditionCheck:
     name: str
@@ -379,7 +366,7 @@ _R, _P_LO, _P_HI, _THETA_BAR = 2.0, 1e-3, 10.0, 0.04
 _C, _M, _LAMBDA, _BETA0 = 6.0, 2.0, 1.0, 0.25
 
 
-def check_structural(spec, box, plan):
+def check_structural(spec, box, seed, count):
     """Sample the structural conditions on a box and report margins.
 
     Conditions checked (matrix inequalities as smallest-eigenvalue margins,
@@ -399,15 +386,18 @@ def check_structural(spec, box, plan):
 
     |grad_p L| is read from :func:`gradient_term_transpose`, the
     p-derivative the solver's Jacobian uses, and the Euler excess
-    p.grad_p L - L is L itself, L being 2-homogeneous in p.  Samples take
+    p.grad_p L - L is L itself, L being 2-homogeneous in p.  The ``count``
+    samples (at least one) come from the stream of ``seed``; they take
     s <= s' in [-2, 2] and |p| log-uniform in [1e-3, 10].  Which
     euler-excess side is required follows the sign branch: beta >= 0.25
     (and gamma >= 0) requires the upper bound, beta <= -0.25 (and
     gamma <= 0) the lower, and the constant-coefficient gamma == 0 branch
     neither.
     """
-    gen = stream(plan.seed, 101)
-    N = plan.count
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    gen = stream(seed, 101)
+    N = count
     nn = 2 * box.n
 
     coords = box.sample_points(gen, N)

@@ -24,7 +24,7 @@ import numpy as np
 from .cones import ConeSpec
 from .fields import (AnalyticField, Const, Domain, GridField, coordinate_names, parse_field,
                      sample)
-from .operators import OperatorSpec, SamplePlan, check_structural
+from .operators import OperatorSpec, check_structural
 from .viscosity import GridOperator
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "uniqueness_gap",
 ]
 
-_GATE_PLAN = SamplePlan(seed=2357, count=400)
+_GATE_SEED, _GATE_COUNT = 2357, 400
 _BOUNDARY_AGREE_TOL = 1e-10
 
 
@@ -110,7 +110,7 @@ class Problem:
             )
         if not self.spec.is_constant:
             raise ValueError("the solver path requires constant coefficients")
-        report = check_structural(self.spec, self.domain, _GATE_PLAN)
+        report = check_structural(self.spec, self.domain, _GATE_SEED, _GATE_COUNT)
         if not report.passed:
             failing = [c.name for c in report.conditions if c.required and not c.passed]
             raise ValueError(f"operator fails the structural gate: {failing}")

@@ -15,5 +15,13 @@ def stream(seed, stream_id=0):
     The same pair always yields the same draw sequence; distinct stream ids
     under one seed are statistically independent.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
+    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=(int(stream_id),))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def check_seed(seed):
+    """``seed`` as an int, refused with a ValueError naming it if negative."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .comparison import largest_couplings, margin_pencil
-from .cones import AxiomPlan, ConeSpec, check_axioms, shifted_trace_spec
+from .cones import ConeSpec, check_axioms, shifted_trace_spec
 from .core import dilate, dist, frame_t_coefficients, gauge, group_inv, group_mul, j_matrix
 from .envelopes import (
     check_monotone_convergence,
@@ -34,7 +34,6 @@ from .fields import (Add, AnalyticField, Const, Domain, GridField, Mul, Node, ex
 from .gridio import json_text
 from .operators import (
     OperatorSpec,
-    SamplePlan,
     check_structural,
     conformal_operator_spec,
     contract,
@@ -42,7 +41,7 @@ from .operators import (
     eval_A_u,
     eval_F,
 )
-from .rng import stream
+from .rng import check_seed, stream
 from .viscosity import key_lemma_certificate
 
 __all__ = ["CheckOutcome", "SuiteReport", "SUITE_NAMES", "envelope_fixtures", "run_suite",
@@ -316,12 +315,11 @@ def suite_cones(seed, count=1500, tamper=False):
         # deliberately breaks the scaling axiom: {tr M > 1} is not a cone
         families[0] = ("trace", shifted_trace_spec(2))
     for i, (name, cone) in enumerate(families):
-        plan = AxiomPlan(seed=seed + 31 * (i + 1), count=count, dim=2)
-        checks.append(_axiom_outcome(f"axioms_{name}", check_axioms(cone, plan)))
+        rep = check_axioms(cone, seed + 31 * (i + 1), count, 2)
+        checks.append(_axiom_outcome(f"axioms_{name}", rep))
 
     # the shifted-trace family must FAIL the scaling axiom with a witness
-    plan = AxiomPlan(seed=seed + 311, count=count, dim=2)
-    rep = check_axioms(shifted_trace_spec(2), plan)
+    rep = check_axioms(shifted_trace_spec(2), seed + 311, count, 2)
     shrink = rep.condition("scale_invariant_shrink")
     caught = (not rep.passed) and shrink.violations > 0 and shrink.witness is not None
     checks.append(
@@ -398,7 +396,7 @@ def suite_structural(seed, count=2000):
     checks = []
     dom = Domain(_BOX1.copy())
 
-    rep = check_structural(conformal_operator_spec(), dom, SamplePlan(seed=seed + 41, count=count))
+    rep = check_structural(conformal_operator_spec(), dom, seed + 41, count)
     bad = sum(1 for c in rep.conditions if c.required and not c.passed)
     checks.append(
         CheckOutcome(
@@ -410,7 +408,7 @@ def suite_structural(seed, count=2000):
     falling = OperatorSpec(
         alpha=parse_field("0.0 - s", 1, extra_vars=("s",)), beta=0.5, gamma=1.0
     )
-    rep = check_structural(falling, dom, SamplePlan(seed=seed + 42, count=count))
+    rep = check_structural(falling, dom, seed + 42, count)
     witness = next((c.witness for c in rep.conditions if not c.passed and c.witness), None)
     caught = (not rep.passed) and witness is not None
     failing = [c.name for c in rep.conditions if c.required and not c.passed]
@@ -520,6 +518,7 @@ def run_suite(name, seed, count=None, tamper=False, pool=None):
     the member suites concurrently (results are assembled in a fixed
     order, so the output does not depend on the schedule).
     """
+    check_seed(seed)
     if count is not None and count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if name == "all":

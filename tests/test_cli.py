@@ -295,6 +295,16 @@ def test_solve_refuses_a_negative_step_count(capsys, tmp_path):
     assert not (out_dir / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--tol=0", "--max-iter=-1"])
+def test_refused_solve_leaves_no_output_directory(capsys, tmp_path, flag):
+    prob = write_problem(tmp_path)
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "solve", "--problem", str(prob), "--out-dir", str(out_dir), flag)
+    assert code == 2
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_solve_refuses_a_bracket_that_overflows(tmp_path):
     # exp(800) is inf, so the bracket is inf on the face x1 = 1
     data = json.loads(write_problem(tmp_path, boundary="exp(800*x1)").read_text())
@@ -443,6 +453,14 @@ def test_check_refuses_count_below_one(capsys, suite, count):
     assert code == 2
     assert out == ""
     assert f"count must be at least 1, got {count}" in err
+
+
+@pytest.mark.parametrize("suite", ["core", "cones", "structural", "envelopes", "all"])
+def test_check_refuses_a_negative_seed(capsys, suite):
+    code, out, err = run(capsys, "check", "--suite", suite, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_check_unknown_suite_exits_2(capsys):

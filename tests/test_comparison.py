@@ -11,7 +11,6 @@ from scipy import ndimage
 from heisvisc.comparison import (
     _ALPHA,
     _BETA,
-    _DELTA,
     _M,
     _MU,
     _MU0,
@@ -55,7 +54,17 @@ def test_params_rejects_flat_or_steep_radial_shape():
 
 
 def test_params_rejects_wide_region_slack():
-    assert 0.0 < _DELTA < 1.0
+    # the admissible region needs no slack on the bump: with tau = 1 the
+    # bump is at least exp(-beta*psi) > 0, so it is positive at every node
+    # with |psi| <= M
+    nodes = Domain(BOX1).sample_points(stream(9), 400)
+    for psi in (parse_field("x1", 1), parse_field("0.6*t - 0.3*x1*y1", 1)):
+        keep = admissible_region_mask(psi, nodes)
+        assert 0 < keep.sum() < 400
+        vals = psi(nodes)[keep]
+        bump = (perturb_up(psi)(nodes)[keep] - vals) / _MU
+        assert (bump > 0.0).all()
+        assert (bump >= 0.999 * np.exp(-_BETA * vals)).all()
 
 
 def test_params_rejects_uncontrolled_damping():
@@ -156,7 +165,7 @@ def test_margin_linear_field_yields_positive_coupling(margin_nodes):
     assert passes(pencil, K0)
     assert pencil.margins(K0).min() > 0.0
     assert 0.35 < k0_max < 0.45
-    assert pencil.node_count + pencil.excluded_count == 400
+    assert pencil.node_count == admissible_region_mask(psi, margin_nodes).sum() < 400
 
     assert passes(pencil, 0.9 * k0_max)
     assert not passes(pencil, 1.1 * k0_max)
@@ -175,7 +184,7 @@ def test_margin_polynomial_field(margin_nodes):
     pencil, k0_max = lemma35_margin(psi, conformal_operator_spec(), margin_nodes)
     assert passes(pencil, K0)
     assert k0_max > 0.1
-    assert pencil.excluded_count == 0
+    assert pencil.node_count == admissible_region_mask(psi, margin_nodes).sum() == 400
 
 
 def test_margin_empty_region_is_an_error():
@@ -221,8 +230,7 @@ def _diagonal_pencil(floors, slope=1.0):
     A = np.zeros((floors.size, 2, 2))
     A[:, 0, 0], A[:, 1, 1] = floors, floors + 1.0
     B = (slope / _MU) * np.broadcast_to(np.eye(2), A.shape)
-    return MarginPencil(mode="up", A=entries(A), B=entries(B), tol=1e-8,
-                        node_count=floors.size, excluded_count=0)
+    return MarginPencil(A=entries(A), B=entries(B), tol=1e-8, node_count=floors.size)
 
 
 def test_lockstep_search_matches_one_pencil_at_a_time(margin_nodes):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from heisvisc.cones import (
-    AxiomPlan,
     ConeSpec,
     check_axioms,
     classify,
@@ -328,7 +327,7 @@ def test_defining_value_continuity_away_from_boundary():
     ids=["trace", "posdef", "sigma1", "sigma2"],
 )
 def test_axioms_hold_for_builtin_families(spec):
-    report = check_axioms(spec, AxiomPlan(seed=41, count=400, dim=2))
+    report = check_axioms(spec, 41, 400, 2)
     assert report.passed, report
     for cond in report.conditions:
         assert cond.violations == 0
@@ -336,13 +335,13 @@ def test_axioms_hold_for_builtin_families(spec):
 
 
 def test_axioms_dimension_three():
-    report = check_axioms(ConeSpec("sigma_k", k=2), AxiomPlan(seed=42, count=200, dim=3))
+    report = check_axioms(ConeSpec("sigma_k", k=2), 42, 200, 3)
     assert report.passed
 
 
 def test_shifted_trace_set_is_not_a_cone():
     spec = shifted_trace_spec(2)
-    report = check_axioms(spec, AxiomPlan(seed=43, count=400, dim=2))
+    report = check_axioms(spec, 43, 400, 2)
     assert not report.passed
     shrink = report.condition("scale_invariant_shrink")
     assert shrink.violations > 0
@@ -355,7 +354,7 @@ def test_shifted_trace_set_is_not_a_cone():
 
 
 def test_axiom_report_lookup_and_unknown_condition():
-    report = check_axioms(ConeSpec("trace"), AxiomPlan(seed=44, count=50))
+    report = check_axioms(ConeSpec("trace"), 44, 50, 2)
     assert report.condition("scale_invariant").passed
     with pytest.raises(KeyError):
         report.condition("nope")
@@ -433,18 +432,21 @@ def _report_dict(report):
                            for c in report.conditions]}
 
 
-def _scalar_check_axioms(spec, plan):
-    gen = stream(plan.seed)
+def _scalar_check_axioms(spec, seed, count, dim):
+    gen = stream(seed)
     checks = {name: {"name": name, "checked": 0, "violations": 0, "witness": None}
               for name in _CONDITIONS}
     skipped = 0
-    for _ in range(plan.count):
-        A = _scalar_interior(spec, gen, plan.dim, 2.0, 1e-3)
+    for _ in range(count):
+        A = _scalar_interior(spec, gen, dim, 2.0, 1e-3)
         if A is None:
+            # a skipped sample still draws its W2 and its four uniforms
+            gen.normal(size=(dim, dim))
+            gen.random(4)
             skipped += 1
             continue
-        W = gen.normal(size=(plan.dim, plan.dim))
-        B = W @ W.T + gen.uniform(0.05, 0.5) * 2.0 * np.eye(plan.dim)
+        W = gen.normal(size=(dim, dim))
+        B = W @ W.T + gen.uniform(0.05, 0.5) * 2.0 * np.eye(dim)
         _scalar_record(checks["stable_under_definite_shift"], spec, A + B, {"A": A, "B": B})
         c = float(np.exp(gen.uniform(np.log(1e-3), np.log(1e3))))
         _scalar_record(checks["scale_invariant"], spec, c * A, {"A": A, "c": c})
@@ -455,43 +457,41 @@ def _scalar_check_axioms(spec, plan):
     ordered = list(checks.values())
     for c in ordered:
         c["passed"] = c["violations"] == 0
-    passed = all(c["passed"] for c in ordered) and skipped < plan.count
+    passed = all(c["passed"] for c in ordered) and skipped < count
     return {"passed": passed, "skipped": skipped, "conditions": ordered}
 
 
 @pytest.mark.parametrize(
-    "spec, plan",
+    "spec, seed, count, dim",
     [
-        (ConeSpec("trace"), AxiomPlan(seed=51, count=200, dim=2)),
-        (ConeSpec("posdef"), AxiomPlan(seed=52, count=200, dim=2)),
-        (ConeSpec("sigma_k", k=1), AxiomPlan(seed=53, count=200, dim=2)),
-        (ConeSpec("sigma_k", k=2), AxiomPlan(seed=54, count=200, dim=2)),
-        (ConeSpec("sigma_k", k=2), AxiomPlan(seed=55, count=120, dim=3)),
-        (shifted_trace_spec(2), AxiomPlan(seed=56, count=200, dim=2)),
+        (ConeSpec("trace"), 51, 200, 2),
+        (ConeSpec("posdef"), 52, 200, 2),
+        (ConeSpec("sigma_k", k=1), 53, 200, 2),
+        (ConeSpec("sigma_k", k=2), 54, 200, 2),
+        (ConeSpec("sigma_k", k=2), 55, 120, 3),
+        (shifted_trace_spec(2), 56, 200, 2),
     ],
     ids=["trace", "posdef", "sigma1", "sigma2", "sigma2_dim3", "shifted_trace"],
 )
-def test_check_axioms_matches_scalar_sampler(spec, plan):
-    assert _report_dict(check_axioms(spec, plan)) == _scalar_check_axioms(spec, plan)
+def test_check_axioms_matches_scalar_sampler(spec, seed, count, dim):
+    report = check_axioms(spec, seed, count, dim)
+    assert _report_dict(report) == _scalar_check_axioms(spec, seed, count, dim)
 
 
 def test_check_axioms_matches_scalar_sampler_when_samples_skip_midstream():
     # l1 - l2 + 1 is invariant under the +I march, so a start either is
     # interior at once or never gets there: skips fall all through the stream
     spec = ConeSpec("spectral", g="l1 - l2 + 1")
-    plan = AxiomPlan(seed=57, count=150, dim=2)
-    report = check_axioms(spec, plan)
-    assert 0 < report.skipped < plan.count
-    assert _report_dict(report) == _scalar_check_axioms(spec, plan)
+    report = check_axioms(spec, 57, 150, 2)
+    assert 0 < report.skipped < 150
+    assert _report_dict(report) == _scalar_check_axioms(spec, 57, 150, 2)
 
 
 def test_check_axioms_matches_scalar_sampler_when_every_sample_skips():
     spec = ConeSpec("spectral", g="0.0 - 1.0")
-    # more samples than one speculative run
-    plan = AxiomPlan(seed=58, count=80, dim=2)
-    report = check_axioms(spec, plan)
-    assert report.skipped == plan.count and not report.passed
-    assert _report_dict(report) == _scalar_check_axioms(spec, plan)
+    report = check_axioms(spec, 58, 80, 2)
+    assert report.skipped == 80 and not report.passed
+    assert _report_dict(report) == _scalar_check_axioms(spec, 58, 80, 2)
 
 
 # -- spec validation and JSON --------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from heisvisc.fields import AnalyticField, Const, Domain, exp_of, parse_field
 from heisvisc.operators import (
     OperatorSpec,
-    SamplePlan,
     _p_gradient_norm,
     check_structural,
     coefficient_values,
@@ -334,8 +333,7 @@ def test_euler_identity_for_quadratic_family():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_structural_conformal_spec_passes(n):
-    report = check_structural(conformal_operator_spec(), box_domain(n),
-                              SamplePlan(seed=21, count=1500))
+    report = check_structural(conformal_operator_spec(), box_domain(n), 21, 1500)
     assert report.passed
     assert report.branch == "positive"
     assert report.condition("euler_excess_upper_bound").required
@@ -348,7 +346,7 @@ def test_structural_decreasing_alpha_fails_monotonicity():
     spec = OperatorSpec(
         alpha=parse_field("0.0 - s", 1, extra_vars=("s",)), beta=0.5, gamma=1.0
     )
-    report = check_structural(spec, box_domain(1), SamplePlan(seed=22, count=800))
+    report = check_structural(spec, box_domain(1), 22, 800)
     assert not report.passed
     cond = report.condition("monotone_in_s")
     assert not cond.passed
@@ -368,7 +366,7 @@ def test_structural_decreasing_alpha_fails_monotonicity():
 
 def test_structural_negative_branch():
     spec = OperatorSpec(alpha=0.0, beta=-1.0, gamma=0.0)
-    report = check_structural(spec, box_domain(1), SamplePlan(seed=23, count=1000))
+    report = check_structural(spec, box_domain(1), 23, 1000)
     assert report.passed
     assert report.branch == "negative"
     assert report.condition("euler_excess_lower_bound").required
@@ -377,11 +375,17 @@ def test_structural_negative_branch():
 
 def test_structural_constant_branch_zero_gamma():
     spec = OperatorSpec(alpha=1.0, beta=0.05, gamma=0.0)
-    report = check_structural(spec, box_domain(1), SamplePlan(seed=24, count=500))
+    report = check_structural(spec, box_domain(1), 24, 500)
     # beta below beta0 on both sides, so only the constant-coefficient branch fits
     assert report.branch == "constant"
     assert not report.condition("euler_excess_upper_bound").required
     assert not report.condition("euler_excess_lower_bound").required
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_structural_refuses_count_below_one(count):
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        check_structural(conformal_operator_spec(), box_domain(1), 25, count)
 
 
 # -- validation ----------------------------------------------------------------
