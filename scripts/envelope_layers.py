@@ -12,19 +12,27 @@ path.  Rows:
   0.2 x1 t on [-1, 1]^3 at 21^3 and 41^3, eps 5 and 0.05; one run, in s.
 - ``traced_peak_mb``: the ``tracemalloc`` peak of one upper envelope of the
   seed-1 field at eps 5, after a warm-up call, in MB.
+- ``csv_ms_17``: ``read_grid_csv`` of the seed-1 field's CSV, and
+  ``write_grid_csv`` and ``write_witness_csv`` of its upper envelope at
+  eps 5, each to a fresh file; best of three, in ms.
+- ``read_traced_peak_mb``: the ``tracemalloc`` peak of one ``read_grid_csv``
+  of the seed-1 17^3 field and of a seeded standard-normal 7^5 field on
+  [-1, 1]^5, after a warm-up read, in MB.
 """
 
+import itertools
 import json
 import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from heisvisc.envelopes import lower_envelope, upper_envelope
-from heisvisc.fields import Domain, parse_field, sample
-from heisvisc.gridio import read_grid_csv
+from heisvisc.fields import Domain, GridField, parse_field, sample
+from heisvisc.gridio import read_grid_csv, write_grid_csv, write_witness_csv
 
 sys.path.insert(0, "perfbench")
 from workloads import EPS, envelope_input  # noqa: E402
@@ -38,10 +46,46 @@ def _seconds(fn):
     return time.perf_counter() - start
 
 
+def _best_ms(fn):
+    return round(1e3 * min(_seconds(fn) for _ in range(3)), 2)
+
+
+def _traced_peak_mb(fn, *args):
+    fn(*args)
+    tracemalloc.start()
+    fn(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return round(peak / 1e6, 3)
+
+
+def csv_rows(tmp):
+    """The CSV I/O rows, from files in directory ``tmp``."""
+    source = envelope_input(1, tmp)
+    v = read_grid_csv(source)
+    r = upper_envelope(v, EPS["wide"])
+    fresh = (Path(tmp) / f"out_{k}.csv" for k in itertools.count())
+    g5 = GridField(2, np.array([[-1.0, 1.0]] * 5),
+                   np.random.default_rng(1).standard_normal((7,) * 5))
+    write_grid_csv(g5, Path(tmp) / "field_7x5.csv")
+    return {
+        "csv_ms_17": {
+            "read": _best_ms(lambda: read_grid_csv(source)),
+            "write_grid": _best_ms(lambda: write_grid_csv(r.out, next(fresh))),
+            "write_witness": _best_ms(lambda: write_witness_csv(r, next(fresh))),
+        },
+        "read_traced_peak_mb": {
+            "17^3": _traced_peak_mb(read_grid_csv, source),
+            "7^5": _traced_peak_mb(read_grid_csv, Path(tmp) / "field_7x5.csv"),
+        },
+    }
+
+
 def main():
     rows = {"search_ms_17": {}, "roadmap_field_s": {}}
     with tempfile.TemporaryDirectory() as tmp:
         fields = {seed: read_grid_csv(envelope_input(seed, tmp)) for seed in (1, 2, 3, 4)}
+        rows |= csv_rows(tmp)
     for seed, v in fields.items():
         rows["search_ms_17"][str(seed)] = {
             label: round(1e3 * min(
@@ -57,11 +101,7 @@ def main():
             label: round(_seconds(lambda: upper_envelope(g, eps)), 3)
             for label, eps in EPS.items()
         }
-    upper_envelope(fields[1], EPS["wide"])
-    tracemalloc.start()
-    upper_envelope(fields[1], EPS["wide"])
-    rows["traced_peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
-    tracemalloc.stop()
+    rows["traced_peak_mb"] = _traced_peak_mb(upper_envelope, fields[1], EPS["wide"])
     print(json.dumps(rows, sort_keys=True))
 
 

@@ -9,8 +9,17 @@ The four formats differ only in their comments and columns:
 - grid: `# n=`, `# box=`, `# res=`; indices, coordinates, value; one row per
   node in C order.  `read_grid_csv(write_grid_csv(g)) == g` exactly.  The
   reader refuses, naming the data row, a cell that is not a number, an
-  index outside the lattice, a repeated node, and coordinates off the
-  header's lattice node; a header that does not parse is refused by name.
+  index outside the lattice or past int64, a repeated node, and
+  coordinates off the header's lattice node; a header that does not parse,
+  or a `# res=` entry below 2, is refused by name.  Blank and `#` lines are
+  skipped wherever they stand, and the first line of each header wins.
+  The reader takes the file in windows of about 16 KiB of text cut at a
+  newline: one pass finds the headers and counts the data rows, and a
+  second converts each window's rows at once, one numpy call per column,
+  with Python's own `int` and `float` on every cell.  Only a window whose
+  conversion fails is scanned row by row, so every refusal names the same
+  row, with the same message, as a row-by-row reader would; no more than
+  one window of lines is held as strings.
 - witness: `# res=`, `# eps=`, `# mode=`; `node,witness` as flat C-order
   indices.
 - classification: `# side=`, `# res=`; `node,tag,margin`.
@@ -53,9 +62,9 @@ __all__ = [
 
 
 def _write_csv(path, comments, names, rows):
-    """Write `# ` + each comment, the column names, then each row of strings."""
-    lines = itertools.chain((f"# {c}" for c in comments), [",".join(names)],
-                            map(",".join, rows))
+    """Write `# ` + each comment, the column names, then each row, a string
+    of comma-separated cells."""
+    lines = itertools.chain((f"# {c}" for c in comments), [",".join(names)], rows)
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -78,50 +87,119 @@ def write_grid_csv(g, path):
     coords = itertools.product(*[list(map(repr, ax.tolist())) for ax in g.axes()])
     values = map(repr, g.values.ravel().tolist())
     rows = (i + c + (v,) for i, c, v in zip(index, coords, values))
-    _write_csv(path, comments, _grid_columns(g.n), rows)
+    _write_csv(path, comments, _grid_columns(g.n), map(",".join, rows))
 
 
-def _parse_header(lines, name, convert):
+# characters of text converted at once; each window is cut after a newline
+_WINDOW = 1 << 14
+_HEADERS = ("n", "box", "res")
+
+
+def _windows(f):
+    """The text of open file ``f`` a window at a time, each cut after a newline."""
+    while chunk := f.read(_WINDOW):
+        yield chunk if chunk.endswith("\n") else chunk + f.readline()
+
+
+def _scan(f):
+    """The text of the first line of each header, the column-name row, and
+    the number of data rows: the lines that are neither blank nor `#` lines,
+    after the column-name row."""
+    headers, columns, count = {}, None, 0
+    for chunk in _windows(f):
+        lines = chunk.splitlines()
+        rows = len(lines) - lines.count("")
+        if "#" in chunk:
+            for ln in lines:
+                if ln.startswith("#"):
+                    rows -= 1
+                    for name in _HEADERS:
+                        if name not in headers and ln.startswith(f"# {name}="):
+                            headers[name] = ln[len(name) + 3:]
+        if columns is None and rows:
+            columns = next(ln for ln in lines if ln and not ln.startswith("#"))
+            rows -= 1
+        count += rows
+    return headers, columns, count
+
+
+def _parse_header(headers, name, convert):
     prefix = f"# {name}="
-    for ln in lines:
-        if ln.startswith(prefix):
-            try:
-                return convert(ln[len(prefix):].strip())
-            except ValueError as e:
-                raise ValueError(f"grid CSV: '{prefix}' header: {e}") from None
-    raise ValueError(f"grid CSV: missing '{prefix}' header")
+    if name not in headers:
+        raise ValueError(f"grid CSV: missing '{prefix}' header")
+    try:
+        return convert(headers[name].strip())
+    except ValueError as e:
+        raise ValueError(f"grid CSV: '{prefix}' header: {e}") from None
+
+
+def _parse_res(text):
+    res = tuple(int(r) for r in text.split(","))
+    if min(res) < 2:
+        raise ValueError(f"each axis needs at least 2 nodes, got {res}")
+    return res
+
+
+def _refuse_row(rows, first, d):
+    """Refuse the first malformed row of ``rows``, data row ``first`` of the file,
+    converting its cells as the window's columns are."""
+    for k, ln in enumerate(rows, first):
+        parts = ln.split(",")
+        if len(parts) != 2 * d + 1:
+            raise ValueError(f"grid CSV: data row {k}: expected {2 * d + 1} columns")
+        try:
+            np.array(parts[:d], dtype=np.int64)
+            np.array(parts[d:], dtype=float)
+        except (ValueError, OverflowError) as e:
+            raise ValueError(f"grid CSV: data row {k}: {e}") from None
+
+
+def _read_rows(f, d, count):
+    """The index, coordinate and value columns of the ``count`` data rows of
+    ``f``, converted a window of rows at once, one pass per column."""
+    index, coords, flat = np.empty((count, d), np.int64), np.empty((count, d)), np.empty(count)
+    width, k, columns = 2 * d + 1, 0, None
+    for chunk in _windows(f):
+        rows = [ln for ln in chunk.splitlines() if ln and not ln.startswith("#")]
+        if columns is None and rows:
+            columns = rows.pop(0)
+        m = len(rows)
+        if list(map(str.count, rows, itertools.repeat(","))).count(width - 1) != m:
+            _refuse_row(rows, k + 1, d)   # a row of the wrong width
+        cells = ",".join(rows).split(",")
+        try:
+            for c in range(d):
+                index[k:k + m, c] = np.array(cells[c::width], dtype=np.int64)
+                coords[k:k + m, c] = np.array(cells[d + c::width], dtype=float)
+            flat[k:k + m] = np.array(cells[2 * d::width], dtype=float)
+        except (ValueError, OverflowError):
+            _refuse_row(rows, k + 1, d)   # a cell that does not convert
+            raise
+        k += m
+    return index, coords, flat
 
 
 def read_grid_csv(path):
     """Rebuild the GridField written by write_grid_csv (bit-exact)."""
-    lines = Path(path).read_text().splitlines()
-    n = _parse_header(lines, "n", int)
-    box = _parse_header(lines, "box", lambda text: np.array(
-        [[float(e) for e in span.split("..")] for span in text.split(",")]))
-    res = _parse_header(lines, "res", lambda text: tuple(int(r) for r in text.split(",")))
-    d = 2 * n + 1
-    if box.shape != (d, 2) or len(res) != d:
-        raise ValueError("grid CSV: box/res headers inconsistent with n")
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
-    header = rows.pop(0).split(",")
-    expected = list(_grid_columns(n))
-    if header != expected:
-        raise ValueError(f"grid CSV: unexpected column header {header!r}")
-    count = int(np.prod(res))
-    if len(rows) != count:
-        raise ValueError(f"grid CSV: expected {count} rows, found {len(rows)}")
-    index, coords, flat = [], np.empty((count, d)), np.empty(count)
-    for k, ln in enumerate(rows):
-        parts = ln.split(",")
-        if len(parts) != len(expected):
-            raise ValueError(f"grid CSV: data row {k + 1}: expected {len(expected)} columns")
-        try:
-            index.extend(map(int, parts[:d]))
-            coords[k] = list(map(float, parts[d:2 * d]))
-            flat[k] = float(parts[-1])
-        except ValueError as e:
-            raise ValueError(f"grid CSV: data row {k + 1}: {e}") from None
-    index = np.array(index, dtype=np.int64).reshape(count, d)
+    with open(path) as f:
+        headers, columns, found = _scan(f)
+        n = _parse_header(headers, "n", int)
+        box = _parse_header(headers, "box", lambda text: np.array(
+            [[float(e) for e in span.split("..")] for span in text.split(",")]))
+        res = _parse_header(headers, "res", _parse_res)
+        d = 2 * n + 1
+        if box.shape != (d, 2) or len(res) != d:
+            raise ValueError("grid CSV: box/res headers inconsistent with n")
+        if columns is None:
+            raise ValueError("grid CSV: missing column header")
+        header = columns.split(",")
+        if header != list(_grid_columns(n)):
+            raise ValueError(f"grid CSV: unexpected column header {header!r}")
+        count = int(np.prod(res))
+        if found != count:
+            raise ValueError(f"grid CSV: expected {count} rows, found {found}")
+        f.seek(0)
+        index, coords, flat = _read_rows(f, d, count)
     # every node exactly once: an unchecked index would wrap (-1), raise
     # IndexError (>= res) or leave another node unset (a repeat)
     outside = ((index < 0) | (index >= res)).any(axis=1)
@@ -162,7 +240,7 @@ def write_witness_csv(result, path):
     ]
     witness = result.witness.ravel().tolist()
     _write_csv(path, comments, ("node", "witness"),
-               zip(map(str, range(len(witness))), map(str, witness)))
+               map("{},{}".format, range(len(witness)), witness))
 
 
 def write_classification_csv(c, path):
@@ -170,14 +248,14 @@ def write_classification_csv(c, path):
     comments = [f"side={c.side}", "res=" + ",".join(map(str, c.tags.shape))]
     tags = c.tags.ravel().tolist()
     _write_csv(path, comments, ("node", "tag", "margin"),
-               zip(map(str, range(len(tags))), map(TAG_NAMES.__getitem__, tags),
-                   map(repr, c.rho.ravel().tolist())))
+               map(",".join, zip(map(str, range(len(tags))), map(TAG_NAMES.__getitem__, tags),
+                                 map(repr, c.rho.ravel().tolist()))))
 
 
 def write_residuals_csv(residuals, path):
     """One `sweep,residual` row per solver step, counted from 1."""
     _write_csv(path, (), ("sweep", "residual"),
-               zip(map(str, itertools.count(1)), map(repr, map(float, residuals))))
+               map(",".join, zip(map(str, itertools.count(1)), map(repr, map(float, residuals)))))
 
 
 def json_text(obj, pretty=False):

@@ -172,8 +172,9 @@ def test_envelope_rejects_zero_eps(capsys, tmp_path):
     assert "eps" in err
 
 
-@pytest.mark.parametrize("index", ["0,0,0", "3,3,-1", "9,3,3", "0,0,1,5.0,7.0,-9.0"],
-                         ids=["repeated", "negative", "too_large", "off_lattice"])
+@pytest.mark.parametrize("index", ["0,0,0", "3,3,-1", "9,3,3", "0,0,1,5.0,7.0,-9.0",
+                                   "0,0,99999999999999999999"],
+                         ids=["repeated", "negative", "too_large", "off_lattice", "past_int64"])
 def test_envelope_rejects_bad_grid_index(capsys, tmp_path, index):
     src = tmp_path / "spike.csv"
     spike_csv(src)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from heisvisc import rng
+from heisvisc import gridio, rng
 from heisvisc.cones import ConeSpec
 from heisvisc.envelopes import upper_envelope
 from heisvisc.fields import Domain, GridField, parse_field, sample
@@ -116,6 +116,10 @@ def test_grid_csv_rejects_malformed(tmp_path):
     with pytest.raises(ValueError, match="rows"):
         read_grid_csv(p)
 
+    p.write_text("\n".join(text.splitlines()[:3]) + "\n")
+    with pytest.raises(ValueError, match="^grid CSV: missing column header$"):
+        read_grid_csv(p)
+
     lines = text.splitlines()
     lines[5] = "0,0,1,1.0,2.0"
     p.write_text("\n".join(lines) + "\n")
@@ -164,8 +168,9 @@ def csv_with_index(index, tmp_path):
         ("0,3,1", r"data row 2: index \(0, 3, 1\) is outside res \(3, 3, 3\)"),
         ("0,0,1,5.0,7.0,-9.0", r"data row 2: coordinates \(5.0, 7.0, -9.0\) are off "
                                r"the lattice node \(0, 0, 1\) at \(-1.0, -1.0, 0.0\)"),
+        ("0,0,99999999999999999999", r"data row 2: Python int too large"),
     ],
-    ids=["repeated", "negative", "too_large", "off_lattice"],
+    ids=["repeated", "negative", "too_large", "off_lattice", "past_int64"],
 )
 def test_grid_csv_rejects_bad_index(tmp_path, index, message):
     # each leaves a node unset, writes outside the lattice or misplaces a node
@@ -193,8 +198,11 @@ def test_grid_csv_names_the_row_of_a_cell_that_is_not_a_number(tmp_path, row, me
     "header, bad, message",
     [("# n=1", "# n=one", "invalid literal for int() with base 10: 'one'"),
      ("# box=-1.0..1.0,", "# box=-1.0..a,", "could not convert string to float: 'a'"),
-     ("# res=3,3,3", "# res=3,3.5,3", "invalid literal for int() with base 10: '3.5'")],
-    ids=["n", "box", "res"],
+     ("# res=3,3,3", "# res=3,3.5,3", "invalid literal for int() with base 10: '3.5'"),
+     ("# res=3,3,3", "# res=-1,3,3", "each axis needs at least 2 nodes, got (-1, 3, 3)"),
+     ("# res=3,3,3", "# res=0,3,3", "each axis needs at least 2 nodes, got (0, 3, 3)"),
+     ("# res=3,3,3", "# res=3,1,3", "each axis needs at least 2 nodes, got (3, 1, 3)")],
+    ids=["n", "box", "res", "res_negative", "res_zero", "res_one"],
 )
 def test_grid_csv_names_a_malformed_header(tmp_path, header, bad, message):
     text = written(write_grid_csv, random_grid(res=(3, 3, 3)), tmp_path / "g.csv")
@@ -203,6 +211,53 @@ def test_grid_csv_names_a_malformed_header(tmp_path, header, bad, message):
     p.write_text(text.replace(header, bad, 1))
     prefix = bad.split("=")[0] + "="
     with pytest.raises(ValueError, match="^" + re.escape(f"grid CSV: '{prefix}' header: {message}")):
+        read_grid_csv(p)
+
+
+def test_grid_csv_first_header_line_wins(tmp_path):
+    g = random_grid(res=(3, 3, 3))
+    lines = written(write_grid_csv, g, tmp_path / "g.csv").splitlines()
+    lines[10:10] = ["# n=2", "# res=5,5,5", "# box=0.0..1.0,0.0..1.0,0.0..1.0"]
+    p = tmp_path / "repeated_headers.csv"
+    p.write_text("\n".join(lines) + "\n")
+    assert_array_equal(read_grid_csv(p).values, g.values)
+
+
+def file_line(lines, row):
+    """The index in ``lines`` of data row ``row`` and its character offset."""
+    k = [i for i, ln in enumerate(lines) if ln and not ln.startswith("#")][row]
+    return k, sum(len(ln) + 1 for ln in lines[:k])
+
+
+def test_grid_csv_counts_rows_across_windows(tmp_path):
+    # a 17^3 file with a `#` line after data row 1000 and a blank line after row 2000
+    g = random_grid(res=(17, 17, 17))
+    lines = written(write_grid_csv, g, tmp_path / "g.csv").splitlines()
+    lines[4 + 2000:4 + 2000] = [""]
+    lines[4 + 1000:4 + 1000] = ["# a note inside the data"]
+    p = tmp_path / "windows.csv"
+    p.write_text("\n".join(lines) + "\n")
+    assert_array_equal(read_grid_csv(p).values, g.values)
+    p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+    assert_array_equal(read_grid_csv(p).values, g.values)
+
+    # a bad cell well past the first window
+    bad = list(lines)
+    k, offset = file_line(bad, 3000)
+    assert offset > 2 * gridio._WINDOW
+    bad[k] = bad[k].replace(",", ",x", 1)
+    p.write_text("\n".join(bad) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "grid CSV: data row 3000: invalid literal for int() with base 10: 'x")):
+        read_grid_csv(p)
+
+    # a short row in the last window
+    bad = list(lines)
+    k, offset = file_line(bad, 4900)
+    assert offset > len("\n".join(bad)) - gridio._WINDOW
+    bad[k] = bad[k].rsplit(",", 1)[0]
+    p.write_text("\n".join(bad) + "\n")
+    with pytest.raises(ValueError, match="^grid CSV: data row 4900: expected 7 columns$"):
         read_grid_csv(p)
 
 
