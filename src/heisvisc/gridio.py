@@ -13,13 +13,15 @@ The four formats differ only in their comments and columns:
   coordinates off the header's lattice node; a header that does not parse,
   or a `# res=` entry below 2, is refused by name.  Blank and `#` lines are
   skipped wherever they stand, and the first line of each header wins.
-  The reader takes the file in windows of about 16 KiB of text cut at a
-  newline: one pass finds the headers and counts the data rows, and a
-  second converts each window's rows at once, one numpy call per column,
-  with Python's own `int` and `float` on every cell.  Only a window whose
+  The reader reads the text once, so a pipe loads as a file does, and
+  takes it in windows of about 16 KiB cut at a newline: the headers come
+  from the first windows, one pass counts the data rows, and a second
+  converts each window's rows at once, one numpy call per column, with
+  Python's own `int` and `float` on every cell.  Only a window whose
   conversion fails is scanned row by row, so every refusal names the same
-  row, with the same message, as a row-by-row reader would; no more than
-  one window of lines is held as strings.
+  row, with the same message, as a row-by-row reader would.  Besides the
+  text, no more than one window of lines is held as strings, and the text
+  is freed before the nodes are checked.
 - witness: `# res=`, `# eps=`, `# mode=`; `node,witness` as flat C-order
   indices.
 - classification: `# side=`, `# res=`; `node,tag,margin`.
@@ -38,6 +40,7 @@ a dotted path.
 import itertools
 import json
 import sys
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -95,32 +98,43 @@ _WINDOW = 1 << 14
 _HEADERS = ("n", "box", "res")
 
 
-def _windows(f):
-    """The text of open file ``f`` a window at a time, each cut after a newline."""
-    while chunk := f.read(_WINDOW):
-        yield chunk if chunk.endswith("\n") else chunk + f.readline()
+def _windows(text):
+    """The lines of ``text`` a window at a time: about ``_WINDOW`` characters,
+    cut after a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _WINDOW) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
 
 
-def _scan(f):
-    """The text of the first line of each header, the column-name row, and
-    the number of data rows: the lines that are neither blank nor `#` lines,
-    after the column-name row."""
-    headers, columns, count = {}, None, 0
-    for chunk in _windows(f):
-        lines = chunk.splitlines()
-        rows = len(lines) - lines.count("")
-        if "#" in chunk:
-            for ln in lines:
-                if ln.startswith("#"):
-                    rows -= 1
-                    for name in _HEADERS:
-                        if name not in headers and ln.startswith(f"# {name}="):
-                            headers[name] = ln[len(name) + 3:]
-        if columns is None and rows:
-            columns = next(ln for ln in lines if ln and not ln.startswith("#"))
-            rows -= 1
-        count += rows
-    return headers, columns, count
+def _headers(text):
+    """The text after `# name=` on the first line of each header."""
+    headers = {}
+    for lines in _windows(text):
+        for ln in filter(methodcaller("startswith", "# "), lines):
+            for name in _HEADERS:
+                if name not in headers and ln.startswith(f"# {name}="):
+                    headers[name] = ln[len(name) + 3:]
+        if len(headers) == len(_HEADERS):
+            break
+    return headers
+
+
+def _rows(text):
+    """Each window's lines that are neither blank nor `#` lines: the
+    column-name row, then the data rows."""
+    return ([ln for ln in lines if ln and not ln.startswith("#")] for lines in _windows(text))
+
+
+def _data_rows(text):
+    """Each window's data rows: ``_rows`` less the column-name row."""
+    windows = _rows(text)
+    for rows in windows:
+        if rows:
+            yield rows[1:]
+            break
+    yield from windows
 
 
 def _parse_header(headers, name, convert):
@@ -154,15 +168,12 @@ def _refuse_row(rows, first, d):
             raise ValueError(f"grid CSV: data row {k}: {e}") from None
 
 
-def _read_rows(f, d, count):
+def _read_rows(text, d, count):
     """The index, coordinate and value columns of the ``count`` data rows of
-    ``f``, converted a window of rows at once, one pass per column."""
+    ``text``, converted a window of rows at once, one pass per column."""
     index, coords, flat = np.empty((count, d), np.int64), np.empty((count, d)), np.empty(count)
-    width, k, columns = 2 * d + 1, 0, None
-    for chunk in _windows(f):
-        rows = [ln for ln in chunk.splitlines() if ln and not ln.startswith("#")]
-        if columns is None and rows:
-            columns = rows.pop(0)
+    width, k = 2 * d + 1, 0
+    for rows in filter(None, _data_rows(text)):
         m = len(rows)
         if list(map(str.count, rows, itertools.repeat(","))).count(width - 1) != m:
             _refuse_row(rows, k + 1, d)   # a row of the wrong width
@@ -179,27 +190,35 @@ def _read_rows(f, d, count):
     return index, coords, flat
 
 
+def _parse_grid(text):
+    """The n, box and res headers of grid CSV ``text`` and the index,
+    coordinate and value columns of its data rows."""
+    headers = _headers(text)
+    n = _parse_header(headers, "n", int)
+    box = _parse_header(headers, "box", lambda spans: np.array(
+        [[float(e) for e in span.split("..")] for span in spans.split(",")]))
+    res = _parse_header(headers, "res", _parse_res)
+    d = 2 * n + 1
+    if box.shape != (d, 2) or len(res) != d:
+        raise ValueError("grid CSV: box/res headers inconsistent with n")
+    columns = next((rows[0] for rows in _rows(text) if rows), None)
+    if columns is None:
+        raise ValueError("grid CSV: missing column header")
+    header = columns.split(",")
+    if header != list(_grid_columns(n)):
+        raise ValueError(f"grid CSV: unexpected column header {header!r}")
+    count = int(np.prod(res))
+    found = sum(map(len, _data_rows(text)))
+    if found != count:
+        raise ValueError(f"grid CSV: expected {count} rows, found {found}")
+    return (n, box, res) + _read_rows(text, d, count)
+
+
 def read_grid_csv(path):
     """Rebuild the GridField written by write_grid_csv (bit-exact)."""
-    with open(path) as f:
-        headers, columns, found = _scan(f)
-        n = _parse_header(headers, "n", int)
-        box = _parse_header(headers, "box", lambda text: np.array(
-            [[float(e) for e in span.split("..")] for span in text.split(",")]))
-        res = _parse_header(headers, "res", _parse_res)
-        d = 2 * n + 1
-        if box.shape != (d, 2) or len(res) != d:
-            raise ValueError("grid CSV: box/res headers inconsistent with n")
-        if columns is None:
-            raise ValueError("grid CSV: missing column header")
-        header = columns.split(",")
-        if header != list(_grid_columns(n)):
-            raise ValueError(f"grid CSV: unexpected column header {header!r}")
-        count = int(np.prod(res))
-        if found != count:
-            raise ValueError(f"grid CSV: expected {count} rows, found {found}")
-        f.seek(0)
-        index, coords, flat = _read_rows(f, d, count)
+    # the text is freed before the nodes are checked
+    n, box, res, index, coords, flat = _parse_grid(Path(path).read_text())
+    count, d = index.shape
     # every node exactly once: an unchecked index would wrap (-1), raise
     # IndexError (>= res) or leave another node unset (a repeat)
     outside = ((index < 0) | (index >= res)).any(axis=1)

@@ -2,6 +2,7 @@
 problem JSON loading and its schema errors."""
 
 import json
+import os
 import re
 from types import SimpleNamespace
 
@@ -259,6 +260,40 @@ def test_grid_csv_counts_rows_across_windows(tmp_path):
     p.write_text("\n".join(bad) + "\n")
     with pytest.raises(ValueError, match="^grid CSV: data row 4900: expected 7 columns$"):
         read_grid_csv(p)
+
+
+@pytest.mark.parametrize("at, block", [
+    (0, ["# " + "c" * 78] * 300),
+    (4, ["# " + "c" * 78] * 300),
+    (None, [""] * 20000),
+], ids=["comments_before_headers", "comments_before_data", "blank_lines_after_data"])
+def test_grid_csv_skips_windows_without_data_rows(tmp_path, at, block):
+    # the block fills whole windows that hold no data row
+    assert len("\n".join(block)) > gridio._WINDOW
+    g = random_grid(res=(3, 3, 3))
+    lines = written(write_grid_csv, g, tmp_path / "g.csv").splitlines()
+    at = len(lines) if at is None else at
+    lines[at:at] = block
+    p = tmp_path / "sparse.csv"
+    p.write_text("\n".join(lines) + "\n")
+    back = read_grid_csv(p)
+    assert back.res == g.res
+    assert_array_equal(back.box, g.box)
+    assert_array_equal(back.values, g.values)
+
+
+def test_grid_csv_reads_from_a_pipe(tmp_path):
+    # the text is read once, so a pipe (or `--input /dev/stdin`) loads as a file does
+    g = random_grid(res=(3, 3, 3))
+    text = written(write_grid_csv, g, tmp_path / "g.csv")
+    r, w = os.pipe()
+    with os.fdopen(w, "w") as f:
+        f.write(text)
+    try:
+        back = read_grid_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert_array_equal(back.values, g.values)
 
 
 def test_witness_csv_matches_envelope(tmp_path):
