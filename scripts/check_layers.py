@@ -6,12 +6,13 @@ Run from the root of a source checkout; it times the ``heisvisc`` on the
 path.  Rows:
 
 - ``suite_ms``: each member suite of ``all`` run in process at seed 42 with
-  its default count, after a warm-up run; best of five, in ms.
+  its default count, after a warm-up run; the median of 21 runs in ms
+  (``ms``), with their interquartile range (``iqr_ms``).
 - ``searches``: the three searches and the cone-axiom sampler inside one
   in-process ``all`` run, each timed by wrapping the module-level function
   that does its work, so the same rows read alike on any version of the
-  code that keeps those names; calls and sizes come from one run, ``ms`` is
-  the best of five:
+  code that keeps those names; calls and sizes come from one run, ``ms``
+  and ``iqr_ms`` are the median and interquartile range of 21 runs:
   - ``lemma35_spectrum``: the eigenvalue calls of the lemma35 gain searches
     (``comparison.spectrum``), with the matrices they took;
   - ``keylemma_certificate``: ``key_lemma_certificate`` less its envelope
@@ -34,14 +35,9 @@ from contextlib import contextmanager
 
 from heisvisc import comparison, cones, envelopes, suites, viscosity
 from heisvisc.suites import SUITE_NAMES, run_suite
+from timing import RUNS, median_ms, seconds, timed_ms
 
 SEED = 42
-
-
-def _seconds(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
 
 
 @contextmanager
@@ -100,17 +96,16 @@ def main():
         if name == "all":
             continue
         run_suite(name, SEED)
-        rows["suite_ms"][name] = round(
-            1e3 * min(_seconds(lambda: run_suite(name, SEED)) for _ in range(5)), 1)
-    runs = [_search_tallies() for _ in range(5)]
+        rows["suite_ms"][name] = timed_ms(lambda: run_suite(name, SEED))
+    runs = [_search_tallies() for _ in range(RUNS)]
     rows["searches"] = {
         key: {k: v for k, v in runs[0][key].items() if k != "s"}
-        | {"ms": round(1e3 * min(run[key]["s"] for run in runs), 1)}
+        | median_ms([run[key]["s"] for run in runs])
         for key in runs[0]
     }
     argv = [sys.executable, "-m", "heisvisc", "check", "--suite", "all", "--seed", str(SEED)]
     rows["cli_s"] = round(min(
-        _seconds(lambda: subprocess.run(argv, stdout=subprocess.DEVNULL, check=True))
+        seconds(lambda: subprocess.run(argv, stdout=subprocess.DEVNULL, check=True))
         for _ in range(3)), 3)
     print(json.dumps(rows, sort_keys=True))
 

@@ -14,7 +14,8 @@ path.  Rows:
   seed-1 field at eps 5, after a warm-up call, in MB.
 - ``csv_ms_17``: ``read_grid_csv`` of the seed-1 field's CSV, and
   ``write_grid_csv`` and ``write_witness_csv`` of its upper envelope at
-  eps 5, each to a fresh file; best of three, in ms.
+  eps 5, each to a fresh file; each the median of 21 runs in ms (``ms``),
+  with their interquartile range (``iqr_ms``).
 - ``read_traced_peak_mb``: the ``tracemalloc`` peak of one ``read_grid_csv``
   of the seed-1 17^3 field and of a seeded standard-normal 7^5 field on
   [-1, 1]^5, after a warm-up read, in MB.
@@ -24,7 +25,6 @@ import itertools
 import json
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -33,21 +33,12 @@ import numpy as np
 from heisvisc.envelopes import lower_envelope, upper_envelope
 from heisvisc.fields import Domain, GridField, parse_field, sample
 from heisvisc.gridio import read_grid_csv, write_grid_csv, write_witness_csv
+from timing import seconds, timed_ms
 
 sys.path.insert(0, "perfbench")
 from workloads import EPS, envelope_input  # noqa: E402
 
 ROADMAP_FIELD = "x1*x1 - 0.5*y1*y1 + 0.3*t + 0.2*x1*t"
-
-
-def _seconds(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
-def _best_ms(fn):
-    return round(1e3 * min(_seconds(fn) for _ in range(3)), 2)
 
 
 def _traced_peak_mb(fn, *args):
@@ -70,9 +61,9 @@ def csv_rows(tmp):
     write_grid_csv(g5, Path(tmp) / "field_7x5.csv")
     return {
         "csv_ms_17": {
-            "read": _best_ms(lambda: read_grid_csv(source)),
-            "write_grid": _best_ms(lambda: write_grid_csv(r.out, next(fresh))),
-            "write_witness": _best_ms(lambda: write_witness_csv(r, next(fresh))),
+            "read": timed_ms(lambda: read_grid_csv(source)),
+            "write_grid": timed_ms(lambda: write_grid_csv(r.out, next(fresh))),
+            "write_witness": timed_ms(lambda: write_witness_csv(r, next(fresh))),
         },
         "read_traced_peak_mb": {
             "17^3": _traced_peak_mb(read_grid_csv, source),
@@ -89,7 +80,7 @@ def main():
     for seed, v in fields.items():
         rows["search_ms_17"][str(seed)] = {
             label: round(1e3 * min(
-                _seconds(lambda: (upper_envelope(v, eps), lower_envelope(v, eps)))
+                seconds(lambda: (upper_envelope(v, eps), lower_envelope(v, eps)))
                 for _ in range(3)), 1)
             for label, eps in EPS.items()
         }
@@ -98,7 +89,7 @@ def main():
     for res in (21, 41):
         g = sample(f, box, res)
         rows["roadmap_field_s"][str(res)] = {
-            label: round(_seconds(lambda: upper_envelope(g, eps)), 3)
+            label: round(seconds(lambda: upper_envelope(g, eps)), 3)
             for label, eps in EPS.items()
         }
     rows["traced_peak_mb"] = _traced_peak_mb(upper_envelope, fields[1], EPS["wide"])

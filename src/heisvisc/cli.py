@@ -37,7 +37,7 @@ from .gridio import (
     write_residuals_csv,
     write_witness_csv,
 )
-from .perron import solve
+from .perron import uniqueness_gap
 from .suites import SUITE_NAMES, report_json, run_suite
 from .viscosity import classify_grid
 
@@ -183,22 +183,23 @@ def cmd_compare(args):
 
 def cmd_solve(args):
     prob = load_problem(args.problem)
-    res = solve(prob, tol=args.tol, max_iter=args.max_iter, start=args.start)
+    rep = uniqueness_gap(prob, tol=args.tol, max_iter=args.max_iter)
     out = _out_dir(args)
-    write_grid_csv(res.u, out / "solution.csv")
-    write_residuals_csv(res.residuals, out / "residuals.csv")
-    report = {
-        "problem": str(args.problem),
-        "converged": bool(res.converged),
-        "iterations": int(res.iterations),
-        "final_residual": float(res.final_residual),
-        "held": int(res.held),
-        "start": res.start,
-    }
+    report = {"problem": str(args.problem), "passed": rep.passed, "gap": rep.gap,
+              "gap_tol": rep.tol}
+    for side, res in rep.sides.items():
+        (out / side).mkdir(exist_ok=True)
+        write_grid_csv(res.u, out / side / "solution.csv")
+        write_residuals_csv(res.residuals, out / side / "residuals.csv")
+        report[side] = {
+            "converged": bool(res.converged),
+            "iterations": int(res.iterations),
+            "final_residual": float(res.final_residual),
+            "held": int(res.held),
+        }
     _write_report(out / "solve_report.json", report)
-    _print_json({"converged": report["converged"], "iterations": report["iterations"],
-                 "out_dir": str(out)})
-    return 0 if res.converged else 1
+    _print_json({"passed": rep.passed, "gap": rep.gap, "out_dir": str(out)})
+    return 0 if rep.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +253,12 @@ def build_parser():
     p.add_argument("--problem", required=True)
     p.add_argument("--out-dir", default=None)
 
-    p = add("solve", cmd_solve, "bracketed semismooth Newton solve of a problem JSON")
+    p = add("solve", cmd_solve,
+            "bracketed semismooth Newton solve of a problem JSON from both ends")
     p.add_argument("--problem", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=100, help="Newton steps")
-    p.add_argument("--start", choices=("sub", "super"), default="sub")
 
     return parser
 

@@ -35,7 +35,6 @@ __all__ = [
     "gauge",
     "dist",
     "dilate",
-    "left_difference",
     "frame_t_coefficients",
     "j_matrix",
 ]
@@ -79,26 +78,6 @@ def group_inv(a):
     return -_flat(a)[0]
 
 
-def left_difference(eta, xi):
-    """eta^-1 o xi.
-
-    Expanding the product gives
-    (x - x', y - y', t - t' + 2 sum_i (x'_i y_i - y'_i x_i))
-    with (x, y, t) = xi and (x', y', t') = eta.
-    """
-    eta, xi, n = _pair(eta, xi)
-    dx = xi[..., :n] - eta[..., :n]
-    dy = xi[..., n : 2 * n] - eta[..., n : 2 * n]
-    twist = 2.0 * np.sum(
-        eta[..., :n] * xi[..., n : 2 * n] - eta[..., n : 2 * n] * xi[..., :n], axis=-1
-    )
-    out = np.empty(np.broadcast_shapes(xi.shape, eta.shape), dtype=float)
-    out[..., :n] = dx
-    out[..., n : 2 * n] = dy
-    out[..., 2 * n] = xi[..., 2 * n] - eta[..., 2 * n] + twist
-    return out
-
-
 _TINY = np.finfo(float).tiny
 
 
@@ -131,14 +110,14 @@ def dist(a, b):
     """
     a, b, n = _pair(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = gauge(left_difference(b, a))
+        r = gauge(group_mul(group_inv(b), a))
     lost = ~np.isfinite(r)
     if lost.any():
         lost &= np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1)
     if not lost.any():
         return r
     s = np.where(lost, np.maximum(_unit_scale(a, n), _unit_scale(b, n)), 1.0)
-    unit = gauge(left_difference(_shrink(b, s, n), _shrink(a, s, n)))
+    unit = gauge(group_mul(group_inv(_shrink(b, s, n)), _shrink(a, s, n)))
     with np.errstate(over="ignore"):   # a distance past the float range is inf
         return np.where(lost, s * unit, r)[()]
 

@@ -483,11 +483,6 @@ class AnalyticField:
     def names(self):
         return coordinate_names(self.n) + self.extra_vars
 
-    @classmethod
-    def parse(cls, text, n, extra_vars=()):
-        root = _Parser(text, set(coordinate_names(n) + tuple(extra_vars))).parse()
-        return cls(root, n, tuple(extra_vars))
-
     def _env_from_coords(self, coords, extra):
         coords = np.asarray(coords, dtype=float)
         if coords.shape[-1] != 2 * self.n + 1:
@@ -525,7 +520,9 @@ class AnalyticField:
 
 def parse_field(text, n, extra_vars=()):
     """Parse an expression into an AnalyticField; see the module grammar."""
-    return AnalyticField.parse(text, n, extra_vars)
+    extra_vars = tuple(extra_vars)
+    return AnalyticField(_Parser(text, set(coordinate_names(n) + extra_vars)).parse(), n,
+                         extra_vars)
 
 
 def parse_expr(text, names):

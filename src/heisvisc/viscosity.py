@@ -214,10 +214,11 @@ class Classification:
         return self.counts.get(name, 0)
 
 
-def classify_grid(g, spec, cone, side="both"):
-    """Classify every node of a grid field; see the module docstring."""
-    if side not in ("sub", "super", "both"):
-        raise ValueError(f"side must be 'sub', 'super', or 'both', got {side!r}")
+def classify_grid(g, spec, cone, side):
+    """Classify every node of a grid field as a ``side`` ("sub" or "super")
+    solution; see the module docstring."""
+    if side not in ("sub", "super"):
+        raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
     res = g.res
     tags = np.full(res, _TAG_CODE["Untestable"], dtype=np.int8)
     rho_full = np.full(res, np.nan)
@@ -228,12 +229,8 @@ def classify_grid(g, spec, cone, side="both"):
     c = codes_from_values(rho, band)
     tag_inner = np.empty(op.shape, dtype=np.int8)
     tag_inner[c == 0] = _TAG_CODE["OnBoundary"]
-    tag_inner[c == 1] = _TAG_CODE[
-        "SubOK" if side != "super" else "SuperViolated"
-    ]
-    tag_inner[c == -1] = _TAG_CODE[
-        "SuperOK" if side != "sub" else "SubViolated"
-    ]
+    tag_inner[c == 1] = _TAG_CODE["SubOK" if side == "sub" else "SuperViolated"]
+    tag_inner[c == -1] = _TAG_CODE["SuperOK" if side == "super" else "SubViolated"]
     tags[op.inner] = tag_inner
     rho_full[op.inner] = rho
     tags[untestable] = _TAG_CODE["Untestable"]

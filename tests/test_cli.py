@@ -12,7 +12,8 @@ import pytest
 
 from heisvisc.cli import main
 from heisvisc.fields import Domain, parse_field, sample
-from heisvisc.gridio import read_grid_csv, write_grid_csv
+from heisvisc.gridio import load_problem, read_grid_csv, write_grid_csv
+from heisvisc.perron import solve
 
 BOX1 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -239,18 +240,36 @@ def test_solve_linear_problem(capsys, tmp_path):
     out_dir = tmp_path / "out"
     code, out, _ = run(capsys, "solve", "--problem", str(prob), "--out-dir", str(out_dir))
     assert code == 0
-    assert last_json(out)["converged"] is True
-    u = read_grid_csv(out_dir / "solution.csv")
-    exact = sample(parse_field("x1", 1), Domain(BOX1), (7, 7, 7))
-    assert np.abs(u.values - exact.values).max() <= 1e-9
+    line = last_json(out)
+    assert set(line) == {"passed", "gap", "out_dir"}
+    assert line["passed"] is True
     report = json.loads((out_dir / "solve_report.json").read_text())
-    assert report["converged"] is True
-    assert report["held"] == 0
-    assert set(report) == {"problem", "converged", "iterations", "final_residual", "held",
-                           "start"}
-    lines = (out_dir / "residuals.csv").read_text().splitlines()
-    assert lines[0] == "sweep,residual"
-    assert len(lines) == report["iterations"] + 1
+    assert set(report) == {"problem", "passed", "gap", "gap_tol", "sub", "super"}
+    assert report["passed"] is True and report["gap"] == line["gap"]
+    # 1e-6 of the bracket width, 2 * 0.3 at the box centre
+    assert report["gap"] <= report["gap_tol"] == pytest.approx(0.6e-6)
+    exact = sample(parse_field("x1", 1), Domain(BOX1), (7, 7, 7))
+    for side in ("sub", "super"):
+        rec = report[side]
+        assert set(rec) == {"converged", "iterations", "final_residual", "held"}
+        assert rec["converged"] is True
+        assert rec["held"] == 0
+        u = read_grid_csv(out_dir / side / "solution.csv")
+        assert np.abs(u.values - exact.values).max() <= 1e-9
+        lines = (out_dir / side / "residuals.csv").read_text().splitlines()
+        assert lines[0] == "sweep,residual"
+        assert len(lines) == rec["iterations"] + 1
+
+
+def test_solve_writes_each_side_as_its_one_sided_solve(capsys, tmp_path):
+    path = write_problem(tmp_path)
+    out_dir = tmp_path / "out"
+    assert run(capsys, "solve", "--problem", str(path), "--out-dir", str(out_dir))[0] == 0
+    prob = load_problem(path)
+    for side in ("sub", "super"):
+        write_grid_csv(solve(prob, start=side).u, tmp_path / f"{side}.csv")
+        assert ((out_dir / side / "solution.csv").read_bytes()
+                == (tmp_path / f"{side}.csv").read_bytes())
 
 
 def test_solve_is_deterministic(capsys, tmp_path):
@@ -258,7 +277,8 @@ def test_solve_is_deterministic(capsys, tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
         assert run(capsys, "solve", "--problem", str(prob), "--out-dir", str(d))[0] == 0
-    for name in ("solution.csv", "residuals.csv"):
+    for name in ("solve_report.json", "sub/solution.csv", "sub/residuals.csv",
+                 "super/solution.csv", "super/residuals.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
@@ -270,8 +290,31 @@ def test_solve_nonconvergence_exits_1(capsys, tmp_path):
         "--max-iter", "1",
     )
     assert code == 1
-    assert last_json(out)["converged"] is False
-    assert (out_dir / "solution.csv").exists()
+    assert last_json(out)["passed"] is False
+    report = json.loads((out_dir / "solve_report.json").read_text())
+    assert report["passed"] is False
+    for side in ("sub", "super"):
+        assert report[side]["converged"] is False
+        assert report[side]["iterations"] == 1
+        assert (out_dir / side / "solution.csv").exists()
+        assert (out_dir / side / "residuals.csv").exists()
+
+
+def test_solve_has_no_start_option(capsys, tmp_path):
+    prob = write_problem(tmp_path)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", str(prob), "--out-dir", str(out_dir), "--start", "sub"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --start sub" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"start": "super"}))
+    code, out, err = run(capsys, "solve", "--config", str(cfg), "--problem", str(prob),
+                         "--out-dir", str(out_dir))
+    assert code == 2
+    assert err == "error: config key 'start' is not a flag of this command\n"
+    assert out == ""
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
@@ -282,7 +325,7 @@ def test_solve_refuses_a_tolerance_it_could_never_meet(capsys, tmp_path, tol):
                        f"--tol={tol}")
     assert code == 2
     assert "tol must be a positive finite number" in err
-    assert not (out_dir / "solution.csv").exists()
+    assert not out_dir.exists()
 
 
 def test_solve_refuses_a_negative_step_count(capsys, tmp_path):
@@ -293,7 +336,7 @@ def test_solve_refuses_a_negative_step_count(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: max_iter must be a non-negative number of Newton steps, got -1\n"
-    assert not (out_dir / "solution.csv").exists()
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--tol=0", "--max-iter=-1"])

@@ -20,7 +20,6 @@ from heisvisc.core import (
     group_inv,
     group_mul,
     j_matrix,
-    left_difference,
 )
 from heisvisc.operators import OperatorSpec, contract
 from heisvisc.rng import stream
@@ -138,23 +137,12 @@ def test_distance_left_invariance_and_symmetry():
         assert dist(a, a) == 0.0
 
 
-def test_left_difference_matches_group_ops():
-    gen = stream(7, 5)
-    for n in (1, 2):
-        for _ in range(50):
-            a, b = random_point(gen, n), random_point(gen, n)
-            direct = left_difference(b, a)
-            via_mul = group_mul(group_inv(b), a)
-            np.testing.assert_allclose(direct, via_mul, atol=1e-13)
-
-
 def test_group_functions_broadcast_over_samples():
     gen = stream(7, 6)
     for n in (1, 2):
         a, b = gen.uniform(-2, 2, size=(2, 40, 2 * n + 1))
         lam = gen.uniform(0.1, 3.0, size=40)
         np.testing.assert_array_equal(group_mul(a, b), [group_mul(p, q) for p, q in zip(a, b)])
-        np.testing.assert_array_equal(left_difference(a[0], b), [left_difference(a[0], q) for q in b])
         np.testing.assert_array_equal(dilate(lam, a), [dilate(m, p) for p, m in zip(a, lam)])
         # the fourth root takes numpy's vector path on a stack: equal to rounding
         np.testing.assert_allclose(dist(a, b), [dist(p, q) for p, q in zip(a, b)], rtol=1e-15)

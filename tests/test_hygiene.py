@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no function
 keeps a local or (at module level) a parameter it never reads, no public
-function or class of the package is there only for the tests, every
+function or class of the package is there only for the tests (none is
+exempt), every
 eigenvalue the program computes, every JSON text it reads or writes and
 the lattice discretisation come from one place each, the package runs on
 numpy alone, and the golden-file script still writes the goldens."""
@@ -36,8 +37,6 @@ SCHEME_NAMES = {
     "newton_values": {"cones"},
     "band_from_entries": {"cones"},
 }
-# gate 12 reads it; ROADMAP item 6 moves it into `heisvisc solve`
-TEST_ONLY_EXEMPT = {"perron.uniqueness_gap"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
 _SCOPES = _FUNCTIONS + (ast.Lambda, ast.ClassDef, ast.ListComp, ast.SetComp,
@@ -215,11 +214,8 @@ def unread_public_names(package, readers):
 
 
 def test_no_public_name_only_tests_use():
-    found = set(unread_public_names(ROOT / "src/heisvisc", [ROOT / p for p in PUBLIC_READERS]))
-    assert not found - TEST_ONLY_EXEMPT, (
-        "public names no program file reads:\n" + "\n".join(sorted(found - TEST_ONLY_EXEMPT)))
-    # an exemption that no longer applies goes too
-    assert TEST_ONLY_EXEMPT <= found
+    found = unread_public_names(ROOT / "src/heisvisc", [ROOT / p for p in PUBLIC_READERS])
+    assert not found, "public names no program file reads:\n" + "\n".join(found)
 
 
 def test_scan_sees_public_names_only_tests_read(tmp_path):

@@ -254,7 +254,7 @@ def test_uniqueness_gap_linear():
     rep = uniqueness_gap(p)
     assert rep.passed
     assert rep.gap <= 1e-9
-    assert rep.ascent.converged and rep.descent.converged
+    assert rep.sides["sub"].converged and rep.sides["super"].converged
 
 
 def test_uniqueness_gap_pinned_bracket_is_zero():
@@ -266,10 +266,20 @@ def test_uniqueness_gap_pinned_bracket_is_zero():
     assert rep.passed
 
 
-def test_uniqueness_gap_propagates_nonconvergence():
+def test_uniqueness_gap_reports_nonconvergence():
     p = linear_problem(11)
-    with pytest.raises(ArithmeticError, match="converge"):
-        uniqueness_gap(p, max_iter=1)
+    rep = uniqueness_gap(p, max_iter=1)
+    assert not rep.passed
+    assert [rep.sides[s].converged for s in ("sub", "super")] == [False, False]
+
+
+def test_uniqueness_gap_passes_tol_to_both_sides():
+    p = linear_problem(11)
+    rep = uniqueness_gap(p, tol=1e-3)
+    for start, res in rep.sides.items():
+        assert res.final_residual < 1e-3
+        assert res.iterations == solve(p, tol=1e-3, start=start).iterations
+    assert rep.sides["sub"].iterations < solve(p, start="sub").iterations
 
 
 # -- the Newton Jacobian -----------------------------------------------------------
@@ -342,7 +352,7 @@ def test_classification_builds_no_gather_table(monkeypatch):
 
     monkeypatch.setattr(GridOperator, "_build_table", refuse)
     p = linear_problem(9)
-    c = classify_grid(p.sub, p.spec, p.cone)
+    c = classify_grid(p.sub, p.spec, p.cone, "sub")
     assert c.count("Untestable") < p.sub.values.size
     # a solve does build it
     with pytest.raises(AssertionError, match="offset table"):

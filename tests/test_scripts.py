@@ -2,6 +2,7 @@
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,3 +32,19 @@ def test_bench_pairs_refuses_a_missing_layer_script_before_any_run(tmp_path, mon
     assert exc.value.code == 2
     assert "--layers: no such file" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_timed_ms_is_the_median_of_21_runs_with_its_spread(monkeypatch):
+    timing = _load("timing")
+    clock = [0.0]
+    monkeypatch.setattr(timing, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    # 21 calls in a shuffled order: 1..20 ms and one slow outlier of 300 ms
+    durations = iter(1e-3 * k for k in [7, 19, 2, 11, 300, 5, 13, 17, 1, 9, 20, 3, 15,
+                                         8, 12, 4, 18, 6, 14, 10, 16])
+
+    def stub():
+        clock[0] += next(durations)
+
+    row = timing.timed_ms(stub)
+    assert next(durations, None) is None
+    assert row == {"ms": 11.0, "iqr_ms": 11.0}

@@ -39,26 +39,26 @@ def tags_of_testable(cls):
 def test_constant_field_is_on_boundary_for_any_spec():
     g = GridField(1, BOX.box, np.full((7, 7, 7), 3.25))
     for spec in (ZERO_SPEC, conformal_operator_spec()):
-        cls = classify_grid(g, spec, TRACE, side="both")
-        assert cls.count("OnBoundary") == 5 * 5 * 5
-        assert cls.count("Untestable") == 7**3 - 5**3
-        assert tags_of_testable(cls) == {"OnBoundary"}
+        for side in ("sub", "super"):
+            cls = classify_grid(g, spec, TRACE, side)
+            assert cls.count("OnBoundary") == 5 * 5 * 5
+            assert cls.count("Untestable") == 7**3 - 5**3
+            assert tags_of_testable(cls) == {"OnBoundary"}
 
 
 def test_linear_field_is_on_boundary_for_zero_spec():
-    cls = classify_grid(grid_of("x1"), ZERO_SPEC, TRACE, side="both")
-    assert tags_of_testable(cls) == {"OnBoundary"}
-    assert abs(cls.worst["OnBoundary"]["rho"]) < 1e-12
+    for side in ("sub", "super"):
+        cls = classify_grid(grid_of("x1"), ZERO_SPEC, TRACE, side)
+        assert tags_of_testable(cls) == {"OnBoundary"}
+        assert abs(cls.worst["OnBoundary"]["rho"]) < 1e-12
 
 
 def test_square_norm_fields_classify_strictly():
-    up = classify_grid(grid_of("x1*x1 + y1*y1 + t*t"), ZERO_SPEC, TRACE, side="both")
+    up = classify_grid(grid_of("x1*x1 + y1*y1 + t*t"), ZERO_SPEC, TRACE, "sub")
     assert tags_of_testable(up) == {"SubOK"}
-    down = classify_grid(
-        grid_of("0.0 - (x1*x1 + y1*y1 + t*t)"), ZERO_SPEC, TRACE, side="both"
-    )
+    down = classify_grid(grid_of("0.0 - (x1*x1 + y1*y1 + t*t)"), ZERO_SPEC, TRACE, "super")
     assert tags_of_testable(down) == {"SuperOK"}
-    # one-sided views rename the violations
+    # the other side's view names the same nodes as violations
     sup_view = classify_grid(grid_of("x1*x1 + y1*y1 + t*t"), ZERO_SPEC, TRACE, "super")
     assert tags_of_testable(sup_view) == {"SuperViolated"}
     sub_view = classify_grid(
@@ -90,12 +90,13 @@ def test_grid_verdict_matches_exact_jets_on_quadratics():
     g = sample(f, BOX, 7)
     spec = conformal_operator_spec()
     cone = ConeSpec("posdef")
-    cls = classify_grid(g, spec, cone, side="both")
     nodes = [(1, 1, 1), (3, 2, 4), (5, 5, 5), (2, 4, 3)]
     coords = g.coords_full()[tuple(np.array(nodes).T)]
     rho_exact = newton_values(cone, entries(eval_F(spec, f, coords)[0]))[0]
-    for node, rho in zip(nodes, rho_exact):
-        assert cls.rho[node] == pytest.approx(rho, abs=1e-9)
+    for side in ("sub", "super"):
+        cls = classify_grid(g, spec, cone, side)
+        for node, rho in zip(nodes, rho_exact):
+            assert cls.rho[node] == pytest.approx(rho, abs=1e-9)
 
 
 def random_quadratic(gen, n):
@@ -136,7 +137,7 @@ def test_grid_operator_matches_exact_frame_calculus(n, res, coefficients):
 def test_kink_nodes_are_untestable():
     g = sample(parse_field("min(x1, y1)", 1), BOX, 9)
     assert g.jet_invalid is not None
-    cls = classify_grid(g, ZERO_SPEC, TRACE, side="both")
+    cls = classify_grid(g, ZERO_SPEC, TRACE, "sub")
     # the diagonal sheet x1 == y1 and its one-cell dilation must be masked
     assert cls.count("Untestable") > 9**3 - 7**3
     assert np.isnan(cls.rho[4, 4, 4])
@@ -160,12 +161,14 @@ def test_kink_flags_grow_to_their_jet_cubes(d):
 
 
 def test_classification_bookkeeping():
-    cls = classify_grid(grid_of("x1*x1"), ZERO_SPEC, TRACE, side="both")
-    assert set(cls.counts) <= set(TAG_NAMES)
-    assert cls.tags.size - cls.count("Untestable") == 7**3
-    assert sum(cls.counts.values()) == 9**3
-    with pytest.raises(ValueError):
-        classify_grid(grid_of("x1"), ZERO_SPEC, TRACE, side="everything")
+    for side in ("sub", "super"):
+        cls = classify_grid(grid_of("x1*x1"), ZERO_SPEC, TRACE, side)
+        assert set(cls.counts) <= set(TAG_NAMES)
+        assert cls.tags.size - cls.count("Untestable") == 7**3
+        assert sum(cls.counts.values()) == 9**3
+    for side in ("both", "everything"):
+        with pytest.raises(ValueError, match="side must be 'sub' or 'super'"):
+            classify_grid(grid_of("x1"), ZERO_SPEC, TRACE, side)
 
 
 # -- key lemma certificate ----------------------------------------------------------
