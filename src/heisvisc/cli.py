@@ -312,9 +312,6 @@ def main(argv=None):
         _install_config(parser, argv)
         args = parser.parse_args(argv)
         return args.fn(args)
-    except ArithmeticError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -97,7 +97,7 @@ def _margin_matrices(psi, spec, nodes, mode):
     F_tilde, _ = eval_F(spec, tilde, nodes)
     weight = 1.0 - sign * _MU * _BETA * np.exp(-_BETA * psi(nodes))
     A = sign * (F_tilde - weight[..., None, None] * F)
-    growth = 1.0 + np.sum(g * g, axis=-1) ** (spec.m / 2.0)
+    growth = 1.0 + np.sum(g * g, axis=-1)
     B = growth[:, None, None] * np.eye(g.shape[-1]) + g[:, :, None] * g[:, None, :]
     return A, B
 
@@ -127,7 +127,7 @@ def margin_pencil(psi, spec, nodes, mode="up"):
 
     For ``mode="up"`` the check is that the operator of the raised field
     dominates (1 - mu*beta*exp(-beta*psi)) times the original operator up
-    to the gradient-shaped correction mu*K0*((1+|grad_H psi|^m)I +
+    to the gradient-shaped correction mu*K0*((1+|grad_H psi|^2)I +
     grad_H psi x grad_H psi); ``mode="down"`` mirrors the inequality for
     the lowered field.  Nodes outside the admissible region are dropped;
     an empty remainder is an error, not a vacuous pass.  The pencil answers

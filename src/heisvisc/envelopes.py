@@ -134,6 +134,9 @@ def lower_envelope(w, eps):
     return _envelope(w, eps, "lower")
 
 
+# at a tiny eps, d^4/eps passes the float range: inf, the score of a candidate
+# that never wins
+@np.errstate(over="ignore")
 def _envelope(v, eps, mode):
     eps = float(eps)
     if not (np.isfinite(eps) and eps > 0):
@@ -406,6 +409,9 @@ class WitnessReport:
     witness: dict | None = None
 
 
+# at a huge eps, the reach budget eps * (max v - v) passes the float range:
+# inf, a bound every witness meets
+@np.errstate(over="ignore")
 def check_witness_bound(r, v):
     """Optimality identity and reach bound for the argmax witness.
 

@@ -87,14 +87,8 @@ class Node:
     def __add__(self, other):
         return Add(self, _as_node(other))
 
-    def __radd__(self, other):
-        return Add(_as_node(other), self)
-
     def __sub__(self, other):
         return Sub(self, _as_node(other))
-
-    def __rsub__(self, other):
-        return Sub(_as_node(other), self)
 
     def __mul__(self, other):
         return Mul(self, _as_node(other))
@@ -102,20 +96,8 @@ class Node:
     def __rmul__(self, other):
         return Mul(_as_node(other), self)
 
-    def __truediv__(self, other):
-        return Div(self, _as_node(other))
-
-    def __rtruediv__(self, other):
-        return Div(_as_node(other), self)
-
-    def __pow__(self, other):
-        other = _as_node(other)
-        if not isinstance(other, Const):
-            return exp_of(other * log_of(self))
-        return Pow(self, other.value)
-
-    def __neg__(self):
-        return Neg(self)
+    def __pow__(self, exponent):
+        return Pow(self, float(exponent))
 
 
 def _as_node(v):

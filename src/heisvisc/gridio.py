@@ -33,8 +33,10 @@ compact or indented by 2.  Problem JSON holds the domain, resolution,
 operator and cone descriptions (constant, finite coefficients), the
 boundary expression, and either explicit bracket-grid CSV paths (relative
 to the JSON file) or a `bracket: {scale: s}` recipe that rebuilds the pair
-with `bracket_from_boundary`.  Schema errors name the offending field with
-a dotted path.
+with `bracket_from_boundary`, never both.  Schema errors name the offending
+field with a dotted path, and so does the refusal of a key the program
+would not read: one outside the schema, `cone.k` outside the `sigma_k`
+family or `cone.g` outside `spectral` (a `null` counts as absent).
 """
 
 import itertools
@@ -340,13 +342,32 @@ _COEFFICIENT = ("a finite number (the solver path requires constant coefficients
                 "expressions wait on ROADMAP item 2(c))")
 
 
+# the keys each object of a problem may hold ("" is the problem itself)
+_SCHEMA = {
+    "": ("domain", "resolution", "operator", "cone", "boundary", "bracket", "sub", "sup"),
+    "domain": ("n", "box"),
+    "operator": ("alpha", "beta", "gamma"),
+    "cone": ("family", "k", "g", "tol"),
+    "bracket": ("scale",),
+}
+
+
+def _fields(data, path):
+    """The object at dotted ``path``; a key the schema does not hold there,
+    and so no program would read, is refused by its dotted path."""
+    data = _object(data, path or "the problem")
+    keys = _SCHEMA[path]
+    extra = next((key for key in data if key not in keys), None)
+    if extra is not None:
+        raise ValueError(f"problem JSON: {path + '.' if path else ''}{extra} is not a field "
+                         f"of the schema (expected one of: {', '.join(keys)})")
+    return data
+
+
 def _operator_from_json(data):
-    data = _object(data, "operator")
-    coeffs = {c: _number(_need(data, f"operator.{c}"), f"operator.{c}", _COEFFICIENT)
-              for c in ("alpha", "beta", "gamma")}
-    if "m" in data:
-        coeffs["m"] = _number(data["m"], "operator.m")
-    return OperatorSpec(**coeffs)
+    data = _fields(data, "operator")
+    return OperatorSpec(**{c: _number(_need(data, f"operator.{c}"), f"operator.{c}", _COEFFICIENT)
+                           for c in ("alpha", "beta", "gamma")})
 
 
 def _parsed(parse, text, path):
@@ -358,7 +379,7 @@ def _parsed(parse, text, path):
 
 
 def _cone_from_json(data, n):
-    data = _object(data, "cone")
+    data = _fields(data, "cone")
     kwargs = {"family": _string(_need(data, "cone.family"), "cone.family")}
     if data.get("k") is not None:
         kwargs["k"] = _integer(data["k"], "cone.k")
@@ -370,6 +391,10 @@ def _cone_from_json(data, n):
         cone = ConeSpec(**kwargs)
     except ValueError as e:   # each of its messages names its field
         raise ValueError(f"problem JSON: {e}") from None
+    for key, family in (("k", "sigma_k"), ("g", "spectral")):   # a field one family reads
+        if key in kwargs and cone.family != family:
+            raise ValueError(f"problem JSON: cone.{key} is read by the {family} family only, "
+                             f"not by {cone.family}")
     if cone.family == "spectral":
         # the cone would parse g only when first evaluated
         _parsed(lambda g: spectral_tree(g, 2 * n), cone.g, "cone.g")
@@ -383,7 +408,8 @@ def problem_from_json(data, base=None):
     against; it defaults to the current directory.
     """
     base = Path(base) if base is not None else Path(".")
-    dom = _object(_need(data, "domain"), "domain")
+    data = _fields(data, "")
+    dom = _fields(_need(data, "domain"), "domain")
     n = _integer(_need(dom, "domain.n"), "domain.n", least=1)
     box = _need(dom, "domain.box")
     d = 2 * n + 1
@@ -401,6 +427,9 @@ def problem_from_json(data, base=None):
     cone = _cone_from_json(_need(data, "cone"), n)
     boundary = _parsed(lambda text: parse_field(text, n),
                        _string(_need(data, "boundary"), "boundary"), "boundary")
+    if "bracket" in data and ("sub" in data or "sup" in data):
+        raise ValueError("problem JSON: bracket is given together with sub/sup; "
+                         "a problem takes one or the other")
     if "sub" in data or "sup" in data:
         sub, sup = (read_grid_csv(base / _string(_need(data, side), side))
                     for side in ("sub", "sup"))
@@ -411,7 +440,7 @@ def problem_from_json(data, base=None):
                     f"{g.box.tolist()}, not the resolution {list(res)} on domain.box "
                     f"{box.tolist()}")
     elif "bracket" in data:
-        bracket = _object(data["bracket"], "bracket")
+        bracket = _fields(data["bracket"], "bracket")
         scale = _number(_need(bracket, "bracket.scale"), "bracket.scale")
         sub, sup = bracket_from_boundary(boundary, Domain(box), res, scale)
     else:

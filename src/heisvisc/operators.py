@@ -9,13 +9,16 @@ with the quadratic gradient family
     L(xi, s, p) = alpha(xi, s) p (x) p - gamma(xi, s) Jp (x) Jp - beta(xi, s) |p|^2 I,
 
 where (x) is the outer product and J = [[0, I], [-I, 0]].  Coefficients are
-constants or analytic fields in (x, y, t, s).  ``contract`` is the one
-frame contraction: it turns Euclidean derivatives into F and the horizontal
-gradient, and the grid operator (finite differences) and ``eval_F`` (exact
-jets of an analytic field) both call it; ``contract_transpose`` is its
-transpose, which the solver's Jacobian is built from; ``gradient_term`` is
-the one L, and ``gradient_term_transpose`` the transpose of its
-p-derivative, which both the solver's Jacobian and the structural gate read.
+constants or analytic fields in (x, y, t, s).  L is quadratic in the
+gradient, so its growth exponent is m = 2 everywhere it is read (the
+structural gate, the key-lemma shift and the Lemma 3.5 pencil), not a
+setting.  ``contract`` is the one frame contraction: it turns Euclidean
+derivatives into F and the horizontal gradient, and the grid operator
+(finite differences) and ``eval_F`` (exact jets of an analytic field) both
+call it; ``contract_transpose`` is its transpose, which the solver's
+Jacobian is built from; ``gradient_term`` is the one L, and
+``gradient_term_transpose`` the transpose of its p-derivative, which both
+the solver's Jacobian and the structural gate read.
 The conformal pair: ``eval_A_psi`` is F with alpha = gamma = 1, beta = 1/2,
 and ``eval_A_u`` is the equivalent form in the substitution
 u = exp(-(Q-2) psi / 2), Q = 2n + 2, satisfying A^u = e^{2 psi} A[psi].
@@ -56,12 +59,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Coefficients (alpha, beta, gamma) and gradient exponent m of the family."""
+    """Coefficients (alpha, beta, gamma) of the family."""
 
     alpha: object = 0.0
     beta: object = 0.0
     gamma: object = 0.0
-    m: float = 2.0
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
@@ -70,10 +72,6 @@ class OperatorSpec:
                 object.__setattr__(self, name, float(c))
             elif not isinstance(c, AnalyticField):
                 raise ValueError(f"{name} must be a number or an AnalyticField")
-        m = float(self.m)
-        if not (np.isfinite(m) and m >= 0):
-            raise ValueError(f"exponent m must be finite and nonnegative, got {m}")
-        object.__setattr__(self, "m", m)
 
     @property
     def is_constant(self):
@@ -84,17 +82,12 @@ class OperatorSpec:
     @property
     def is_zero(self):
         """Whether L vanishes identically: every coefficient is the constant 0."""
-        return self.is_constant and not any(self.constants())
-
-    def constants(self):
-        if not self.is_constant:
-            raise ValueError("operator spec has non-constant coefficients")
-        return self.alpha, self.beta, self.gamma
+        return self.is_constant and not any((self.alpha, self.beta, self.gamma))
 
 
 def conformal_operator_spec():
-    """The distinguished spec alpha = gamma = 1, beta = 1/2, m = 2."""
-    return OperatorSpec(alpha=1.0, beta=0.5, gamma=1.0, m=2.0)
+    """The distinguished spec alpha = gamma = 1, beta = 1/2."""
+    return OperatorSpec(alpha=1.0, beta=0.5, gamma=1.0)
 
 
 def coefficient_values(spec, coords, s):

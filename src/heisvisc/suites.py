@@ -15,7 +15,7 @@ lemma35 (perturbation margin certificates, both directions), keylemma
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -61,16 +61,6 @@ class CheckOutcome:
     tol: float | None = None
     detail: dict | None = None
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "checked": int(self.checked),
-            "error": None if self.error is None else float(self.error),
-            "tol": None if self.tol is None else float(self.tol),
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class SuiteReport:
@@ -84,14 +74,6 @@ class SuiteReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_dict(self):
-        return {
-            "suite": self.suite,
-            "seed": int(self.seed),
-            "passed": bool(self.passed),
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def _outcome(name, checked, error, tol, detail=None):
@@ -465,10 +447,8 @@ def suite_keylemma(seed, count=None):
     dom = Domain(_BOX1.copy())
     w = sample(parse_field("0.0 - (x1*x1 + y1*y1 + t*t)", 1), dom, (13, 13, 13))
     for eps in (0.5, 0.25):
-        rep = key_lemma_certificate(
-            w, eps, OperatorSpec(0.0, 0.0, 0.0), ConeSpec("trace"), a=1000.0, M=10.0,
-            mode="super",
-        )
+        rep = key_lemma_certificate(w, eps, OperatorSpec(0.0, 0.0, 0.0), ConeSpec("trace"),
+                                    mode="super")
         ok = rep.passed and rep.interior_failures == 0 and rep.coverage >= 0.99
         checks.append(
             CheckOutcome(
@@ -478,9 +458,8 @@ def suite_keylemma(seed, count=None):
             )
         )
     v = sample(parse_field("x1*x1 + y1*y1 + t*t", 1), dom, (13, 13, 13))
-    rep = key_lemma_certificate(
-        v, 0.5, OperatorSpec(0.0, 0.0, 0.0), ConeSpec("trace"), a=1000.0, M=10.0, mode="sub"
-    )
+    rep = key_lemma_certificate(v, 0.5, OperatorSpec(0.0, 0.0, 0.0), ConeSpec("trace"),
+                                mode="sub")
     ok = rep.passed and rep.interior_failures == 0 and rep.coverage >= 0.99
     checks.append(
         CheckOutcome(
@@ -546,4 +525,4 @@ def run_suite(name, seed, count=None, tamper=False, pool=None):
 
 def report_json(report):
     """Deterministic JSON text for a suite report (sorted keys, LF, indent 2)."""
-    return json_text(report.to_dict(), pretty=True)
+    return json_text(asdict(report), pretty=True)

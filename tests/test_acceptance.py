@@ -160,7 +160,7 @@ def test_09_envelope_shift_certificate():
     details = []
     ok = True
     for eps in (0.5, 0.25):
-        rep = key_lemma_certificate(w, eps, ZERO, TRACE, a=1000.0, M=10.0, mode="super")
+        rep = key_lemma_certificate(w, eps, ZERO, TRACE, mode="super")
         ok = ok and rep.passed and rep.interior_failures == 0 and rep.coverage >= 0.99
         details.append(f"eps {eps}: coverage {rep.coverage:.4f}, min_a {rep.min_a:.1f}")
     _line(9, "envelope-shift certificate at a=1000, failures confined to collar", ok,

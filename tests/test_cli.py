@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from heisvisc import cli
 from heisvisc.cli import main
 from heisvisc.fields import Domain, parse_field, sample
 from heisvisc.gridio import load_problem, read_grid_csv, write_grid_csv
@@ -203,6 +205,25 @@ def test_envelope_rejects_grid_with_n_zero(capsys, tmp_path):
     assert "n must be at least 1" in err
 
 
+@pytest.mark.parametrize("mode", ["upper", "lower"])
+@pytest.mark.parametrize("eps", ["1e-320", "1e308"])
+def test_envelope_at_extreme_eps_prints_no_warning(capsys, tmp_path, eps, mode):
+    # d^4/eps (at 1e-320) and eps * (max v - v) (at 1e308) pass the float
+    # range; inf is the right value there, and nothing is printed for it
+    src = tmp_path / "field.csv"
+    source = sample(parse_field("x1*x1 - y1 + 0.3*t", 1), Domain(BOX1), (7, 7, 7))
+    write_grid_csv(source, src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "envelope", "--input", str(src), "--eps", eps,
+                             "--mode", mode, "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    assert last_json(out)["passed"] is True
+    if eps == "1e-320":   # every witness is the node itself
+        env = read_grid_csv(tmp_path / "out" / "field_envelope.csv")
+        assert np.array_equal(env.values, source.values)
+
+
 def test_envelope_missing_input_is_io_error(capsys, tmp_path):
     code, _, _ = run(
         capsys, "envelope", "--input", str(tmp_path / "nope.csv"), "--eps", "0.5",
@@ -218,7 +239,7 @@ def write_problem(tmp_path, boundary="x1", explicit=None):
     data = {
         "domain": {"n": 1, "box": [[-1.0, 1.0]] * 3},
         "resolution": [7, 7, 7],
-        "operator": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0, "m": 2.0},
+        "operator": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0},
         "cone": {"family": "trace"},
         "boundary": boundary,
     }
@@ -413,8 +434,8 @@ def _explicit_grids(data):
         (_set("operator", 5), "operator must be an object, got 5"),
         (_explicit_grids, "sub must be a string, got 5"),
         (_set("operator.alpha", 10**400), "operator.alpha must be a finite number"),
-        (_set("operator.m", float("nan")), "operator.m must be a finite number, got nan"),
-        (_set("operator.m", float("inf")), "operator.m must be a finite number, got inf"),
+        (_set("operator.m", float("nan")), "operator.m is not a field of the schema"),
+        (_set("operator.m", float("inf")), "operator.m is not a field of the schema"),
         (_set("operator.alpha", float("nan")), "operator.alpha must be a finite number"),
         (_set("operator.beta", float("inf")), "operator.beta must be a finite number"),
         (_set("operator.alpha", "0.1*x1"),
@@ -424,11 +445,19 @@ def _explicit_grids(data):
         (_set("cone", {"family": "spectral", "g": "l1 +"}), "cone.g: expected an operand"),
         (_set("cone", {"family": "spectral", "g": "l1 + l3"}), "cone.g: unknown identifier 'l3'"),
         (_set("cone", {"family": "spectral"}), "cone.g must be given for the spectral family"),
+        (_set("cone", {"family": "posdef", "tolerance": 1e-3}),
+         "cone.tolerance is not a field of the schema"),
+        (_set("cone", {"family": "posdef", "k": 7}), "cone.k is read by the sigma_k family only"),
+        (_set("cone", {"family": "posdef", "g": "l1"}),
+         "cone.g is read by the spectral family only"),
+        (_set("extra", 1), "extra is not a field of the schema"),
+        (_set("sub", "v.csv"), "bracket is given together with sub/sup"),
     ],
     ids=["resolution_number", "resolution_null", "boundary_number", "cone_g_number",
          "operator_number", "sub_sup_numbers", "alpha_past_float_range", "m_nan", "m_inf",
          "alpha_nan", "beta_inf", "alpha_expression", "cone_family_unknown",
-         "boundary_unparsable", "cone_g_unparsable", "cone_g_past_d", "cone_g_missing"],
+         "boundary_unparsable", "cone_g_unparsable", "cone_g_past_d", "cone_g_missing",
+         "cone_unknown_key", "k_on_posdef", "g_on_posdef", "unknown_key", "bracket_and_sub"],
 )
 def test_malformed_problem_exits_2_naming_its_path(capsys, tmp_path, edit, path):
     data = json.loads(write_problem(tmp_path).read_text())
@@ -440,6 +469,32 @@ def test_malformed_problem_exits_2_naming_its_path(capsys, tmp_path, edit, path)
     assert out == ""
     assert err.startswith(f"error: problem JSON: {path}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", [2, 0, 3])
+@pytest.mark.parametrize("command", ["classify", "compare", "solve"])
+def test_problem_setting_operator_m_exits_2(capsys, tmp_path, command, m):
+    # L is quadratic in the gradient, so its exponent is 2 and no setting
+    data = json.loads(write_problem(tmp_path).read_text())
+    data["operator"]["m"] = m
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(data))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--problem", str(p), "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: problem JSON: operator.m is not a field of the schema")
+    assert not out_dir.exists()
+
+
+def test_a_bug_in_a_command_is_not_a_property_failure(monkeypatch):
+    # exit 1 means a property or convergence failure; an arithmetic error is
+    # a bug and propagates out of main with its traceback
+    def broken(args):
+        return 1 / 0
+
+    monkeypatch.setattr(cli, "cmd_gauge", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["gauge", "--point", "0,0,1"])
 
 
 def test_classify_on_boundary_solution_passes(capsys, tmp_path):

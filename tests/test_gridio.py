@@ -441,7 +441,7 @@ def base_problem_json():
     return {
         "domain": {"n": 1, "box": [[-1.0, 1.0]] * 3},
         "resolution": [7, 7, 7],
-        "operator": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0, "m": 2.0},
+        "operator": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0},
         "cone": {"family": "trace"},
         "boundary": "x1",
         "bracket": {"scale": 0.3},
@@ -596,9 +596,9 @@ def test_problem_json_operator_constants_round_trip():
     data = base_problem_json()
     data["operator"] = {"alpha": 1, "beta": 0.5, "gamma": 1.0}
     spec = problem_from_json(data).spec
-    assert spec == OperatorSpec(alpha=1.0, beta=0.5, gamma=1.0, m=2.0)
+    assert spec == OperatorSpec(alpha=1.0, beta=0.5, gamma=1.0)
     assert isinstance(spec.alpha, float)
-    data["operator"] = {"alpha": spec.alpha, "beta": spec.beta, "gamma": spec.gamma, "m": spec.m}
+    data["operator"] = {"alpha": spec.alpha, "beta": spec.beta, "gamma": spec.gamma}
     assert problem_from_json(json.loads(json.dumps(data))).spec == spec
 
 
@@ -634,3 +634,60 @@ def test_problem_json_rejects_bad_file(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ValueError, match="not valid JSON"):
         load_problem(p)
+
+
+def _key(path, value):
+    def edit(data):
+        *outer, key = path.split(".")
+        for name in outer:
+            data = data[name]
+        data[key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_key("operator.m", 2), "operator.m is not a field of the schema"),
+        (_key("operator.m", 0), "operator.m is not a field of the schema"),
+        (_key("operator.m", 3), "operator.m is not a field of the schema"),
+        (_key("extra", 1), "extra is not a field of the schema"),
+        (_key("domain.origin", [0, 0, 0]), "domain.origin is not a field of the schema"),
+        (_key("cone.tolerance", 1e-3), "cone.tolerance is not a field of the schema"),
+        (_key("bracket.width", 0.3), "bracket.width is not a field of the schema"),
+        (_key("cone", {"family": "posdef", "k": 7}),
+         "cone.k is read by the sigma_k family only, not by posdef"),
+        (_key("cone", {"family": "spectral", "g": "l1", "k": 2}),
+         "cone.k is read by the sigma_k family only, not by spectral"),
+        (_key("cone", {"family": "posdef", "g": "l1"}),
+         "cone.g is read by the spectral family only, not by posdef"),
+        (_key("cone", {"family": "sigma_k", "k": 2, "g": "l1"}),
+         "cone.g is read by the spectral family only, not by sigma_k"),
+        (_key("sup", "w.csv"), "bracket is given together with sub/sup"),
+    ],
+    ids=["operator_m_2", "operator_m_0", "operator_m_3", "top_level", "domain", "cone",
+         "bracket", "k_on_posdef", "k_on_spectral", "g_on_posdef", "g_on_sigma_k",
+         "bracket_and_grids"],
+)
+def test_problem_json_refuses_keys_it_would_not_read(edit, message):
+    # each of these would run as the plain problem does, the key unread
+    data = base_problem_json()
+    edit(data)
+    with pytest.raises(ValueError, match="^" + re.escape(f"problem JSON: {message}")):
+        problem_from_json(data)
+
+
+@pytest.mark.parametrize("cone", [{"family": "posdef", "k": None, "g": None},
+                                  {"family": "sigma_k", "k": 2, "g": None},
+                                  {"family": "spectral", "g": "l1 + l2", "k": None}],
+                         ids=["posdef", "sigma_k", "spectral"])
+def test_problem_json_takes_null_family_fields_as_absent(cone):
+    data = base_problem_json()
+    data["cone"] = cone
+    assert problem_from_json(data).cone == ConeSpec(
+        **{key: value for key, value in cone.items() if value is not None})
+
+
+def test_problem_json_must_be_an_object():
+    with pytest.raises(ValueError, match=re.escape("problem JSON: the problem must be an object")):
+        problem_from_json([base_problem_json()])

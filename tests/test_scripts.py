@@ -48,3 +48,18 @@ def test_timed_ms_is_the_median_of_21_runs_with_its_spread(monkeypatch):
     row = timing.timed_ms(stub)
     assert next(durations, None) is None
     assert row == {"ms": 11.0, "iqr_ms": 11.0}
+
+
+@pytest.mark.parametrize("argv", [[], ["--out-dir", "out"], ["--eps", "1.0,0.5"]],
+                         ids=["no_options", "out_dir", "eps"])
+def test_golden_script_writes_nothing_without_its_golden_dir(tmp_path, monkeypatch, capsys,
+                                                              argv):
+    # the envelope property checks are `check --suite envelopes`; the script
+    # only rewrites the goldens (test_hygiene runs that path)
+    demo = _load("run_envelope_demo")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        demo.main(argv)
+    assert exc.value.code == 2
+    assert "--golden-dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

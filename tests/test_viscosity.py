@@ -181,7 +181,7 @@ def quadratic_supersolution():
 
 def test_certificate_constant_field():
     g = GridField(1, BOX.box, np.full((9, 9, 9), 2.0))
-    rep = key_lemma_certificate(g, 0.5, ZERO_SPEC, TRACE, a=0.0, M=10.0, mode="super")
+    rep = key_lemma_certificate(g, 0.5, ZERO_SPEC, TRACE, mode="super")
     assert rep.passed
     assert rep.min_a == 0.0
     assert rep.coverage == 1.0
@@ -195,9 +195,7 @@ PINNED_MIN_A = {0.5: 102.97160912893672, 0.25: 194.48893075311426}
 
 @pytest.mark.parametrize("eps", [0.5, 0.25])
 def test_certificate_quadratic_fixture(quadratic_supersolution, eps):
-    rep = key_lemma_certificate(
-        quadratic_supersolution, eps, ZERO_SPEC, TRACE, a=1000.0, M=10.0, mode="super"
-    )
+    rep = key_lemma_certificate(quadratic_supersolution, eps, ZERO_SPEC, TRACE, mode="super")
     assert rep.passed
     assert rep.interior_failures == 0
     assert rep.failures == rep.collar_failures
@@ -205,73 +203,70 @@ def test_certificate_quadratic_fixture(quadratic_supersolution, eps):
     assert rep.min_a == pytest.approx(PINNED_MIN_A[eps], rel=1e-6)
 
 
-def test_certificate_monotone_in_a(quadratic_supersolution):
-    reports = [
-        key_lemma_certificate(
-            quadratic_supersolution, 0.5, ZERO_SPEC, TRACE, a=a, M=10.0, mode="super"
-        )
-        for a in (50.0, 200.0, 800.0)
-    ]
-    covers = [r.coverage for r in reports]
-    assert covers == sorted(covers)
-    fails = [r.failures for r in reports]
-    assert fails == sorted(fails, reverse=True)
-    # the bisection minimum does not depend on where the doubling search starts
-    for r in reports:
-        assert r.min_a == pytest.approx(PINNED_MIN_A[0.5], rel=1e-6)
-
-
 def test_certificate_reports_with_collar_failures_are_pinned():
-    # every field, exactly, of two certificates whose collar fails at the
-    # given a; the bisection decides on the body nodes alone, so neither
+    # every field, exactly, of three certificates whose collar fails at
+    # a = 1000; the bisection decides on the body nodes alone, so neither
     # min_a nor anything else may move when it stops looking at the collar
     quadratic = sample(parse_field("0.0 - (x1*x1 + y1*y1 + t*t)", 1), BOX, 13)
-    rep = key_lemma_certificate(quadratic, 0.25, ZERO_SPEC, TRACE, a=20.0, M=10.0)
+    rep = key_lemma_certificate(quadratic, 0.25, ZERO_SPEC, TRACE, mode="super")
     assert dataclasses.asdict(rep) == {
-        "mode": "super", "eps": 0.25, "a": 20.0, "passed": True,
+        "mode": "super", "eps": 0.25, "passed": True,
         "min_a": 11.970415194206835, "testable": 1331, "excluded_bound": 0,
-        "coverage": 0.9218632607062359, "failures": 104, "collar_failures": 104,
+        "coverage": 0.9939894815927873, "failures": 8, "collar_failures": 8,
         "interior_failures": 0,
-        "worst": {"node": (11, 2, 10), "rho": 43.544920320411904,
-                  "shift": 2.1534657657200045, "in_collar": True},
+        "worst": {"node": (1, 8, 11), "rho": 4.478425595659811,
+                  "shift": 2.8101699182194877, "in_collar": True},
     }
     tilted = grid_of("x1*x1 - 0.5*y1*y1 + 0.3*t + 0.2*x1*t", res=11)
     rep = key_lemma_certificate(tilted, 0.5, conformal_operator_spec(), ConeSpec("posdef"),
-                                a=10.0, M=1.0, mode="sub")
+                                mode="sub")
     assert dataclasses.asdict(rep) == {
-        "mode": "sub", "eps": 0.5, "a": 10.0, "passed": False,
-        "min_a": 31.623914308172235, "testable": 729, "excluded_bound": 499,
-        "coverage": 0.8782608695652174, "failures": 28, "collar_failures": 22,
-        "interior_failures": 6,
-        "worst": {"node": (2, 9, 1), "rho": -5.757924015724331,
-                  "shift": 0.5237917506187045, "in_collar": True},
+        "mode": "sub", "eps": 0.5, "passed": True,
+        "min_a": 39.828118231563295, "testable": 729, "excluded_bound": 0,
+        "coverage": 0.9917695473251029, "failures": 6, "collar_failures": 6,
+        "interior_failures": 0,
+        "worst": {"node": (9, 8, 9), "rho": -3.4781911076795042,
+                  "shift": 3.446153373507591, "in_collar": True},
+    }
+    # x1^2 fails in the body at every a the doubling search tries, so no
+    # min_a is reported
+    rep = key_lemma_certificate(grid_of("x1*x1", res=13), 0.5, ZERO_SPEC, ConeSpec("posdef"),
+                                mode="sub")
+    assert dataclasses.asdict(rep) == {
+        "mode": "sub", "eps": 0.5, "passed": False,
+        "min_a": None, "testable": 1331, "excluded_bound": 0,
+        "coverage": 0.9849737039819685, "failures": 20, "collar_failures": 8,
+        "interior_failures": 12,
+        "worst": {"node": (6, 1, 5), "rho": -0.02016162972190827,
+                  "shift": 7.6046713901126895e-28, "in_collar": True},
     }
 
 
 def test_certificate_sub_mode_mirror():
     v = sample(parse_field("x1*x1 + y1*y1 + t*t", 1), BOX, 13)
-    rep = key_lemma_certificate(v, 0.5, ZERO_SPEC, TRACE, a=1000.0, M=10.0, mode="sub")
+    rep = key_lemma_certificate(v, 0.5, ZERO_SPEC, TRACE, mode="sub")
     assert rep.interior_failures == 0
     assert rep.min_a is not None
 
 
-def test_certificate_magnitude_cut(quadratic_supersolution):
-    # a small M excludes nodes with large values but keeps the verdict sound
-    rep = key_lemma_certificate(
-        quadratic_supersolution, 0.5, ZERO_SPEC, TRACE, a=1000.0, M=1.0, mode="super"
-    )
-    assert rep.excluded_bound > 0
-    with pytest.raises(ValueError):
-        key_lemma_certificate(
-            quadratic_supersolution, 0.5, ZERO_SPEC, TRACE, a=1.0, M=1e-9, mode="super"
-        )
+def test_certificate_magnitude_cut():
+    # nodes where |w_eps| + |w(xi_*)| > M = 10 are excluded, and the verdict
+    # on the rest stays sound
+    steep = sample(parse_field("0.0 - 2*(x1*x1 + y1*y1 + t*t)", 1), BOX, 17)
+    rep = key_lemma_certificate(steep, 0.5, ZERO_SPEC, TRACE, mode="super")
+    assert (rep.excluded_bound, rep.testable) == (1592, 3375)
+    assert rep.passed and rep.coverage == 1.0
+    # a constant field's envelope is itself: the cut keeps 5 + 5 and drops 5.1 + 5.1
+    at_bound = GridField(1, BOX.box, np.full((9, 9, 9), 5.0))
+    assert key_lemma_certificate(at_bound, 0.5, ZERO_SPEC, TRACE, mode="super").excluded_bound == 0
+    with pytest.raises(ValueError, match="excludes every testable node"):
+        key_lemma_certificate(GridField(1, BOX.box, np.full((9, 9, 9), 5.1)), 0.5, ZERO_SPEC,
+                              TRACE, mode="super")
 
 
 def test_certificate_validation(quadratic_supersolution):
     g = quadratic_supersolution
-    with pytest.raises(ValueError):
-        key_lemma_certificate(g, -0.5, ZERO_SPEC, TRACE, a=1.0, M=1.0)
-    with pytest.raises(ValueError):
-        key_lemma_certificate(g, 0.5, ZERO_SPEC, TRACE, a=-1.0, M=1.0)
-    with pytest.raises(ValueError):
-        key_lemma_certificate(g, 0.5, ZERO_SPEC, TRACE, a=1.0, M=1.0, mode="down")
+    with pytest.raises(ValueError, match="need eps > 0"):
+        key_lemma_certificate(g, -0.5, ZERO_SPEC, TRACE, mode="super")
+    with pytest.raises(ValueError, match="mode must be"):
+        key_lemma_certificate(g, 0.5, ZERO_SPEC, TRACE, mode="down")
