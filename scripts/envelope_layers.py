@@ -12,6 +12,9 @@ path.  Rows:
   0.2 x1 t on [-1, 1]^3 at 21^3 and 41^3, eps 5 and 0.05; one run, in s.
 - ``traced_peak_mb``: the ``tracemalloc`` peak of one upper envelope of the
   seed-1 field at eps 5, after a warm-up call, in MB.
+- ``roadmap_traced_peak_mb``: the ``tracemalloc`` peak of one upper envelope
+  of the ``roadmap_field_s`` field at 21^3 and 41^3, eps 5 and 0.05, after a
+  warm-up call, in MB.
 - ``csv_ms_17``: ``read_grid_csv`` of the seed-1 field's CSV, and
   ``write_grid_csv`` and ``write_witness_csv`` of its upper envelope at
   eps 5, each to a fresh file; each the median of 21 runs in ms (``ms``),
@@ -73,7 +76,7 @@ def csv_rows(tmp):
 
 
 def main():
-    rows = {"search_ms_17": {}, "roadmap_field_s": {}}
+    rows = {"search_ms_17": {}, "roadmap_field_s": {}, "roadmap_traced_peak_mb": {}}
     with tempfile.TemporaryDirectory() as tmp:
         fields = {seed: read_grid_csv(envelope_input(seed, tmp)) for seed in (1, 2, 3, 4)}
         rows |= csv_rows(tmp)
@@ -91,6 +94,9 @@ def main():
         rows["roadmap_field_s"][str(res)] = {
             label: round(seconds(lambda: upper_envelope(g, eps)), 3)
             for label, eps in EPS.items()
+        }
+        rows["roadmap_traced_peak_mb"][str(res)] = {
+            label: _traced_peak_mb(upper_envelope, g, eps) for label, eps in EPS.items()
         }
     rows["traced_peak_mb"] = _traced_peak_mb(upper_envelope, fields[1], EPS["wide"])
     print(json.dumps(rows, sort_keys=True))

@@ -153,6 +153,8 @@ class ConeSpec:
     k      : order for the sigma_k family (1 <= k <= d at evaluation time)
     g      : expression in l1..ld (text or parsed tree) for "spectral"
     tol    : half-width factor of the boundary band
+
+    k and g are refused for every family but the one that reads them.
     """
 
     family: str
@@ -174,6 +176,10 @@ class ConeSpec:
                              "in l1..ld)")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"cone.tol must be positive, got {self.tol}")
+        for key, family in (("k", "sigma_k"), ("g", "spectral")):   # a field one family reads
+            if getattr(self, key) is not None and self.family != family:
+                raise ValueError(f"cone.{key} is read by the {family} family only, "
+                                 f"not by {self.family}")
 
 
 def _active_e(lams, k):

@@ -34,10 +34,25 @@ Stage 2 scores only the rows with bound >= floor[r].  A dropped row scores
 strictly below every node's own best, so it can neither win nor tie, and
 values and witnesses are those of the all-pairs search bit for bit.
 
-The kept rows are scored together, candidates in ascending flat index, so
-the first best is the smallest index.  Each source row keeps only the
-indices of its winners; the block then maps them to target nodes and
-scores each winner again by the same expression, which gives the same bits.
+A pair's d^4 depends on its t-coordinates only through dt, which takes
+few distinct values (33 at 17^3, against 289 t-pairs).  Stage 2 therefore
+computes the table q[k, s] = ((steps[s] + shear_k)^2 + |dz_k|^4) / eps
+over kept row pairs k and the distinct dt values steps[s], by the same
+operations as a pair-by-pair evaluation and so with the same bits, and
+fills a source row's candidate block from it with one np.take through a
+gather index built once per block.  The kept rows are scored together,
+candidates in ascending flat index, so the first best is the smallest
+index.  Of the R z-rows, at most cap = min(R, max(T, 2^14 // T)) kept rows
+are scored at once, and q covers up to cap kept pairs, which may span
+several source rows.  The candidate block then holds at most max(T^3,
+2^14 T) floats (5.4 MB at 41^3, where all T N candidates of a source row
+would take 23 MB), and q fewer than 2 T cap, a 2/T share of that.  A row
+keeping more than cap rows is scored in chunks of cap, and a later chunk's
+winner replaces the earlier only when strictly better, which keeps the
+smallest index on a tie.  Each source row keeps only the indices of its
+winners; the block then maps them to target nodes and scores each winner
+again by the same expression, which gives the same bits.
+
 A candidate outside the window scores below min v, hence below the node
 itself; only a rounding tie at the window's edge can make one win, and then
 that node's out-of-window candidates are masked and its search repeated.
@@ -156,24 +171,30 @@ def _envelope(v, eps, mode):
     # at most 12 |dz|^2 and the rank-one shear part 2 (1 + 4 |z_eta|^2)
     shear_part = 2.0 * (1.0 + 4.0 * np.square(z).sum(axis=1))
     dt = t[:, None] - t[None, :]
-    # every dt value, sorted: a row pair's least d^4 sits at the two that
-    # bracket -shear, since d^4 rounds monotonically in |dt + shear|
+    # the distinct dt values, sorted, and each node pair's among them (not
+    # np.unique, whose first call on floats imports numpy.ma); a row pair's
+    # least d^4 sits at the two that bracket -shear, since d^4 rounds
+    # monotonically in |dt + shear|
     steps = np.sort(dt, axis=None)
+    steps = steps[np.concatenate([[True], steps[1:] != steps[:-1]])]
+    kinds = np.searchsorted(steps, dt)
     # the row bounds work in upper orientation; a lower score is minus the
     # upper score of -v, with the same rounding
     sv = vals if mode == "upper" else -vals
     row_best = sv.max(axis=1)
-    # ``block`` holds one source row's candidates and is reused by every row
-    block = np.empty(vals.size * T)
+    # stage 2 scores at most ``cap`` kept rows of a source row at once, in
+    # ``block``, which every row reuses; no row keeps more than the R rows
+    cap = min(len(z), max(T, _BLOCK_PAIRS // T))
+    block = np.empty(T * cap * T)
     kernel_sup = 0.0
     out = np.empty(vals.shape)
     wit = np.empty(vals.shape, dtype=np.int64)
     src = np.arange(T)
     dt_rows = dt[:, None, :]
     if mode == "upper":
-        sign_op, best, excluded = np.subtract, np.ndarray.argmax, -np.inf
+        sign_op, best, beats, excluded = np.subtract, np.ndarray.argmax, np.greater, -np.inf
     else:
-        sign_op, best, excluded = np.add, np.ndarray.argmin, np.inf
+        sign_op, best, beats, excluded = np.add, np.ndarray.argmin, np.less, np.inf
     # about _BLOCK_PAIRS row pairs a block, never fewer than T source rows:
     # from 2^14 nodes (41^3, say) up, a block is exactly T source rows
     size = max(T, _BLOCK_PAIRS // len(z))
@@ -215,18 +236,44 @@ def _envelope(v, eps, mode):
         kept_rows = np.nonzero(kept)[1]
         kept_shear = shear[kept][:, None]
         kept_zs2 = zs2[kept][:, None]
-        offsets = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
+        counts = kept.sum(axis=1)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        # gather[i, k, j] is the flat index of (k, kinds[i, j]) in a table q
+        # whose row k holds d^4/eps of a kept pair at each distinct dt
+        width = min(cap, int(counts.max()))
+        gather = np.arange(0, width * len(steps), len(steps))[:, None] + kinds[:, None, :]
         won_at = np.empty((len(rows), T), dtype=np.int64)
         cuts = offsets.tolist()
+        # q[k, s]: d^4/eps of kept pair q_lo + k at steps[s], for up to cap
+        # kept pairs, which may span several source rows
+        q_lo = q_hi = 0
         for b, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            # d4[i, k, j]: node (rows[b], i) against node (kept_rows[lo + k], j)
-            d4 = block[: T * (hi - lo) * T].reshape(T, hi - lo, T)
-            np.add(dt_rows, kept_shear[lo:hi], out=d4)
-            np.square(d4, out=d4)
-            d4 += kept_zs2[lo:hi]
-            d4 /= eps
-            scores = sign_op(vals[kept_rows[lo:hi]], d4, out=d4).reshape(T, -1)
-            best(scores, axis=1, out=won_at[b])
+            for c in range(lo, hi, cap):
+                e = min(hi, c + cap)
+                if e > q_hi:
+                    q_lo, q_hi = c, min(c + cap, cuts[-1])
+                    q = np.add(steps, kept_shear[q_lo:q_hi])
+                    np.square(q, out=q)
+                    q += kept_zs2[q_lo:q_hi]
+                    q /= eps
+                # d4[i, k, j]: node (rows[b], i) against node (kept_rows[c + k], j);
+                # every index is in range, and mode "clip" writes d4 in place
+                # where "raise" would fill a copy first
+                d4 = block[: T * (e - c) * T].reshape(T, e - c, T)
+                q[c - q_lo : e - q_lo].take(gather[:, : e - c], out=d4, mode="clip")
+                scores = sign_op(vals[kept_rows[c:e]], d4, out=d4).reshape(T, -1)
+                if c == lo:
+                    best(scores, axis=1, out=won_at[b])
+                    if e < hi:
+                        top = scores[src, won_at[b]]
+                    continue
+                # a later chunk's winner replaces the earlier only when
+                # strictly better, so the first best is still the smallest index
+                idx = best(scores, axis=1)
+                new = scores[src, idx]
+                gain = beats(new, top)
+                won_at[b, gain] = idx[gain] + (c - lo) * T
+                top[gain] = new[gain]
         won_k, won_col = np.divmod(won_at, T)
         won_row = kept_rows[offsets[:-1, None] + won_k]
         at = np.arange(len(rows))[:, None]

@@ -391,10 +391,6 @@ def _cone_from_json(data, n):
         cone = ConeSpec(**kwargs)
     except ValueError as e:   # each of its messages names its field
         raise ValueError(f"problem JSON: {e}") from None
-    for key, family in (("k", "sigma_k"), ("g", "spectral")):   # a field one family reads
-        if key in kwargs and cone.family != family:
-            raise ValueError(f"problem JSON: cone.{key} is read by the {family} family only, "
-                             f"not by {cone.family}")
     if cone.family == "spectral":
         # the cone would parse g only when first evaluated
         _parsed(lambda g: spectral_tree(g, 2 * n), cone.g, "cone.g")

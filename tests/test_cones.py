@@ -514,6 +514,15 @@ def test_cone_spec_validation():
         rho_of(ConeSpec("sigma_k", k=5), np.eye(2))
 
 
+@pytest.mark.parametrize("family, field, message", [
+    ("posdef", {"k": 7}, "cone.k is read by the sigma_k family only, not by posdef"),
+    ("trace", {"g": "l1"}, "cone.g is read by the spectral family only, not by trace"),
+])
+def test_cone_spec_refuses_a_field_its_family_never_reads(family, field, message):
+    with pytest.raises(ValueError, match=message):
+        ConeSpec(family, **field)
+
+
 def test_cone_json_round_trip():
     # a spec written as a problem file's cone object reads back the same
     problem = {

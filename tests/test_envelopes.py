@@ -2,11 +2,13 @@
 monotonicity/semiconvexity/witness property checks, and the
 group-translation structure of the kernel."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from heisvisc import envelopes
 from heisvisc.core import dist
 from heisvisc.envelopes import (
     _z_parts,
@@ -166,7 +168,10 @@ def _edge_tie_field(sign, peaks=((0, 0, 0),), shape=(5, 5, 5)):
     return GridField(1, BOX1, vals)
 
 
-def test_search_matches_all_pairs_reference():
+@functools.cache
+def _reference_cases():
+    """(name, eps, mode, field, reference result) of every field the search
+    is checked on, the reference computed once for all tests that read it."""
     uneven = np.array([[-0.5, 1.5], [-2.0, 0.25], [-1.0, 3.0]])
     box2 = np.array([[-1.0, 1.0]] * 5)
     fields = {
@@ -204,20 +209,41 @@ def test_search_matches_all_pairs_reference():
     # 625 z-rows of five nodes go in blocks of 26 rows, the last of one row
     n2_random = GridField(2, box2, stream(63).normal(size=(5,) * 5))
     cases += [("n2_random", n2_random, eps) for eps in (5.0, 0.05)]
-    for name, v, eps in cases:
-        for mode, build in (("upper", upper_envelope), ("lower", lower_envelope)):
-            out, wit, kernel_sup = _blocked_all_pairs_search(v, eps, mode)
-            r = build(v, eps)
-            assert r.out.values.tobytes() == out.tobytes(), (name, eps, mode)
-            np.testing.assert_array_equal(r.witness, wit, err_msg=f"{name} {eps} {mode}")
-            assert r.kernel_sup == kernel_sup, (name, eps, mode)
+    return [
+        (name, eps, mode, v, _blocked_all_pairs_search(v, eps, mode))
+        for name, v, eps in cases
+        for mode in ("upper", "lower")
+    ]
+
+
+def _assert_search_matches_reference():
+    for name, eps, mode, v, (out, wit, kernel_sup) in _reference_cases():
+        r = (upper_envelope if mode == "upper" else lower_envelope)(v, eps)
+        assert r.out.values.tobytes() == out.tobytes(), (name, eps, mode)
+        np.testing.assert_array_equal(r.witness, wit, err_msg=f"{name} {eps} {mode}")
+        assert r.kernel_sup == kernel_sup, (name, eps, mode)
+
+
+def test_search_matches_all_pairs_reference():
+    _assert_search_matches_reference()
+
+
+@pytest.mark.parametrize("pairs", [1, 64, 300])
+def test_chunked_search_matches_all_pairs_reference(monkeypatch, pairs):
+    # stage 2 scores at most min(R, max(T, pairs // T)) kept rows of a
+    # source row at once, fewer than many rows keep here, so their winners
+    # come from several chunks; the source-row blocks shrink with pairs too
+    monkeypatch.setattr(envelopes, "_BLOCK_PAIRS", pairs)
+    _assert_search_matches_reference()
 
 
 def test_search_memory_stays_within_one_row_block():
-    # the search's largest buffer holds one source row's candidates, T * N
-    # floats (0.67 MB at 17^3), and the traced peak is 2.4 MB with blocks of
-    # 56 source rows; the same search over all R source rows at once, not a
-    # block at a time, peaks at 9 MB
+    # the search's largest buffers hold one source row's candidates, T * N
+    # floats (0.67 MB at 17^3), and their gather index, as many ints, which
+    # np.take copies for a row keeping fewer rows than the block's widest;
+    # the traced peak is 3.3 MB with blocks of 56 source rows (2.4 MB
+    # before the gather); the same search over all R source rows at once
+    # (_BLOCK_PAIRS = 2^30) peaks at 8 MB
     v = rough_field(res=17)
     upper_envelope(rough_field(res=5), 5.0)  # lazy imports would count otherwise
     tracemalloc.start()
